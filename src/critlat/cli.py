@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import critpoint, diagrams, liftings, variety
-from .congruence import con_lattice, is_boolean, is_simple
+from .congruence import CON_SIZE_BUDGET, con_lattice, is_boolean, is_simple
 from .errors import CritlatError
 from .lattice import (
     DEFAULT_PRODUCT_CAP,
@@ -46,6 +46,12 @@ def _chain_arg(s: str):
     return tuple(s.split(","))
 
 
+def _size_budget(args):
+    """--max-size as a keyword argument when given, so that each library
+    call otherwise keeps its own budget."""
+    return {} if args.max_size is None else {"max_size": args.max_size}
+
+
 def _subset(args, L):
     return args.subset.split(",") if args.subset else list(L.labels)
 
@@ -62,7 +68,7 @@ def cmd_validate(args):
 
 def cmd_con(args):
     L = resolve_lattice(args.lattice)
-    con = con_lattice(L, max_size=args.max_size, threads=args.threads)
+    con = con_lattice(L, threads=args.threads, **_size_budget(args))
     simple = is_simple(L)
     boolean, atoms, _ = is_boolean(con)
     if args.json:
@@ -88,7 +94,7 @@ def cmd_simple(args):
 
 def cmd_si(args):
     K = resolve_lattice(args.lattice)
-    sis = variety.si_quotients(K, max_size=args.max_size)
+    sis = variety.si_quotients(K, **_size_budget(args))
     if args.json:
         _emit({"schema": 1, "si_quotients": [s.to_json() for s in sis]})
     else:
@@ -102,9 +108,8 @@ def cmd_si(args):
 def cmd_hs_member(args):
     M = resolve_lattice(args.member)
     L = resolve_lattice(args.lattice)
-    w = variety.hs_member(M, L, max_size=args.max_size,
-                          max_subuniverses=args.max_subuniverses,
-                          threads=args.threads)
+    w = variety.hs_member(M, L, max_subuniverses=args.max_subuniverses,
+                          **_size_budget(args))
     if args.json:
         _emit({"schema": 1,
                      "member": w is not None,
@@ -119,8 +124,8 @@ def cmd_hs_member(args):
 def cmd_var_leq(args):
     K = resolve_lattice(args.k)
     L = resolve_lattice(args.l)
-    holds, cert = variety.var_leq(K, L, max_size=args.max_size,
-                                  max_subuniverses=args.max_subuniverses)
+    holds, cert = variety.var_leq(K, L, max_subuniverses=args.max_subuniverses,
+                                  **_size_budget(args))
     if args.json:
         _emit({"schema": 1, **cert.to_json()})
     else:
@@ -131,8 +136,8 @@ def cmd_var_leq(args):
 def cmd_crit_gate(args):
     K = resolve_lattice(args.k)
     L = resolve_lattice(args.l)
-    verdict = critpoint.crit_gate(K, L, max_size=args.max_size,
-                                  max_subuniverses=args.max_subuniverses)
+    verdict = critpoint.crit_gate(K, L, max_subuniverses=args.max_subuniverses,
+                                  **_size_budget(args))
     if args.json:
         _emit(verdict.to_json())
     else:
@@ -145,8 +150,8 @@ def cmd_crit_gate(args):
 def cmd_conc_report(args):
     K = resolve_lattice(args.k)
     L = resolve_lattice(args.l)
-    rep = critpoint.conc_class_report(K, L, max_size=args.max_size,
-                                      max_subuniverses=args.max_subuniverses)
+    rep = critpoint.conc_class_report(K, L, max_subuniverses=args.max_subuniverses,
+                                      **_size_budget(args))
     if args.json:
         _emit(rep.to_json())
     else:
@@ -290,11 +295,13 @@ def build_parser():
     def common(p, json_flag=True):
         if json_flag:
             p.add_argument("--json", action="store_true")
-        p.add_argument("--max-size", type=int,
-                       default=variety.HS_SIZE_BUDGET,
-                       help="size budget for Con/SI/HS searches")
+        p.add_argument("--max-size", type=int, default=None,
+                       help="size budget for Con/SI/HS searches (default: "
+                            f"Con {CON_SIZE_BUDGET}, SI/HS "
+                            f"{variety.HS_SIZE_BUDGET})")
         p.add_argument("--max-subuniverses", type=int, default=None,
-                       help="abort HS searches visiting more subuniverses")
+                       help="abort HS searches closing more generator "
+                            "tuples (each generates one subuniverse)")
         p.add_argument("--cap", type=int,
                        default=int(os.environ.get("CRITLAT_MAX_SIZE",
                                                   DEFAULT_PRODUCT_CAP)),

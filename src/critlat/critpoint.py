@@ -17,10 +17,9 @@ from typing import Optional
 from .lattice import dual, is_isomorphic
 from .variety import (
     HS_SIZE_BUDGET,
+    ContainmentChecks,
     SIQuotient,
     VarCertificate,
-    find_separating_si,
-    var_leq,
 )
 
 INFINITE = "Infinite"
@@ -60,8 +59,9 @@ def crit_gate(K, L, max_size=HS_SIZE_BUDGET, max_subuniverses=None) -> CritVerdi
     distinct SI quotients fail on the two orientations separately.
     """
     Ld = dual(L)
-    a, cert_a = var_leq(K, L, max_size=max_size, max_subuniverses=max_subuniverses)
-    b, cert_b = var_leq(K, Ld, max_size=max_size, max_subuniverses=max_subuniverses)
+    checks = ContainmentChecks(max_size, max_subuniverses)
+    a, cert_a = checks.var_leq(K, L)
+    b, cert_b = checks.var_leq(K, Ld)
     if a or b:
         side = "Var L" if a else "the dual of Var L"
         return CritVerdict(
@@ -69,8 +69,7 @@ def crit_gate(K, L, max_size=HS_SIZE_BUDGET, max_subuniverses=None) -> CritVerdi
             f"Var K is contained in {side}; compact congruence classes "
             "transfer along containment and dualization, so every member's "
             "congruence lattice already occurs over Var L.")
-    sep = find_separating_si(K, L, max_size=max_size,
-                             max_subuniverses=max_subuniverses)
+    sep = checks.separating_si(K, L, Ld)
     return CritVerdict(
         AT_MOST_ALEPH2, a, b, cert_a, cert_b, sep,
         "Var K lies in neither Var L nor its dual; by the dichotomy for "
@@ -118,11 +117,11 @@ def conc_class_report(K, L, max_size=HS_SIZE_BUDGET,
     dualization).
     """
     Ld, Kd = dual(L), dual(K)
-    kw = {"max_size": max_size, "max_subuniverses": max_subuniverses}
-    a, _ = var_leq(K, L, **kw)
-    b, _ = var_leq(L, K, **kw)
-    c, _ = var_leq(K, Ld, **kw)
-    d, _ = var_leq(L, Kd, **kw)
+    checks = ContainmentChecks(max_size, max_subuniverses)
+    a, _ = checks.var_leq(K, L)
+    b, _ = checks.var_leq(L, K)
+    c, _ = checks.var_leq(K, Ld)
+    d, _ = checks.var_leq(L, Kd)
     return ConcReport(
         a, b, c, d,
         conc_forward=a or c,

@@ -9,24 +9,24 @@ budgets and produce replayable certificates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .congruence import ConLattice, Congruence, con_lattice
+from .congruence import ConLattice, Congruence, _require_dense, con_lattice
 from .errors import BudgetExceeded, NotSubdirectlyIrreducible
 from .lattice import (
     Homomorphism,
     dual,
-    enumerate_subuniverses,
     is_isomorphic,
     product,
     quotient,
     _sublattice_from_indices,
 )
 
-HS_SIZE_BUDGET = 8
+HS_SIZE_BUDGET = 32
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,38 @@ class HSWitness:
         }
 
 
-def _subdirectly_irreducible(conQ: ConLattice) -> Optional[Congruence]:
-    """Monolith of a finite lattice given its Con, or None if not SI.
+def _upper_cover(conK: ConLattice, k: int) -> Optional[int]:
+    """Index of the unique upper cover of conK.cons[k], or None when it has
+    none or several.
 
-    Finite case: SI iff Con has exactly one atom (it then sits below every
-    nonzero congruence).
+    Con(K/theta) is the interval [theta, 1] of Con K, so K/theta is
+    subdirectly irreducible exactly when theta has one upper cover theta*,
+    and theta*/theta is then its monolith.
     """
-    if len(conQ.atoms) != 1:
-        return None
-    return conQ.cons[conQ.atoms[0]]
+    above = np.nonzero(conK.leq[k])[0]
+    above = above[above != k]
+    # a member of `above` covers theta when no other member lies below it
+    minimal = above[conK.leq[np.ix_(above, above)].sum(axis=0) == 1]
+    return int(minimal[0]) if len(minimal) == 1 else None
+
+
+def _si_congruences(K, max_size):
+    """(theta, K/theta, projection, monolith) for every congruence theta
+    with a subdirectly irreducible quotient, in canonical Con order; all read
+    off the one Con K."""
+    if K.n > max_size:
+        raise BudgetExceeded(f"|K| = {K.n} exceeds the SI budget {max_size}")
+    conK = con_lattice(K)
+    out = []
+    for k, theta in enumerate(conK.cons):
+        cover = _upper_cover(conK, k)
+        if cover is None:
+            continue
+        Q, proj = quotient(K, theta)
+        star = conK.cons[cover].block_of
+        mono = Congruence.from_rep(Q, np.array([star[b[0]] for b in theta.blocks]))
+        out.append((theta, Q, proj, mono))
+    return out
 
 
 def si_quotients(K, max_size=HS_SIZE_BUDGET):
@@ -78,17 +101,8 @@ def si_quotients(K, max_size=HS_SIZE_BUDGET):
     Deterministic: congruences are tried in the canonical Con order and the
     first representative of each isomorphism class is kept.
     """
-    if K.n > max_size:
-        raise BudgetExceeded(f"|K| = {K.n} exceeds the SI budget {max_size}")
-    conK = con_lattice(K)
     out = []
-    for theta in conK.cons:
-        if theta.is_one:
-            continue
-        Q, _proj = quotient(K, theta)
-        mono = _subdirectly_irreducible(con_lattice(Q))
-        if mono is None:
-            continue
+    for theta, Q, _proj, mono in _si_congruences(K, max_size):
         if any(is_isomorphic(prev.lattice, Q) is not None for prev in out):
             continue
         out.append(SIQuotient(K, theta, Q, mono))
@@ -98,21 +112,10 @@ def si_quotients(K, max_size=HS_SIZE_BUDGET):
 def subdirect_decomposition(K, max_size=HS_SIZE_BUDGET):
     """Congruences with SI quotient meeting to zero, plus the (undeduplicated)
     embedding of K into the product of the corresponding quotients."""
-    if K.n > max_size:
-        raise BudgetExceeded(f"|K| = {K.n} exceeds the SI budget {max_size}")
-    conK = con_lattice(K)
-    thetas = []
-    quotients = []
-    projs = []
-    for theta in conK.cons:
-        if theta.is_one:
-            continue
-        Q, proj = quotient(K, theta)
-        if _subdirectly_irreducible(con_lattice(Q)) is None:
-            continue
-        thetas.append(theta)
-        quotients.append(Q)
-        projs.append(proj)
+    found = _si_congruences(K, max_size)
+    thetas = [theta for theta, _, _, _ in found]
+    quotients = [Q for _, Q, _, _ in found]
+    projs = [proj for _, _, proj, _ in found]
     if not quotients:
         return thetas, None, None
     P = product(*quotients, allow_lazy=True) if len(quotients) > 1 else quotients[0]
@@ -135,31 +138,134 @@ def _encode_dense(P, coords):
     return sum(c * r for c, r in zip(coords, radix))
 
 
-def hs_member(M, L, max_size=HS_SIZE_BUDGET, max_subuniverses=None,
-              threads=None) -> Optional[HSWitness]:
+def _truncate(f, members, start):
+    """Undo the graph additions made since len(members) was start."""
+    for z in members[start:]:
+        f[z] = -1
+    del members[start:]
+
+
+def _extend_graph(f, members, a, g, tables):
+    """Add (a, g) to the graph of the partial map f (L-index -> M-index,
+    -1 where undefined) and close it under componentwise meet and join in
+    L x M.  On the first pair that makes the relation non-functional, undo
+    the additions and return False."""
+    Lm, Lj, Mm, Mj = tables
+    start = len(members)
+    if f[a] != -1:
+        return f[a] == g
+    f[a] = g
+    members.append(a)
+    i = start
+    while i < len(members):
+        x = members[i]
+        fx = f[x]
+        for y in members[:i]:
+            fy = f[y]
+            for l, m in ((Lm[x][y], Mm[fx][fy]), (Lj[x][y], Mj[fx][fy])):
+                if f[l] == -1:
+                    f[l] = m
+                    members.append(l)
+                elif f[l] != m:
+                    _truncate(f, members, start)
+                    return False
+        i += 1
+    return True
+
+
+def _least_generating_set(M):
+    """The least generating set of M: smallest size first, then
+    lexicographic on M's element indices.
+
+    An element that is neither the join of two elements below it nor the
+    meet of two above it is no term in the others, so every generating set
+    holds it; only the remaining elements are chosen from.  Adding the same
+    fixed set to every choice keeps the lexicographic order of the choices.
+    """
+    lt = M._leq & ~np.eye(M.n, dtype=bool)
+    meet, join = M._meet, M._join
+    required = [x for x in range(M.n)
+                if not (join[np.ix_(lt[:, x], lt[:, x])] == x).any()
+                and not (meet[np.ix_(lt[x], lt[x])] == x).any()]
+    rest = [x for x in range(M.n) if x not in required]
+    tables = (meet.tolist(), join.tolist()) * 2
+    for extra in range(len(rest)):
+        for chosen in itertools.combinations(rest, extra):
+            gens = sorted(required + list(chosen))
+            # the graph of the identity on gens closes to the generated
+            # sublattice
+            f, members = [-1] * M.n, []
+            for g in gens:
+                _extend_graph(f, members, g, g, tables)
+            if len(members) == M.n:
+                return gens
+    return list(range(M.n))
+
+
+def _least_functional_tuple(M, L, gens, max_tuples):
+    """The lexicographically least a in L^k whose pairs (a_i, gens_i) close
+    to the graph of a map, as (f, members), or None.
+
+    Depth-first over prefixes: a prefix whose closure is already
+    non-functional is never extended, since closing more pairs keeps the
+    offending pair.  Each closed prefix counts against max_tuples.
+    """
+    tables = (L._meet.tolist(), L._join.tolist(),
+              M._meet.tolist(), M._join.tolist())
+    f = [-1] * L.n
+    members = []
+    marks = []      # len(members) before each chosen a_i
+    chosen = []
+    cand = 0
+    closed = 0
+    while len(chosen) < len(gens):
+        if cand == L.n:
+            if not chosen:
+                return None
+            _truncate(f, members, marks.pop())
+            cand = chosen.pop() + 1
+            continue
+        closed += 1
+        if max_tuples is not None and closed > max_tuples:
+            raise BudgetExceeded(f"more than {max_tuples} generator tuples")
+        mark = len(members)
+        if _extend_graph(f, members, cand, gens[len(chosen)], tables):
+            marks.append(mark)
+            chosen.append(cand)
+            cand = 0
+        else:
+            cand += 1
+    return f, members
+
+
+def hs_member(M, L, max_size=HS_SIZE_BUDGET,
+              max_subuniverses=None) -> Optional[HSWitness]:
     """Exhaustive search for M in HS(L): a quotient of a sublattice of L.
 
-    Subuniverses are scanned in canonical order, congruences in canonical Con
-    order, so the returned witness is deterministic.  `threads` is a
-    parallelism hint only.
+    If S maps onto M, so does the sublattice generated by preimages of a
+    generating set of M.  So with g the least generating set of M, the
+    search closes {(a_i, g_i)} in L x M for each a in L^k in lexicographic
+    order; the first closure that is the graph of a map S -> M gives the
+    witness: S, the kernel theta of the map, and the isomorphism
+    S/theta -> M.  `max_subuniverses` caps the generator tuples closed (each
+    generates one subuniverse of L).
     """
     if L.n > max_size:
         raise BudgetExceeded(f"|L| = {L.n} exceeds the HS budget {max_size}")
+    _require_dense(L)
     if M.n > L.n:
         return None
-    for key in enumerate_subuniverses(L, max_count=max_subuniverses,
-                                      max_size=max_size):
-        if len(key) < M.n:
-            continue
-        S, incl = _sublattice_from_indices(L, list(key))
-        for theta in con_lattice(S).cons:
-            if len(theta.blocks) != M.n:
-                continue
-            Q, _ = quotient(S, theta)
-            iso = is_isomorphic(Q, M)
-            if iso is not None:
-                return HSWitness(S, incl, theta, iso)
-    return None
+    found = _least_functional_tuple(M, L, _least_generating_set(M),
+                                    max_subuniverses)
+    if found is None:
+        return None
+    f, members = found
+    keys = sorted(members)
+    S, incl = _sublattice_from_indices(L, keys)
+    theta = Congruence.from_rep(S, np.array([f[i] for i in keys]))
+    Q, _ = quotient(S, theta)
+    iso = Homomorphism(Q, M, [f[keys[b[0]]] for b in theta.blocks])
+    return HSWitness(S, incl, theta, iso)
 
 
 @dataclass(frozen=True)
@@ -180,6 +286,54 @@ class VarCertificate:
         return out
 
 
+class ContainmentChecks:
+    """Variety containments that share their work: each lattice's SI
+    quotients and each hs_member(s, L) answer are computed at most once.
+
+    Every entry point of this module and of critpoint decides through one
+    instance, so a decision that asks about Var K <= Var L and
+    Var K <= Var dual(L) searches K's SI quotients once.  Lattices are
+    remembered by identity; pass the same dual object to every call.
+    """
+
+    def __init__(self, max_size=HS_SIZE_BUDGET, max_subuniverses=None):
+        self.max_size = max_size
+        self.max_subuniverses = max_subuniverses
+        self._sis = {}
+        self._hs = {}
+
+    def si_quotients(self, K):
+        if K not in self._sis:
+            self._sis[K] = tuple(si_quotients(K, max_size=self.max_size))
+        return self._sis[K]
+
+    def hs_member(self, s: SIQuotient, L) -> Optional[HSWitness]:
+        key = (s.lattice, L)
+        if key not in self._hs:
+            self._hs[key] = hs_member(s.lattice, L, max_size=self.max_size,
+                                      max_subuniverses=self.max_subuniverses)
+        return self._hs[key]
+
+    def var_leq(self, K, L):
+        """(holds, VarCertificate) for Var K <= Var L; stops at the first SI
+        quotient of K outside HS(L)."""
+        sis = self.si_quotients(K)
+        witnesses = []
+        for s in sis:
+            w = self.hs_member(s, L)
+            if w is None:
+                return False, VarCertificate(False, sis, (), s)
+            witnesses.append(w)
+        return True, VarCertificate(True, sis, tuple(witnesses), None)
+
+    def separating_si(self, K, L, Ld) -> Optional[SIQuotient]:
+        """The first SI quotient of K in neither HS(L) nor HS(Ld)."""
+        for s in self.si_quotients(K):
+            if self.hs_member(s, L) is None and self.hs_member(s, Ld) is None:
+                return s
+        return None
+
+
 def var_leq(K, L, max_size=HS_SIZE_BUDGET, max_subuniverses=None):
     """Decide Var K <= Var L: every SI quotient of K must lie in HS(L).
 
@@ -187,28 +341,14 @@ def var_leq(K, L, max_size=HS_SIZE_BUDGET, max_subuniverses=None):
     finitely generated congruence-distributive varieties; see the README for
     the two-line argument.
     """
-    sis = si_quotients(K, max_size=max_size)
-    witnesses = []
-    for s in sis:
-        w = hs_member(s.lattice, L, max_size=max_size,
-                      max_subuniverses=max_subuniverses)
-        if w is None:
-            return False, VarCertificate(False, tuple(sis), (), s)
-        witnesses.append(w)
-    return True, VarCertificate(True, tuple(sis), tuple(witnesses), None)
+    return ContainmentChecks(max_size, max_subuniverses).var_leq(K, L)
 
 
 def find_separating_si(K, L, max_size=HS_SIZE_BUDGET,
                        max_subuniverses=None) -> Optional[SIQuotient]:
     """An SI quotient of K lying in neither HS(L) nor HS(dual L), if any."""
-    Ld = dual(L)
-    for s in si_quotients(K, max_size=max_size):
-        if hs_member(s.lattice, L, max_size=max_size,
-                     max_subuniverses=max_subuniverses) is None \
-                and hs_member(s.lattice, Ld, max_size=max_size,
-                              max_subuniverses=max_subuniverses) is None:
-            return s
-    return None
+    return ContainmentChecks(max_size, max_subuniverses).separating_si(
+        K, L, dual(L))
 
 
 def si_pair_classifier(K, L, max_size=HS_SIZE_BUDGET) -> tuple:
@@ -220,14 +360,16 @@ def si_pair_classifier(K, L, max_size=HS_SIZE_BUDGET) -> tuple:
     generators; plain isomorphism is tried before dual isomorphism.
     """
     for X in (K, L):
-        if _subdirectly_irreducible(con_lattice(X)) is None:
+        conX = con_lattice(X)
+        if _upper_cover(conX, conX.bottom_i) is None:
             raise NotSubdirectlyIrreducible(f"{X!r} is not subdirectly irreducible")
     Ld = dual(L)
+    checks = ContainmentChecks(max_size)
     try:
-        a, _ = var_leq(K, L, max_size=max_size)
-        b, _ = var_leq(L, K, max_size=max_size)
-        c, _ = var_leq(K, Ld, max_size=max_size)
-        d, _ = var_leq(Ld, K, max_size=max_size)
+        a, _ = checks.var_leq(K, L)
+        b, _ = checks.var_leq(L, K)
+        c, _ = checks.var_leq(K, Ld)
+        d, _ = checks.var_leq(Ld, K)
     except BudgetExceeded:
         return "Indeterminate", None
     conc_equal = (a or c) and (b or d)

@@ -36,6 +36,11 @@ class TestBasics:
         code, _, err = invoke(capsys, "validate", "no-such-thing")
         assert code == 2
 
+    def test_con_keeps_its_own_budget(self, capsys):
+        code, out, _ = invoke(capsys, "con", "bool:4")
+        assert code == 0
+        assert out.splitlines()[0] == "simple: false, |Con| = 16"
+
     def test_simple(self, capsys):
         assert invoke(capsys, "simple", "M:4")[1].strip() == "true"
         assert invoke(capsys, "simple", "N5")[1].strip() == "false"
@@ -148,14 +153,14 @@ class TestOperations:
 
 class TestBudgetFlags:
     def test_max_size_aborts(self, capsys):
-        code, _, err = invoke(capsys, "var-leq", "bool:3", "bool:4")
+        code, _, err = invoke(capsys, "var-leq", "bool:3", "bool:6")
         assert code == 2 and "BudgetExceeded" in err
-        code, out, _ = invoke(capsys, "var-leq", "bool:3", "bool:4",
-                              "--max-size", "16")
+        code, out, _ = invoke(capsys, "var-leq", "bool:3", "bool:6",
+                              "--max-size", "64")
         assert code == 0 and out.strip() == "true"
 
     def test_max_subuniverses_aborts(self, capsys):
-        code, _, err = invoke(capsys, "hs-member", "2", "M:3",
+        code, _, err = invoke(capsys, "hs-member", "M:3", "N5",
                               "--max-subuniverses", "3")
         assert code == 2 and "BudgetExceeded" in err
 

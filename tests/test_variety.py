@@ -8,6 +8,8 @@ from critlat.lattice import (
     builtin,
     dual,
     is_isomorphic,
+    product,
+    quotient,
     validate_lattice,
 )
 from critlat.variety import (
@@ -19,7 +21,12 @@ from critlat.variety import (
     var_leq,
 )
 
-from oracles import brute_congruences, brute_isomorphic, brute_subuniverses
+from oracles import (
+    brute_congruences,
+    brute_isomorphic,
+    brute_subuniverses,
+    enumerate_all_lattices,
+)
 
 
 def oracle_hs_member(M, L):
@@ -43,6 +50,55 @@ def oracle_hs_member(M, L):
             if brute_isomorphic(Q, M) is not None:
                 return True
     return False
+
+
+def replay_hs_witness(w, M, L):
+    """Check an HS witness piece by piece against L's and M's own tables:
+    S is a sublattice of L, theta a congruence of S, and iso, keyed by the
+    least element of each block, an order isomorphism S/theta -> M."""
+    S = w.sublattice
+    sub = [L.index(x) for x in S.labels]
+    assert sub == sorted(set(sub))
+    assert list(w.inclusion.mapping) == sub
+    for a in range(S.n):
+        for b in range(S.n):
+            assert L.meet_i(sub[a], sub[b]) in sub and L.join_i(sub[a], sub[b]) in sub
+            assert S.leq_i(a, b) == L.leq_i(sub[a], sub[b])
+    parts = {frozenset(b) for b in w.theta.blocks}
+    assert parts in brute_congruences(S)
+    blocks = w.theta.blocks
+    assert list(w.iso.source.labels) == [S.labels[b[0]] for b in blocks]
+    img = [int(w.iso.mapping[q]) for q in range(len(blocks))]
+    assert sorted(img) == list(range(M.n))
+    for p, bp in enumerate(blocks):
+        for q, bq in enumerate(blocks):
+            below = w.theta.block_of[S.join_i(bp[0], bq[0])] == q
+            assert below == M.leq_i(img[p], img[q])
+
+
+class TestDifferential:
+    def test_hs_member_matches_oracle(self, small_lattices, named):
+        members = [M for M in small_lattices if M.n <= 5]
+        ambients = small_lattices + [named[x] for x in ("M:4", "M:5", "F22", "bool:3")] \
+            + [product(named["N5"], named["2"])]
+        for L in ambients:
+            for M in members:
+                w = hs_member(M, L)
+                assert (w is not None) == oracle_hs_member(M, L), (M, L)
+                if w is not None:
+                    replay_hs_witness(w, M, L)
+
+    def test_si_verdicts_match_con_of_quotient(self, corpus):
+        for K in corpus:
+            conK = con_lattice(K)
+            expected = [t for t in conK.cons
+                        if len(con_lattice(quotient(K, t)[0]).atoms) == 1]
+            thetas, _, _ = subdirect_decomposition(K)
+            assert thetas == expected
+            for s in si_quotients(K):
+                assert s.theta in expected
+                conQ = con_lattice(s.lattice)
+                assert s.monolith == conQ.cons[conQ.atoms[0]]
 
 
 class TestSiQuotients:
@@ -70,7 +126,7 @@ class TestSiQuotients:
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            si_quotients(builtin("bool:4"))
+            si_quotients(builtin("bool:6"))
 
 
 class TestSubdirectDecomposition:
