@@ -68,7 +68,7 @@ def cmd_validate(args):
 
 def cmd_con(args):
     L = resolve_lattice(args.lattice)
-    con = con_lattice(L, threads=args.threads, **_size_budget(args))
+    con = con_lattice(L, **_size_budget(args))
     simple = is_simple(L)
     boolean, atoms, _ = is_boolean(con)
     if args.json:
@@ -289,7 +289,7 @@ def build_parser():
         description="finite lattice congruence computations and the "
                     "critical-point gate")
     ap.add_argument("--threads", type=int, default=None,
-                    help="parallelism hint (results never depend on it)")
+                    help="accepted and ignored; results never depend on it")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, json_flag=True):
@@ -302,9 +302,7 @@ def build_parser():
         p.add_argument("--max-subuniverses", type=int, default=None,
                        help="abort HS searches closing more generator "
                             "tuples (each generates one subuniverse)")
-        p.add_argument("--cap", type=int,
-                       default=int(os.environ.get("CRITLAT_MAX_SIZE",
-                                                  DEFAULT_PRODUCT_CAP)),
+        p.add_argument("--cap", type=int, default=DEFAULT_PRODUCT_CAP,
                        help="dense product size cap")
 
     p = sub.add_parser("validate", help="validate a lattice file or builtin")

@@ -21,7 +21,7 @@ from .errors import (
     NotACongruence,
     NotASublattice,
 )
-from .lattice import FiniteLattice, Homomorphism, _same_lattice
+from .lattice import FiniteLattice, Homomorphism, _same_lattice, chain_order
 
 CON_SIZE_BUDGET = 300
 
@@ -128,10 +128,6 @@ class Congruence:
         return True
 
     @property
-    def is_zero(self):
-        return len(self.blocks) == self.host.n
-
-    @property
     def is_one(self):
         return len(self.blocks) == 1
 
@@ -151,10 +147,6 @@ class Congruence:
 
     def label_blocks(self):
         return [[self.host.labels[i] for i in b] for b in self.blocks]
-
-    def rgs(self):
-        """Restricted-growth string; canonical sort key."""
-        return self.block_of
 
     def __eq__(self, other):
         return (isinstance(other, Congruence)
@@ -219,7 +211,7 @@ class ConLattice:
 
     def __init__(self, host, cons):
         self.host = host
-        cons = sorted(cons, key=lambda t: (host.n - len(t.blocks), t.rgs()))
+        cons = sorted(cons, key=lambda t: (host.n - len(t.blocks), t.block_of))
         self.cons = tuple(cons)
         self._by_key = {t.block_of: k for k, t in enumerate(cons)}
         m = len(cons)
@@ -268,15 +260,6 @@ class ConLattice:
             raise NotACongruence(
                 f"{theta!r} is not a congruence of {self.host!r}") from None
 
-    def principal(self, a, b) -> int:
-        return self.index_of(principal_congruence(self.host, a, b))
-
-    def zero(self):
-        return self.cons[self.bottom_i]
-
-    def one(self):
-        return self.cons[self.top_i]
-
     def as_lattice(self) -> FiniteLattice:
         """The Con lattice as a plain FiniteLattice, labels c0..c{m-1}."""
         if self._lattice is None:
@@ -289,12 +272,8 @@ class ConLattice:
         return f"<ConLattice of {self.host!r}, {self.n} congruences>"
 
 
-def con_lattice(L, max_size=CON_SIZE_BUDGET, threads=None) -> ConLattice:
-    """All congruences of L: cover principals closed under join, plus zero.
-
-    `threads` is a parallelism hint; the result and its canonical order do
-    not depend on it.
-    """
+def con_lattice(L, max_size=CON_SIZE_BUDGET) -> ConLattice:
+    """All congruences of L: cover principals closed under join, plus zero."""
     _require_dense(L)
     if L.n > max_size:
         raise BudgetExceeded(f"|L| = {L.n} exceeds the Con budget {max_size}")
@@ -467,8 +446,7 @@ def is_congruence_chain(B, chain_labels, con: Optional[ConLattice] = None):
     return steps
 
 
-def is_direct_congruence_chain(B, chain_labels, xi: ConcMap, C,
-                               con: Optional[ConLattice] = None) -> bool:
+def is_direct_congruence_chain(B, chain_labels, xi: ConcMap, C) -> bool:
     """Directness of a congruence chain for (xi, C).
 
     xi must be an isomorphism Con B -> Con C and C a chain lattice whose
@@ -477,25 +455,16 @@ def is_direct_congruence_chain(B, chain_labels, xi: ConcMap, C,
     """
     if not xi.isomorphism:
         raise CritlatError("xi must be an isomorphism")
-    c_elems = [C.labels[i] for i in np.argsort(
-        [int(C.heights[i]) for i in range(C.n)])] if _is_chain_lattice(C) else None
-    if c_elems is None:
-        raise CritlatError(f"{C!r} is not a chain lattice")
+    c_elems = chain_order(C)
     if len(chain_labels) != C.n:
         raise ArityMismatch(
             f"chain has {len(chain_labels) - 1} steps, target chain has {C.n - 1}")
-    conB = con or xi.source
     steps = chain_steps(B, chain_labels)
     for k, t in enumerate(steps):
         want = principal_congruence(C, c_elems[k], c_elems[k + 1])
         if xi.apply(t) != want:
             return False
     return True
-
-
-def _is_chain_lattice(C) -> bool:
-    return all(C.leq_i(i, j) or C.leq_i(j, i)
-               for i in range(C.n) for j in range(i + 1, C.n))
 
 
 def inclusion_hom(sub, amb) -> Homomorphism:

@@ -11,13 +11,12 @@ any lifting to be direct.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .congruence import ConcMap, ConLattice, con_lattice, conc_of_hom
+from .congruence import con_lattice, conc_of_hom
 from .errors import (
     BadChainShapes,
     BudgetExceeded,
@@ -33,7 +32,6 @@ from .lattice import (
     DEFAULT_PRODUCT_CAP,
     FiniteLattice,
     Homomorphism,
-    ProductLattice,
     _same_lattice,
     _sublattice_from_indices,
     builtin,
@@ -41,6 +39,8 @@ from .lattice import (
     lattice_from_json,
     lattice_to_json,
     product,
+    product_coords,
+    product_index,
     spanning_chains,
     subuniverse_closure,
     validate_lattice,
@@ -174,12 +174,6 @@ class LatticeDiagram:
         if validate:
             self.validate()
 
-    def lattice(self, node):
-        return self.lattices[node]
-
-    def edge(self, p, q) -> Homomorphism:
-        return self.maps[(p, q)]
-
     def validate(self, check_homs=True):
         """Identity edges, exhaustive commutativity, and boundedness flags."""
         for p in self.poset.elements:
@@ -223,9 +217,6 @@ class LatticeDiagram:
                 return False
         return True
 
-    def node_sizes(self):
-        return {n: self.lattices[n].n for n in self.poset.elements}
-
     def __repr__(self):
         return f"<LatticeDiagram on {len(self.poset.elements)} nodes>"
 
@@ -238,12 +229,6 @@ class SemilatticeDiagram:
         self.cons = dict(cons)
         self.maps = dict(maps)
         self.of_diagram = of_diagram
-
-    def con(self, node) -> ConLattice:
-        return self.cons[node]
-
-    def edge(self, p, q) -> ConcMap:
-        return self.maps[(p, q)]
 
     def validate(self):
         for (p, q, r) in self.poset.strict_triples():
@@ -388,32 +373,20 @@ def product_over(j_nodes, diagrams: Sequence[LatticeDiagram],
         return first, [proj]
 
     lattices = {}
+    sizes = {}
     for n in poset.elements:
         if n in jset:
             lattices[n] = first.lattices[n]
         else:
             lattices[n] = product(*[d.lattices[n] for d in diagrams],
                                   cap=cap, allow_lazy=allow_lazy)
+            sizes[n] = [d.lattices[n].n for d in diagrams]
 
-    def encode(n, coords):
-        P = lattices[n]
-        if isinstance(P, ProductLattice):
-            return P.encode(coords)
-        radix = [1] * len(diagrams)
-        for k in range(len(diagrams) - 2, -1, -1):
-            radix[k] = radix[k + 1] * diagrams[k + 1].lattices[n].n
-        return sum(c * r for c, r in zip(coords, radix))
-
-    def decode(n, i):
-        P = lattices[n]
-        if isinstance(P, ProductLattice):
-            return P.decode(i)
-        out = []
-        for d in reversed(diagrams):
-            fn = d.lattices[n].n
-            out.append(i % fn)
-            i //= fn
-        return out[::-1]
+    def coords(n):
+        """Coordinates of every element of node n, one array per factor."""
+        if n in jset:
+            return [np.arange(lattices[n].n)] * len(diagrams)
+        return product_coords(sizes[n], np.arange(lattices[n].n))
 
     maps = {}
     for (p, q) in poset.pairs():
@@ -422,32 +395,21 @@ def product_over(j_nodes, diagrams: Sequence[LatticeDiagram],
             maps[(p, q)] = Homomorphism.identity(src)
         elif p in jset and q in jset:
             maps[(p, q)] = first.maps[(p, q)]
-        elif p in jset:
-            mp = np.array([encode(q, [int(d.maps[(p, q)].mapping[i]) for d in diagrams])
-                           for i in range(src.n)], dtype=np.int32)
-            maps[(p, q)] = Homomorphism(src, tgt, mp, check="none")
         else:
-            mp = np.zeros(src.n, dtype=np.int32)
-            edge_maps = [d.maps[(p, q)].mapping for d in diagrams]
-            for i in range(src.n):
-                coords = decode(p, i)
-                mp[i] = encode(q, [int(em[c]) for em, c in zip(edge_maps, coords)])
+            mp = product_index(sizes[q], [d.maps[(p, q)].mapping[c]
+                                          for d, c in zip(diagrams, coords(p))])
             maps[(p, q)] = Homomorphism(src, tgt, mp, check="none")
 
     result = LatticeDiagram(poset, lattices, maps)
     if not with_projections:
         return result, None
-    projections = []
-    for t, d in enumerate(diagrams):
-        proj = {}
-        for n in poset.elements:
-            if n in jset:
-                proj[n] = Homomorphism.identity(lattices[n])
-            else:
-                mp = np.array([decode(n, i)[t] for i in range(lattices[n].n)],
-                              dtype=np.int32)
-                proj[n] = Homomorphism(lattices[n], d.lattices[n], mp, check="none")
-        projections.append(proj)
+    projections = [{} for _ in diagrams]
+    for n in poset.elements:
+        node_coords = coords(n)
+        for t, d in enumerate(diagrams):
+            projections[t][n] = (
+                Homomorphism.identity(lattices[n]) if n in jset else
+                Homomorphism(lattices[n], d.lattices[n], node_coords[t], check="none"))
     return result, projections
 
 
@@ -774,17 +736,6 @@ def diagram_from_json(obj) -> LatticeDiagram:
     return LatticeDiagram(poset, lattices, maps)
 
 
-def save_diagram(D, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(diagram_to_json(D), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_diagram(path) -> LatticeDiagram:
-    with open(path, "r", encoding="utf-8") as fh:
-        return diagram_from_json(json.load(fh))
-
-
 def export_dot(D: LatticeDiagram, max_node_size=2000) -> str:
     """DOT rendering: one cluster per node holding its Hasse diagram, one
     edge per covering pair of the index poset.  Nodes too large to draw are
@@ -802,7 +753,7 @@ def export_dot(D: LatticeDiagram, max_node_size=2000) -> str:
         else:
             for i, lab in enumerate(L.labels):
                 lines.append(f'    n{k}_{i} [label="{lab}", shape=plaintext];')
-            for i, j in L.covers_list():
+            for i, j in L.covers:
                 lines.append(f"    n{k}_{i} -> n{k}_{j};")
         lines.append("  }")
         anchor[n] = f"n{k}_0"

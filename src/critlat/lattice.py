@@ -10,8 +10,10 @@ internally by the diagram machinery use a lazy componentwise representation
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 from typing import Iterable, Optional
 
 import numpy as np
@@ -36,20 +38,81 @@ _HOM_FULL_CHECK_PAIRS = 1_000_000  # above this, homomorphism law is spot-checke
 _LAZY_LABEL_LIMIT = 500_000
 
 
-def _label_style(factors) -> bool:
+def product_index(sizes, coords):
+    """Index of the element with the given coordinates in a product whose
+    factors have `sizes` elements: row-major, the last factor varying
+    fastest.  Coordinates may be ints or equal-length index arrays."""
+    return np.ravel_multi_index(tuple(coords), tuple(sizes))
+
+
+def product_coords(sizes, index):
+    """Inverse of product_index: one coordinate (or coordinate array) per
+    factor."""
+    return np.unravel_index(index, tuple(sizes))
+
+
+def _product_labels(factors):
     # concatenate ("0","1" -> "01") only when every label of every factor is a
     # single character, so product(2,2) reads 00 < 01,10 < 11; tuple-style
     # otherwise, one convention per product
-    return all(len(lab) == 1 for f in factors for lab in f.labels)
+    concat = all(len(lab) == 1 for f in factors for lab in f.labels)
+    return tuple("".join(combo) if concat else "(" + ",".join(combo) + ")"
+                 for combo in itertools.product(*[f.labels for f in factors]))
 
 
-class FiniteLattice:
+class _Lattice:
+    """The read interface shared by dense lattices and lazy products: label
+    lookup, bounds, and label-level order and operations over the index-level
+    leq_i / meet_i / join_i, covers and heights of each representation."""
+
+    __slots__ = ()
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    def index(self, label: str) -> int:
+        try:
+            return self._index[label]
+        except KeyError:
+            raise UnknownElement(f"{label!r} is not an element of {self!r}") from None
+
+    def le(self, x, y) -> bool:
+        return self.leq_i(self.index(x), self.index(y))
+
+    def meet(self, x, y) -> str:
+        return self.labels[self.meet_i(self.index(x), self.index(y))]
+
+    def join(self, x, y) -> str:
+        return self.labels[self.join_i(self.index(x), self.index(y))]
+
+    @property
+    def bottom(self) -> str:
+        return self.labels[self.bottom_i]
+
+    @property
+    def top(self) -> str:
+        return self.labels[self.top_i]
+
+    def atoms_i(self):
+        return sorted(j for i, j in self.covers if i == self.bottom_i)
+
+    def height(self) -> int:
+        return int(self.heights[self.top_i])
+
+    def __repr__(self):
+        nm = self.name or f"{self.n} elements"
+        return f"<{self._kind} {nm}>"
+
+
+class FiniteLattice(_Lattice):
     """A finite lattice given by cover relations, with dense derived tables."""
 
     __slots__ = (
         "name", "labels", "_index", "_leq", "_meet", "_join",
         "covers", "bottom_i", "top_i", "heights", "_signature", "factors",
     )
+    _kind = "Lattice"
 
     def __init__(self, name, labels, leq, meet, join, covers, bottom_i, top_i, heights):
         self.name = name
@@ -99,17 +162,7 @@ class FiniteLattice:
         heights = _heights_from_covers(n, covers, bottom_i)
         return cls(name, tuple(labels), leq, meet, join, covers, bottom_i, top_i, heights)
 
-    # --- basic interface ---
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise UnknownElement(f"{label!r} is not an element of {self!r}") from None
+    # --- table reads ---
 
     def leq_i(self, i, j) -> bool:
         return bool(self._leq[i, j])
@@ -120,40 +173,11 @@ class FiniteLattice:
     def join_i(self, i, j) -> int:
         return int(self._join[i, j])
 
-    def le(self, x, y) -> bool:
-        return self.leq_i(self.index(x), self.index(y))
-
-    def meet(self, x, y) -> str:
-        return self.labels[self.meet_i(self.index(x), self.index(y))]
-
-    def join(self, x, y) -> str:
-        return self.labels[self.join_i(self.index(x), self.index(y))]
-
     def meet_row(self, i) -> np.ndarray:
         return self._meet[i]
 
     def join_row(self, i) -> np.ndarray:
         return self._join[i]
-
-    @property
-    def bottom(self) -> str:
-        return self.labels[self.bottom_i]
-
-    @property
-    def top(self) -> str:
-        return self.labels[self.top_i]
-
-    def atoms_i(self):
-        return sorted(j for i, j in self.covers if i == self.bottom_i)
-
-    def upper_covers_i(self, i):
-        return [j for a, j in self.covers if a == i]
-
-    def lower_covers_i(self, j):
-        return [a for a, b in self.covers if b == j]
-
-    def height(self) -> int:
-        return int(self.heights[self.top_i])
 
     def iso_signature(self):
         """Per-element invariant vector used to prune isomorphism search."""
@@ -171,13 +195,6 @@ class FiniteLattice:
                 for i in range(n)
             )
         return self._signature
-
-    def covers_list(self):
-        return self.covers
-
-    def __repr__(self):
-        nm = self.name or f"{self.n} elements"
-        return f"<Lattice {nm}>"
 
 
 def _heights_from_covers(n, covers, bottom_i):
@@ -243,115 +260,71 @@ def validate_lattice(labels: Iterable[str], covers: Iterable[tuple], name=None) 
     return FiniteLattice._from_order(labels, leq, name=name)
 
 
-class ProductLattice:
+class ProductLattice(_Lattice):
     """Lazy direct product: componentwise order and operations, no dense tables.
 
     Used by the diagram machinery when the product size passes the dense cap.
-    Exposes the same read interface as FiniteLattice.
+    Element i has coordinates product_coords(sizes, i); covers and heights
+    are computed from the factors on first use.
     """
 
-    __slots__ = ("name", "factors", "labels", "_index", "_radix", "bottom_i", "top_i", "_heights")
+    __slots__ = ("name", "factors", "sizes", "labels", "_index", "bottom_i", "top_i",
+                 "_covers", "_heights")
+    _kind = "ProductLattice"
 
     def __init__(self, factors, name=None):
-        sizes = [f.n for f in factors]
-        total = 1
-        for s in sizes:
-            total *= s
+        self.sizes = tuple(f.n for f in factors)
+        total = math.prod(self.sizes)
         if total > _LAZY_LABEL_LIMIT:
             raise SizeCapExceeded(f"product of size {total} exceeds the lazy limit")
         self.name = name
         self.factors = tuple(factors)
-        radix = [1] * len(factors)
-        for k in range(len(factors) - 2, -1, -1):
-            radix[k] = radix[k + 1] * sizes[k + 1]
-        self._radix = tuple(radix)
-        concat = _label_style(factors)
-        labels = []
-        for combo in itertools.product(*[f.labels for f in factors]):
-            labels.append("".join(combo) if concat
-                          else "(" + ",".join(combo) + ")")
-        self.labels = tuple(labels)
-        self._index = {lab: i for i, lab in enumerate(labels)}
-        self.bottom_i = self.encode([f.bottom_i for f in factors])
-        self.top_i = self.encode([f.top_i for f in factors])
+        self.labels = _product_labels(factors)
+        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        self.bottom_i = int(product_index(self.sizes, [f.bottom_i for f in factors]))
+        self.top_i = int(product_index(self.sizes, [f.top_i for f in factors]))
+        self._covers = None
         self._heights = None
 
-    @property
-    def n(self):
-        return len(self.labels)
-
-    def decode(self, i):
-        out = []
-        for k, f in enumerate(self.factors):
-            out.append((i // self._radix[k]) % f.n)
-        return out
-
-    def encode(self, coords):
-        i = 0
-        for k, c in enumerate(coords):
-            i += c * self._radix[k]
-        return i
-
-    def index(self, label):
-        try:
-            return self._index[label]
-        except KeyError:
-            raise UnknownElement(f"{label!r} is not an element of {self!r}") from None
+    def _pairs(self, i, j):
+        """(factor, i_k, j_k) for each coordinate k of i and j."""
+        return zip(self.factors, product_coords(self.sizes, i), product_coords(self.sizes, j))
 
     def leq_i(self, i, j):
-        ci, cj = self.decode(i), self.decode(j)
-        return all(f.leq_i(a, b) for f, a, b in zip(self.factors, ci, cj))
+        return all(f.leq_i(a, b) for f, a, b in self._pairs(i, j))
 
     def meet_i(self, i, j):
-        ci, cj = self.decode(i), self.decode(j)
-        return self.encode([f.meet_i(a, b) for f, a, b in zip(self.factors, ci, cj)])
+        return int(product_index(self.sizes, [f.meet_i(a, b) for f, a, b in self._pairs(i, j)]))
 
     def join_i(self, i, j):
-        ci, cj = self.decode(i), self.decode(j)
-        return self.encode([f.join_i(a, b) for f, a, b in zip(self.factors, ci, cj)])
-
-    def le(self, x, y):
-        return self.leq_i(self.index(x), self.index(y))
-
-    def meet(self, x, y):
-        return self.labels[self.meet_i(self.index(x), self.index(y))]
-
-    def join(self, x, y):
-        return self.labels[self.join_i(self.index(x), self.index(y))]
+        return int(product_index(self.sizes, [f.join_i(a, b) for f, a, b in self._pairs(i, j)]))
 
     @property
-    def bottom(self):
-        return self.labels[self.bottom_i]
+    def covers(self):
+        """Sorted cover pairs: a cover raises one coordinate by a cover of
+        its factor."""
+        if self._covers is None:
+            coords = product_coords(self.sizes, np.arange(self.n))
+            lo, hi = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+            for k, f in enumerate(self.factors):
+                for a, b in f.covers:
+                    below = np.nonzero(coords[k] == a)[0]
+                    up = [c[below] for c in coords]
+                    up[k] = np.full(len(below), b)
+                    lo.append(below)
+                    hi.append(product_index(self.sizes, up))
+            lo, hi = np.concatenate(lo), np.concatenate(hi)
+            order = np.lexsort((hi, lo))
+            self._covers = tuple(zip(lo[order].tolist(), hi[order].tolist()))
+        return self._covers
 
     @property
-    def top(self):
-        return self.labels[self.top_i]
-
-    def heights_of(self, i):
-        coords = self.decode(i)
-        return sum(int(f.heights[c]) if isinstance(f, FiniteLattice) else f.heights_of(c)
-                   for f, c in zip(self.factors, coords))
-
-    def covers_list(self):
-        # cover in a product = raise exactly one coordinate by a cover
-        out = []
-        ups = []
-        for f in self.factors:
-            table = {}
-            for a, b in f.covers_list():
-                table.setdefault(a, []).append(b)
-            ups.append(table)
-        for i in range(self.n):
-            coords = self.decode(i)
-            for k, c in enumerate(coords):
-                for b in ups[k].get(c, ()):
-                    j = i + (b - c) * self._radix[k]
-                    out.append((i, j))
-        return tuple(sorted(out))
-
-    def __repr__(self):
-        nm = self.name or f"{self.n} elements"
-        return f"<ProductLattice {nm}>"
+    def heights(self):
+        """Height of each element: the sum of its coordinates' heights."""
+        if self._heights is None:
+            coords = product_coords(self.sizes, np.arange(self.n))
+            self._heights = sum(f.heights[c] for f, c in zip(self.factors, coords))
+        return self._heights
 
 
 def dual(L):
@@ -368,6 +341,14 @@ def dual(L):
                          covers, L.top_i, L.bottom_i, heights)
 
 
+def _leq_table(L):
+    # the order matrix of a lazy product is the Kronecker product of its
+    # factors' matrices, since row-major order matches the encoding
+    if isinstance(L, ProductLattice):
+        return functools.reduce(np.kron, [_leq_table(f) for f in L.factors])
+    return L._leq
+
+
 def product(*lattices, cap: int = DEFAULT_PRODUCT_CAP, allow_lazy=False):
     """Direct product with componentwise operations.
 
@@ -380,43 +361,25 @@ def product(*lattices, cap: int = DEFAULT_PRODUCT_CAP, allow_lazy=False):
         raise CritlatError("product of zero lattices")
     if len(lattices) == 1:
         return lattices[0]
-    total = 1
-    for f in lattices:
-        total *= f.n
+    total = math.prod(f.n for f in lattices)
     name = "x".join(f.name or "?" for f in lattices)
     if total > cap and not allow_lazy:
         raise SizeCapExceeded(f"product has {total} elements, cap is {cap}")
     if total > min(cap, _DENSE_LIMIT):
         return ProductLattice(lattices, name=name)
-    lazy = ProductLattice(lattices, name=name)
-    n = total
-    if all(isinstance(f, FiniteLattice) for f in lattices):
-        leq = lattices[0]._leq
-        for f in lattices[1:]:
-            leq = np.kron(leq, f._leq)  # row-major order matches the label order
-    else:
-        leq = np.zeros((n, n), dtype=bool)
-        coords = [lazy.decode(i) for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                leq[i, j] = all(
-                    f.leq_i(a, b) for f, a, b in zip(lattices, coords[i], coords[j]))
-    L = FiniteLattice._from_order(lazy.labels, leq, name=name)
+    leq = functools.reduce(np.kron, [_leq_table(f) for f in lattices])
+    L = FiniteLattice._from_order(_product_labels(lattices), leq, name=name)
     L.factors = tuple(lattices)
     return L
 
 
-def product_projections(P, factors=None):
+def product_projections(P):
     """Canonical projections of a product onto its factors."""
-    factors = factors or getattr(P, "factors", None)
+    factors = getattr(P, "factors", None)
     if not factors:
         raise CritlatError("not a product lattice")
-    lazy = P if isinstance(P, ProductLattice) else ProductLattice(factors)
-    homs = []
-    for k, f in enumerate(factors):
-        mapping = np.array([lazy.decode(i)[k] for i in range(P.n)], dtype=np.int32)
-        homs.append(Homomorphism(P, f, mapping, check="none"))
-    return homs
+    coords = product_coords([f.n for f in factors], np.arange(P.n))
+    return [Homomorphism(P, f, c, check="none") for f, c in zip(factors, coords)]
 
 
 class Homomorphism:
@@ -512,7 +475,7 @@ class Homomorphism:
 
 
 def _same_lattice(A, B) -> bool:
-    return A is B or (A.labels == B.labels and tuple(A.covers_list()) == tuple(B.covers_list()))
+    return A is B or (A.labels == B.labels and tuple(A.covers) == tuple(B.covers))
 
 
 # --- subuniverses ---
@@ -555,11 +518,10 @@ def _sublattice_from_indices(L, indices):
     return sub, incl
 
 
-def enumerate_subuniverses(L, max_count=None, max_size=SUBUNIVERSE_SIZE_BOUND, threads=None):
+def enumerate_subuniverses(L, max_count=None, max_size=SUBUNIVERSE_SIZE_BOUND):
     """All nonempty meet-join-closed subsets of L, as sorted index tuples.
 
-    Deterministic order: by (size, index tuple).  `threads` is a parallelism
-    hint only; output does not depend on it.
+    Deterministic order: by (size, index tuple).
     """
     if L.n > max_size:
         raise BudgetExceeded(
@@ -686,7 +648,7 @@ def all_isomorphisms(K, L):
 def maximal_chains(L):
     """All maximal chains bottom-to-top, as label tuples, in cover order."""
     ups = {}
-    for i, j in L.covers_list():
+    for i, j in L.covers:
         ups.setdefault(i, []).append(j)
     out = []
 
@@ -731,9 +693,14 @@ def spanning_chains(L, lengths):
     return sorted(out, key=lambda c: (len(c), tuple(L.index(x) for x in c)))
 
 
-def is_chain_of(L, elems) -> bool:
-    idxs = [L.index(x) for x in elems]
-    return all(L.leq_i(a, b) and a != b for a, b in zip(idxs, idxs[1:]))
+def chain_order(C):
+    """The labels of the chain lattice C from bottom to top; CritlatError
+    when C is not a chain."""
+    order = sorted(range(C.n), key=lambda i: int(C.heights[i]))
+    for a, b in zip(order, order[1:]):
+        if not C.leq_i(a, b):
+            raise CritlatError(f"{C!r} is not a chain lattice")
+    return [C.labels[i] for i in order]
 
 
 # --- distributivity ---
@@ -741,20 +708,20 @@ def is_chain_of(L, elems) -> bool:
 def is_distributive(L, max_size=512):
     """Exhaustive check of x∧(y∨z) = (x∧y)∨(x∧z); returns (bool, witness).
 
-    Lazy products are checked factor by factor (distributivity is preserved
-    and reflected by direct products) plus a deterministic sample of triples.
+    A lazy product is checked factor by factor: a product is distributive iff
+    every factor is.  A failing triple of one factor, with every other
+    coordinate at the bottom of its factor, fails in the product too.
     """
     if isinstance(L, ProductLattice):
-        for f in L.factors:
+        for k, f in enumerate(L.factors):
             ok, w = is_distributive(f, max_size=max_size)
             if not ok:
-                return False, w
-        # distributivity is preserved by direct products; spot-check anyway
-        rng = np.random.default_rng(0)
-        for _ in range(min(2000, L.n ** 3)):
-            x, y, z = (int(rng.integers(L.n)) for _ in range(3))
-            if L.meet_i(x, L.join_i(y, z)) != L.join_i(L.meet_i(x, y), L.meet_i(x, z)):
-                return False, (L.labels[x], L.labels[y], L.labels[z])
+                bottoms = [g.bottom_i for g in L.factors]
+
+                def lift(x):
+                    coords = bottoms[:k] + [f.index(x)] + bottoms[k + 1:]
+                    return L.labels[product_index(L.sizes, coords)]
+                return False, tuple(lift(x) for x in w)
         return True, None
     if L.n > max_size:
         raise BudgetExceeded(f"distributivity check needs |L| <= {max_size}")
@@ -927,25 +894,26 @@ def embed_partial(K: PartialLattice, L, preserve_bounds=None,
 
 # --- builtin generators ---
 
-def _chain(n_length, name):
-    labels = ["0"] + [f"c{k}" for k in range(1, n_length)] + ["1"]
-    if n_length == 0:
-        raise FormatError("chain length must be >= 1")
-    covers = list(zip(labels, labels[1:]))
-    return validate_lattice(labels, covers, name=name)
+_BUILTIN_LEAST_N = {"chain": 1, "M": 3, "bool": 1}
 
 
 def builtin(name: str):
-    """Builtin lattices by name: 2, chain:n, M:n (n>=3), N5, bool:n, F22."""
+    """Builtin lattices by name: 2, chain:n (n>=1), M:n (n>=3), N5, bool:n
+    (n>=1), F22.  A malformed or too small n raises FormatError."""
+    kind, colon, arg = name.partition(":")
+    if colon and kind in _BUILTIN_LEAST_N:
+        try:
+            n = int(arg)
+        except ValueError:
+            raise FormatError(f"{name!r}: n must be an integer") from None
+        if n < _BUILTIN_LEAST_N[kind]:
+            raise FormatError(f"{name!r}: {kind}:n needs n >= {_BUILTIN_LEAST_N[kind]}")
     if name == "2":
         return validate_lattice(["0", "1"], [("0", "1")], name="2")
-    if name.startswith("chain:"):
-        n = int(name.split(":", 1)[1])
-        return _chain(n, name)
-    if name.startswith("M:"):
-        n = int(name.split(":", 1)[1])
-        if n < 3:
-            raise FormatError("M:n needs n >= 3 atoms")
+    if colon and kind == "chain":
+        labels = ["0"] + [f"c{k}" for k in range(1, n)] + ["1"]
+        return validate_lattice(labels, list(zip(labels, labels[1:])), name=name)
+    if colon and kind == "M":
         labels = ["0"] + [f"x{k}" for k in range(1, n + 1)] + ["1"]
         covers = [("0", f"x{k}") for k in range(1, n + 1)] + \
                  [(f"x{k}", "1") for k in range(1, n + 1)]
@@ -954,10 +922,7 @@ def builtin(name: str):
         labels = ["0", "x1", "x2", "x3", "1"]
         covers = [("0", "x1"), ("x1", "x2"), ("x2", "1"), ("0", "x3"), ("x3", "1")]
         return validate_lattice(labels, covers, name="N5")
-    if name.startswith("bool:"):
-        n = int(name.split(":", 1)[1])
-        if n < 1:
-            raise FormatError("bool:n needs n >= 1")
+    if colon and kind == "bool":
         two = builtin("2")
         out = product(*([two] * n)) if n > 1 else two
         out.name = name
@@ -976,7 +941,7 @@ def lattice_to_json(L) -> dict:
     return {
         "name": L.name or "",
         "elements": list(L.labels),
-        "covers": [[L.labels[i], L.labels[j]] for i, j in L.covers_list()],
+        "covers": [[L.labels[i], L.labels[j]] for i, j in L.covers],
     }
 
 
@@ -1009,19 +974,15 @@ def lattice_dot(L, graph_name=None) -> str:
     elements of equal height share a rank."""
     lines = [f'digraph "{graph_name or L.name or "lattice"}" {{',
              "  rankdir=BT;", "  node [shape=plaintext];"]
-    if isinstance(L, ProductLattice):
-        heights = [L.heights_of(i) for i in range(L.n)]
-    else:
-        heights = [int(h) for h in L.heights]
     for i, lab in enumerate(L.labels):
         lines.append(f'  n{i} [label="{lab}"];')
     by_height = {}
-    for i, h in enumerate(heights):
-        by_height.setdefault(h, []).append(i)
+    for i, h in enumerate(L.heights):
+        by_height.setdefault(int(h), []).append(i)
     for h in sorted(by_height):
         row = "; ".join(f"n{i}" for i in by_height[h])
         lines.append(f"  {{ rank=same; {row}; }}")
-    for i, j in L.covers_list():
+    for i, j in L.covers:
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -45,7 +45,7 @@ from .errors import (
     PosetMismatch,
     VerificationFailed,
 )
-from .lattice import Homomorphism, dual, induced_partial_sublattice
+from .lattice import Homomorphism, chain_order, dual, induced_partial_sublattice
 
 CHAIN_SEARCH_BUDGET = 200_000
 
@@ -58,9 +58,6 @@ class Lifting:
     target: SemilatticeDiagram
     xi: dict                 # node -> ConcMap, Con(source_P) -> target_P
     source_cons: dict        # node -> ConLattice of source_P
-
-    def node_xi(self, node) -> ConcMap:
-        return self.xi[node]
 
 
 @dataclass
@@ -241,14 +238,6 @@ def find_congruence_chains(B, u, v, con: Optional[ConLattice] = None,
     return witnesses
 
 
-def _target_chain_order(C) -> list:
-    order = sorted(range(C.n), key=lambda i: int(C.heights[i]))
-    for a, b in zip(order, order[1:]):
-        if not C.leq_i(a, b):
-            raise CritlatError(f"{C!r} is not a chain lattice")
-    return [C.labels[i] for i in order]
-
-
 def direct_chains_at(lift: Lifting, node, u, v):
     """Congruence chains of the lattice at `node` between the images of u, v,
     each tagged with its directness for (xi_node, target chain)."""
@@ -258,7 +247,7 @@ def direct_chains_at(lift: Lifting, node, u, v):
     BP = B.lattices[node]
     conP = lift.source_cons[node]
     C = lift.target.cons[node].host
-    c_elems = _target_chain_order(C)
+    c_elems = chain_order(C)
     xi = lift.xi[node]
     witnesses = find_congruence_chains(BP, gu, gv, con=conP)
     for w in witnesses:

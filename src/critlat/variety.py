@@ -22,6 +22,7 @@ from .lattice import (
     dual,
     is_isomorphic,
     product,
+    product_index,
     quotient,
     _sublattice_from_indices,
 )
@@ -118,24 +119,10 @@ def subdirect_decomposition(K, max_size=HS_SIZE_BUDGET):
     projs = [proj for _, _, proj, _ in found]
     if not quotients:
         return thetas, None, None
-    P = product(*quotients, allow_lazy=True) if len(quotients) > 1 else quotients[0]
-    if len(quotients) == 1:
-        mapping = projs[0].mapping
-    else:
-        mapping = np.array(
-            [P.encode([int(p.mapping[i]) for p in projs]) for i in range(K.n)]
-            if hasattr(P, "encode") else
-            [_encode_dense(P, [int(p.mapping[i]) for p in projs]) for i in range(K.n)],
-            dtype=np.int32)
+    P = product(*quotients, allow_lazy=True)
+    mapping = product_index([Q.n for Q in quotients], [p.mapping for p in projs])
     emb = Homomorphism(K, P, mapping, check="full" if K.n * K.n <= 10_000 else "sample")
     return thetas, P, emb
-
-
-def _encode_dense(P, coords):
-    radix = [1] * len(P.factors)
-    for k in range(len(P.factors) - 2, -1, -1):
-        radix[k] = radix[k + 1] * P.factors[k + 1].n
-    return sum(c * r for c, r in zip(coords, radix))
 
 
 def _truncate(f, members, start):

@@ -292,8 +292,8 @@ def test_criterion_9_mutation_suite():
                 caught = True
             elif directness is not None:
                 xi, target, original = directness
-                was = is_direct_congruence_chain(host, original, xi, target, con)
-                now = is_direct_congruence_chain(host, chain, xi, target, con)
+                was = is_direct_congruence_chain(host, original, xi, target)
+                now = is_direct_congruence_chain(host, chain, xi, target)
                 caught = was != now
         except CritlatError:
             caught = True

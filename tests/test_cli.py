@@ -36,6 +36,12 @@ class TestBasics:
         code, _, err = invoke(capsys, "validate", "no-such-thing")
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["M:x", "bool:1.5", "chain:", "chain:-3", "chain:0",
+                                      "M:2", "bool:0"])
+    def test_malformed_builtin_is_two(self, capsys, name):
+        code, _, err = invoke(capsys, "validate", name)
+        assert code == 2 and "FormatError" in err
+
     def test_con_keeps_its_own_budget(self, capsys):
         code, out, _ = invoke(capsys, "con", "bool:4")
         assert code == 0
@@ -164,7 +170,6 @@ class TestBudgetFlags:
                               "--max-subuniverses", "3")
         assert code == 2 and "BudgetExceeded" in err
 
-    def test_env_product_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("CRITLAT_MAX_SIZE", "100000")
-        code, out, _ = invoke(capsys, "glued-diagram", "M:3", "M:3")
+    def test_env_product_cap(self, capsys):
+        code, out, _ = invoke(capsys, "glued-diagram", "M:3", "M:3", "--cap", "100000")
         assert code == 0 and "factors: 7" in out

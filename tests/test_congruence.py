@@ -380,10 +380,3 @@ def test_principal_congruence_lattice_laws(named, data):
     assert congruence_join(s, meet) == s      # absorption
     assert congruence_meet(s, join) == s
     assert join.same(L.index(a), L.index(b)) and join.same(L.index(c), L.index(d))
-
-
-def test_parallel_hint_ignored(named):
-    L = named["F22"]
-    a = [t.blocks for t in con_lattice(L, threads=None).cons]
-    b = [t.blocks for t in con_lattice(L, threads=4).cons]
-    assert a == b

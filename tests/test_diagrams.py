@@ -1,4 +1,7 @@
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from critlat.congruence import is_boolean
 from critlat.diagrams import (
@@ -117,6 +120,14 @@ class TestChainDiagram:
             chain_diagram_of_partial(named["M:3"], ["x1", "x2", "1"])
 
 
+@functools.lru_cache(maxsize=None)
+def _product_pool():
+    """Diagrams over the chains C1, C2, C3 that agree on JC: the chain
+    diagrams and the directing diagrams of M:3 and N5."""
+    pool = [chain_diagram(builtin(nm), [C1, C2, C3]) for nm in ("M:3", "N5")]
+    return tuple(pool + [directing_diagram(builtin(nm), C1, C2, C3) for nm in ("M:3", "N5")])
+
+
 class TestProductOver:
     def test_single_factor_unchanged(self, named):
         D, _ = chain_diagram_of_partial(named["M:3"], named["M:3"].labels)
@@ -145,6 +156,30 @@ class TestProductOver:
                 left = proj[q].compose(P.maps[(p, q)])
                 right = D.maps[(p, q)].compose(proj[p])
                 assert left.equal_map(right)
+
+    @staticmethod
+    def _same_as_lazy(ds):
+        jc = ds[0].poset.jc
+        dense, dense_projs = product_over(jc, ds)
+        lazy, lazy_projs = product_over(jc, ds, cap=0)
+        for n in dense.poset.elements:
+            assert dense.lattices[n].labels == lazy.lattices[n].labels
+        for pq in dense.poset.pairs():
+            assert dense.maps[pq].equal_map(lazy.maps[pq])
+        for dp, lp in zip(dense_projs, lazy_projs):
+            assert all(dp[n].equal_map(lp[n]) for n in dense.poset.elements)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_lazy_nodes_give_the_same_maps(self, data):
+        ds = data.draw(st.lists(st.sampled_from(_product_pool()), min_size=2, max_size=2))
+        self._same_as_lazy(ds)
+
+    def test_lazy_nodes_give_the_same_maps_three_factors(self):
+        # validating lazy nodes samples 20 000 pairs per edge, so the three
+        # factor case runs once rather than under hypothesis
+        pool = _product_pool()
+        self._same_as_lazy([pool[0], pool[3], pool[2]])
 
     def test_not_lower_subset(self, named):
         D, _ = chain_diagram_of_partial(named["chain:2"], named["chain:2"].labels)

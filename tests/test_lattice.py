@@ -13,7 +13,9 @@ from critlat.errors import (
     UnknownElement,
 )
 from critlat.lattice import (
+    FiniteLattice,
     PartialLattice,
+    ProductLattice,
     builtin,
     dual,
     embed_partial,
@@ -155,16 +157,32 @@ class TestProduct:
             assert h.surjective and h.preserves_bounds
             h.validate(full=True)
 
-    def test_lazy_product_matches_dense(self):
-        M3, N5 = builtin("M:3"), builtin("N5")
-        dense = product(M3, N5)
-        lazy = product(M3, N5, cap=10, allow_lazy=True)
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_lazy_product_matches_dense(self, small_lattices, data):
+        k = data.draw(st.integers(2, 3))
+        pool = [L for L in small_lattices if L.n <= (6 if k == 2 else 5)]
+        fs = data.draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+        dense = product(*fs)
+        lazy = product(*fs, cap=0, allow_lazy=True)
+        assert isinstance(dense, FiniteLattice) and isinstance(lazy, ProductLattice)
         assert dense.labels == lazy.labels
         for i, j in itertools.product(range(dense.n), repeat=2):
             assert dense.meet_i(i, j) == lazy.meet_i(i, j)
             assert dense.join_i(i, j) == lazy.join_i(i, j)
             assert dense.leq_i(i, j) == lazy.leq_i(i, j)
-        assert dense.covers == lazy.covers_list()
+        assert dense.covers == lazy.covers
+        assert (dense.heights == lazy.heights).all()
+        for hd, hl in zip(product_projections(dense), product_projections(lazy)):
+            assert hd.equal_map(hl)
+
+    @pytest.mark.parametrize("order", [("N5", "2"), ("2", "N5")])
+    def test_lazy_distributivity_witness_lies_in_product(self, order):
+        L = product(*[builtin(nm) for nm in order], cap=1, allow_lazy=True)
+        ok, witness = is_distributive(L)
+        assert not ok and all(w in L.labels for w in witness)
+        x, y, z = (L.index(w) for w in witness)
+        assert L.meet_i(x, L.join_i(y, z)) != L.join_i(L.meet_i(x, y), L.meet_i(x, z))
 
 
 class TestSubuniverses:
@@ -361,8 +379,3 @@ def test_distributive_flags(named):
     ok, witness = is_distributive(named["M:3"])
     assert not ok and witness is not None
     assert not is_distributive(named["N5"])[0]
-
-
-def test_parallelism_hint_does_not_change_output(named):
-    L = named["M:3"]
-    assert enumerate_subuniverses(L, threads=1) == enumerate_subuniverses(L, threads=8)
