@@ -10,6 +10,7 @@ from .congruence import (
     ConcMap,
     ConLattice,
     Congruence,
+    JoinIrreducibles,
     conc_of_hom,
     con_lattice,
     congruence_join,

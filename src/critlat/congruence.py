@@ -1,9 +1,14 @@
 """Congruences of finite lattices and the Con construction.
 
 A congruence is stored as a partition in canonical form: blocks sorted by
-least element, each block a sorted tuple of element indices.  Con(L) is
-generated from the principal congruences of cover pairs and closed under
-join; for a finite lattice this yields every congruence.
+least element, each block a sorted tuple of element indices.
+
+Con L is built from J(Con L), its join-irreducible members.  These are the
+principal congruences Theta(j_*, j) of the join-irreducible elements j of L,
+j_* being the unique lower cover of j: a cover u < v is perspective to
+(j_*, j) for a minimal j <= v with j not <= u, so it generates the same
+congruence.  Con L is distributive, so its members are the joins of the
+down-sets of J(Con L), and a congruence is held as the mask of its down-set.
 """
 
 from __future__ import annotations
@@ -24,6 +29,11 @@ from .errors import (
 from .lattice import FiniteLattice, Homomorphism, _same_lattice, chain_order
 
 CON_SIZE_BUDGET = 300
+# bound on |Con L|: its meet and join tables hold |Con L|^2 int32 entries,
+# 16 MB each at this count
+CON_COUNT_BUDGET = 2048
+# rows of the m x m tables computed at once, to bound temporary arrays
+_TABLE_ROWS = 256
 
 
 def _require_dense(L):
@@ -69,13 +79,32 @@ def _closure_rep(L, seed_pairs):
     return rep
 
 
-def _canon_blocks(rep):
-    by_class = {}
-    for i, r in enumerate(rep.tolist()):
-        by_class.setdefault(r, []).append(i)
-    blocks = sorted((tuple(sorted(b)) for b in by_class.values()),
-                    key=lambda b: b[0])
-    return tuple(blocks)
+def _canon_ids(classes):
+    """Class ids renumbered by first occurrence: the canonical block_of."""
+    ids = {}
+    return tuple(ids.setdefault(c, len(ids)) for c in classes)
+
+
+def _join_ids(a, b):
+    """block_of of the join of two partitions given by their block_of.
+
+    Union-find over the classes of a, merged along the classes of b.  The
+    transitive closure of a union of congruences is a congruence, so for
+    congruences this is their join in Con L.
+    """
+    parent = list(range(len(a)))
+    first = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for x, y in zip(a, b):
+        rx, ry = find(x), find(first.setdefault(y, x))
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    return _canon_ids([find(x) for x in a])
 
 
 class Congruence:
@@ -101,7 +130,16 @@ class Congruence:
 
     @classmethod
     def from_rep(cls, host, rep):
-        return cls(host, _canon_blocks(rep), _trusted=True)
+        """The partition into the classes of rep (any class ids), trusted to
+        be a congruence."""
+        ids = _canon_ids(rep.tolist() if isinstance(rep, np.ndarray) else rep)
+        blocks = [[] for _ in range(max(ids, default=-1) + 1)]
+        for i, k in enumerate(ids):
+            blocks[k].append(i)
+        theta = cls.__new__(cls)
+        theta.host, theta.block_of = host, ids
+        theta.blocks = tuple(map(tuple, blocks))
+        return theta
 
     @classmethod
     def from_label_blocks(cls, host, blocks):
@@ -118,14 +156,10 @@ class Congruence:
     def is_valid(self) -> bool:
         _require_dense(self.host)
         bo = np.array(self.block_of)
-        for table in (self.host._meet, self.host._join):
-            for b in self.blocks:
-                if len(b) == 1:
-                    continue
-                img = bo[table[list(b)]]
-                if not (img == img[0]).all():
-                    return False
-        return True
+        # each element's row must agree, modulo self, with its block's least element's
+        least = np.array([self.blocks[k][0] for k in self.block_of])
+        return all((bo[table] == bo[table[least]]).all()
+                   for table in (self.host._meet, self.host._join))
 
     @property
     def is_one(self):
@@ -162,6 +196,11 @@ class Congruence:
         return f"<Con {inner}>"
 
 
+def _canonical_key(n, block_of):
+    """Sort key of the canonical Con order: fewer merges first, then block_of."""
+    return (n - (max(block_of, default=-1) + 1), block_of)
+
+
 def principal_congruence(L, a, b) -> Congruence:
     """Theta(a, b): the smallest congruence identifying a and b."""
     _require_dense(L)
@@ -174,80 +213,142 @@ def _check_same_host(t1, t2):
 
 
 def congruence_join(t1: Congruence, t2: Congruence) -> Congruence:
-    """Join: transitive closure of the union, re-closed under compatibility."""
+    """Join: the transitive closure of the union."""
     _check_same_host(t1, t2)
-    seeds = []
-    for theta in (t1, t2):
-        for blk in theta.blocks:
-            seeds.extend((blk[0], i) for i in blk[1:])
-    return Congruence.from_rep(t1.host, _closure_rep(t1.host, seeds))
+    return Congruence.from_rep(t1.host, _join_ids(t1.block_of, t2.block_of))
 
 
 def congruence_meet(t1: Congruence, t2: Congruence) -> Congruence:
     """Meet: common refinement (always a congruence)."""
     _check_same_host(t1, t2)
-    pairs = {}
-    rep = [0] * t1.host.n
-    for i in range(t1.host.n):
-        key = (t1.block_of[i], t2.block_of[i])
-        rep[i] = pairs.setdefault(key, i)
-    return Congruence.from_rep(t1.host, np.array(rep))
+    return Congruence.from_rep(t1.host, list(zip(t1.block_of, t2.block_of)))
 
 
 def kernel(f: Homomorphism) -> Congruence:
     """ker f: the partition of the source by fibers of f."""
-    fibers = {}
-    rep = [0] * f.source.n
-    for i in range(f.source.n):
-        rep[i] = fibers.setdefault(int(f.mapping[i]), i)
-    return Congruence.from_rep(f.source, np.array(rep))
+    return Congruence.from_rep(f.source, f.mapping)
+
+
+def _join_irreducible_pairs(L):
+    """(j_*, j) for each join-irreducible element j of L, in index order of j."""
+    lower = {}
+    for i, j in L.covers:
+        lower.setdefault(j, []).append(i)
+    return [(lo[0], j) for j, lo in sorted(lower.items()) if len(lo) == 1]
+
+
+class JoinIrreducibles:
+    """J(Con L): the distinct congruences Theta(j_*, j), in canonical order.
+
+    pairs[a] generates cons[a]; leq[a, b] when cons[a] refines cons[b], that
+    is when cons[b] identifies pairs[a].
+    """
+
+    __slots__ = ("host", "cons", "pairs", "leq")
+
+    def __init__(self, L):
+        """One principal closure per join-irreducible element of L."""
+        _require_dense(L)
+        found = {}
+        for pair in _join_irreducible_pairs(L):
+            theta = Congruence.from_rep(L, _closure_rep(L, [pair]))
+            found.setdefault(theta.block_of, (theta, pair))
+        ordered = sorted(found.values(),
+                         key=lambda tp: _canonical_key(L.n, tp[0].block_of))
+        self.host = L
+        self.cons = tuple(t for t, _ in ordered)
+        self.pairs = tuple(p for _, p in ordered)
+        k = len(self.cons)
+        self.leq = np.array([[t.block_of[a] == t.block_of[b] for t in self.cons]
+                             for a, b in self.pairs], dtype=bool).reshape(k, k)
+
+    def __len__(self):
+        return len(self.cons)
+
+    def minimal(self):
+        """Indices of the minimal members: the atoms of Con L."""
+        return np.nonzero(self.leq.sum(axis=0) == 1)[0]
+
+    def meet_irreducibles(self):
+        """(m(j), m(j) v j) for each member j, in canonical order of m(j).
+
+        m(j), the join of the members not above j, is the largest congruence
+        not above j.  These are the meet-irreducibles of Con L, and m(j) v j
+        is the unique upper cover of m(j).
+        """
+        out = []
+        for a, theta_j in enumerate(self.cons):
+            low = tuple(range(self.host.n))
+            for b in np.nonzero(~self.leq[a])[0]:
+                low = _join_ids(low, self.cons[b].block_of)
+            out.append((low, _join_ids(low, theta_j.block_of)))
+        out.sort(key=lambda pair: _canonical_key(self.host.n, pair[0]))
+        return [(Congruence.from_rep(self.host, low),
+                 Congruence.from_rep(self.host, star)) for low, star in out]
+
+
+def _pack(masks):
+    """Bool masks packed to bytes along the last axis.  A spare zero bit
+    keeps the bytes nonempty when J(Con L) is empty."""
+    spare = np.zeros(masks.shape[:-1] + (1,), dtype=bool)
+    return np.packbits(np.concatenate([masks, spare], axis=-1), axis=-1)
+
+
+def _keys(packed):
+    """Each packed mask as one sortable void scalar."""
+    return np.ascontiguousarray(packed).view(
+        np.dtype((np.void, packed.shape[-1])))[..., 0]
 
 
 class ConLattice:
-    """The lattice of all congruences of a finite lattice, by refinement."""
+    """The lattice of all congruences of a finite lattice, by refinement.
 
-    __slots__ = ("host", "cons", "_by_key", "leq", "meet_t", "join_t",
-                 "bottom_i", "top_i", "atoms", "_lattice")
+    cons[k] is the join of the members of J marked in the bool row masks[k];
+    the rows are the down-sets of J, so subset, AND and OR on them give the
+    order, meets and joins.  cons is in the canonical order: fewer merged
+    elements first, then block_of.
+    """
 
-    def __init__(self, host, cons):
-        self.host = host
-        cons = sorted(cons, key=lambda t: (host.n - len(t.blocks), t.block_of))
+    __slots__ = ("host", "J", "masks", "cons", "_by_key", "_sorted_keys",
+                 "_key_rows", "leq", "meet_t", "join_t", "bottom_i", "top_i",
+                 "atoms", "_lattice")
+
+    def __init__(self, J: JoinIrreducibles, masks, cons):
+        self.host = J.host
+        self.J = J
+        self.masks = masks
+        self.masks.flags.writeable = False
         self.cons = tuple(cons)
-        self._by_key = {t.block_of: k for k, t in enumerate(cons)}
-        m = len(cons)
-        bo = np.array([t.block_of for t in cons])
-        leq = np.zeros((m, m), dtype=bool)
-        for i, ti in enumerate(cons):
-            flat = np.array([i_ for b in ti.blocks for i_ in b])
-            first = np.array([b[0] for b in ti.blocks for _ in b])
-            leq[i] = (bo[:, flat] == bo[:, first]).all(axis=1)
+        self._by_key = {t.block_of: k for k, t in enumerate(self.cons)}
+        packed = _pack(masks)
+        keys = _keys(packed)
+        self._key_rows = np.argsort(keys)
+        self._sorted_keys = keys[self._key_rows]
+        m = len(self.cons)
+        leq = np.empty((m, m), dtype=bool)
+        meet_t = np.empty((m, m), dtype=np.int32)
+        join_t = np.empty((m, m), dtype=np.int32)
+        for lo in range(0, m, _TABLE_ROWS):
+            rows = packed[lo:lo + _TABLE_ROWS, None, :]
+            leq[lo:lo + _TABLE_ROWS] = ~(rows & ~packed).any(axis=2)
+            meet_t[lo:lo + _TABLE_ROWS] = self._rows_of(rows & packed)
+            join_t[lo:lo + _TABLE_ROWS] = self._rows_of(rows | packed)
         leq.flags.writeable = False
         self.leq = leq
-        # joins from the refinement order (the set holds every congruence, so
-        # the least common coarsening is the unique minimal upper bound);
-        # meets are common refinements located by their partition key
-        up_id = {leq[k].tobytes(): k for k in range(m)}
-        meet_t = np.zeros((m, m), dtype=np.int32)
-        join_t = np.zeros((m, m), dtype=np.int32)
-        for i in range(m):
-            for j in range(i, m):
-                k = up_id.get((leq[i] & leq[j]).tobytes())
-                if k is None:
-                    raise NotACongruence("congruence set is not join-closed")
-                join_t[i, j] = join_t[j, i] = k
-                k = self._by_key.get(congruence_meet(cons[i], cons[j]).block_of)
-                if k is None:
-                    raise NotACongruence("congruence set is not meet-closed")
-                meet_t[i, j] = meet_t[j, i] = k
         self.meet_t = meet_t
         self.join_t = join_t
-        self.bottom_i = self.index_of(Congruence.zero(host))
-        self.top_i = self.index_of(Congruence.one(host))
-        self.atoms = tuple(
-            j for j in range(m)
-            if j != self.bottom_i and leq[self.bottom_i, j]
-            and sum(1 for k in range(m) if leq[k, j] and k != j) == 1)
+        self.bottom_i = int(np.nonzero(~masks.any(axis=1))[0][0])
+        self.top_i = int(np.nonzero(masks.all(axis=1))[0][0])
+        self.atoms = tuple(int(k) for k in np.nonzero(masks.sum(axis=1) == 1)[0])
         self._lattice = None
+
+    def _rows_of(self, packed):
+        """Index of the congruence with each packed down-set mask."""
+        return self._key_rows[np.searchsorted(self._sorted_keys, _keys(packed))]
+
+    def index_of_masks(self, masks):
+        """Indices of the congruences whose down-sets are the given bool rows."""
+        return self._rows_of(_pack(masks)).astype(np.int32)
 
     @property
     def n(self):
@@ -273,38 +374,48 @@ class ConLattice:
 
 
 def con_lattice(L, max_size=CON_SIZE_BUDGET) -> ConLattice:
-    """All congruences of L: cover principals closed under join, plus zero."""
+    """All congruences of L: the joins of the down-sets of J(Con L).
+
+    Down-sets are enumerated breadth first from the empty one, each new one
+    adding a member of J whose lower members it holds; its partition is
+    the union-find join of its parent's with that member's.  Refuses L above
+    max_size elements and Con L above CON_COUNT_BUDGET members.
+    """
     _require_dense(L)
     if L.n > max_size:
         raise BudgetExceeded(f"|L| = {L.n} exceeds the Con budget {max_size}")
-    found = {}
-    zero = Congruence.zero(L)
-    found[zero.block_of] = zero
-    gens = {}
-    for i, j in L.covers:
-        t = Congruence.from_rep(L, _closure_rep(L, [(i, j)]))
-        found.setdefault(t.block_of, t)
-        gens.setdefault(t.block_of, found[t.block_of])
-    gens = list(gens.values())
-    queue = list(gens)
-    while queue:
-        t = queue.pop()
-        for g in gens:
-            j = congruence_join(t, g)
-            if j.block_of not in found:
-                found[j.block_of] = j
-                queue.append(j)
-    return ConLattice(L, found.values())
+    J = JoinIrreducibles(L)
+    k = len(J)
+    below = [sum(1 << b for b in np.nonzero(J.leq[:, a])[0].tolist() if b != a)
+             for a in range(k)]
+    found = {0: tuple(range(L.n))}
+    queue = [0]
+    for down in queue:
+        for a in range(k):
+            grown = down | 1 << a
+            if grown == down or below[a] & ~down or grown in found:
+                continue
+            found[grown] = _join_ids(found[down], J.cons[a].block_of)
+            if len(found) > CON_COUNT_BUDGET:
+                raise BudgetExceeded(
+                    f"Con of {L!r} has more than {CON_COUNT_BUDGET} congruences: "
+                    f"{len(found)} enumerated from |J(Con L)| = {k}")
+            queue.append(grown)
+    ordered = sorted(found.items(), key=lambda kv: _canonical_key(L.n, kv[1]))
+    masks = np.array([[down >> a & 1 for a in range(k)] for down, _ in ordered],
+                     dtype=bool).reshape(len(ordered), k)
+    return ConLattice(J, masks, [Congruence.from_rep(L, ids) for _, ids in ordered])
 
 
 def is_simple(L) -> bool:
-    """Whether Con L = {0, 1}: every cover pair generates the full congruence."""
+    """Whether Con L = {0, 1}: L has two or more elements and every
+    join-irreducible j generates the full congruence with its lower cover."""
     _require_dense(L)
     if L.n < 2:
         return False
-    for i, j in L.covers:
-        rep = _closure_rep(L, [(i, j)])
-        if len(set(rep.tolist())) != 1:
+    for pair in _join_irreducible_pairs(L):
+        rep = _closure_rep(L, [pair])
+        if not (rep == rep[0]).all():
             return False
     return True
 
@@ -365,23 +476,21 @@ def conc_of_hom(f: Homomorphism, con_source: Optional[ConLattice] = None,
                 con_target: Optional[ConLattice] = None) -> ConcMap:
     """The congruence map induced by a lattice homomorphism.
 
-    Each congruence of the source goes to the target congruence generated by
-    the image pairs of its blocks.
+    Conc f preserves joins, so it is fixed by the images Theta(f a, f b) of
+    the generating pairs (a, b) of J(Con source): each congruence goes to the
+    join of the images of its down-set.
     """
     CS = con_source or con_lattice(f.source)
     CT = con_target or con_lattice(f.target)
     if f.source is f.target and (f.mapping == np.arange(f.source.n)).all() \
             and CS is CT:
         return ConcMap.identity(CS)
-    mapping = np.zeros(CS.n, dtype=np.int32)
-    for k, theta in enumerate(CS.cons):
-        seeds = []
-        for blk in theta.blocks:
-            fa = int(f.mapping[blk[0]])
-            seeds.extend((fa, int(f.mapping[i])) for i in blk[1:])
-        img = Congruence.from_rep(f.target, _closure_rep(f.target, seeds))
-        mapping[k] = CT.index_of(img)
-    return ConcMap(CS, CT, mapping)
+    fm = f.mapping.tolist()
+    images = [CT.index_of(Congruence.from_rep(
+                  f.target, _closure_rep(f.target, [(fm[a], fm[b])])))
+              for a, b in CS.J.pairs]
+    image_masks = CT.masks[np.array(images, dtype=np.intp)]
+    return ConcMap(CS, CT, CT.index_of_masks(CS.masks @ image_masks))
 
 
 def dual_identification(con_src: ConLattice, con_dst: ConLattice) -> ConcMap:
@@ -393,25 +502,21 @@ def dual_identification(con_src: ConLattice, con_dst: ConLattice) -> ConcMap:
 
 
 def is_boolean(con: ConLattice):
-    """Distributive and complemented test with a witness on failure.
+    """Boolean test with a witness on failure.
 
-    Returns (flag, atoms, witness); atoms are Congruence objects.  The witness
-    is a failing distributivity triple or a non-complemented member.
+    Con L is distributive, so it is Boolean exactly when J(Con L) is an
+    antichain.  Returns (flag, atoms, witness); atoms are Congruence objects.
+    The witness is ("not complemented", theta) for the first theta in
+    canonical order without a complement: a down-set of J whose complement
+    is not a down-set.
     """
-    m = con.n
-    me, jo = con.meet_t, con.join_t
-    for x in range(m):
-        lhs = me[x][jo]
-        rhs = jo[me[x][:, None], me[x][None, :]]
-        if not (lhs == rhs).all():
-            y, z = map(int, np.argwhere(lhs != rhs)[0])
-            return False, None, ("not distributive", con.cons[x], con.cons[y], con.cons[z])
-    for x in range(m):
-        has_c = any(me[x, y] == con.bottom_i and jo[x, y] == con.top_i
-                    for y in range(m))
-        if not has_c:
-            return False, None, ("not complemented", con.cons[x])
-    return True, [con.cons[a] for a in con.atoms], None
+    jleq = con.J.leq
+    if jleq.sum() == len(con.J):
+        return True, [con.cons[a] for a in con.atoms], None
+    # the complement of a down-set is a down-set iff nothing above it is outside it
+    above = con.masks @ jleq
+    first = int(np.argmax((above & ~con.masks).any(axis=1)))
+    return False, None, ("not complemented", con.cons[first])
 
 
 def chain_steps(L, chain_labels):

@@ -94,19 +94,36 @@ class FinitePoset:
         rel = set(le_pairs)
         rel.update((e, e) for e in self.elements)
         self._le = frozenset(rel)
+        self._ups = None
 
     def le(self, a, b) -> bool:
         return (a, b) in self._le
 
+    def _up_sets(self):
+        """For each element position, the positions above it, ascending."""
+        if self._ups is None:
+            pos = {}
+            for k, e in enumerate(self.elements):
+                pos.setdefault(e, []).append(k)
+            ups = [[] for _ in self.elements]
+            for a, b in self._le:
+                for k in pos.get(a, ()):
+                    ups[k].extend(pos.get(b, ()))
+            self._ups = [sorted(u) for u in ups]
+        return self._ups
+
     def pairs(self):
         """All ordered pairs a <= b, in element order."""
-        return [(a, b) for a in self.elements for b in self.elements
-                if self.le(a, b)]
+        els = self.elements
+        return [(els[a], els[b]) for a, up in enumerate(self._up_sets())
+                for b in up]
 
     def strict_triples(self):
-        return [(a, b, c)
-                for a in self.elements for b in self.elements for c in self.elements
-                if a != b and b != c and self.le(a, b) and self.le(b, c)]
+        """All a < b < c, in element order."""
+        els, ups = self.elements, self._up_sets()
+        return [(els[a], els[b], els[c])
+                for a in range(len(els)) for b in ups[a] if b != a
+                for c in ups[b] if c != b]
 
     def is_lower_subset(self, subset) -> bool:
         sub = set(subset)

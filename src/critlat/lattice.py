@@ -568,15 +568,11 @@ def quotient(L, theta):
     m = len(blocks)
     reps = [b[0] for b in blocks]
     labels = [L.labels[r] for r in reps]
-    block_of = theta.block_of
-    leq = np.zeros((m, m), dtype=bool)
-    for a in range(m):
-        for b in range(m):
-            leq[a, b] = block_of[L.join_i(reps[a], reps[b])] == b
+    block_of = np.array(theta.block_of)
+    leq = block_of[L._join[np.ix_(reps, reps)]] == np.arange(m)
     name = f"{L.name}/theta" if L.name else None
     Q = FiniteLattice._from_order(labels, leq, name=name)
-    proj = Homomorphism(L, Q, np.array([block_of[i] for i in range(L.n)],
-                                       dtype=np.int32), check="none")
+    proj = Homomorphism(L, Q, block_of, check="none")
     return Q, proj
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .congruence import ConLattice, Congruence, _require_dense, con_lattice
+from .congruence import Congruence, JoinIrreducibles, _require_dense
 from .errors import BudgetExceeded, NotSubdirectlyIrreducible
 from .lattice import (
     Homomorphism,
@@ -62,36 +62,21 @@ class HSWitness:
         }
 
 
-def _upper_cover(conK: ConLattice, k: int) -> Optional[int]:
-    """Index of the unique upper cover of conK.cons[k], or None when it has
-    none or several.
-
-    Con(K/theta) is the interval [theta, 1] of Con K, so K/theta is
-    subdirectly irreducible exactly when theta has one upper cover theta*,
-    and theta*/theta is then its monolith.
-    """
-    above = np.nonzero(conK.leq[k])[0]
-    above = above[above != k]
-    # a member of `above` covers theta when no other member lies below it
-    minimal = above[conK.leq[np.ix_(above, above)].sum(axis=0) == 1]
-    return int(minimal[0]) if len(minimal) == 1 else None
-
-
 def _si_congruences(K, max_size):
     """(theta, K/theta, projection, monolith) for every congruence theta
-    with a subdirectly irreducible quotient, in canonical Con order; all read
-    off the one Con K."""
+    with a subdirectly irreducible quotient, in canonical Con order.
+
+    Con(K/theta) is the interval [theta, 1] of Con K, so K/theta is
+    subdirectly irreducible exactly when theta is meet-irreducible, with
+    monolith theta*/theta for the unique upper cover theta*.  Both are read
+    off J(Con K); Con K itself is never built.
+    """
     if K.n > max_size:
         raise BudgetExceeded(f"|K| = {K.n} exceeds the SI budget {max_size}")
-    conK = con_lattice(K)
     out = []
-    for k, theta in enumerate(conK.cons):
-        cover = _upper_cover(conK, k)
-        if cover is None:
-            continue
+    for theta, star in JoinIrreducibles(K).meet_irreducibles():
         Q, proj = quotient(K, theta)
-        star = conK.cons[cover].block_of
-        mono = Congruence.from_rep(Q, np.array([star[b[0]] for b in theta.blocks]))
+        mono = Congruence.from_rep(Q, [star.block_of[b[0]] for b in theta.blocks])
         out.append((theta, Q, proj, mono))
     return out
 
@@ -347,8 +332,8 @@ def si_pair_classifier(K, L, max_size=HS_SIZE_BUDGET) -> tuple:
     generators; plain isomorphism is tried before dual isomorphism.
     """
     for X in (K, L):
-        conX = con_lattice(X)
-        if _upper_cover(conX, conX.bottom_i) is None:
+        # SI: Con X has one atom, the single minimal member of J(Con X)
+        if len(JoinIrreducibles(X).minimal()) != 1:
             raise NotSubdirectlyIrreducible(f"{X!r} is not subdirectly irreducible")
     Ld = dual(L)
     checks = ContainmentChecks(max_size)

@@ -3,10 +3,14 @@
 Everything here deliberately avoids the library's own algorithms: congruences
 by filtering all partitions, subuniverses by filtering all subsets,
 isomorphism by trying all permutations, and small lattices by filtered
-enumeration of naturally labelled posets.
+enumeration of naturally labelled posets.  The slow Con oracle keeps the
+algorithms the library used before it built Con from J(Con L): one closure
+per cover, a join loop that re-closes unions, and Conc of a homomorphism by
+one closure per congruence.
 """
 
 import itertools
+from types import SimpleNamespace
 
 from critlat.lattice import FiniteLattice
 
@@ -156,3 +160,139 @@ def enumerate_all_lattices(n):
 
     rec(0, [])
     return list(found.values())
+
+
+# --- the slow Con oracle: one closure per cover, then a join loop ---
+
+def oracle_closure(L, seed_pairs):
+    """Least congruence containing the seed pairs, as a canonical block_of.
+
+    A pure-Python work queue: every merged pair is re-checked against all
+    one-sided meets and joins until nothing new merges.
+    """
+    n = L.n
+    cls = list(range(n))
+    members = {i: [i] for i in range(n)}
+    meet, join = L._meet.tolist(), L._join.tolist()
+    queue = []
+
+    def union(a, b):
+        ra, rb = cls[a], cls[b]
+        if ra == rb:
+            return
+        for m in members[rb]:
+            cls[m] = ra
+        members[ra].extend(members.pop(rb))
+        queue.append((a, b))
+
+    for a, b in seed_pairs:
+        union(a, b)
+    while queue:
+        x, y = queue.pop()
+        for table in (meet, join):
+            for z in range(n):
+                union(table[x][z], table[y][z])
+    return canon_ids(cls)
+
+
+def canon_ids(classes):
+    """Class ids renumbered by first occurrence."""
+    ids = {}
+    return tuple(ids.setdefault(c, len(ids)) for c in classes)
+
+
+def _seeds(block_of):
+    first = {}
+    return [(first.setdefault(k, i), i) for i, k in enumerate(block_of)]
+
+
+def oracle_con(L):
+    """Con L the slow way: the closures of all covers, closed under join by
+    re-closing unions; order, tables, atoms and bounds read off the
+    partitions.  Returns a dict of plain Python values."""
+    zero = tuple(range(L.n))
+    gens = {oracle_closure(L, [pair]) for pair in L.covers}
+    found = {zero} | gens
+    queue = list(gens)
+    while queue:
+        t = queue.pop()
+        for g in gens:
+            j = oracle_closure(L, _seeds(t) + _seeds(g))
+            if j not in found:
+                found.add(j)
+                queue.append(j)
+    cons = sorted(found, key=lambda bo: (L.n - len(set(bo)), bo))
+    index = {bo: k for k, bo in enumerate(cons)}
+    m = len(cons)
+
+    def refines(s, t):
+        return all(t[i] == t[j] for i, j in _seeds(s))
+
+    leq = [[refines(s, t) for t in cons] for s in cons]
+    meet = [[index[canon_ids(zip(s, t))] for t in cons] for s in cons]
+    join = [[index[oracle_closure(L, _seeds(s) + _seeds(t))] for t in cons]
+            for s in cons]
+    bottom, top = index[zero], index[tuple([0] * L.n)]
+    atoms = [k for k in range(m) if k != bottom
+             and sum(leq[i][k] for i in range(m)) == 2]
+    return {"cons": cons, "leq": leq, "meet": meet, "join": join,
+            "atoms": atoms, "bottom": bottom, "top": top}
+
+
+def oracle_conc_of_hom(f, con_source, con_target):
+    """Conc f the slow way: each source congruence goes to the closure of
+    the images of its pairs.  The congruences are oracle_con results."""
+    index = {bo: k for k, bo in enumerate(con_target["cons"])}
+    fm = f.mapping.tolist()
+    return [index[oracle_closure(f.target, [(fm[a], fm[b]) for a, b in _seeds(bo)])]
+            for bo in con_source["cons"]]
+
+
+def oracle_si_quotients_json(K):
+    """si_quotients(K) as JSON, from oracle_con: each congruence with one
+    upper cover in canonical order, its quotient labelled by each block's
+    least element, the monolith from the cover, and the first of each
+    isomorphism class kept (isomorphism by permutations)."""
+    con = oracle_con(K)
+    cons, leq = con["cons"], con["leq"]
+    m = len(cons)
+    out, kept = [], []
+    for k, theta in enumerate(cons):
+        above = [c for c in range(m) if c != k and leq[k][c]]
+        covers = [c for c in above if not any(d != c and leq[d][c] for d in above)]
+        if len(covers) != 1:
+            continue
+        reps = [theta.index(b) for b in range(max(theta) + 1)]
+        qleq = [[theta[K.join_i(a, b)] == theta[b] for b in reps] for a in reps]
+        q = SimpleNamespace(n=len(reps), leq_i=lambda i, j, qleq=qleq: qleq[i][j])
+        if any(brute_isomorphic(p, q) is not None for p in kept):
+            continue
+        kept.append(q)
+        star = cons[covers[0]]
+        mono = {}
+        for qi, r in enumerate(reps):
+            mono.setdefault(star[r], []).append(K.labels[r])
+        blocks = {}
+        for i, b in enumerate(theta):
+            blocks.setdefault(b, []).append(K.labels[i])
+        out.append({"theta": list(blocks.values()),
+                    "elements": [K.labels[r] for r in reps],
+                    "monolith": list(mono.values())})
+    return out
+
+
+def oracle_partition_join(a, b):
+    """Join of two partitions given as class-id lists: repeat merging any two
+    classes that share an element's class in a or in b until stable."""
+    n = len(a)
+    cls = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            for j in range(n):
+                if (a[i] == a[j] or b[i] == b[j]) and cls[i] != cls[j]:
+                    lo, hi = sorted((cls[i], cls[j]))
+                    cls = [lo if c == hi else c for c in cls]
+                    changed = True
+    return canon_ids(cls)

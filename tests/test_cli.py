@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -169,6 +170,14 @@ class TestBudgetFlags:
         code, _, err = invoke(capsys, "hs-member", "M:3", "N5",
                               "--max-subuniverses", "3")
         assert code == 2 and "BudgetExceeded" in err
+
+    def test_con_count_budget_refuses_long_chain(self, capsys):
+        # Con(chain:40) has 2^40 members; the count budget stops it early
+        start = time.perf_counter()
+        code, _, err = invoke(capsys, "con", "chain:40")
+        assert time.perf_counter() - start < 5
+        assert code == 2 and "BudgetExceeded" in err
+        assert "|J(Con L)| = 40" in err
 
     def test_env_product_cap(self, capsys):
         code, out, _ = invoke(capsys, "glued-diagram", "M:3", "M:3", "--cap", "100000")

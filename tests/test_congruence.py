@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from critlat.congruence import (
+    _join_ids,
     ConcMap,
     Congruence,
+    JoinIrreducibles,
     con_lattice,
     conc_of_hom,
     congruence_join,
@@ -27,13 +29,22 @@ from critlat.lattice import (
     builtin,
     dual,
     is_distributive,
+    product,
     product_projections,
     quotient,
     subuniverse_closure,
     validate_lattice,
 )
 
-from oracles import brute_congruences, con_as_partition_set
+from oracles import (
+    all_partitions,
+    brute_congruences,
+    canon_ids,
+    con_as_partition_set,
+    oracle_con,
+    oracle_conc_of_hom,
+    oracle_partition_join,
+)
 
 
 class TestPrincipal:
@@ -380,3 +391,72 @@ def test_principal_congruence_lattice_laws(named, data):
     assert congruence_join(s, meet) == s      # absorption
     assert congruence_meet(s, join) == s
     assert join.same(L.index(a), L.index(b)) and join.same(L.index(c), L.index(d))
+
+
+def _assert_con_matches_oracle(L):
+    con, want = con_lattice(L), oracle_con(L)
+    assert [t.block_of for t in con.cons] == want["cons"]
+    assert con.leq.tolist() == want["leq"]
+    assert con.meet_t.tolist() == want["meet"]
+    assert con.join_t.tolist() == want["join"]
+    assert list(con.atoms) == want["atoms"]
+    assert (con.bottom_i, con.top_i) == (want["bottom"], want["top"])
+    m = len(want["cons"])
+    complemented = [any(want["meet"][x][y] == want["bottom"]
+                        and want["join"][x][y] == want["top"] for y in range(m))
+                    for x in range(m)]
+    ok, atoms, witness = is_boolean(con)
+    assert ok == all(complemented)
+    if ok:
+        assert [t.block_of for t in atoms] == [want["cons"][a] for a in want["atoms"]]
+    else:
+        assert witness == ("not complemented", con.cons[complemented.index(False)])
+    assert is_simple(L) == (m == 2)
+    assert (len(JoinIrreducibles(L).minimal()) == 1) == (len(want["atoms"]) == 1)
+    return con, want
+
+
+class TestDifferential:
+    """Con from J(Con L) against the slow cover-closure oracle."""
+
+    def test_con_matches_oracle_on_corpus(self, corpus):
+        for L in corpus:
+            if L.n <= 6:
+                _assert_con_matches_oracle(L)
+
+    def test_partition_validity_matches_brute_force(self, small_lattices):
+        for L in small_lattices:
+            if L.n > 5:
+                continue
+            cons = brute_congruences(L)
+            for part in all_partitions(L.n):
+                key = frozenset(frozenset(b) for b in part)
+                try:
+                    Congruence(L, part)
+                    valid = True
+                except NotACongruence:
+                    valid = False
+                assert valid == (key in cons)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1,
+                    max_size=9))
+    def test_partition_join_matches_oracle(self, pairs):
+        a, b = canon_ids(p[0] for p in pairs), canon_ids(p[1] for p in pairs)
+        assert _join_ids(a, b) == oracle_partition_join(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_products_and_homs_match_oracle(self, small_lattices, data):
+        pool = [L for L in small_lattices if L.n <= 4]
+        A, B = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2))
+        P = product(A, B)
+        conP, wantP = _assert_con_matches_oracle(P)
+        for pr in product_projections(P):
+            conF = con_lattice(pr.target)
+            cm = conc_of_hom(pr, conP, conF)
+            assert cm.mapping.tolist() == oracle_conc_of_hom(pr, wantP, oracle_con(pr.target))
+        gens = data.draw(st.lists(st.sampled_from(P.labels), min_size=1, max_size=3))
+        S, incl = subuniverse_closure(P, gens)
+        cm = conc_of_hom(incl, con_lattice(S), conP)
+        assert cm.mapping.tolist() == oracle_conc_of_hom(incl, oracle_con(S), wantP)

@@ -7,6 +7,7 @@ from critlat.congruence import is_boolean
 from critlat.diagrams import (
     EMPTY,
     TOP,
+    FinitePoset,
     admissible_triples,
     apply_conc,
     base_diagram,
@@ -67,6 +68,26 @@ class TestIndexPosets:
     def test_empty_chain_set_allowed(self):
         ip = build_index_posets([])
         assert [str(n) for n in ip.ic] == ["{}", "T"]
+
+    @pytest.mark.parametrize("chains", [
+        [C1, C2, C3],
+        [C1, ("0", "x1", "x2", "1"), ("0", "x2", "1")],
+        [],
+    ])
+    def test_pairs_and_triples_match_brute_force(self, chains):
+        ip = build_index_posets(chains)
+        els = ip.elements
+        assert ip.pairs() == [(a, b) for a in els for b in els if ip.le(a, b)]
+        assert ip.strict_triples() == [
+            (a, b, c) for a in els for b in els for c in els
+            if a != b and b != c and ip.le(a, b) and ip.le(b, c)]
+
+    def test_order_pair_naming_no_element_is_ignored(self):
+        sub = FinitePoset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c"),
+                                             ("z", "a")])
+        assert sub.pairs() == [("a", "a"), ("a", "b"), ("a", "c"), ("b", "b"),
+                               ("b", "c"), ("c", "c")]
+        assert sub.strict_triples() == [("a", "b", "c")]
 
 
 class TestBaseDiagram:

@@ -1,6 +1,8 @@
 import itertools
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from critlat.congruence import Congruence, con_lattice
 from critlat.errors import BudgetExceeded, NotSubdirectlyIrreducible
@@ -26,6 +28,7 @@ from oracles import (
     brute_isomorphic,
     brute_subuniverses,
     enumerate_all_lattices,
+    oracle_si_quotients_json,
 )
 
 
@@ -100,6 +103,19 @@ class TestDifferential:
                 conQ = con_lattice(s.lattice)
                 assert s.monolith == conQ.cons[conQ.atoms[0]]
 
+    def test_si_json_matches_oracle_on_corpus(self, corpus):
+        for K in corpus:
+            if K.n <= 6:
+                assert [s.to_json() for s in si_quotients(K)] \
+                    == oracle_si_quotients_json(K), K
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_si_json_matches_oracle_on_products(self, small_lattices, data):
+        pool = [L for L in small_lattices if L.n <= 4]
+        K = product(*data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2)))
+        assert [s.to_json() for s in si_quotients(K)] == oracle_si_quotients_json(K)
+
 
 class TestSiQuotients:
     def test_m3(self, named):
@@ -127,6 +143,13 @@ class TestSiQuotients:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             si_quotients(builtin("bool:6"))
+
+    def test_long_chain_within_budget_is_fast(self):
+        # Con(chain:31) has 2^31 members; its SI quotients come off J(Con K)
+        start = time.perf_counter()
+        sis = si_quotients(builtin("chain:31"))
+        assert time.perf_counter() - start < 1.0
+        assert len(sis) == 1 and sis[0].lattice.n == 2
 
 
 class TestSubdirectDecomposition:
