@@ -29,11 +29,9 @@ from .errors import (
 from .lattice import FiniteLattice, Homomorphism, _same_lattice, chain_order
 
 CON_SIZE_BUDGET = 300
-# bound on |Con L|: its meet and join tables hold |Con L|^2 int32 entries,
-# 16 MB each at this count
+# bound on |Con L|: con_lattice makes one union-find join and one partition
+# of |L| entries per member; 2048 is |Con L| for L = bool:11
 CON_COUNT_BUDGET = 2048
-# rows of the m x m tables computed at once, to bound temporary arrays
-_TABLE_ROWS = 256
 
 
 def _require_dense(L):
@@ -68,11 +66,10 @@ def _closure_rep(L, seed_pairs):
     for a, b in seed_pairs:
         union(a, b)
     qi = 0
-    meet_t, join_t = L._meet, L._join
     while qi < len(queue):
         x, y = queue[qi]
         qi += 1
-        for table in (meet_t, join_t):
+        for table in (L._meet, L._join):
             rx, ry = rep[table[x]], rep[table[y]]
             for z in np.nonzero(rx != ry)[0]:
                 union(int(table[x][z]), int(table[y][z]))
@@ -112,7 +109,7 @@ class Congruence:
 
     __slots__ = ("host", "blocks", "block_of")
 
-    def __init__(self, host, blocks, _trusted=False):
+    def __init__(self, host, blocks):
         self.host = host
         self.blocks = tuple(tuple(sorted(b)) for b in blocks)
         self.blocks = tuple(sorted(self.blocks, key=lambda b: b[0]))
@@ -125,7 +122,7 @@ class Congruence:
         if sum(len(b) for b in self.blocks) != host.n:
             raise NotACongruence("blocks overlap")
         self.block_of = tuple(bo)
-        if not _trusted and not self.is_valid():
+        if not self.is_valid():
             raise NotACongruence("partition is not compatible with meet and join")
 
     @classmethod
@@ -147,11 +144,11 @@ class Congruence:
 
     @classmethod
     def zero(cls, host):
-        return cls(host, [[i] for i in range(host.n)], _trusted=True)
+        return cls.from_rep(host, range(host.n))
 
     @classmethod
     def one(cls, host):
-        return cls(host, [list(range(host.n))], _trusted=True)
+        return cls.from_rep(host, [0] * host.n)
 
     def is_valid(self) -> bool:
         _require_dense(self.host)
@@ -287,19 +284,6 @@ class JoinIrreducibles:
                  Congruence.from_rep(self.host, star)) for low, star in out]
 
 
-def _pack(masks):
-    """Bool masks packed to bytes along the last axis.  A spare zero bit
-    keeps the bytes nonempty when J(Con L) is empty."""
-    spare = np.zeros(masks.shape[:-1] + (1,), dtype=bool)
-    return np.packbits(np.concatenate([masks, spare], axis=-1), axis=-1)
-
-
-def _keys(packed):
-    """Each packed mask as one sortable void scalar."""
-    return np.ascontiguousarray(packed).view(
-        np.dtype((np.void, packed.shape[-1])))[..., 0]
-
-
 class ConLattice:
     """The lattice of all congruences of a finite lattice, by refinement.
 
@@ -309,9 +293,8 @@ class ConLattice:
     elements first, then block_of.
     """
 
-    __slots__ = ("host", "J", "masks", "cons", "_by_key", "_sorted_keys",
-                 "_key_rows", "leq", "meet_t", "join_t", "bottom_i", "top_i",
-                 "atoms", "_lattice")
+    __slots__ = ("host", "J", "masks", "cons", "_by_key", "_by_mask",
+                 "bottom_i", "top_i", "atoms", "_lattice")
 
     def __init__(self, J: JoinIrreducibles, masks, cons):
         self.host = J.host
@@ -320,35 +303,16 @@ class ConLattice:
         self.masks.flags.writeable = False
         self.cons = tuple(cons)
         self._by_key = {t.block_of: k for k, t in enumerate(self.cons)}
-        packed = _pack(masks)
-        keys = _keys(packed)
-        self._key_rows = np.argsort(keys)
-        self._sorted_keys = keys[self._key_rows]
-        m = len(self.cons)
-        leq = np.empty((m, m), dtype=bool)
-        meet_t = np.empty((m, m), dtype=np.int32)
-        join_t = np.empty((m, m), dtype=np.int32)
-        for lo in range(0, m, _TABLE_ROWS):
-            rows = packed[lo:lo + _TABLE_ROWS, None, :]
-            leq[lo:lo + _TABLE_ROWS] = ~(rows & ~packed).any(axis=2)
-            meet_t[lo:lo + _TABLE_ROWS] = self._rows_of(rows & packed)
-            join_t[lo:lo + _TABLE_ROWS] = self._rows_of(rows | packed)
-        leq.flags.writeable = False
-        self.leq = leq
-        self.meet_t = meet_t
-        self.join_t = join_t
+        self._by_mask = {row.tobytes(): k for k, row in enumerate(masks)}
         self.bottom_i = int(np.nonzero(~masks.any(axis=1))[0][0])
         self.top_i = int(np.nonzero(masks.all(axis=1))[0][0])
         self.atoms = tuple(int(k) for k in np.nonzero(masks.sum(axis=1) == 1)[0])
         self._lattice = None
 
-    def _rows_of(self, packed):
-        """Index of the congruence with each packed down-set mask."""
-        return self._key_rows[np.searchsorted(self._sorted_keys, _keys(packed))]
-
     def index_of_masks(self, masks):
         """Indices of the congruences whose down-sets are the given bool rows."""
-        return self._rows_of(_pack(masks)).astype(np.int32)
+        return np.array([self._by_mask[row.tobytes()] for row in masks],
+                        dtype=np.int32)
 
     @property
     def n(self):
@@ -366,7 +330,9 @@ class ConLattice:
         if self._lattice is None:
             labels = [f"c{k}" for k in range(self.n)]
             name = f"Con({self.host.name})" if self.host.name else "Con"
-            self._lattice = FiniteLattice._from_order(labels, self.leq, name=name)
+            # masks[a] is a subset of masks[b] iff no member of J is in a but not in b
+            leq = ~(self.masks @ ~self.masks.T)
+            self._lattice = FiniteLattice._from_order(labels, leq, name=name)
         return self._lattice
 
     def __repr__(self):
@@ -420,6 +386,17 @@ def is_simple(L) -> bool:
     return True
 
 
+def _join_extension(source: ConLattice, zero_mask, image_masks):
+    """Masks of phi(x) = phi(0) v V{phi(down j) : j in x} for each x in source.
+
+    zero_mask is the mask of phi(0) and image_masks[j] that of phi(down j),
+    down j being the down-set of the member j of J(Con source).  A map between
+    down-set lattices preserves binary joins iff it equals this extension of
+    its values on 0 and on the down j.
+    """
+    return zero_mask | (source.masks @ image_masks)
+
+
 class ConcMap:
     """A join- and zero-preserving map between congruence lattices."""
 
@@ -433,15 +410,16 @@ class ConcMap:
         if len(self.mapping) != source.n:
             raise CritlatError("ConcMap length mismatch")
         m = self.mapping
-        self.join_preserving = bool(
-            (self.target.join_t[m[:, None], m[None, :]]
-             == m[source.join_t]).all())
+        image = target.masks[m]
+        # row j of J.leq.T is the down-set of the member j of J
+        down = source.index_of_masks(source.J.leq.T)
+        want = _join_extension(source, image[source.bottom_i], image[down])
+        self.join_preserving = bool((image == want).all())
         self.zero_preserving = int(m[source.bottom_i]) == target.bottom_i
         bij = len(set(m.tolist())) == source.n == target.n
         self.isomorphism = bij and self.join_preserving and self.zero_preserving
-        self.separates_zero = self.zero_preserving and all(
-            int(m[k]) != target.bottom_i
-            for k in range(source.n) if k != source.bottom_i)
+        self.separates_zero = self.zero_preserving and bool(
+            np.count_nonzero(m == target.bottom_i) == 1)
 
     @classmethod
     def identity(cls, con: ConLattice):
@@ -490,7 +468,8 @@ def conc_of_hom(f: Homomorphism, con_source: Optional[ConLattice] = None,
                   f.target, _closure_rep(f.target, [(fm[a], fm[b])])))
               for a, b in CS.J.pairs]
     image_masks = CT.masks[np.array(images, dtype=np.intp)]
-    return ConcMap(CS, CT, CT.index_of_masks(CS.masks @ image_masks))
+    return ConcMap(CS, CT, CT.index_of_masks(
+        _join_extension(CS, CT.masks[CT.bottom_i], image_masks)))
 
 
 def dual_identification(con_src: ConLattice, con_dst: ConLattice) -> ConcMap:

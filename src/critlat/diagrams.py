@@ -191,7 +191,7 @@ class LatticeDiagram:
         if validate:
             self.validate()
 
-    def validate(self, check_homs=True):
+    def validate(self):
         """Identity edges, exhaustive commutativity, and boundedness flags."""
         for p in self.poset.elements:
             if p not in self.lattices:
@@ -208,7 +208,7 @@ class LatticeDiagram:
                 raise CritlatError(f"identity edge at {p} is not the identity")
             if self.bounded and not f.preserves_bounds:
                 raise CritlatError(f"map {p} -> {q} does not preserve bounds")
-            if check_homs and f.source.n <= 256:
+            if f.source.n <= 256:
                 f.validate(full=True)
         for (p, q, r) in self.poset.strict_triples():
             left = self.maps[(p, r)]

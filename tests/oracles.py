@@ -248,6 +248,23 @@ def oracle_conc_of_hom(f, con_source, con_target):
             for bo in con_source["cons"]]
 
 
+def oracle_join_preserving(con_source, con_target, mapping):
+    """Whether mapping, from the indices of one oracle_con result to those
+    of another, preserves binary joins: checked on all m^2 pairs."""
+    js, jt = con_source["join"], con_target["join"]
+    m = len(mapping)
+    return all(jt[mapping[x]][mapping[y]] == mapping[js[x][y]]
+               for x in range(m) for y in range(m))
+
+
+def oracle_isomorphism(con_source, con_target, mapping):
+    """Whether mapping is an order isomorphism between two oracle_con results."""
+    ls, lt = con_source["leq"], con_target["leq"]
+    m = len(mapping)
+    return sorted(mapping) == list(range(len(lt))) and all(
+        ls[x][y] == lt[mapping[x]][mapping[y]] for x in range(m) for y in range(m))
+
+
 def oracle_si_quotients_json(K):
     """si_quotients(K) as JSON, from oracle_con: each congruence with one
     upper cover in canonical order, its quotient labelled by each block's

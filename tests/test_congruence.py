@@ -43,6 +43,8 @@ from oracles import (
     con_as_partition_set,
     oracle_con,
     oracle_conc_of_hom,
+    oracle_isomorphism,
+    oracle_join_preserving,
     oracle_partition_join,
 )
 
@@ -396,9 +398,12 @@ def test_principal_congruence_lattice_laws(named, data):
 def _assert_con_matches_oracle(L):
     con, want = con_lattice(L), oracle_con(L)
     assert [t.block_of for t in con.cons] == want["cons"]
-    assert con.leq.tolist() == want["leq"]
-    assert con.meet_t.tolist() == want["meet"]
-    assert con.join_t.tolist() == want["join"]
+    M = con.masks
+    assert (~(M[:, None, :] & ~M[None, :, :]).any(axis=2)).tolist() == want["leq"]
+    assert [con.index_of_masks(row & M).tolist() for row in M] == want["meet"]
+    assert [con.index_of_masks(row | M).tolist() for row in M] == want["join"]
+    A = con.as_lattice()
+    assert [[A.leq_i(x, y) for y in range(A.n)] for x in range(A.n)] == want["leq"]
     assert list(con.atoms) == want["atoms"]
     assert (con.bottom_i, con.top_i) == (want["bottom"], want["top"])
     m = len(want["cons"])
@@ -460,3 +465,76 @@ class TestDifferential:
         S, incl = subuniverse_closure(P, gens)
         cm = conc_of_hom(incl, con_lattice(S), conP)
         assert cm.mapping.tolist() == oracle_conc_of_hom(incl, oracle_con(S), wantP)
+
+
+def _oracle_join_irreducibles(want):
+    """Members of an oracle_con result with exactly one lower cover."""
+    leq = want["leq"]
+    m = len(leq)
+    out = []
+    for x in range(m):
+        below = [y for y in range(m) if y != x and leq[y][x]]
+        covers = [y for y in below if not any(z != y and leq[y][z] for z in below)]
+        if len(covers) == 1:
+            out.append(x)
+    return out
+
+
+@pytest.fixture(scope="module")
+def con_pairs():
+    """(con_lattice, oracle_con) by the names of the factors of the lattice."""
+    return {}
+
+
+class TestConcMapChecks:
+    """ConcMap's join check on J(Con L) against the m^2 join-table oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_join_preserving_and_isomorphism_match_oracle(
+            self, small_lattices, con_pairs, data):
+        def draw_con():
+            if data.draw(st.booleans()):
+                pool = [L for L in small_lattices if L.n <= 4]
+                factors = data.draw(st.lists(st.sampled_from(pool),
+                                             min_size=2, max_size=2))
+            else:
+                factors = [data.draw(st.sampled_from(small_lattices))]
+            key = tuple(L.name for L in factors)
+            if key not in con_pairs:
+                L = product(*factors) if len(factors) == 2 else factors[0]
+                con, want = con_lattice(L), oracle_con(L)
+                assert [t.block_of for t in con.cons] == want["cons"]
+                con_pairs[key] = con, want
+            return con_pairs[key]
+
+        CS, ws = draw_con()
+        same = data.draw(st.booleans())
+        CT, wt = (CS, ws) if same else draw_con()
+        kind = data.draw(st.sampled_from(["arbitrary", "join", "changed"]))
+        if kind == "arbitrary":
+            mapping = data.draw(st.lists(st.integers(0, CT.n - 1),
+                                         min_size=CS.n, max_size=CS.n))
+        else:
+            # phi(x) = phi(0) v V{phi(j) : j in J, j <= x} preserves joins
+            J = _oracle_join_irreducibles(ws)
+            zero = data.draw(st.integers(0, CT.n - 1))
+            if same and data.draw(st.booleans()):
+                images = dict(zip(J, data.draw(st.permutations(J))))
+            else:
+                images = {j: data.draw(st.integers(0, CT.n - 1)) for j in J}
+            mapping = []
+            for x in range(CS.n):
+                y = zero
+                for j in J:
+                    if ws["leq"][j][x]:
+                        y = wt["join"][y][images[j]]
+                mapping.append(y)
+            assert oracle_join_preserving(ws, wt, mapping)
+            if kind == "changed" and CT.n > 1:
+                x = data.draw(st.integers(0, CS.n - 1))
+                mapping[x] = data.draw(st.integers(0, CT.n - 1).filter(
+                    lambda y: y != mapping[x]))
+        cm = ConcMap(CS, CT, mapping)
+        assert cm.join_preserving == oracle_join_preserving(ws, wt, mapping)
+        assert cm.isomorphism == oracle_isomorphism(ws, wt, mapping)
