@@ -32,6 +32,7 @@ from .lattice import (
     DEFAULT_PRODUCT_CAP,
     FiniteLattice,
     Homomorphism,
+    _hom_failure,
     _same_lattice,
     _sublattice_from_indices,
     builtin,
@@ -178,61 +179,82 @@ def build_index_posets(chains) -> IndexPoset:
     return IndexPoset(chains)
 
 
-class LatticeDiagram:
-    """A functor from a finite poset to lattices: one lattice per node, one
-    homomorphism per ordered pair, commuting."""
+def law_failures(poset, objects, maps, edge_laws=None):
+    """Yield the functor-law failures of a diagram: ("identity-edge", p) per
+    node, then per edge ("missing-edge", p, q) or what edge_laws(p, q, f)
+    yields (not asked of identity edges that passed), then ("commutativity",
+    p, q, r) per triangle whose three edges exist."""
+    identities = set()
+    for p in poset.elements:
+        f = maps.get((p, p))
+        if f is not None and (f.mapping == np.arange(objects[p].n)).all():
+            identities.add(p)
+        else:
+            yield ("identity-edge", p)
+    for (p, q) in poset.pairs():
+        f = maps.get((p, q))
+        if f is None:
+            yield ("missing-edge", p, q)
+        elif edge_laws is not None and not (p == q and p in identities):
+            yield from edge_laws(p, q, f)
+    for (p, q, r) in poset.strict_triples():
+        if {(p, r), (q, r), (p, q)} <= maps.keys() and \
+                not maps[(p, r)].equal_map(maps[(q, r)].compose(maps[(p, q)])):
+            yield ("commutativity", p, q, r)
 
-    def __init__(self, poset: FinitePoset, lattices: dict, maps: dict,
-                 bounded=True, validate=True):
+
+def _raise_first(failures, name):
+    for kind, *nodes in failures:
+        raise CritlatError(f"{name} fails {kind} at {', '.join(map(str, nodes))}")
+
+
+def _lattice_edge_laws(p, q, f):
+    if _hom_failure(f.source, f.target, f.mapping) is not None:
+        yield ("edge-not-hom", p, q)
+    if not f.preserves_bounds:
+        yield ("edge-not-bounded", p, q)
+
+
+class LatticeDiagram:
+    """A functor from a finite poset to lattices: one bounded homomorphism
+    per ordered pair, commuting."""
+
+    def __init__(self, poset: FinitePoset, lattices: dict, maps: dict, validate=True):
         self.poset = poset
         self.lattices = dict(lattices)
         self.maps = dict(maps)
-        self.bounded = bounded
         if validate:
             self.validate()
 
+    def law_failures(self):
+        """law_failures() with every edge a bounded homomorphism."""
+        return law_failures(self.poset, self.lattices, self.maps, _lattice_edge_laws)
+
     def validate(self):
-        """Identity edges, exhaustive commutativity, and boundedness flags."""
+        """Raise on a missing node lattice, an edge with the wrong source or
+        target, or the first failure of law_failures()."""
         for p in self.poset.elements:
             if p not in self.lattices:
                 raise CritlatError(f"missing lattice at node {p}")
         for (p, q) in self.poset.pairs():
-            if (p, q) not in self.maps:
-                raise CritlatError(f"missing transition map {p} -> {q}")
-            f = self.maps[(p, q)]
-            if f.source is not self.lattices[p] and not _same_lattice(f.source, self.lattices[p]):
+            f = self.maps.get((p, q))
+            if f is not None and not _same_lattice(f.source, self.lattices[p]):
                 raise CritlatError(f"map at {p} -> {q} has wrong source")
-            if f.target is not self.lattices[q] and not _same_lattice(f.target, self.lattices[q]):
+            if f is not None and not _same_lattice(f.target, self.lattices[q]):
                 raise CritlatError(f"map at {p} -> {q} has wrong target")
-            if p == q and not (f.mapping == np.arange(f.source.n)).all():
-                raise CritlatError(f"identity edge at {p} is not the identity")
-            if self.bounded and not f.preserves_bounds:
-                raise CritlatError(f"map {p} -> {q} does not preserve bounds")
-            if f.source.n <= 256:
-                f.validate(full=True)
-        for (p, q, r) in self.poset.strict_triples():
-            left = self.maps[(p, r)]
-            right = self.maps[(q, r)].compose(self.maps[(p, q)])
-            if not left.equal_map(right):
-                raise CritlatError(
-                    f"diagram does not commute on {p} <= {q} <= {r}")
+        _raise_first(self.law_failures(), "diagram")
 
     def restrict(self, nodes) -> "LatticeDiagram":
         sub = self.poset.restrict(nodes)
         lat = {n: self.lattices[n] for n in sub.elements}
         mp = {(p, q): self.maps[(p, q)] for (p, q) in sub.pairs()}
-        return LatticeDiagram(sub, lat, mp, bounded=self.bounded, validate=False)
+        return LatticeDiagram(sub, lat, mp, validate=False)
 
     def equal(self, other: "LatticeDiagram") -> bool:
-        if self.poset != other.poset:
-            return False
-        for n in self.poset.elements:
-            if not _same_lattice(self.lattices[n], other.lattices[n]):
-                return False
-        for pq in self.poset.pairs():
-            if not self.maps[pq].equal_map(other.maps[pq]):
-                return False
-        return True
+        return (self.poset == other.poset
+                and all(_same_lattice(self.lattices[n], other.lattices[n])
+                        for n in self.poset.elements)
+                and all(self.maps[pq].equal_map(other.maps[pq]) for pq in self.poset.pairs()))
 
     def __repr__(self):
         return f"<LatticeDiagram on {len(self.poset.elements)} nodes>"
@@ -248,15 +270,8 @@ class SemilatticeDiagram:
         self.of_diagram = of_diagram
 
     def validate(self):
-        for (p, q, r) in self.poset.strict_triples():
-            left = self.maps[(p, r)]
-            right = self.maps[(q, r)].compose(self.maps[(p, q)])
-            if not left.equal_map(right):
-                raise CritlatError(f"Conc diagram does not commute on {p} <= {q} <= {r}")
-        for p in self.poset.elements:
-            ident = self.maps[(p, p)]
-            if not (ident.mapping == np.arange(self.cons[p].n)).all():
-                raise CritlatError(f"identity edge at {p} is not the identity")
+        """Raise on the first failure of the functor laws."""
+        _raise_first(law_failures(self.poset, self.cons, self.maps), "Conc diagram")
 
     def __repr__(self):
         return f"<SemilatticeDiagram on {len(self.poset.elements)} nodes>"
@@ -309,7 +324,14 @@ def _check_spanning_chain(L, c: Chain):
             raise NotSpanning(f"{c} is not a chain of {L!r}")
 
 
-def chain_diagram(L, chains, check_distributive=True) -> LatticeDiagram:
+def _require_distributive(lattices, what):
+    for nd, lat in lattices.items():
+        ok, witness = (True, None) if nd.is_top else is_distributive(lat)
+        if not ok:
+            raise CritlatError(f"non-top {what} node {nd} is not distributive: {witness}")
+
+
+def chain_diagram(L, chains) -> LatticeDiagram:
     """The chain diagram of L over a set of spanning chains: bounds, chains,
     sublattices generated by pairs of chains, then L itself, all inclusions."""
     ip = build_index_posets(chains)
@@ -324,14 +346,7 @@ def chain_diagram(L, chains, check_distributive=True) -> LatticeDiagram:
         gens = sorted({x for c in nd.chains for x in c})
         sub, _ = subuniverse_closure(L, gens)
         lattices[nd] = sub
-    if check_distributive:
-        for nd in ip.ic:
-            if nd.is_top:
-                continue
-            ok, witness = is_distributive(lattices[nd])
-            if not ok:
-                raise CritlatError(
-                    f"non-top chain-diagram node {nd} is not distributive: {witness}")
+    _require_distributive(lattices, "chain-diagram")
     maps = {}
     for (p, q) in ip.pairs():
         src, tgt = lattices[p], lattices[q]
@@ -359,13 +374,14 @@ def chain_diagram_of_partial(L, subset) -> tuple:
 # --- products of diagrams over a lower subset ---
 
 def product_over(j_nodes, diagrams: Sequence[LatticeDiagram],
-                 cap=DEFAULT_PRODUCT_CAP, allow_lazy=True, with_projections=True):
+                 cap=DEFAULT_PRODUCT_CAP, with_projections=True):
     """Product of several diagrams over a common lower subset J.
 
     Nodes in J stay untouched (all factors must agree there); nodes outside J
-    become direct products, with transition maps acting componentwise.
-    Returns (diagram, projections) where projections[t] maps nodes to the
-    canonical projection onto factor t (None when with_projections is off).
+    become direct products, with transition maps acting componentwise;
+    products above `cap` elements get the lazy representation.  Returns
+    (diagram, projections) where projections[t] maps nodes to the canonical
+    projection onto factor t (None when with_projections is off).
     """
     if not diagrams:
         raise CritlatError("need at least one diagram")
@@ -378,13 +394,8 @@ def product_over(j_nodes, diagrams: Sequence[LatticeDiagram],
     if not poset.is_lower_subset(j_nodes):
         raise NotLowerSubset(f"{j_nodes} is not a lower subset")
     jset = set(j_nodes)
-    for d in diagrams[1:]:
-        for n in j_nodes:
-            if not _same_lattice(d.lattices[n], first.lattices[n]):
-                raise RestrictionMismatch(f"factors disagree on node {n}")
-        for (p, q) in poset.pairs():
-            if p in jset and q in jset and not d.maps[(p, q)].equal_map(first.maps[(p, q)]):
-                raise RestrictionMismatch(f"factors disagree on edge {p} -> {q}")
+    if not all(d.restrict(j_nodes).equal(first.restrict(j_nodes)) for d in diagrams[1:]):
+        raise RestrictionMismatch(f"factors disagree on {j_nodes}")
     if len(diagrams) == 1:
         proj = {n: Homomorphism.identity(first.lattices[n]) for n in poset.elements}
         return first, [proj]
@@ -396,7 +407,7 @@ def product_over(j_nodes, diagrams: Sequence[LatticeDiagram],
             lattices[n] = first.lattices[n]
         else:
             lattices[n] = product(*[d.lattices[n] for d in diagrams],
-                                  cap=cap, allow_lazy=allow_lazy)
+                                  cap=cap, allow_lazy=True)
             sizes[n] = [d.lattices[n].n for d in diagrams]
 
     def coords(n):
@@ -644,13 +655,8 @@ def glued_diagram(L, subset, kgen, cap=DEFAULT_PRODUCT_CAP) -> GluedDiagram:
     for (c1, c2, d) in triples:
         dd = directing_diagram(kgen, c1, c2, d)
         factors.append(extend_diagram(dd, chains))
-    glued, _ = product_over(ip.jc, factors, cap=cap, allow_lazy=True, with_projections=False)
-    for nd in ip.ic:
-        if nd.is_top:
-            continue
-        ok, witness = is_distributive(glued.lattices[nd])
-        if not ok:
-            raise CritlatError(f"non-top glued node {nd} not distributive: {witness}")
+    glued, _ = product_over(ip.jc, factors, cap=cap, with_projections=False)
+    _require_distributive(glued.lattices, "glued")
     if not glued.restrict(ip.jc).equal(base.restrict(ip.jc)):
         raise CritlatError("glued diagram does not restrict to the base diagram")
     return GluedDiagram(glued, tuple(chains), tuple(triples), len(factors))

@@ -106,7 +106,7 @@ def subdirect_decomposition(K, max_size=HS_SIZE_BUDGET):
         return thetas, None, None
     P = product(*quotients, allow_lazy=True)
     mapping = product_index([Q.n for Q in quotients], [p.mapping for p in projs])
-    emb = Homomorphism(K, P, mapping, check="full" if K.n * K.n <= 10_000 else "sample")
+    emb = Homomorphism(K, P, mapping)
     return thetas, P, emb
 
 

@@ -67,6 +67,15 @@ def con_as_partition_set(con):
     return {frozenset(frozenset(b) for b in t.blocks) for t in con.cons}
 
 
+def oracle_is_homomorphism(f):
+    """Whether f preserves meet and join on every pair of source elements,
+    through the scalar meet_i / join_i reads of either representation."""
+    S, T, m = f.source, f.target, f.mapping.tolist()
+    return all(m[S.meet_i(a, b)] == T.meet_i(m[a], m[b])
+               and m[S.join_i(a, b)] == T.join_i(m[a], m[b])
+               for a in range(S.n) for b in range(S.n))
+
+
 def brute_subuniverses(L):
     """All nonempty meet/join closed subsets, by filtering every subset."""
     out = []

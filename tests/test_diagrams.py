@@ -1,9 +1,10 @@
 import functools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from critlat.congruence import is_boolean
+from critlat.congruence import con_lattice, is_boolean
 from critlat.diagrams import (
     EMPTY,
     TOP,
@@ -27,6 +28,7 @@ from critlat.diagrams import (
 from critlat.errors import (
     BadChainShapes,
     BudgetExceeded,
+    CritlatError,
     EmptyChainSet,
     NotLowerSubset,
     NotSpanning,
@@ -34,7 +36,19 @@ from critlat.errors import (
     RestrictionMismatch,
     TooFewElements,
 )
-from critlat.lattice import builtin, is_distributive, is_isomorphic
+from critlat.lattice import (
+    Homomorphism,
+    builtin,
+    is_distributive,
+    is_isomorphic,
+    product,
+    product_coords,
+    product_index,
+    quotient,
+    subuniverse_closure,
+)
+
+from oracles import oracle_is_homomorphism
 
 C1, C2, C3 = ("0", "x1", "1"), ("0", "x2", "1"), ("0", "x3", "1")
 
@@ -193,14 +207,8 @@ class TestProductOver:
     @settings(max_examples=10, deadline=None)
     @given(st.data())
     def test_lazy_nodes_give_the_same_maps(self, data):
-        ds = data.draw(st.lists(st.sampled_from(_product_pool()), min_size=2, max_size=2))
+        ds = data.draw(st.lists(st.sampled_from(_product_pool()), min_size=2, max_size=3))
         self._same_as_lazy(ds)
-
-    def test_lazy_nodes_give_the_same_maps_three_factors(self):
-        # validating lazy nodes samples 20 000 pairs per edge, so the three
-        # factor case runs once rather than under hypothesis
-        pool = _product_pool()
-        self._same_as_lazy([pool[0], pool[3], pool[2]])
 
     def test_not_lower_subset(self, named):
         D, _ = chain_diagram_of_partial(named["chain:2"], named["chain:2"].labels)
@@ -216,6 +224,75 @@ class TestProductOver:
         j = list(D1.poset.jc) + [pair]
         with pytest.raises(RestrictionMismatch):
             product_over(j, [D1, dd])
+
+
+class TestExactHomomorphismCheck:
+    """Homomorphism(..., check="full") accepts exactly the maps that preserve
+    meet and join on every pair, dense or lazy on either side."""
+
+    @staticmethod
+    def _accepts(f):
+        try:
+            Homomorphism(f.source, f.target, f.mapping, check="full")
+        except CritlatError:
+            return False
+        return True
+
+    @staticmethod
+    def _dense_map(L, data):
+        """A quotient map, a sublattice inclusion, or x -> x ^ a or x v a,
+        which preserve one operation and often not the other; with one
+        image entry changed half of the time."""
+        kind = data.draw(st.sampled_from(["quotient", "sublattice", "meet-a", "join-a"]))
+        if kind == "quotient":
+            _, f = quotient(L, data.draw(st.sampled_from(con_lattice(L).cons)))
+        elif kind == "sublattice":
+            _, f = subuniverse_closure(L, data.draw(st.sets(st.sampled_from(L.labels),
+                                                            min_size=1)))
+        else:
+            a = data.draw(st.integers(0, L.n - 1))
+            op = L.meet_i if kind == "meet-a" else L.join_i
+            f = Homomorphism(L, L, [op(x, a) for x in range(L.n)], check="none")
+        mapping = f.mapping.copy()
+        if f.target.n > 1 and data.draw(st.booleans()):
+            i = data.draw(st.integers(0, f.source.n - 1))
+            mapping[i] = (mapping[i] + data.draw(st.integers(1, f.target.n - 1))) % f.target.n
+        return Homomorphism(f.source, f.target, mapping, check="none")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_agrees_with_oracle(self, small_lattices, data):
+        kind = data.draw(st.sampled_from(["dense", "into-lazy", "out-of-lazy",
+                                          "product-over"]))
+        if kind == "product-over":
+            ds = data.draw(st.lists(st.sampled_from(_product_pool()), min_size=2, max_size=3))
+            D, _ = product_over(ds[0].poset.jc, ds, cap=0, with_projections=False)
+            # edges out of lazy nodes; edges into them come with "into-lazy"
+            pq = data.draw(st.sampled_from([(p, q) for (p, q) in D.poset.pairs()
+                                            if p != q and p not in D.poset.jc]))
+            f = D.maps[pq]
+            if data.draw(st.booleans()):
+                i = data.draw(st.integers(0, f.source.n - 1))
+                bad = f.mapping.copy()
+                bad[i] = (bad[i] + data.draw(st.integers(1, f.target.n - 1))) % f.target.n
+                f = Homomorphism(f.source, f.target, bad, check="none")
+        else:
+            L = data.draw(st.sampled_from(small_lattices))
+            f = self._dense_map(L, data)
+            # the drawn map sits in coordinate k of a two-factor lazy product
+            k = data.draw(st.integers(0, 1))
+            if kind == "into-lazy":
+                _, h = quotient(f.source, data.draw(st.sampled_from(con_lattice(f.source).cons)))
+                parts = [f, h] if k == 0 else [h, f]
+                P = product(*[g.target for g in parts], cap=0, allow_lazy=True)
+                f = Homomorphism(f.source, P, product_index(P.sizes, [g.mapping for g in parts]),
+                                 check="none")
+            elif kind == "out-of-lazy":
+                C = data.draw(st.sampled_from([K for K in small_lattices if K.n <= 4]))
+                P = product(*([f.source, C] if k == 0 else [C, f.source]), cap=0, allow_lazy=True)
+                coords = product_coords(P.sizes, np.arange(P.n))
+                f = Homomorphism(P, f.target, f.mapping[coords[k]], check="none")
+        assert self._accepts(f) == oracle_is_homomorphism(f)
 
 
 class TestExtendDiagram:

@@ -1,10 +1,14 @@
 import itertools
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from critlat import lattice
 from critlat.errors import (
     BudgetExceeded,
+    CritlatError,
     CycleDetected,
     DuplicateLabel,
     NotALattice,
@@ -14,6 +18,7 @@ from critlat.errors import (
 )
 from critlat.lattice import (
     FiniteLattice,
+    Homomorphism,
     PartialLattice,
     ProductLattice,
     builtin,
@@ -155,7 +160,7 @@ class TestProduct:
         P = product(named["M:3"], named["chain:2"])
         for h in product_projections(P):
             assert h.surjective and h.preserves_bounds
-            h.validate(full=True)
+            h.validate()
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -183,6 +188,31 @@ class TestProduct:
         assert not ok and all(w in L.labels for w in witness)
         x, y, z = (L.index(w) for w in witness)
         assert L.meet_i(x, L.join_i(y, z)) != L.join_i(L.meet_i(x, y), L.meet_i(x, z))
+
+
+class TestHomomorphismCheck:
+    @pytest.mark.parametrize("source, target, mapping, message", [
+        ("chain:5", "chain:5", [0, 1, 3, 2, 4, 5], "meet fails at (c2, c3)"),
+        ("bool:2", "2", [0, 0, 0, 1], "join fails at (01, 10)"),
+    ])
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_row_chunks_report_the_same_first_failure(self, monkeypatch, chunk,
+                                                      source, target, mapping, message):
+        args = builtin(source), builtin(target), np.array(mapping)
+        with pytest.raises(CritlatError, match=re.escape(message)):
+            Homomorphism(*args)
+        monkeypatch.setattr(lattice, "_HOM_CHUNK", chunk)
+        with pytest.raises(CritlatError, match=re.escape(message)):
+            Homomorphism(*args)
+
+    def test_map_out_of_a_lazy_product_through_two_coordinates_is_refused(self):
+        # the identity of 2 x 2 through a lazy copy: a homomorphism, but it
+        # depends on both coordinates, so the check refuses it
+        sq = builtin("bool:2")
+        lazy = product(builtin("2"), builtin("2"), cap=0, allow_lazy=True)
+        with pytest.raises(BudgetExceeded):
+            Homomorphism(lazy, sq, np.arange(4))
+        Homomorphism(lazy, lazy, np.arange(4))
 
 
 class TestSubuniverses:

@@ -7,6 +7,8 @@ from critlat.congruence import ConcMap, Congruence, con_lattice, principal_congr
 from critlat.diagrams import (
     EMPTY,
     TOP,
+    FinitePoset,
+    LatticeDiagram,
     chain_diagram_of_partial,
     directing_diagram,
     node_of,
@@ -18,6 +20,7 @@ from critlat.errors import (
 )
 from critlat.lattice import Homomorphism, builtin, product, product_projections
 from critlat.liftings import (
+    Lifting,
     check_directing_property,
     direct_chains_at,
     dual_lifting,
@@ -77,6 +80,33 @@ class TestVerify:
         lift.source.maps[(node, TOP)] = Homomorphism(
             f.source, f.target, bad, check="none")
         assert not verify_lifting(lift).ok
+
+    def test_missing_edge_is_noted_not_raised(self, named):
+        lift = m3_identity_lifting(named)
+        del lift.source.maps[(node_of(C1), TOP)]
+        # the triangles through the missing edge are skipped, not raised on
+        assert verify_lifting(lift).failures == [("missing-edge", node_of(C1), TOP)]
+
+    def test_edge_out_of_large_node_is_checked(self):
+        # two 301-element chains joined by a map that swaps two neighbours;
+        # the law checks come before any use of the lifting's target, so the
+        # target of a two-element diagram on the same poset serves
+        poset = FinitePoset(["a", "b"], [("a", "b")])
+
+        def diagram(L, edge):
+            ident = Homomorphism.identity(L)
+            return LatticeDiagram(poset, {"a": L, "b": L},
+                                  {("a", "a"): ident, ("b", "b"): ident, ("a", "b"): edge},
+                                  validate=False)
+
+        two = builtin("2")
+        lift = identity_lifting(diagram(two, Homomorphism.identity(two)))
+        C = builtin("chain:300")
+        swap = np.arange(C.n)
+        swap[[150, 151]] = swap[[151, 150]]
+        big = diagram(C, Homomorphism(C, C, swap, check="none"))
+        rep = verify_lifting(Lifting(big, lift.target, lift.xi, lift.source_cons))
+        assert rep.failures == [("edge-not-hom", "a", "b")]
 
 
 class TestFindChains:
