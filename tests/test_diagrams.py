@@ -210,6 +210,12 @@ class TestProductOver:
         ds = data.draw(st.lists(st.sampled_from(_product_pool()), min_size=2, max_size=3))
         self._same_as_lazy(ds)
 
+    def test_lazy_nodes_give_the_same_maps_three_factors(self):
+        # a fixed three-factor mix of chain and directing diagrams, checked
+        # on every run whatever hypothesis draws above
+        pool = _product_pool()
+        self._same_as_lazy([pool[0], pool[3], pool[2]])
+
     def test_not_lower_subset(self, named):
         D, _ = chain_diagram_of_partial(named["chain:2"], named["chain:2"].labels)
         with pytest.raises(NotLowerSubset):
