@@ -46,7 +46,9 @@ for w in find_congruence_chains(sq, "00", "11"):
     print("congruence chain:", " < ".join(w.elements))
 
 # Directness compares the step congruences against a reference chain through
-# a fixed isomorphism; swapping the atoms breaks it.
+# a fixed isomorphism; swapping the atoms breaks it.  A Conc map is held by
+# its values on 0 and on the join-irreducible congruences; from_mapping reads
+# one from a mapping between the congruence lists.
 consq = con_lattice(sq)
 C = builtin("chain:2")
 conC = con_lattice(C)
@@ -57,7 +59,7 @@ mapping[consq.top_i] = conC.top_i
 a0, a1 = consq.atoms
 t0, t1 = conC.atoms
 mapping[a0], mapping[a1] = t0, t1
-xi = ConcMap(consq, conC, mapping)
+xi = ConcMap.from_mapping(consq, conC, mapping)
 print("00 < 01 < 11 direct:", is_direct_congruence_chain(sq, ["00", "01", "11"], xi, C))
 print("00 < 10 < 11 direct:", is_direct_congruence_chain(sq, ["00", "10", "11"], xi, C))
 

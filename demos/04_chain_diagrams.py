@@ -15,11 +15,11 @@ from critlat import (
     build_index_posets,
     builtin,
     chain_diagram_of_partial,
+    con_lattice,
     directing_diagram,
     export_dot,
     extend_diagram,
     glued_diagram,
-    is_boolean,
 )
 
 C1, C2, C3 = ("0", "x1", "1"), ("0", "x2", "1"), ("0", "x3", "1")
@@ -37,12 +37,14 @@ for n in D.poset.elements:
 print("restriction to the bottom layer is the base diagram:",
       D.restrict(D.poset.jc).equal(base_diagram(chains)))
 
-# Apply Con nodewise: below the top everything is distributive, so the
-# congruence lattices there are Boolean.
+# Apply Con nodewise; each node's Con is held as J(Con), its join-irreducible
+# congruences, and Con itself is built only on request.  Below the top
+# everything is distributive, so J(Con) there is an antichain and Con is
+# Boolean.
 S = apply_conc(D)
-print("Con sizes:", {str(n): S.cons[n].n for n in D.poset.elements})
+print("Con sizes:", {str(n): con_lattice(D.lattices[n]).n for n in D.poset.elements})
 print("all non-top nodes Boolean:",
-      all(is_boolean(S.cons[n])[0] for n in D.poset.elements if not n.is_top))
+      all(S.J[n].boolean_atoms() is not None for n in D.poset.elements if not n.is_top))
 
 # The directing diagram over three chains: one copy of the pattern per
 # isotone surjection of the third chain onto a three-element chain, glued by

@@ -238,7 +238,8 @@ class JoinIrreducibles:
     """J(Con L): the distinct congruences Theta(j_*, j), in canonical order.
 
     pairs[a] generates cons[a]; leq[a, b] when cons[a] refines cons[b], that
-    is when cons[b] identifies pairs[a].
+    is when cons[b] identifies pairs[a].  A congruence is held as the bool
+    mask of the members below it, its down-set in J.
     """
 
     __slots__ = ("host", "cons", "pairs", "leq")
@@ -262,9 +263,26 @@ class JoinIrreducibles:
     def __len__(self):
         return len(self.cons)
 
+    def mask_of(self, classes):
+        """Down-set mask of the congruence with these class ids (a block_of
+        or a closure's rep): the members whose pair it identifies."""
+        return np.array([classes[a] == classes[b] for a, b in self.pairs], dtype=bool)
+
+    def join_ids(self, mask):
+        """block_of of the join of the members marked in mask."""
+        ids = tuple(range(self.host.n))
+        for a in np.nonzero(mask)[0]:
+            ids = _join_ids(ids, self.cons[a].block_of)
+        return ids
+
     def minimal(self):
         """Indices of the minimal members: the atoms of Con L."""
         return np.nonzero(self.leq.sum(axis=0) == 1)[0]
+
+    def boolean_atoms(self):
+        """The atoms of Con L, the members of J, when Con L is Boolean, else
+        None.  Con L is distributive: it is Boolean iff J is an antichain."""
+        return self.cons if self.leq.sum() == len(self) else None
 
     def meet_irreducibles(self):
         """(m(j), m(j) v j) for each member j, in canonical order of m(j).
@@ -275,9 +293,7 @@ class JoinIrreducibles:
         """
         out = []
         for a, theta_j in enumerate(self.cons):
-            low = tuple(range(self.host.n))
-            for b in np.nonzero(~self.leq[a])[0]:
-                low = _join_ids(low, self.cons[b].block_of)
+            low = self.join_ids(~self.leq[a])
             out.append((low, _join_ids(low, theta_j.block_of)))
         out.sort(key=lambda pair: _canonical_key(self.host.n, pair[0]))
         return [(Congruence.from_rep(self.host, low),
@@ -293,7 +309,7 @@ class ConLattice:
     elements first, then block_of.
     """
 
-    __slots__ = ("host", "J", "masks", "cons", "_by_key", "_by_mask",
+    __slots__ = ("host", "J", "masks", "cons", "_by_key",
                  "bottom_i", "top_i", "atoms", "_lattice")
 
     def __init__(self, J: JoinIrreducibles, masks, cons):
@@ -303,16 +319,10 @@ class ConLattice:
         self.masks.flags.writeable = False
         self.cons = tuple(cons)
         self._by_key = {t.block_of: k for k, t in enumerate(self.cons)}
-        self._by_mask = {row.tobytes(): k for k, row in enumerate(masks)}
         self.bottom_i = int(np.nonzero(~masks.any(axis=1))[0][0])
         self.top_i = int(np.nonzero(masks.all(axis=1))[0][0])
         self.atoms = tuple(int(k) for k in np.nonzero(masks.sum(axis=1) == 1)[0])
         self._lattice = None
-
-    def index_of_masks(self, masks):
-        """Indices of the congruences whose down-sets are the given bool rows."""
-        return np.array([self._by_mask[row.tobytes()] for row in masks],
-                        dtype=np.int32)
 
     @property
     def n(self):
@@ -339,6 +349,12 @@ class ConLattice:
         return f"<ConLattice of {self.host!r}, {self.n} congruences>"
 
 
+def _check_con_size(L, max_size=CON_SIZE_BUDGET):
+    _require_dense(L)
+    if L.n > max_size:
+        raise BudgetExceeded(f"|L| = {L.n} exceeds the Con budget {max_size}")
+
+
 def con_lattice(L, max_size=CON_SIZE_BUDGET) -> ConLattice:
     """All congruences of L: the joins of the down-sets of J(Con L).
 
@@ -347,9 +363,7 @@ def con_lattice(L, max_size=CON_SIZE_BUDGET) -> ConLattice:
     the union-find join of its parent's with that member's.  Refuses L above
     max_size elements and Con L above CON_COUNT_BUDGET members.
     """
-    _require_dense(L)
-    if L.n > max_size:
-        raise BudgetExceeded(f"|L| = {L.n} exceeds the Con budget {max_size}")
+    _check_con_size(L, max_size)
     J = JoinIrreducibles(L)
     k = len(J)
     below = [sum(1 << b for b in np.nonzero(J.leq[:, a])[0].tolist() if b != a)
@@ -386,114 +400,119 @@ def is_simple(L) -> bool:
     return True
 
 
-def _join_extension(source: ConLattice, zero_mask, image_masks):
-    """Masks of phi(x) = phi(0) v V{phi(down j) : j in x} for each x in source.
-
-    zero_mask is the mask of phi(0) and image_masks[j] that of phi(down j),
-    down j being the down-set of the member j of J(Con source).  A map between
-    down-set lattices preserves binary joins iff it equals this extension of
-    its values on 0 and on the down j.
-    """
-    return zero_mask | (source.masks @ image_masks)
-
-
 class ConcMap:
-    """A join- and zero-preserving map between congruence lattices."""
+    """A join-preserving map phi: Con S -> Con T held on J(Con S), J(Con T).
 
-    __slots__ = ("source", "target", "mapping", "join_preserving",
-                 "zero_preserving", "isomorphism", "separates_zero")
+    zero is the down-set mask over J(Con T) of phi(0) and images[j] that of
+    phi(down j) for each member j of J(Con S); phi(x) is their join over x.
+    join_preserving is False only for a map that from_mapping read from a
+    mapping that does not preserve joins; such a map is no isomorphism.
+    """
 
-    def __init__(self, source: ConLattice, target: ConLattice, mapping):
+    __slots__ = ("source", "target", "zero", "images", "join_preserving")
+
+    def __init__(self, source: JoinIrreducibles, target: JoinIrreducibles, zero, images):
         self.source = source
         self.target = target
-        self.mapping = np.asarray(mapping, dtype=np.int32)
-        if len(self.mapping) != source.n:
-            raise CritlatError("ConcMap length mismatch")
-        m = self.mapping
-        image = target.masks[m]
-        # row j of J.leq.T is the down-set of the member j of J
-        down = source.index_of_masks(source.J.leq.T)
-        want = _join_extension(source, image[source.bottom_i], image[down])
-        self.join_preserving = bool((image == want).all())
-        self.zero_preserving = int(m[source.bottom_i]) == target.bottom_i
-        bij = len(set(m.tolist())) == source.n == target.n
-        self.isomorphism = bij and self.join_preserving and self.zero_preserving
-        self.separates_zero = self.zero_preserving and bool(
-            np.count_nonzero(m == target.bottom_i) == 1)
+        self.zero = zero
+        self.images = images
+        self.join_preserving = True
 
     @classmethod
-    def identity(cls, con: ConLattice):
-        return cls(con, con, np.arange(con.n, dtype=np.int32))
+    def identity(cls, J: JoinIrreducibles):
+        # row j of J.leq.T is the down-set of the member j
+        return cls(J, J, np.zeros(len(J), dtype=bool), J.leq.T)
+
+    @classmethod
+    def from_mapping(cls, con_s: ConLattice, con_t: ConLattice, mapping):
+        """The map sending con_s.cons[k] to con_t.cons[mapping[k]], read off
+        its values on 0 and on each down j."""
+        m = np.asarray(mapping, dtype=np.intp)
+        if m.shape != (con_s.n,) or not ((m >= 0) & (m < con_t.n)).all():
+            raise CritlatError("mapping does not fit the Con lattices")
+        down = np.array([con_s.index_of(t) for t in con_s.J.cons], dtype=np.intp)
+        cm = cls(con_s.J, con_t.J, con_t.masks[m[con_s.bottom_i]],
+                 con_t.masks[m[down]])
+        cm.join_preserving = bool((cm.on_masks(con_s.masks) == con_t.masks[m]).all())
+        return cm
+
+    def mapping_on(self, con_s: ConLattice, con_t: ConLattice):
+        """The index in con_t of phi(c) for each congruence c of con_s."""
+        index = {row.tobytes(): k for k, row in enumerate(con_t.masks)}
+        return np.array([index[row.tobytes()] for row in self.on_masks(con_s.masks)],
+                        dtype=np.int32)
+
+    def on_masks(self, masks):
+        """phi of down-set masks over J(Con source), one per row."""
+        return self.zero | (masks @ self.images)
 
     def apply(self, theta: Congruence) -> Congruence:
-        return self.target.cons[int(self.mapping[self.source.index_of(theta)])]
+        image = self.on_masks(self.source.mask_of(theta.block_of))
+        return Congruence.from_rep(self.target.host, self.target.join_ids(image))
 
-    def apply_i(self, k: int) -> int:
-        return int(self.mapping[k])
+    @property
+    def isomorphism(self) -> bool:
+        """phi(0) = 0 and phi(down j) = down pi(j) for an order isomorphism
+        pi: J(Con S) -> J(Con T)."""
+        if not self.join_preserving or self.zero.any() \
+                or len(self.source) != len(self.target):
+            return False
+        downs = {row.tobytes(): b for b, row in enumerate(self.target.leq.T)}
+        pi = np.array([downs.get(row.tobytes(), -1) for row in self.images], dtype=np.intp)
+        return (len(set(pi.tolist()) - {-1}) == len(pi)
+                and bool((self.target.leq[np.ix_(pi, pi)] == self.source.leq).all()))
 
-    def inverse(self) -> "ConcMap":
-        if not self.isomorphism:
-            raise CritlatError("only isomorphisms invert")
-        inv = np.zeros(self.target.n, dtype=np.int32)
-        for k in range(self.source.n):
-            inv[self.mapping[k]] = k
-        return ConcMap(self.target, self.source, inv)
+    @property
+    def separates_zero(self) -> bool:
+        """Only 0 goes to 0: phi(0) = 0 and no phi(down j) is 0."""
+        return not self.zero.any() and bool(self.images.any(axis=1).all())
 
     def compose(self, first: "ConcMap") -> "ConcMap":
         """self after first."""
-        return ConcMap(first.source, self.target, self.mapping[first.mapping])
+        cm = ConcMap(first.source, self.target, self.on_masks(first.zero),
+                     self.on_masks(first.images))
+        cm.join_preserving = self.join_preserving and first.join_preserving
+        return cm
 
     def equal_map(self, other: "ConcMap") -> bool:
-        return bool((self.mapping == other.mapping).all())
+        return (np.array_equal(self.zero, other.zero)
+                and np.array_equal(self.images, other.images))
 
     def __repr__(self):
         return f"<ConcMap {self.source.host!r} -> {self.target.host!r}>"
 
 
-def conc_of_hom(f: Homomorphism, con_source: Optional[ConLattice] = None,
-                con_target: Optional[ConLattice] = None) -> ConcMap:
-    """The congruence map induced by a lattice homomorphism.
-
-    Conc f preserves joins, so it is fixed by the images Theta(f a, f b) of
-    the generating pairs (a, b) of J(Con source): each congruence goes to the
-    join of the images of its down-set.
-    """
-    CS = con_source or con_lattice(f.source)
-    CT = con_target or con_lattice(f.target)
-    if f.source is f.target and (f.mapping == np.arange(f.source.n)).all() \
-            and CS is CT:
-        return ConcMap.identity(CS)
+def conc_of_hom(f: Homomorphism, j_source: Optional[JoinIrreducibles] = None,
+                j_target: Optional[JoinIrreducibles] = None) -> ConcMap:
+    """The congruence map induced by a lattice homomorphism: one closure
+    Theta(f a, f b) per generating pair (a, b) of J(Con source), read as a
+    mask over J(Con target)."""
+    JS = JoinIrreducibles(f.source) if j_source is None else j_source
+    JT = JoinIrreducibles(f.target) if j_target is None else j_target
+    if f.source is f.target and JS is JT \
+            and (f.mapping == np.arange(f.source.n)).all():
+        return ConcMap.identity(JS)
     fm = f.mapping.tolist()
-    images = [CT.index_of(Congruence.from_rep(
-                  f.target, _closure_rep(f.target, [(fm[a], fm[b])])))
-              for a, b in CS.J.pairs]
-    image_masks = CT.masks[np.array(images, dtype=np.intp)]
-    return ConcMap(CS, CT, CT.index_of_masks(
-        _join_extension(CS, CT.masks[CT.bottom_i], image_masks)))
-
-
-def dual_identification(con_src: ConLattice, con_dst: ConLattice) -> ConcMap:
-    """Canonical identification Con(L) = Con(dual L): same partitions."""
-    mapping = np.zeros(con_src.n, dtype=np.int32)
-    for k, theta in enumerate(con_src.cons):
-        mapping[k] = con_dst._by_key[theta.block_of]
-    return ConcMap(con_src, con_dst, mapping)
+    images = np.zeros((len(JS), len(JT)), dtype=bool)
+    for j, (a, b) in enumerate(JS.pairs):
+        if fm[a] != fm[b]:
+            images[j] = JT.mask_of(_closure_rep(f.target, [(fm[a], fm[b])]))
+    return ConcMap(JS, JT, np.zeros(len(JT), dtype=bool), images)
 
 
 def is_boolean(con: ConLattice):
-    """Boolean test with a witness on failure.
+    """Boolean test with a witness on failure, the flag read off J(Con L).
 
-    Con L is distributive, so it is Boolean exactly when J(Con L) is an
-    antichain.  Returns (flag, atoms, witness); atoms are Congruence objects.
-    The witness is ("not complemented", theta) for the first theta in
-    canonical order without a complement: a down-set of J whose complement
-    is not a down-set.
+    Returns (flag, atoms, witness); atoms are Congruence objects.  The
+    witness is ("not complemented", theta) for the first theta in canonical
+    order without a complement: a down-set of J whose complement is not a
+    down-set.
     """
-    jleq = con.J.leq
-    if jleq.sum() == len(con.J):
-        return True, [con.cons[a] for a in con.atoms], None
+    atoms = con.J.boolean_atoms()
+    if atoms is not None:
+        return True, list(atoms), None
     # the complement of a down-set is a down-set iff nothing above it is outside it
-    above = con.masks @ jleq
+    above = con.masks @ con.J.leq
     first = int(np.argmax((above & ~con.masks).any(axis=1)))
     return False, None, ("not complemented", con.cons[first])
 
@@ -508,25 +527,29 @@ def chain_steps(L, chain_labels):
             for a, b in zip(idxs, idxs[1:])]
 
 
-def is_congruence_chain(B, chain_labels, con: Optional[ConLattice] = None):
+def boolean_atoms_of(B, J: Optional[JoinIrreducibles] = None):
+    """The atoms of Con B, read off J(Con B), which is built within the Con
+    size budget when not given.  ConNotBoolean unless Con B is Boolean."""
+    if J is None:
+        _check_con_size(B)
+        J = JoinIrreducibles(B)
+    atoms = J.boolean_atoms()
+    if atoms is None:
+        raise ConNotBoolean(f"Con of {B!r} is not Boolean")
+    return atoms
+
+
+def is_congruence_chain(B, chain_labels, J: Optional[JoinIrreducibles] = None):
     """Bijection sigma from chain steps onto the atoms of Con B, or None.
 
     Requires Con B to be a finite Boolean lattice (ConNotBoolean otherwise).
     sigma is returned as the list of step congruences, sigma(k) = Theta(x_k, x_{k+1}).
     """
-    conB = con or con_lattice(B)
-    ok, atoms, _ = is_boolean(conB)
-    if not ok:
-        raise ConNotBoolean(f"Con of {B!r} is not Boolean")
+    atoms = boolean_atoms_of(B, J)
     steps = chain_steps(B, chain_labels)
-    if len(steps) != len(atoms):
+    keys = [t.block_of for t in steps]
+    if len(set(keys)) != len(keys) or set(keys) != {t.block_of for t in atoms}:
         return None
-    atom_keys = {t.block_of for t in atoms}
-    seen = set()
-    for t in steps:
-        if t.block_of not in atom_keys or t.block_of in seen:
-            return None
-        seen.add(t.block_of)
     return steps
 
 
@@ -543,12 +566,8 @@ def is_direct_congruence_chain(B, chain_labels, xi: ConcMap, C) -> bool:
     if len(chain_labels) != C.n:
         raise ArityMismatch(
             f"chain has {len(chain_labels) - 1} steps, target chain has {C.n - 1}")
-    steps = chain_steps(B, chain_labels)
-    for k, t in enumerate(steps):
-        want = principal_congruence(C, c_elems[k], c_elems[k + 1])
-        if xi.apply(t) != want:
-            return False
-    return True
+    return all(xi.apply(t) == principal_congruence(C, c_elems[k], c_elems[k + 1])
+               for k, t in enumerate(chain_steps(B, chain_labels)))
 
 
 def inclusion_hom(sub, amb) -> Homomorphism:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .congruence import con_lattice, conc_of_hom
+from .congruence import JoinIrreducibles, conc_of_hom
 from .errors import (
     BadChainShapes,
     BudgetExceeded,
@@ -50,6 +50,7 @@ from .lattice import (
 Chain = tuple  # tuple of labels, bottom to top
 
 APPLY_CONC_NODE_BUDGET = 200
+DOT_NODE_LIMIT = 2000   # export_dot draws larger nodes as one placeholder
 
 
 def _chain_key(c: Chain):
@@ -183,11 +184,12 @@ def law_failures(poset, objects, maps, edge_laws=None):
     """Yield the functor-law failures of a diagram: ("identity-edge", p) per
     node, then per edge ("missing-edge", p, q) or what edge_laws(p, q, f)
     yields (not asked of identity edges that passed), then ("commutativity",
-    p, q, r) per triangle whose three edges exist."""
+    p, q, r) per triangle whose three edges exist.  The maps are
+    Homomorphisms or ConcMaps; objects[p] is what their identity is built on."""
     identities = set()
     for p in poset.elements:
         f = maps.get((p, p))
-        if f is not None and (f.mapping == np.arange(objects[p].n)).all():
+        if f is not None and f.equal_map(type(f).identity(objects[p])):
             identities.add(p)
         else:
             yield ("identity-edge", p)
@@ -261,17 +263,17 @@ class LatticeDiagram:
 
 
 class SemilatticeDiagram:
-    """Congruence lattices per node with join-preserving transition maps."""
+    """J(Con) of each node, with join-preserving transition maps."""
 
-    def __init__(self, poset, cons: dict, maps: dict, of_diagram=None):
+    def __init__(self, poset, J: dict, maps: dict, of_diagram=None):
         self.poset = poset
-        self.cons = dict(cons)
+        self.J = dict(J)
         self.maps = dict(maps)
         self.of_diagram = of_diagram
 
     def validate(self):
         """Raise on the first failure of the functor laws."""
-        _raise_first(law_failures(self.poset, self.cons, self.maps), "Conc diagram")
+        _raise_first(law_failures(self.poset, self.J, self.maps), "Conc diagram")
 
     def __repr__(self):
         return f"<SemilatticeDiagram on {len(self.poset.elements)} nodes>"
@@ -664,19 +666,17 @@ def glued_diagram(L, subset, kgen, cap=DEFAULT_PRODUCT_CAP) -> GluedDiagram:
 
 # --- Conc applied to a diagram ---
 
-def apply_conc(D: LatticeDiagram, max_node_size=APPLY_CONC_NODE_BUDGET) -> SemilatticeDiagram:
-    """Nodewise congruence lattices, edgewise induced maps, functor laws
-    re-verified."""
-    cons = {}
+def apply_conc(D: LatticeDiagram) -> SemilatticeDiagram:
+    """Nodewise J(Con), edgewise induced maps, functor laws re-verified.
+    Nodes above APPLY_CONC_NODE_BUDGET elements are refused."""
+    J = {}
     for n in D.poset.elements:
-        if D.lattices[n].n > max_node_size:
+        if D.lattices[n].n > APPLY_CONC_NODE_BUDGET:
             raise BudgetExceeded(
                 f"node {n} has {D.lattices[n].n} elements, above the Conc budget")
-        cons[n] = con_lattice(D.lattices[n])
-    maps = {}
-    for (p, q) in D.poset.pairs():
-        maps[(p, q)] = conc_of_hom(D.maps[(p, q)], cons[p], cons[q])
-    S = SemilatticeDiagram(D.poset, cons, maps, of_diagram=D)
+        J[n] = JoinIrreducibles(D.lattices[n])
+    maps = {(p, q): conc_of_hom(D.maps[(p, q)], J[p], J[q]) for (p, q) in D.poset.pairs()}
+    S = SemilatticeDiagram(D.poset, J, maps, of_diagram=D)
     S.validate()
     return S
 
@@ -759,10 +759,10 @@ def diagram_from_json(obj) -> LatticeDiagram:
     return LatticeDiagram(poset, lattices, maps)
 
 
-def export_dot(D: LatticeDiagram, max_node_size=2000) -> str:
+def export_dot(D: LatticeDiagram) -> str:
     """DOT rendering: one cluster per node holding its Hasse diagram, one
-    edge per covering pair of the index poset.  Nodes too large to draw are
-    summarized by a single placeholder."""
+    edge per covering pair of the index poset.  Nodes above DOT_NODE_LIMIT
+    elements are summarized by a single placeholder."""
     lines = ["digraph diagram {", "  compound=true;", "  rankdir=BT;"]
     ids = {n: k for k, n in enumerate(D.poset.elements)}
     anchor = {}
@@ -771,7 +771,7 @@ def export_dot(D: LatticeDiagram, max_node_size=2000) -> str:
         k = ids[n]
         lines.append(f'  subgraph cluster_{k} {{')
         lines.append(f'    label="{n}";')
-        if L.n > max_node_size:
+        if L.n > DOT_NODE_LIMIT:
             lines.append(f'    n{k}_0 [label="{L.n} elements", shape=box];')
         else:
             for i, lab in enumerate(L.labels):

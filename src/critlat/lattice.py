@@ -600,35 +600,43 @@ def _iso_backtrack(K, L, find_all=False, budget=5_000_000):
     out = []
     assigned = [-1] * n
     used = [False] * n
+    # an explicit stack, so that long chains stay clear of the recursion
+    # limit: pos[i] is where the scan of candidates[i] resumes
+    pos = [0] * n
     steps = 0
-
-    def extend(i):
-        nonlocal steps
+    i = 0
+    while i >= 0:
         if i == n:
             out.append(list(assigned))
-            return not find_all
-        for j in candidates[i]:
+            if not find_all:
+                break
+            i -= 1
+            continue
+        if assigned[i] >= 0:        # back at position i: release its choice
+            used[assigned[i]] = False
+            assigned[i] = -1
+        cands, k = candidates[i], pos[i]
+        while assigned[i] < 0 and k < len(cands):
+            j = cands[k]
+            k += 1
             if used[j]:
                 continue
             steps += 1
             if steps > budget:
                 raise BudgetExceeded("isomorphism search budget exhausted")
-            ok = True
             for p in range(i):
                 q = assigned[p]
                 if K.leq_i(p, i) != L.leq_i(q, j) or K.leq_i(i, p) != L.leq_i(j, q):
-                    ok = False
                     break
-            if ok:
+            else:
                 assigned[i] = j
                 used[j] = True
-                if extend(i + 1):
-                    return True
-                assigned[i] = -1
-                used[j] = False
-        return False
-
-    extend(0)
+        if assigned[i] >= 0:
+            pos[i] = k
+            i += 1
+        else:
+            pos[i] = 0
+            i -= 1
     return out
 
 

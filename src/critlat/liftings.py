@@ -17,12 +17,13 @@ import numpy as np
 
 from .congruence import (
     ConcMap,
-    ConLattice,
     Congruence,
+    JoinIrreducibles,
+    _check_con_size,
+    boolean_atoms_of,
     con_lattice,
     conc_of_hom,
-    dual_identification,
-    is_boolean,
+    kernel,
     principal_congruence,
 )
 from .diagrams import (
@@ -38,7 +39,6 @@ from .diagrams import (
 )
 from .errors import (
     BudgetExceeded,
-    ConNotBoolean,
     CritlatError,
     HypothesisUnmet,
     MissingDirectChain,
@@ -48,6 +48,7 @@ from .errors import (
 from .lattice import Homomorphism, chain_order, dual, induced_partial_sublattice
 
 CHAIN_SEARCH_BUDGET = 200_000
+MAX_LIFTING_FAILURES = 64   # verify_lifting keeps at most this many
 
 
 @dataclass
@@ -57,7 +58,6 @@ class Lifting:
     source: LatticeDiagram
     target: SemilatticeDiagram
     xi: dict                 # node -> ConcMap, Con(source_P) -> target_P
-    source_cons: dict        # node -> ConLattice of source_P
 
 
 @dataclass
@@ -91,8 +91,7 @@ class LiftingReport:
 def identity_lifting(D: LatticeDiagram) -> Lifting:
     """The tautological lifting of Conc applied to D."""
     S = apply_conc(D)
-    xi = {n: ConcMap.identity(S.cons[n]) for n in D.poset.elements}
-    return Lifting(D, S, xi, dict(S.cons))
+    return Lifting(D, S, {n: ConcMap.identity(S.J[n]) for n in D.poset.elements})
 
 
 def dual_diagram(D: LatticeDiagram) -> LatticeDiagram:
@@ -104,65 +103,54 @@ def dual_diagram(D: LatticeDiagram) -> LatticeDiagram:
 
 
 def dual_lifting(lift: Lifting) -> Lifting:
-    """The dual of a lifting: congruence partitions of a lattice and its dual
-    coincide, so each xi transports along that identification."""
-    B2 = dual_diagram(lift.source)
-    cons2 = {n: con_lattice(B2.lattices[n]) for n in B2.poset.elements}
-    xi2 = {}
-    for n in B2.poset.elements:
-        ident = dual_identification(cons2[n], lift.source_cons[n])
-        xi2[n] = lift.xi[n].compose(ident)
-    return Lifting(B2, lift.target, xi2, cons2)
+    """The dual of a lifting.  A lattice and its dual have the same
+    congruences, and J(Con dual L) lists them in the same canonical order as
+    J(Con L), so each xi passes across unchanged."""
+    return Lifting(dual_diagram(lift.source), lift.target, dict(lift.xi))
 
 
-def verify_lifting(lift: Lifting, max_failures=64) -> LiftingReport:
+def verify_lifting(lift: Lifting) -> LiftingReport:
     """Exhaustive verification; collects failures instead of raising.
 
     Checks the source diagram's functor and homomorphism laws on every edge
     (LatticeDiagram.law_failures), the target's functor laws, that every xi
-    is an isomorphism, and every naturality square
-    xi_Q . Conc(g_PQ) = target_PQ . xi_P.  An edge out of a lazy product
-    that does not factor through one coordinate raises BudgetExceeded.
+    is an isomorphism, and, once those hold and each xi's source has the
+    elements of its node, every naturality square
+    xi_Q . Conc(g_PQ) = target_PQ . xi_P.  At most MAX_LIFTING_FAILURES
+    failures are kept.  An edge out of a lazy product that does not factor
+    through one coordinate raises BudgetExceeded.
     """
     B, S = lift.source, lift.target
     if B.poset != S.poset:
         raise PosetMismatch("source and target live on different posets")
-    failures = []
-
-    def note(*f):
-        if len(failures) < max_failures:
-            failures.append(f)
-
     poset = B.poset
-    for f in B.law_failures():
-        note(*f)
+    failures = list(B.law_failures())
     try:
         S.validate()
     except CritlatError as exc:
-        note("target-functor", str(exc))
+        failures.append(("target-functor", str(exc)))
     for p in poset.elements:
         x = lift.xi.get(p)
         if x is None:
-            note("missing-xi", p)
-            continue
-        if x.source.n != lift.source_cons[p].n or x.target.n != S.cons[p].n:
-            note("xi-wrong-shape", p)
+            failures.append(("missing-xi", p))
+        elif len(x.target) != len(S.J[p]):
+            failures.append(("xi-wrong-shape", p))
         elif not x.isomorphism:
-            note("xi-not-iso", p)
-    if failures:
-        return LiftingReport(False, failures)
-    for (p, q) in poset.pairs():
-        cf = conc_of_hom(B.maps[(p, q)], lift.source_cons[p], lift.source_cons[q])
-        left = lift.xi[q].compose(cf)
-        right = S.maps[(p, q)].compose(lift.xi[p])
-        if not left.equal_map(right):
-            note("naturality", p, q)
-    return LiftingReport(not failures, failures)
+            failures.append(("xi-not-iso", p))
+    if not failures:
+        failures = [("xi-wrong-shape", p) for p in poset.elements
+                    if lift.xi[p].source.host.n != B.lattices[p].n]
+    if not failures:
+        for (p, q) in poset.pairs():
+            cf = conc_of_hom(B.maps[(p, q)], lift.xi[p].source, lift.xi[q].source)
+            if not lift.xi[q].compose(cf).equal_map(S.maps[(p, q)].compose(lift.xi[p])):
+                failures.append(("naturality", p, q))
+    return LiftingReport(not failures, failures[:MAX_LIFTING_FAILURES])
 
 
 # --- congruence chains inside a lifting ---
 
-def find_congruence_chains(B, u, v, con: Optional[ConLattice] = None,
+def find_congruence_chains(B, u, v, J: Optional[JoinIrreducibles] = None,
                            budget=CHAIN_SEARCH_BUDGET):
     """All congruence chains of B with extremities u and v.
 
@@ -170,10 +158,7 @@ def find_congruence_chains(B, u, v, con: Optional[ConLattice] = None,
     of Con B, one per step, exhausting them; steps need not be covers of B.
     Deterministic order (next element by canonical index).
     """
-    conB = con or con_lattice(B)
-    ok, atoms, _ = is_boolean(conB)
-    if not ok:
-        raise ConNotBoolean(f"Con of {B!r} is not Boolean")
+    atoms = boolean_atoms_of(B, J)
     ui, vi = B.index(u), B.index(v)
     atom_keys = {t.block_of: t for t in atoms}
     n_atoms = len(atoms)
@@ -224,18 +209,13 @@ def direct_chains_at(lift: Lifting, node, u, v):
     B = lift.source
     gu = B.maps[(EMPTY, node)].apply(u)
     gv = B.maps[(EMPTY, node)].apply(v)
-    BP = B.lattices[node]
-    conP = lift.source_cons[node]
-    C = lift.target.cons[node].host
-    c_elems = chain_order(C)
     xi = lift.xi[node]
-    witnesses = find_congruence_chains(BP, gu, gv, con=conP)
+    C = lift.target.J[node].host
+    c_elems = chain_order(C)
+    witnesses = find_congruence_chains(B.lattices[node], gu, gv, J=xi.source)
     for w in witnesses:
         w.node = node
-        if len(w.elements) != len(c_elems):
-            w.direct = False
-            continue
-        w.direct = all(
+        w.direct = len(w.elements) == len(c_elems) and all(
             xi.apply(t) == principal_congruence(C, c_elems[k], c_elems[k + 1])
             for k, t in enumerate(w.sigma))
     return witnesses
@@ -271,8 +251,7 @@ class EmbeddingReport:
         }
 
 
-def extract_embedding(lift: Lifting, subset, u=None, v=None,
-                      chain_choices=None, strict=True):
+def extract_embedding(lift: Lifting, subset, u=None, v=None, chain_choices=None):
     """Build the map h from the spanning subset into the top node of a chain
     diagram lifting, and verify it is an embedding of partial lattices.
 
@@ -280,14 +259,14 @@ def extract_embedding(lift: Lifting, subset, u=None, v=None,
     image at the top of the chosen direct congruence chain for {0, x, 1}.
     Verified: injectivity, preservation of all meets/joins defined in the
     subset, coherence of the length-3 chain choices, and the congruence
-    condition xi_top(Theta(h x, h y)) = Theta_L(x, y).  With strict=True a
-    failed check raises VerificationFailed.
+    condition xi_top(Theta(h x, h y)) = Theta_L(x, y).  A failed check
+    raises VerificationFailed.
     """
     B = lift.source
     poset = B.poset
     if not isinstance(poset, IndexPoset):
         raise CritlatError("extract_embedding needs a chain-diagram lifting")
-    L = lift.target.cons[TOP].host
+    L = lift.target.J[TOP].host
     K = induced_partial_sublattice(L, subset)
     B_bot = B.lattices[EMPTY]
     u = u if u is not None else B_bot.bottom
@@ -295,6 +274,8 @@ def extract_embedding(lift: Lifting, subset, u=None, v=None,
     bot, top = L.bottom, L.top
 
     interior = [x for x in K.labels if x not in (bot, top)]
+    h = {bot: B.maps[(EMPTY, TOP)].apply(u),
+         top: B.maps[(EMPTY, TOP)].apply(v)}
     t_mid = {}
     choices = {}
     for x in interior:
@@ -302,22 +283,13 @@ def extract_embedding(lift: Lifting, subset, u=None, v=None,
         node = node_of(cx)
         if node not in B.lattices:
             raise CritlatError(f"chain {cx} missing from the diagram")
-        wanted = None
-        if chain_choices and x in chain_choices:
-            wanted = tuple(chain_choices[x])
         found = [w for w in direct_chains_at(lift, node, u, v) if w.direct]
-        if wanted is not None:
-            found = [w for w in found if w.elements == wanted]
+        if chain_choices and x in chain_choices:
+            found = [w for w in found if w.elements == tuple(chain_choices[x])]
         if not found:
             raise MissingDirectChain(node)
-        w = found[0]
-        choices[x] = w.elements
-        t_mid[x] = w.elements[1]
-
-    h = {bot: B.maps[(EMPTY, TOP)].apply(u),
-         top: B.maps[(EMPTY, TOP)].apply(v)}
-    for x in interior:
-        node = node_of((bot, x, top))
+        choices[x] = found[0].elements
+        t_mid[x] = found[0].elements[1]
         h[x] = B.maps[(node, TOP)].apply(t_mid[x])
 
     B_top = B.lattices[TOP]
@@ -368,7 +340,7 @@ def extract_embedding(lift: Lifting, subset, u=None, v=None,
 
     report = EmbeddingReport(h, injective, op_checks, con_checks,
                              coherence, choices)
-    if strict and not report.ok:
+    if not report.ok:
         bad = ([c for c in op_checks if not c[-1]]
                + [c for c in con_checks if not c[-1]]
                + [c for c in coherence if not c[-1]])
@@ -380,8 +352,7 @@ def extract_embedding(lift: Lifting, subset, u=None, v=None,
 def extract_embedding_auto(lift: Lifting, subset, u=None, v=None):
     """Try the lifting as given, then its dual (with swapped extremities)."""
     try:
-        h, report = extract_embedding(lift, subset, u, v)
-        return h, report
+        return extract_embedding(lift, subset, u, v)
     except MissingDirectChain:
         pass
     dl = dual_lifting(lift)
@@ -404,14 +375,11 @@ def check_directing_property(lift: Lifting, c1, c2, c3, u=None, v=None):
     u = u if u is not None else B_bot.bottom
     v = v if v is not None else B_bot.top
     for c in (c1, c2):
-        found = [w for w in direct_chains_at(lift, node_of(tuple(c)), u, v)
-                 if w.direct]
-        if not found:
+        if not any(w.direct for w in direct_chains_at(lift, node_of(tuple(c)), u, v)):
             raise HypothesisUnmet(f"no direct congruence chain at {node_of(tuple(c))}")
-    for w in direct_chains_at(lift, node_of(tuple(c3)), u, v):
-        if not w.direct:
-            return False, w
-    return True, None
+    bad = next((w for w in direct_chains_at(lift, node_of(tuple(c3)), u, v)
+                if not w.direct), None)
+    return bad is None, bad
 
 
 # --- congruence chains from retractions ---
@@ -432,15 +400,13 @@ def retraction_congruence_chain(f: Homomorphism, pi0: Homomorphism,
         comp = pi.compose(f)
         if not (comp.mapping == np.arange(A.n)).all():
             raise HypothesisUnmet("pi is not a retraction of f")
-    conB = con_lattice(B)
-    okb, atoms, _ = is_boolean(conB)
-    if not okb or conB.n != 4 or len(atoms) != 2:
+    _check_con_size(B)
+    atoms = JoinIrreducibles(B).boolean_atoms()
+    if atoms is None or len(atoms) != 2:
         raise HypothesisUnmet("Con B is not the four-element Boolean lattice")
-    from .congruence import kernel
     a0, a1 = kernel(pi0), kernel(pi1)
-    coatoms = [conB.cons[k] for k in range(conB.n)
-               if k not in (conB.bottom_i, conB.top_i)]
-    if {a0.block_of, a1.block_of} != {t.block_of for t in coatoms} or a0 == a1:
+    # the coatoms of the four-element Boolean lattice are its atoms
+    if {a0.block_of, a1.block_of} != {t.block_of for t in atoms} or a0 == a1:
         raise HypothesisUnmet("kernels of the retractions are not the two coatoms")
     beta = {0: a1, 1: a0}  # complement of ker pi_k in the Boolean Con B
 
@@ -509,9 +475,9 @@ def lifting_to_json(lift: Lifting) -> dict:
     xi = {}
     for n in lift.source.poset.elements:
         x = lift.xi[n]
-        xi[str(n)] = [[x.source.cons[k].label_blocks(),
-                       x.target.cons[int(x.mapping[k])].label_blocks()]
-                      for k in range(x.source.n)]
+        con_s, con_t = con_lattice(lift.source.lattices[n]), con_lattice(x.target.host)
+        xi[str(n)] = [[con_s.cons[k].label_blocks(), con_t.cons[t].label_blocks()]
+                      for k, t in enumerate(x.mapping_on(con_s, con_t).tolist())]
     return {"schema": 1,
             "source": diagram_to_json(lift.source),
             "target": diagram_to_json(A),
@@ -522,14 +488,12 @@ def lifting_from_json(obj) -> Lifting:
     src = diagram_from_json(obj["source"])
     tgt = diagram_from_json(obj["target"])
     S = apply_conc(tgt)
-    cons = {n: con_lattice(src.lattices[n]) for n in src.poset.elements}
     xi = {}
     for n in src.poset.elements:
-        pairs = obj["xi"][str(n)]
-        mapping = np.zeros(cons[n].n, dtype=np.int32)
-        for sb, tb in pairs:
-            si = cons[n].index_of(Congruence.from_label_blocks(src.lattices[n], sb))
-            ti = S.cons[n].index_of(Congruence.from_label_blocks(tgt.lattices[n], tb))
-            mapping[si] = ti
-        xi[n] = ConcMap(cons[n], S.cons[n], mapping)
-    return Lifting(src, S, xi, cons)
+        con_s, con_t = con_lattice(src.lattices[n]), con_lattice(tgt.lattices[n])
+        mapping = np.zeros(con_s.n, dtype=np.int32)
+        for sb, tb in obj["xi"][str(n)]:
+            si = con_s.index_of(Congruence.from_label_blocks(src.lattices[n], sb))
+            mapping[si] = con_t.index_of(Congruence.from_label_blocks(tgt.lattices[n], tb))
+        xi[n] = ConcMap.from_mapping(con_s, con_t, mapping)
+    return Lifting(src, S, xi)

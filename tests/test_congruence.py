@@ -13,7 +13,6 @@ from critlat.congruence import (
     conc_of_hom,
     congruence_join,
     congruence_meet,
-    dual_identification,
     inclusion_hom,
     is_boolean,
     is_congruence_chain,
@@ -140,7 +139,8 @@ class TestConcOfHom:
     def test_identity_functor_law(self, named):
         L = named["N5"]
         cm = conc_of_hom(Homomorphism.identity(L))
-        assert (cm.mapping == np.arange(cm.source.n)).all()
+        con = con_lattice(L)
+        assert (cm.mapping_on(con, con) == np.arange(con.n)).all()
 
     def test_two_into_chain(self, named):
         two, c2 = named["2"], named["chain:2"]
@@ -152,8 +152,9 @@ class TestConcOfHom:
         sq = builtin("bool:2")
         sub, _ = subuniverse_closure(sq, ["00", "01", "11"])
         cm = conc_of_hom(inclusion_hom(sub, sq))
-        consub, consq = cm.source, cm.target
-        images = {cm.apply_i(a) for a in consub.atoms}
+        consub, consq = con_lattice(sub), con_lattice(sq)
+        mapping = cm.mapping_on(consub, consq)
+        images = {int(mapping[a]) for a in consub.atoms}
         assert images == set(consq.atoms)
 
     def test_functoriality_on_composites(self, named):
@@ -228,7 +229,7 @@ class TestCongruenceChains:
 
     def test_direct_identity(self, named):
         c2 = named["chain:2"]
-        xi = ConcMap.identity(con_lattice(c2))
+        xi = ConcMap.identity(JoinIrreducibles(c2))
         assert is_direct_congruence_chain(c2, ["0", "c1", "1"], xi, c2)
 
     def test_swapped_xi_not_direct(self, named):
@@ -237,7 +238,7 @@ class TestCongruenceChains:
         perm = np.arange(con.n)
         a, b = con.atoms
         perm[a], perm[b] = b, a
-        xi = ConcMap(con, con, perm)
+        xi = ConcMap.from_mapping(con, con, perm)
         assert xi.isomorphism
         assert not is_direct_congruence_chain(c2, ["0", "c1", "1"], xi, c2)
 
@@ -246,7 +247,6 @@ class TestCongruenceChains:
         sq = builtin("bool:2")
         consq = con_lattice(sq)
         dsq = dual(sq)
-        condsq = con_lattice(dsq)
         C = builtin("chain:2")
         conC = con_lattice(C)
         for perm_atoms in (False, True):
@@ -258,8 +258,9 @@ class TestCongruenceChains:
             mapping[consq.bottom_i] = conC.bottom_i
             mapping[consq.top_i] = conC.top_i
             mapping[a0], mapping[a1] = t0, t1
-            xi = ConcMap(consq, conC, mapping)
-            xi_dual = xi.compose(dual_identification(condsq, consq))
+            xi = ConcMap.from_mapping(consq, conC, mapping)
+            # J(Con dual sq) is J(Con sq), so xi serves the dual unchanged
+            xi_dual = xi
             for chain in (["00", "01", "11"], ["00", "10", "11"]):
                 fwd = is_direct_congruence_chain(sq, chain, xi, C)
                 bwd = is_direct_congruence_chain(dsq, chain[::-1], xi_dual, C)
@@ -281,6 +282,7 @@ class TestCpe:
             con = con_lattice(B)
             if not is_boolean(con)[0]:
                 continue
+            J = con.J
             for r in range(2, B.n + 1):
                 for sub in itertools.combinations(range(B.n), r):
                     if not all(B.leq_i(a, b) or B.leq_i(b, a)
@@ -288,7 +290,7 @@ class TestCpe:
                         continue
                     chain = [B.labels[i] for i in sorted(
                         sub, key=lambda i: int(B.heights[i]))]
-                    as_chain = is_congruence_chain(B, chain, con) is not None
+                    as_chain = is_congruence_chain(B, chain, J) is not None
                     sublat, _ = subuniverse_closure(B, chain)
                     assert as_chain == is_congruence_preserving_extension(sublat, B)
 
@@ -367,7 +369,7 @@ class TestQuotientInteraction:
                 if theta.is_one:
                     continue
                 Q, proj = quotient(L, theta)
-                cm = conc_of_hom(proj, conL)
+                cm = conc_of_hom(proj, conL.J)
                 for a in range(L.n):
                     for b in range(a + 1, L.n):
                         img = cm.apply(principal_congruence(
@@ -400,8 +402,9 @@ def _assert_con_matches_oracle(L):
     assert [t.block_of for t in con.cons] == want["cons"]
     M = con.masks
     assert (~(M[:, None, :] & ~M[None, :, :]).any(axis=2)).tolist() == want["leq"]
-    assert [con.index_of_masks(row & M).tolist() for row in M] == want["meet"]
-    assert [con.index_of_masks(row | M).tolist() for row in M] == want["join"]
+    index = {row.tobytes(): k for k, row in enumerate(M)}
+    assert [[index[r.tobytes()] for r in row & M] for row in M] == want["meet"]
+    assert [[index[r.tobytes()] for r in row | M] for row in M] == want["join"]
     A = con.as_lattice()
     assert [[A.leq_i(x, y) for y in range(A.n)] for x in range(A.n)] == want["leq"]
     assert list(con.atoms) == want["atoms"]
@@ -459,12 +462,80 @@ class TestDifferential:
         conP, wantP = _assert_con_matches_oracle(P)
         for pr in product_projections(P):
             conF = con_lattice(pr.target)
-            cm = conc_of_hom(pr, conP, conF)
-            assert cm.mapping.tolist() == oracle_conc_of_hom(pr, wantP, oracle_con(pr.target))
+            cm = conc_of_hom(pr, conP.J, conF.J)
+            assert cm.mapping_on(conP, conF).tolist() == \
+                oracle_conc_of_hom(pr, wantP, oracle_con(pr.target))
         gens = data.draw(st.lists(st.sampled_from(P.labels), min_size=1, max_size=3))
         S, incl = subuniverse_closure(P, gens)
-        cm = conc_of_hom(incl, con_lattice(S), conP)
-        assert cm.mapping.tolist() == oracle_conc_of_hom(incl, oracle_con(S), wantP)
+        conS = con_lattice(S)
+        cm = conc_of_hom(incl, conS.J, conP.J)
+        assert cm.mapping_on(conS, conP).tolist() == oracle_conc_of_hom(incl, oracle_con(S), wantP)
+        for pr in product_projections(P):
+            _assert_composite_agrees(incl, pr)
+
+
+_ORACLE = {}
+
+
+def _oracle(L):
+    """(con_lattice(L), oracle_con(L)), computed once per lattice object."""
+    if id(L) not in _ORACLE:
+        _ORACLE[id(L)] = (L, con_lattice(L), oracle_con(L))
+    return _ORACLE[id(L)][1:]
+
+
+def _assert_conc_agrees(f):
+    """conc_of_hom(f), held on J, against the Con-level oracle: its mapping,
+    isomorphism, separates_zero and equal_map.  Returns (map, mapping)."""
+    (cs, ws), (ct, wt) = _oracle(f.source), _oracle(f.target)
+    cm = conc_of_hom(f, cs.J, ct.J)
+    m = cm.mapping_on(cs, ct).tolist()
+    assert m == oracle_conc_of_hom(f, ws, wt)
+    # the constant maps: phi(0) = 0 everywhere, and phi(0) = 1
+    for other in (m, [wt["bottom"]] * cs.n, [wt["top"]] * cs.n):
+        om = cm if other is m else ConcMap.from_mapping(cs, ct, other)
+        assert cm.equal_map(om) == (other == m)
+        assert om.isomorphism == oracle_isomorphism(ws, wt, other)
+        to_zero = [k for k in range(cs.n) if other[k] == wt["bottom"]]
+        assert om.separates_zero == (to_zero == [ws["bottom"]])
+    return cm, m
+
+
+def _assert_composite_agrees(f, g, known=None):
+    """Conc g . Conc f, one Boolean matrix product, against the composite of
+    the Con-level mappings and against Conc (g . f)."""
+    known = known or {}
+    cf, mf = known.get(id(f)) or _assert_conc_agrees(f)
+    cg, mg = known.get(id(g)) or _assert_conc_agrees(g)
+    (ca, _), (cc, _) = _oracle(f.source), _oracle(g.target)
+    both = cg.compose(cf)
+    assert both.mapping_on(ca, cc).tolist() == [mg[k] for k in mf]
+    assert both.equal_map(conc_of_hom(g.compose(f), ca.J, cc.J))
+
+
+class TestConcMapOnJ:
+    """Conc maps held on J(Con) against the Con-level computation."""
+
+    def test_quotients_and_inclusions_on_corpus(self, corpus):
+        for L in corpus:
+            if L.n > 6:
+                continue
+            quotients = [quotient(L, t)[1] for t in con_lattice(L).cons]
+            inclusions = {}
+            for a, b in itertools.combinations(L.labels, 2):
+                S, incl = subuniverse_closure(L, [a, b])
+                inclusions.setdefault(S.labels, incl)
+            known = {id(f): _assert_conc_agrees(f)
+                     for f in quotients + list(inclusions.values())}
+            for incl in inclusions.values():
+                for proj in quotients:
+                    _assert_composite_agrees(incl, proj, known)
+
+    def test_dual_has_the_same_join_irreducibles(self, corpus):
+        for L in corpus:
+            J, Jd = JoinIrreducibles(L), JoinIrreducibles(dual(L))
+            assert [t.block_of for t in Jd.cons] == [t.block_of for t in J.cons]
+            assert (Jd.leq == J.leq).all()
 
 
 def _oracle_join_irreducibles(want):
@@ -487,7 +558,8 @@ def con_pairs():
 
 
 class TestConcMapChecks:
-    """ConcMap's join check on J(Con L) against the m^2 join-table oracle."""
+    """ConcMap.from_mapping's join check on J(Con L) against the m^2
+    join-table oracle."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -535,6 +607,8 @@ class TestConcMapChecks:
                 x = data.draw(st.integers(0, CS.n - 1))
                 mapping[x] = data.draw(st.integers(0, CT.n - 1).filter(
                     lambda y: y != mapping[x]))
-        cm = ConcMap(CS, CT, mapping)
+        cm = ConcMap.from_mapping(CS, CT, mapping)
         assert cm.join_preserving == oracle_join_preserving(ws, wt, mapping)
         assert cm.isomorphism == oracle_isomorphism(ws, wt, mapping)
+        if cm.join_preserving:
+            assert cm.mapping_on(CS, CT).tolist() == list(mapping)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from critlat.congruence import con_lattice, is_boolean
+from critlat.congruence import con_lattice
 from critlat.diagrams import (
     EMPTY,
     TOP,
@@ -435,15 +435,15 @@ class TestApplyConc:
     def test_single_node(self, named):
         D, _ = chain_diagram_of_partial(named["2"], named["2"].labels)
         S = apply_conc(D)
-        assert S.cons[TOP].n == 2
+        assert len(S.J[TOP]) == 1
+        assert con_lattice(S.J[TOP].host).n == 2
 
     def test_m3_chain_diagram_nodes_boolean(self, named):
         D, _ = chain_diagram_of_partial(named["M:3"], named["M:3"].labels)
         S = apply_conc(D)
         for nd in D.poset.elements:
             if not nd.is_top:
-                ok, _, _ = is_boolean(S.cons[nd])
-                assert ok
+                assert S.J[nd].boolean_atoms() is not None
 
     def test_inclusion_edges_separate_zero(self, named):
         D, _ = chain_diagram_of_partial(named["M:3"], named["M:3"].labels)

@@ -1,5 +1,6 @@
 import itertools
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from critlat.lattice import (
     Homomorphism,
     PartialLattice,
     ProductLattice,
+    all_isomorphisms,
     builtin,
     dual,
     embed_partial,
@@ -319,6 +321,33 @@ class TestIsomorphism:
         sq = builtin("bool:2")
         h = is_isomorphic(sq, sq)
         assert h.mapping.tolist() == [0, 1, 2, 3]
+
+    def test_all_isomorphisms_in_lexicographic_order(self, small_lattices):
+        # the search tries candidates in index order, so it lists every
+        # automorphism in the lexicographic order of the image sequences
+        for L in small_lattices:
+            if L.n > 5:
+                continue
+            want = [list(p) for p in itertools.permutations(range(L.n))
+                    if all(L.leq_i(a, b) == L.leq_i(p[a], p[b])
+                           for a in range(L.n) for b in range(L.n))]
+            assert [h.mapping.tolist() for h in all_isomorphisms(L, L)] == want
+
+    def test_long_chain_needs_no_recursion(self):
+        # the search keeps its own stack: a 301-element chain is matched with
+        # the recursion limit only a few hundred frames above the caller
+        K, L = builtin("chain:300"), builtin("chain:300")
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 200)
+        try:
+            h = is_isomorphic(K, L)
+        finally:
+            sys.setrecursionlimit(old)
+        assert h.mapping.tolist() == list(range(K.n))
 
 
 class TestChains:

@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from critlat.congruence import ConcMap, Congruence, con_lattice, principal_congruence
+from critlat.congruence import (
+    ConcMap,
+    Congruence,
+    JoinIrreducibles,
+    con_lattice,
+    principal_congruence,
+)
 from critlat.diagrams import (
     EMPTY,
     TOP,
@@ -37,6 +43,21 @@ from critlat.liftings import (
 C1, C2, C3 = ("0", "x1", "1"), ("0", "x2", "1"), ("0", "x3", "1")
 
 
+def con_pair(lift, node):
+    """Con of the source and of the target lattice of a lifting at node."""
+    return (con_lattice(lift.source.lattices[node]),
+            con_lattice(lift.xi[node].target.host))
+
+
+def swap_two_atoms(lift, node):
+    """Replace xi at node by the identity on Con with two atoms swapped."""
+    con_s, con_t = con_pair(lift, node)
+    perm = np.arange(con_s.n)
+    a, b = con_s.atoms
+    perm[a], perm[b] = b, a
+    lift.xi[node] = ConcMap.from_mapping(con_s, con_t, perm)
+
+
 def m3_identity_lifting(named):
     D, _ = chain_diagram_of_partial(named["M:3"], named["M:3"].labels)
     return identity_lifting(D)
@@ -52,11 +73,7 @@ class TestVerify:
     def test_xi_atom_swap_detected(self, named):
         lift = m3_identity_lifting(named)
         node = node_of(C1)
-        x = lift.xi[node]
-        perm = np.arange(x.source.n)
-        a, b = x.source.atoms
-        perm[a], perm[b] = b, a
-        lift.xi[node] = ConcMap(x.source, x.target, perm)
+        swap_two_atoms(lift, node)
         rep = verify_lifting(lift)
         assert not rep.ok
         assert rep.first_failure[0] == "naturality"
@@ -64,9 +81,9 @@ class TestVerify:
     def test_xi_non_iso_detected(self, named):
         lift = m3_identity_lifting(named)
         node = node_of(C1)
-        x = lift.xi[node]
-        collapse = np.zeros(x.source.n, dtype=np.int32)
-        lift.xi[node] = ConcMap(x.source, x.target, collapse)
+        con_s, con_t = con_pair(lift, node)
+        collapse = np.zeros(con_s.n, dtype=np.int32)
+        lift.xi[node] = ConcMap.from_mapping(con_s, con_t, collapse)
         rep = verify_lifting(lift)
         assert not rep.ok
         assert any(f[0] in ("xi-not-iso",) for f in rep.failures)
@@ -105,8 +122,22 @@ class TestVerify:
         swap = np.arange(C.n)
         swap[[150, 151]] = swap[[151, 150]]
         big = diagram(C, Homomorphism(C, C, swap, check="none"))
-        rep = verify_lifting(Lifting(big, lift.target, lift.xi, lift.source_cons))
+        rep = verify_lifting(Lifting(big, lift.target, lift.xi))
         assert rep.failures == [("edge-not-hom", "a", "b")]
+
+    def test_xi_out_of_another_lattice_is_wrong_shape(self):
+        # a lawful diagram of 4-element chains with the xi of the lifting of
+        # a diagram of 2: the naturality squares are never read
+        poset = FinitePoset(["a", "b"], [("a", "b")])
+
+        def diagram(L):
+            ident = Homomorphism.identity(L)
+            return LatticeDiagram(poset, {"a": L, "b": L},
+                                  {("a", "a"): ident, ("b", "b"): ident, ("a", "b"): ident})
+
+        lift = identity_lifting(diagram(builtin("2")))
+        rep = verify_lifting(Lifting(diagram(builtin("chain:3")), lift.target, lift.xi))
+        assert rep.failures == [("xi-wrong-shape", "a"), ("xi-wrong-shape", "b")]
 
 
 class TestFindChains:
@@ -119,7 +150,7 @@ class TestFindChains:
         for name in ("chain:3", "bool:2", "F22"):
             L = named[name]
             con = con_lattice(L)
-            for w in find_congruence_chains(L, L.bottom, L.top, con=con):
+            for w in find_congruence_chains(L, L.bottom, L.top, J=con.J):
                 total = Congruence.zero(L)
                 for t in w.sigma:
                     total = total.join(t)
@@ -155,7 +186,7 @@ class TestExtraction:
         node = node_of(C1, C2)
         B = lift.source.lattices[node]
         xi = lift.xi[node]
-        A = lift.target.cons[node].host
+        A = lift.target.J[node].host
         tb = principal_congruence(B, "x1", "x2")
         assert xi.apply(tb) == principal_congruence(A, "x1", "x2")
 
@@ -217,7 +248,7 @@ class TestTransportedLifting:
         # lift the Conc diagram of a relabelled M3 by the original M3: the
         # xi maps are induced by the relabelling, nothing is an identity,
         # and extraction must recover the inverse relabelling
-        from critlat.congruence import conc_of_hom, con_lattice
+        from critlat.congruence import conc_of_hom
         from critlat.diagrams import LatticeDiagram
         from critlat.lattice import is_isomorphic, validate_lattice
         from critlat.liftings import Lifting
@@ -236,7 +267,7 @@ class TestTransportedLifting:
         S = apply_conc(D2)
         # the source diagram reuses M3's sublattices, re-indexed by the
         # relabelled poset
-        lattices, maps, cons, xi = {}, {}, {}, {}
+        lattices, maps, xi = {}, {}, {}
         translate = {}
         for node in D2.poset.elements:
             if node.is_top:
@@ -258,9 +289,9 @@ class TestTransportedLifting:
                 {lab: lab for lab in lattices[p].labels})
         B = LatticeDiagram(D2.poset, lattices, maps)
         for node in D2.poset.elements:
-            cons[node] = con_lattice(lattices[node])
-            xi[node] = conc_of_hom(translate[node], cons[node], S.cons[node])
-        lift = Lifting(B, S, xi, cons)
+            xi[node] = conc_of_hom(translate[node], JoinIrreducibles(lattices[node]),
+                                   S.J[node])
+        lift = Lifting(B, S, xi)
         assert verify_lifting(lift).ok
         h, report = extract_embedding(lift, M3r.labels)
         assert report.ok
@@ -295,12 +326,7 @@ class TestDirectingProperty:
     def test_miswired_xi_detected_somewhere(self):
         dd = directing_diagram(builtin("M:3"), C1, C2, C3)
         lift = identity_lifting(dd)
-        node = node_of(C3)
-        x = lift.xi[node]
-        perm = np.arange(x.source.n)
-        a, b = x.source.atoms
-        perm[a], perm[b] = b, a
-        lift.xi[node] = ConcMap(x.source, x.target, perm)
+        swap_two_atoms(lift, node_of(C3))
         detected = not verify_lifting(lift).ok
         if not detected:
             ok, _ = check_directing_property(lift, C1, C2, C3)
