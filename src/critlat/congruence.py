@@ -450,6 +450,13 @@ class ConcMap:
         image = self.on_masks(self.source.mask_of(theta.block_of))
         return Congruence.from_rep(self.target.host, self.target.join_ids(image))
 
+    def sends(self, theta: Congruence, image: Congruence) -> bool:
+        """Whether phi(theta) = image, compared as down-set masks over J(Con
+        T), with no partition built."""
+        return _same_lattice(self.target.host, image.host) and bool(
+            (self.on_masks(self.source.mask_of(theta.block_of))
+             == self.target.mask_of(image.block_of)).all())
+
     @property
     def isomorphism(self) -> bool:
         """phi(0) = 0 and phi(down j) = down pi(j) for an order isomorphism
@@ -566,7 +573,7 @@ def is_direct_congruence_chain(B, chain_labels, xi: ConcMap, C) -> bool:
     if len(chain_labels) != C.n:
         raise ArityMismatch(
             f"chain has {len(chain_labels) - 1} steps, target chain has {C.n - 1}")
-    return all(xi.apply(t) == principal_congruence(C, c_elems[k], c_elems[k + 1])
+    return all(xi.sends(t, principal_congruence(C, c_elems[k], c_elems[k + 1]))
                for k, t in enumerate(chain_steps(B, chain_labels)))
 
 

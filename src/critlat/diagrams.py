@@ -363,7 +363,7 @@ def spanning_chains_of_subset(L, subset, lengths=(2, 3)):
     sub = set(subset)
     if L.bottom not in sub or L.top not in sub:
         raise NotSpanning("subset must contain both bounds")
-    return [c for c in spanning_chains(L, lengths) if set(c) <= sub]
+    return spanning_chains(L, lengths, members=[i for i, x in enumerate(L.labels) if x in sub])
 
 
 def chain_diagram_of_partial(L, subset) -> tuple:

@@ -10,7 +10,6 @@ internally by the diagram machinery use a lazy componentwise representation
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -25,6 +24,7 @@ from .errors import (
     DuplicateLabel,
     FormatError,
     NotALattice,
+    NotASublattice,
     NotSpanning,
     SizeCapExceeded,
     UnknownElement,
@@ -35,6 +35,10 @@ _DENSE_LIMIT = 4096  # largest product stored with full tables
 SUBUNIVERSE_SIZE_BOUND = 10
 EMBED_NODE_BUDGET = 2_000_000
 _HOM_CHUNK = 1 << 20  # table entries compared at once by the homomorphism check
+_SEARCH_CHUNK = 1 << 19  # bytes of intersected bit rows the table search holds (one row at least)
+_STACKED = np.arange(2)[:, None, None]  # the join and meet halves of the search
+# position of the lowest set bit of each byte value (0 for the value 0)
+_LOWBIT = np.array([(b & -b).bit_length() - 1 if b else 0 for b in range(256)], dtype=np.intp)
 _LAZY_LABEL_LIMIT = 500_000
 
 
@@ -131,36 +135,47 @@ class FiniteLattice(_Lattice):
     # --- construction ---
 
     @classmethod
+    def _from_tables(cls, labels, leq, meet, join, name=None, covers=None):
+        """Build from order, meet and join tables known to be a lattice's;
+        bounds and heights are derived, and the sorted covers too unless
+        given."""
+        for table in (leq, meet, join):
+            table.flags.writeable = False
+        if covers is None:
+            covers = _covers_of_order(*_bit_rows(leq[None]))
+        heights = _heights_from_covers(len(labels), covers)
+        # 0 is the one element of height 0, and 1 is higher than all others
+        return cls(name, tuple(labels), leq, meet, join, covers,
+                   int(heights.argmin()), int(heights.argmax()), heights)
+
+    @classmethod
     def _from_order(cls, labels, leq, name=None):
-        """Build from a reflexive partial-order matrix, checking lattice totality."""
+        """Build from a reflexive partial-order matrix, searching for every
+        join and meet.  NotALattice names the first pair without one, in
+        row-major order over i <= j, the join checked before the meet."""
         n = len(labels)
         leq = np.asarray(leq, dtype=bool)
-        leq.flags.writeable = False
-        up_id = {leq[i].tobytes(): i for i in range(n)}
-        down_id = {leq[:, i].tobytes(): i for i in range(n)}
-        meet = np.zeros((n, n), dtype=np.int32)
-        join = np.zeros((n, n), dtype=np.int32)
-        for i in range(n):
-            for j in range(i, n):
-                above = (leq[i] & leq[j]).tobytes()
-                k = up_id.get(above)
-                if k is None:
-                    raise NotALattice((labels[i], labels[j]), "join")
-                join[i, j] = join[j, i] = k
-                below = (leq[:, i] & leq[:, j]).tobytes()
-                k = down_id.get(below)
-                if k is None:
-                    raise NotALattice((labels[i], labels[j]), "meet")
-                meet[i, j] = meet[j, i] = k
-        meet.flags.writeable = False
-        join.flags.writeable = False
-        lt = leq & ~np.eye(n, dtype=bool)
-        cov = lt & ~(lt @ lt)
-        covers = tuple(sorted((int(i), int(j)) for i, j in zip(*np.nonzero(cov))))
-        bottom_i = int(np.nonzero(leq.sum(axis=1) == n)[0][0])
-        top_i = int(np.nonzero(leq.sum(axis=0) == n)[0][0])
-        heights = _heights_from_covers(n, covers, bottom_i)
-        return cls(name, tuple(labels), leq, meet, join, covers, bottom_i, top_i, heights)
+        # the join of i and j is searched among their common upper bounds,
+        # the meet among their common lower bounds: index 0 holds up-sets and
+        # joins, index 1 down-sets and meets
+        rows, order = _bit_rows(np.array([leq, leq.T]))
+        tables = np.empty((2, n, n), dtype=np.int32)
+        lo = 0
+        while lo < n:
+            # rows lo..hi-1 against columns lo..n-1, mirrored into the tables
+            hi = min(n, lo + max(1, _SEARCH_CHUNK // (2 * (n - lo) * rows.shape[2])))
+            k, ok = _least_common(rows, order, lo, hi)
+            tables[:, lo:hi, lo:] = k
+            tables[:, lo:, lo:hi] = k.transpose(0, 2, 1)
+            if not ok.all():
+                # the first failure in row-major order has a <= b: a failing
+                # pair below the diagonal fails mirrored in an earlier row
+                a, b = np.argwhere(~ok[0] | ~ok[1])[0]
+                raise NotALattice((labels[lo + a], labels[lo + b]),
+                                  "meet" if ok[0, a, b] else "join")
+            lo = hi
+        return cls._from_tables(labels, leq, tables[1], tables[0], name=name,
+                                covers=_covers_of_order(rows[:1], order[:1]))
 
     # --- table reads ---
 
@@ -197,26 +212,75 @@ class FiniteLattice(_Lattice):
         return self._signature
 
 
-def _heights_from_covers(n, covers, bottom_i):
-    heights = np.zeros(n, dtype=np.int32)
-    children = {}
-    indeg = [0] * n
+def _bit_rows(sets):
+    """The rows of each stacked set matrix packed into bytes, the columns
+    taken in a linear extension: a stable sort by column count, fewest
+    first (for up-sets, the count of the elements below).  Returns (rows,
+    order), order[s, p] the element at bit p of the rows of matrix s."""
+    order = sets.sum(axis=1).argsort(axis=1, kind="stable")
+    cols = sets[np.arange(len(sets))[:, None, None], np.arange(sets.shape[1])[:, None],
+                order[:, None]]
+    return np.packbits(cols, axis=2, bitorder="little"), order
+
+
+def _least_common(rows, order, lo, hi):
+    """For i in [lo, hi) and j in [lo, n), in each stacked matrix s: the
+    member k of rows[s, i] & rows[s, j] that comes first in order[s], and
+    whether rows[s, k] is all of it, that is whether k is the least common
+    bound (an empty set gives False)."""
+    common = rows[:, lo:hi, None] & rows[:, None, lo:]
+    flat = common.reshape(-1, common.shape[3])
+    first = (flat != 0).argmax(axis=1)
+    bit = 8 * first + _LOWBIT[flat[np.arange(len(flat)), first]]
+    k = order[_STACKED, bit.reshape(common.shape[:3])]
+    return k, (common == rows[_STACKED, k]).all(axis=3)
+
+
+def _covers_of_order(rows, order):
+    """Sorted cover pairs of a partial order, from _bit_rows of its up-sets.
+    Walking the strict up-set of i in the linear extension, the first element
+    left is an upper cover, and taking it removes everything above it (the
+    up-sets as Python int bit sets)."""
+    data, width = rows.tobytes(), rows.shape[2]
+    ups = [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
+    order = order[0].tolist()
+    covers = []
+    for p, i in enumerate(order):
+        rest = ups[i] ^ (1 << p)
+        while rest:
+            c = order[(rest & -rest).bit_length() - 1]
+            covers.append((i, c))
+            rest &= ~ups[c]
+    covers.sort()
+    return tuple(covers)
+
+
+def _heights_from_covers(n, covers):
+    """Length of the longest chain from 0 to each element."""
+    ups = [[] for _ in range(n)]
     for i, j in covers:
-        children.setdefault(i, []).append(j)
-        indeg[j] += 1
-    queue = [i for i in range(n) if indeg[i] == 0]
-    order = []
-    while queue:
-        u = queue.pop()
-        order.append(u)
-        for v in children.get(u, ()):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    for u in order:
-        for v in children.get(u, ()):
+        ups[i].append(j)
+    heights = [0] * n
+    for u in _kahn(ups):
+        for v in ups[u]:
             heights[v] = max(heights[v], heights[u] + 1)
-    return heights
+    return np.array(heights, dtype=np.int32)
+
+
+def _kahn(succ):
+    """Kahn's topological order of the graph with successor lists succ;
+    the elements on a cycle or above one are left out."""
+    indeg = [0] * len(succ)
+    for ws in succ:
+        for w in ws:
+            indeg[w] += 1
+    order = [v for v in range(len(succ)) if not indeg[v]]
+    for v in order:
+        for w in succ[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                order.append(w)
+    return order
 
 
 def validate_lattice(labels: Iterable[str], covers: Iterable[tuple], name=None) -> FiniteLattice:
@@ -236,7 +300,7 @@ def validate_lattice(labels: Iterable[str], covers: Iterable[tuple], name=None) 
         seen.add(lab)
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
-    adj = np.zeros((n, n), dtype=bool)
+    succ = [[] for _ in range(n)]
     for pair in covers:
         lo, hi = pair
         if lo not in index:
@@ -245,19 +309,45 @@ def validate_lattice(labels: Iterable[str], covers: Iterable[tuple], name=None) 
             raise UnknownElement(f"cover references unknown label {hi!r}")
         if lo == hi:
             raise CycleDetected(f"self-loop at {lo!r}")
-        adj[index[lo], index[hi]] = True
-    # transitive closure by repeated squaring; a cycle shows up on the diagonal
-    leq = adj | np.eye(n, dtype=bool)
-    while True:
-        nxt = leq | (leq @ leq)
-        if (nxt == leq).all():
-            break
-        leq = nxt
-    strict = leq & ~np.eye(n, dtype=bool)
-    if (strict & strict.T).any():
-        i, j = map(int, next(zip(*np.nonzero(strict & strict.T))))
+        succ[index[lo]].append(index[hi])
+    order = _kahn(succ)
+    if len(order) < n:
+        i, j = _cycle_pair(succ, sorted(set(range(n)) - set(order)))
         raise CycleDetected(f"cycle through {labels[i]!r} and {labels[j]!r}")
-    return FiniteLattice._from_order(labels, leq, name=name)
+    # the up-set of each element as a Python int, closed in reverse order
+    up = [1 << v for v in range(n)]
+    for v in reversed(order):
+        for w in succ[v]:
+            up[v] |= up[w]
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(u.to_bytes(width, "little") for u in up), dtype=np.uint8)
+    leq = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+    return FiniteLattice._from_order(labels, leq.view(bool), name=name)
+
+
+def _cycle_pair(succ, stuck):
+    """(i, j): i the least element on a cycle, j the least other element of
+    its strongly connected component, searched among the sorted `stuck`
+    elements that Kahn's order left out, which hold every cycle."""
+    pred = [[] for _ in succ]
+    for v, ws in enumerate(succ):
+        for w in ws:
+            pred[w].append(v)
+    for i in stuck:
+        ring = (_reach(succ, i) & _reach(pred, i)) - {i}
+        if ring:
+            return i, min(ring)
+
+
+def _reach(succ, v):
+    """Elements reachable from v along succ, v included."""
+    seen, stack = {v}, [v]
+    while stack:
+        for w in succ[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 class ProductLattice(_Lattice):
@@ -301,21 +391,8 @@ class ProductLattice(_Lattice):
 
     @property
     def covers(self):
-        """Sorted cover pairs: a cover raises one coordinate by a cover of
-        its factor."""
         if self._covers is None:
-            coords = product_coords(self.sizes, np.arange(self.n))
-            lo, hi = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-            for k, f in enumerate(self.factors):
-                for a, b in f.covers:
-                    below = np.nonzero(coords[k] == a)[0]
-                    up = [c[below] for c in coords]
-                    up[k] = np.full(len(below), b)
-                    lo.append(below)
-                    hi.append(product_index(self.sizes, up))
-            lo, hi = np.concatenate(lo), np.concatenate(hi)
-            order = np.lexsort((hi, lo))
-            self._covers = tuple(zip(lo[order].tolist(), hi[order].tolist()))
+            self._covers = _product_covers(self.factors)
         return self._covers
 
     @property
@@ -332,21 +409,52 @@ def dual(L):
     if isinstance(L, ProductLattice):
         return ProductLattice([dual(f) for f in L.factors],
                               name=f"dual({L.name})" if L.name else None)
-    leq = np.ascontiguousarray(L._leq.T)
-    leq.flags.writeable = False
-    covers = tuple(sorted((j, i) for i, j in L.covers))
-    heights = _heights_from_covers(L.n, covers, L.top_i)
     name = f"dual({L.name})" if L.name else None
-    return FiniteLattice(name, L.labels, leq, L._join, L._meet,
-                         covers, L.top_i, L.bottom_i, heights)
+    return FiniteLattice._from_tables(L.labels, np.ascontiguousarray(L._leq.T), L._join, L._meet,
+                                      name=name, covers=tuple(sorted((j, i) for i, j in L.covers)))
 
 
-def _leq_table(L):
-    # the order matrix of a lazy product is the Kronecker product of its
-    # factors' matrices, since row-major order matches the encoding
+def _product_covers(factors):
+    """Sorted cover pairs of a product: a cover raises one coordinate by a
+    cover of its factor."""
+    sizes = tuple(f.n for f in factors)
+    coords = product_coords(sizes, np.arange(math.prod(sizes)))
+    lo, hi = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for k, f in enumerate(factors):
+        for a, b in f.covers:
+            below = np.nonzero(coords[k] == a)[0]
+            up = [c[below] for c in coords]
+            up[k] = np.full(len(below), b)
+            lo.append(below)
+            hi.append(product_index(sizes, up))
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    order = np.lexsort((hi, lo))
+    return tuple(zip(lo[order].tolist(), hi[order].tolist()))
+
+
+def _tables(L):
+    """(leq, meet, join) of L; a lazy product's are built from its factors'."""
     if isinstance(L, ProductLattice):
-        return functools.reduce(np.kron, [_leq_table(f) for f in L.factors])
-    return L._leq
+        return _product_tables(L.factors)
+    return L._leq, L._meet, L._join
+
+
+def _product_tables(factors):
+    """The componentwise tables of a product, read off its factors' in the
+    row-major encoding: (a, b) <= (c, d) iff a <= c and b <= d, and
+    (a, b) op (c, d) = (a op c) * |B| + (b op d).  The factors are split in
+    halves, so that the last step broadcasts over long rows."""
+    if len(factors) == 1:
+        return _tables(factors[0])
+    half = len(factors) // 2
+    first, second = _product_tables(factors[:half]), _product_tables(factors[half:])
+    m = len(second[0])
+
+    def grid(x):
+        return x.reshape(len(x) * m, -1)
+    return (grid(first[0][:, None, :, None] & second[0][None, :, None, :]),
+            *(grid(s[:, None, :, None] * m + t[None, :, None, :])
+              for s, t in zip(first[1:], second[1:])))
 
 
 def product(*lattices, cap: int = DEFAULT_PRODUCT_CAP, allow_lazy=False):
@@ -367,8 +475,8 @@ def product(*lattices, cap: int = DEFAULT_PRODUCT_CAP, allow_lazy=False):
         raise SizeCapExceeded(f"product has {total} elements, cap is {cap}")
     if total > min(cap, _DENSE_LIMIT):
         return ProductLattice(lattices, name=name)
-    leq = functools.reduce(np.kron, [_leq_table(f) for f in lattices])
-    L = FiniteLattice._from_order(_product_labels(lattices), leq, name=name)
+    L = FiniteLattice._from_tables(_product_labels(lattices), *_product_tables(lattices),
+                                   name=name, covers=_product_covers(lattices))
     L.factors = tuple(lattices)
     return L
 
@@ -517,14 +625,17 @@ def subuniverse_closure(L, subset, include_bounds=False):
 
 
 def _sublattice_from_indices(L, indices):
-    labels = [L.labels[i] for i in indices]
-    m = len(indices)
-    leq = np.zeros((m, m), dtype=bool)
-    for a in range(m):
-        for b in range(m):
-            leq[a, b] = L.leq_i(indices[a], indices[b])
-    sub = FiniteLattice._from_order(labels, leq)
-    incl = Homomorphism(sub, L, np.array(indices, dtype=np.int32), check="none")
+    """The sublattice of L on a meet- and join-closed index set, its tables
+    read off L's; NotASublattice when the set is not closed."""
+    idx = np.asarray(indices, dtype=np.intp)
+    pos = np.full(L.n, -1, dtype=np.int32)
+    pos[idx] = np.arange(len(idx))
+    grid = np.ix_(idx, idx)
+    meet, join = pos[L._meet[grid]], pos[L._join[grid]]
+    if (meet < 0).any() or (join < 0).any():
+        raise NotASublattice("index set is not closed under meet and join")
+    sub = FiniteLattice._from_tables([L.labels[i] for i in indices], L._leq[grid], meet, join)
+    incl = Homomorphism(sub, L, idx, check="none")
     return sub, incl
 
 
@@ -574,14 +685,14 @@ def quotient(L, theta):
         raise HostMismatch("congruence belongs to a different lattice")
     if not theta.is_valid():
         raise NotACongruence("partition is not compatible with meet and join")
-    blocks = theta.blocks
-    m = len(blocks)
-    reps = [b[0] for b in blocks]
-    labels = [L.labels[r] for r in reps]
-    block_of = np.array(theta.block_of)
-    leq = block_of[L._join[np.ix_(reps, reps)]] == np.arange(m)
+    reps = [b[0] for b in theta.blocks]
+    block_of = np.array(theta.block_of, dtype=np.int32)
+    grid = np.ix_(reps, reps)
+    meet, join = block_of[L._meet[grid]], block_of[L._join[grid]]
     name = f"{L.name}/theta" if L.name else None
-    Q = FiniteLattice._from_order(labels, leq, name=name)
+    # [a] <= [b] iff [a] v [b] = [b]
+    Q = FiniteLattice._from_tables([L.labels[r] for r in reps], join == np.arange(len(reps)),
+                                   meet, join, name=name)
     proj = Homomorphism(L, Q, block_of, check="none")
     return Q, proj
 
@@ -665,46 +776,44 @@ def maximal_chains(L):
     for i, j in L.covers:
         ups.setdefault(i, []).append(j)
     out = []
-
-    def walk(path):
-        cur = path[-1]
-        nxt = sorted(ups.get(cur, ()))
-        if not nxt:
+    # an explicit stack, so that long chains stay clear of the recursion
+    # limit; upper covers are pushed in reverse to pop in increasing order
+    stack = [(L.bottom_i,)]
+    while stack:
+        path = stack.pop()
+        nxt = ups.get(path[-1])
+        if nxt:
+            stack.extend(path + (j,) for j in reversed(nxt))
+        else:
             out.append(tuple(L.labels[k] for k in path))
-            return
-        for j in nxt:
-            walk(path + [j])
-
-    walk([L.bottom_i])
     return out
 
 
-def spanning_chains(L, lengths):
-    """All chains through 0 and 1 whose length (#elements - 1) is in `lengths`.
+def spanning_chains(L, lengths, members=None):
+    """All chains through 0 and 1 whose length (#elements - 1) is in `lengths`,
+    with every element among the indices `members` (default: all of L).
 
     Chains are arbitrary totally ordered subsets; the intermediate steps need
-    not be covers.  Reported bottom-to-top, deterministically ordered.
+    not be covers.  Reported bottom-to-top, ordered by length and then by
+    index sequence.
     """
     lengths = set(lengths)
     if not lengths:
         return []
     longest = max(lengths)
+    members = range(L.n) if members is None else members
     out = []
-
-    def walk(path):
+    stack = [(L.bottom_i,)]
+    while stack:
+        path = stack.pop()
         cur = path[-1]
         if cur == L.top_i:
             if len(path) - 1 in lengths:
-                out.append(tuple(L.labels[k] for k in path))
-            return
-        if len(path) - 1 >= longest:
-            return
-        for j in range(L.n):
-            if j != cur and L.leq_i(cur, j):
-                walk(path + [j])
-
-    walk([L.bottom_i])
-    return sorted(out, key=lambda c: (len(c), tuple(L.index(x) for x in c)))
+                out.append(path)
+        elif len(path) - 1 < longest:
+            stack.extend(path + (j,) for j in members if j != cur and L.leq_i(cur, j))
+    out.sort(key=lambda c: (len(c), c))
+    return [tuple(L.labels[k] for k in c) for c in out]
 
 
 def chain_order(C):

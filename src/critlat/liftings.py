@@ -216,7 +216,7 @@ def direct_chains_at(lift: Lifting, node, u, v):
     for w in witnesses:
         w.node = node
         w.direct = len(w.elements) == len(c_elems) and all(
-            xi.apply(t) == principal_congruence(C, c_elems[k], c_elems[k + 1])
+            xi.sends(t, principal_congruence(C, c_elems[k], c_elems[k + 1]))
             for k, t in enumerate(w.sigma))
     return witnesses
 
@@ -333,9 +333,8 @@ def extract_embedding(lift: Lifting, subset, u=None, v=None, chain_choices=None)
     con_checks = []
     for i, x in enumerate(K.labels):
         for y in K.labels[i + 1:]:
-            tb = principal_congruence(B_top, h[x], h[y])
-            ta = principal_congruence(L, x, y)
-            ok = xi_top.apply(tb) == ta
+            ok = xi_top.sends(principal_congruence(B_top, h[x], h[y]),
+                              principal_congruence(L, x, y))
             con_checks.append((x, y, ok))
 
     report = EmbeddingReport(h, injective, op_checks, con_checks,

@@ -6,12 +6,15 @@ isomorphism by trying all permutations, and small lattices by filtered
 enumeration of naturally labelled posets.  The slow Con oracle keeps the
 algorithms the library used before it built Con from J(Con L): one closure
 per cover, a join loop that re-closes unions, and Conc of a homomorphism by
-one closure per congruence.
+one closure per congruence.  The table oracle keeps the pair loop and the
+closure by squaring the order matrix that validate_lattice used before it
+searched its tables in numpy.
 """
 
 import itertools
 from types import SimpleNamespace
 
+from critlat.errors import CycleDetected, NotALattice
 from critlat.lattice import FiniteLattice
 
 import numpy as np
@@ -169,6 +172,66 @@ def enumerate_all_lattices(n):
 
     rec(0, [])
     return list(found.values())
+
+
+# --- the pair loop and the closure the library used to build its tables ---
+
+def oracle_tables_from_order(labels, leq):
+    """Tables of a partial-order matrix by the former pair loop: for each
+    pair i <= j in row-major order, the common up-set is looked up among the
+    up-sets (NotALattice "join" when absent), then the common down-set among
+    the down-sets ("meet").  Covers by lt & ~(lt @ lt); heights by longest
+    chains, elements taken by their number of lower bounds.  Returns
+    (meet, join, covers, bottom, top, heights)."""
+    n = len(labels)
+    leq = np.asarray(leq, dtype=bool)
+    up_id = {leq[i].tobytes(): i for i in range(n)}
+    down_id = {leq[:, i].tobytes(): i for i in range(n)}
+    meet = np.zeros((n, n), dtype=np.int32)
+    join = np.zeros((n, n), dtype=np.int32)
+    for i in range(n):
+        for j in range(i, n):
+            k = up_id.get((leq[i] & leq[j]).tobytes())
+            if k is None:
+                raise NotALattice((labels[i], labels[j]), "join")
+            join[i, j] = join[j, i] = k
+            k = down_id.get((leq[:, i] & leq[:, j]).tobytes())
+            if k is None:
+                raise NotALattice((labels[i], labels[j]), "meet")
+            meet[i, j] = meet[j, i] = k
+    lt = leq & ~np.eye(n, dtype=bool)
+    cov = lt & ~(lt @ lt)
+    covers = tuple(sorted((int(i), int(j)) for i, j in zip(*np.nonzero(cov))))
+    heights = [0] * n
+    for j in sorted(range(n), key=lambda x: leq[:, x].sum()):
+        heights[j] = max((heights[i] + 1 for i, c in covers if c == j), default=0)
+    bottom = int(np.nonzero(leq.sum(axis=1) == n)[0][0])
+    top = int(np.nonzero(leq.sum(axis=0) == n)[0][0])
+    return meet, join, covers, bottom, top, heights
+
+
+def oracle_validate(labels, covers):
+    """The former validate_lattice on distinct labels and known cover ends:
+    the order closed by squaring the bool matrix, the first mutually
+    comparable pair in row-major order as the cycle witness, then
+    oracle_tables_from_order.  Returns (leq, tables)."""
+    n = len(labels)
+    index = {lab: i for i, lab in enumerate(labels)}
+    leq = np.eye(n, dtype=bool)
+    for lo, hi in covers:
+        if lo == hi:
+            raise CycleDetected(f"self-loop at {lo!r}")
+        leq[index[lo], index[hi]] = True
+    while True:
+        nxt = leq | (leq @ leq)
+        if (nxt == leq).all():
+            break
+        leq = nxt
+    strict = leq & ~np.eye(n, dtype=bool)
+    if (strict & strict.T).any():
+        i, j = map(int, next(zip(*np.nonzero(strict & strict.T))))
+        raise CycleDetected(f"cycle through {labels[i]!r} and {labels[j]!r}")
+    return leq, oracle_tables_from_order(labels, leq)
 
 
 # --- the slow Con oracle: one closure per cover, then a join loop ---

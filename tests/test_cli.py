@@ -182,3 +182,18 @@ class TestBudgetFlags:
     def test_env_product_cap(self, capsys):
         code, out, _ = invoke(capsys, "glued-diagram", "M:3", "M:3", "--cap", "100000")
         assert code == 0 and "factors: 7" in out
+
+
+class TestLongChains:
+    """Long chains build in about a second; every command on them ends with
+    a documented exit code, without RecursionError."""
+
+    @pytest.mark.parametrize("argv", [
+        "validate chain:1500", "dual chain:1500", "iso chain:1100 chain:1100",
+        "export-dot chain:1200", "con chain:1200", "si chain:1200",
+        "chain-diagram chain:1200 --subset 0,1"])
+    def test_exit_code_within_seconds(self, capsys, argv):
+        start = time.perf_counter()
+        code, _, _ = invoke(capsys, *argv.split())
+        assert code in (0, 2, 3)
+        assert time.perf_counter() - start < 10

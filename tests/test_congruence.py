@@ -612,3 +612,7 @@ class TestConcMapChecks:
         assert cm.isomorphism == oracle_isomorphism(ws, wt, mapping)
         if cm.join_preserving:
             assert cm.mapping_on(CS, CT).tolist() == list(mapping)
+            # sends compares down-set masks, phi(0) included
+            x = data.draw(st.integers(0, CS.n - 1))
+            assert [cm.sends(CS.cons[x], t) for t in CT.cons] == \
+                [y == mapping[x] for y in range(CT.n)]

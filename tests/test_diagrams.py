@@ -24,6 +24,7 @@ from critlat.diagrams import (
     glued_diagram,
     node_of,
     product_over,
+    spanning_chains_of_subset,
 )
 from critlat.errors import (
     BadChainShapes,
@@ -45,6 +46,7 @@ from critlat.lattice import (
     product_coords,
     product_index,
     quotient,
+    spanning_chains,
     subuniverse_closure,
 )
 
@@ -153,6 +155,21 @@ class TestChainDiagram:
     def test_subset_must_span(self, named):
         with pytest.raises(NotSpanning):
             chain_diagram_of_partial(named["M:3"], ["x1", "x2", "1"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_subset_chains_are_the_filtered_spanning_chains(self, corpus, data):
+        # the walk stays inside the subset and keeps the order of the
+        # filtered walk over all of L
+        L = data.draw(st.sampled_from([K for K in corpus if K.n >= 2]))
+        subset = {L.bottom, L.top} | data.draw(st.sets(st.sampled_from(L.labels)))
+        lengths = data.draw(st.sets(st.integers(1, 4), min_size=1))
+        want = [c for c in spanning_chains(L, lengths) if set(c) <= subset]
+        assert spanning_chains_of_subset(L, subset, lengths) == want
+
+    def test_small_subset_of_a_long_chain(self):
+        L = builtin("chain:1200")
+        assert spanning_chains_of_subset(L, ["0", "c600", "1"]) == [("0", "c600", "1")]
 
 
 @functools.lru_cache(maxsize=None)

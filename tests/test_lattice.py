@@ -1,6 +1,7 @@
 import itertools
 import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from critlat.errors import (
     CycleDetected,
     DuplicateLabel,
     NotALattice,
+    NotASublattice,
     NotSpanning,
     SizeCapExceeded,
     UnknownElement,
@@ -24,6 +26,7 @@ from critlat.lattice import (
     ProductLattice,
     all_isomorphisms,
     builtin,
+    chain_order,
     dual,
     embed_partial,
     enumerate_subuniverses,
@@ -42,7 +45,12 @@ from critlat.lattice import (
     validate_lattice,
 )
 
-from oracles import brute_isomorphic, brute_subuniverses
+from oracles import (
+    brute_isomorphic,
+    brute_subuniverses,
+    oracle_tables_from_order,
+    oracle_validate,
+)
 
 
 M3_COVERS = [("0", "x1"), ("0", "x2"), ("0", "x3"),
@@ -114,6 +122,110 @@ class TestMeetJoin:
             for x, y, z in itertools.product(range(L.n), repeat=3):
                 assert L.meet_i(x, L.meet_i(y, z)) == L.meet_i(L.meet_i(x, y), z)
                 assert L.join_i(x, L.join_i(y, z)) == L.join_i(L.join_i(x, y), z)
+
+
+def assert_oracle_tables(L, oracle):
+    meet, join, covers, bottom, top, heights = oracle
+    assert L._meet.dtype == L._join.dtype == np.int32
+    assert (L._meet == meet).all() and (L._join == join).all()
+    assert L.covers == covers
+    assert (L.bottom_i, L.top_i) == (bottom, top)
+    assert L.heights.tolist() == heights
+
+
+def _random_congruence(L, data):
+    from critlat.congruence import principal_congruence
+    a, b = data.draw(st.sampled_from(L.labels)), data.draw(st.sampled_from(L.labels))
+    return principal_congruence(L, a, b)
+
+
+class TestTablesAgainstOracle:
+    """_from_order searches the tables in numpy; quotients, sublattices and
+    products read them off their source.  All must equal the pair loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_from_order_on_relabelled_lattices(self, corpus, data):
+        L = data.draw(st.sampled_from(corpus))
+        kind = data.draw(st.sampled_from(["relabel", "product", "quotient"]))
+        if kind == "product":
+            L = product(L, data.draw(st.sampled_from([K for K in corpus if K.n <= 5])))
+        elif kind == "quotient":
+            L, _ = quotient(L, _random_congruence(L, data))
+        perm = data.draw(st.permutations(range(L.n)))
+        leq = L._leq[np.ix_(perm, perm)]
+        labels = [L.labels[p] for p in perm]
+        chunk = data.draw(st.sampled_from([1, 200, lattice._SEARCH_CHUNK]))
+        with mock.patch.object(lattice, "_SEARCH_CHUNK", chunk):
+            got = FiniteLattice._from_order(labels, leq)
+        assert_oracle_tables(got, oracle_tables_from_order(labels, leq))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_validate_on_random_cover_lists(self, data):
+        # random posets (mostly not lattices), and with back edges cyclic ones:
+        # the same tables, or the same NotALattice pair and kind, or the same
+        # CycleDetected message
+        n = data.draw(st.integers(1, 8))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+        if pairs and data.draw(st.booleans()):
+            edges += [(j, i) for i, j in data.draw(st.lists(st.sampled_from(pairs),
+                                                            min_size=1, max_size=2))]
+        names = data.draw(st.permutations([f"v{k}" for k in range(n)]))
+        labels = data.draw(st.permutations(names))
+        covers = [(names[i], names[j]) for i, j in edges]
+        # row chunks of one or a few rows as well as the default size
+        chunk = data.draw(st.sampled_from([1, 40, lattice._SEARCH_CHUNK]))
+        with mock.patch.object(lattice, "_SEARCH_CHUNK", chunk):
+            try:
+                leq, want = oracle_validate(labels, covers)
+            except (NotALattice, CycleDetected) as exc:
+                with pytest.raises(type(exc)) as got:
+                    validate_lattice(labels, covers)
+                assert str(got.value) == str(exc)
+                if isinstance(exc, NotALattice):
+                    assert (got.value.pair, got.value.kind) == (exc.pair, exc.kind)
+            else:
+                L = validate_lattice(labels, covers)
+                assert (L._leq == leq).all()
+                assert_oracle_tables(L, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_trusted_tables_match_the_search(self, corpus, data):
+        L = data.draw(st.sampled_from(corpus))
+        Q, _ = quotient(L, _random_congruence(L, data))
+        S, incl = subuniverse_closure(L, data.draw(st.sets(st.sampled_from(L.labels),
+                                                            min_size=1)))
+        P = product(L, data.draw(st.sampled_from([K for K in corpus if K.n <= 4])))
+        for M in (Q, S, P, dual(L)):
+            assert_oracle_tables(M, oracle_tables_from_order(M.labels, M._leq))
+        idx = incl.mapping
+        assert (S._leq == L._leq[np.ix_(idx, idx)]).all()
+
+    @pytest.mark.parametrize("chunk", [1, 40, lattice._SEARCH_CHUNK])
+    def test_first_failing_pair_past_the_first_chunk(self, chunk):
+        # row 0 (the bottom) has every join and meet; a and b have no join
+        covers = [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"),
+                  ("b", "c"), ("b", "d"), ("c", "1"), ("d", "1")]
+        with mock.patch.object(lattice, "_SEARCH_CHUNK", chunk):
+            with pytest.raises(NotALattice) as exc:
+                validate_lattice(["0", "a", "b", "c", "d", "1"], covers)
+        assert (exc.value.pair, exc.value.kind) == (("a", "b"), "join")
+
+    def test_sublattice_needs_a_closed_index_set(self, named):
+        N5 = named["N5"]
+        with pytest.raises(NotASublattice):
+            lattice._sublattice_from_indices(N5, [N5.index("x1"), N5.index("x3")])
+
+    def test_product_of_ten_twos(self):
+        # tables read off the factors, covers taken from the factors' covers
+        P = product(*[builtin("2")] * 10)
+        assert P.n == 1024 and len(P.covers) == 10 * 512
+        assert P.height() == 10 and (P.bottom_i, P.top_i) == (0, 1023)
+        assert P.join_i(1, 2) == 3 and P.meet_i(3, 6) == 2
+        assert P.covers == product(*[builtin("2")] * 10, cap=0, allow_lazy=True).covers
 
 
 class TestDual:
@@ -368,6 +480,27 @@ class TestChains:
         # a spanning chain may skip covers: {0, c1, 1} inside chain:3
         chains = spanning_chains(named["chain:3"], {2})
         assert ("0", "c1", "1") in chains and ("0", "c2", "1") in chains
+
+    def test_long_chain_needs_no_recursion(self):
+        # the walk keeps its own stack: one maximal chain of 301 elements
+        # with the recursion limit only a few hundred frames above the caller
+        L = builtin("chain:300")
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 200)
+        try:
+            chains = maximal_chains(L)
+            spanning = spanning_chains(L, {2})
+        finally:
+            sys.setrecursionlimit(old)
+        assert chains == [tuple(chain_order(L))]
+        assert len(spanning) == L.n - 2
+
+    def test_maximal_chains_in_cover_order(self):
+        assert maximal_chains(builtin("bool:2")) == [("00", "01", "11"), ("00", "10", "11")]
 
 
 class TestPartial:
