@@ -292,9 +292,8 @@ def build_parser():
                     help="accepted and ignored; results never depend on it")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, json_flag=True):
-        if json_flag:
-            p.add_argument("--json", action="store_true")
+    def common(p):
+        p.add_argument("--json", action="store_true")
         p.add_argument("--max-size", type=int, default=None,
                        help="size budget for Con/SI/HS searches (default: "
                             f"Con {CON_SIZE_BUDGET}, SI/HS "

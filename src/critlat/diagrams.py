@@ -11,6 +11,7 @@ any lifting to be direct.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -32,9 +33,11 @@ from .lattice import (
     DEFAULT_PRODUCT_CAP,
     FiniteLattice,
     Homomorphism,
+    _assignments,
     _hom_failure,
     _same_lattice,
     _sublattice_from_indices,
+    all_isomorphisms,
     builtin,
     is_distributive,
     lattice_from_json,
@@ -685,43 +688,29 @@ def apply_conc(D: LatticeDiagram) -> SemilatticeDiagram:
 
 def diagram_isomorphic(d1: LatticeDiagram, d2: LatticeDiagram) -> bool:
     """Node-by-node lattice isomorphisms commuting with every transition map."""
-    from .lattice import all_isomorphisms
     if d1.poset != d2.poset:
         return False
-    nodes = d1.poset.elements
+    le, nodes = d1.poset.le, d1.poset.elements
     options = []
     for n in nodes:
-        isos = all_isomorphisms(d1.lattices[n], d2.lattices[n])
-        if not isos:
+        options.append(all_isomorphisms(d1.lattices[n], d2.lattices[n]))
+        if not options[-1]:
             return False
-        options.append(isos)
-    chosen = {}
 
-    def fits(k, iso):
-        n = nodes[k]
-        for m, other in chosen.items():
-            if d1.poset.le(m, n):
-                if not iso.compose(d1.maps[(m, n)]).equal_map(
-                        d2.maps[(m, n)].compose(other)):
-                    return False
-            if d1.poset.le(n, m):
-                if not other.compose(d1.maps[(n, m)]).equal_map(
-                        d2.maps[(n, m)].compose(iso)):
-                    return False
+    def fits(a):
+        # the last node's isomorphism commutes with the earlier nodes' choices
+        n, iso = nodes[len(a) - 1], a[-1]
+        for m, other in zip(nodes, a[:-1]):
+            if le(m, n) and not iso.compose(d1.maps[(m, n)]).equal_map(
+                    d2.maps[(m, n)].compose(other)):
+                return False
+            if le(n, m) and not other.compose(d1.maps[(n, m)]).equal_map(
+                    d2.maps[(n, m)].compose(iso)):
+                return False
         return True
 
-    def search(k):
-        if k == len(nodes):
-            return True
-        for iso in options[k]:
-            if fits(k, iso):
-                chosen[nodes[k]] = iso
-                if search(k + 1):
-                    return True
-                del chosen[nodes[k]]
-        return False
-
-    return search(0)
+    return bool(_assignments(len(nodes), lambda k, a: options[k], fits, math.inf,
+                             "diagram isomorphism"))
 
 
 # --- serialization ---

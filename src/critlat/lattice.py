@@ -34,6 +34,7 @@ DEFAULT_PRODUCT_CAP = 4096
 _DENSE_LIMIT = 4096  # largest product stored with full tables
 SUBUNIVERSE_SIZE_BOUND = 10
 EMBED_NODE_BUDGET = 2_000_000
+ISO_SEARCH_BUDGET = 5_000_000
 _HOM_CHUNK = 1 << 20  # table entries compared at once by the homomorphism check
 _SEARCH_CHUNK = 1 << 19  # bytes of intersected bit rows the table search holds (one row at least)
 _STACKED = np.arange(2)[:, None, None]  # the join and meet halves of the search
@@ -639,7 +640,7 @@ def _sublattice_from_indices(L, indices):
     return sub, incl
 
 
-def enumerate_subuniverses(L, max_count=None, max_size=SUBUNIVERSE_SIZE_BOUND):
+def enumerate_subuniverses(L, max_size=SUBUNIVERSE_SIZE_BOUND):
     """All nonempty meet-join-closed subsets of L, as sorted index tuples.
 
     Deterministic order: by (size, index tuple).
@@ -667,9 +668,6 @@ def enumerate_subuniverses(L, max_count=None, max_size=SUBUNIVERSE_SIZE_BOUND):
                 if k2 not in seen:
                     seen.add(k2)
                     fresh.append(k2)
-                    if max_count is not None and len(seen) > max_count:
-                        raise BudgetExceeded(
-                            f"more than {max_count} subuniverses")
         frontier = fresh
     return sorted(seen, key=lambda t: (len(t), t))
 
@@ -697,58 +695,77 @@ def quotient(L, theta):
     return Q, proj
 
 
+# --- backtracking search ---
+
+def _assignments(n, candidates, fits, budget, what, find_all=False):
+    """Injective assignments a[0..n-1], by backtracking on an explicit stack.
+
+    Position i tries candidates(i, a) in order, a holding the choices at
+    positions 0..i-1.  A candidate already used is skipped and not counted;
+    every other one counts one step against `budget`, is placed last in a,
+    and is kept if fits(a) holds.  Returns the first assignment or, with
+    find_all, every one, in lexicographic order of the candidates'
+    positions.  More than `budget` steps raise BudgetExceeded.
+    """
+    if not n:
+        return [[]]
+    out, a, used = [], [], set()
+    stack = [iter(candidates(0, a))]
+    steps = 0
+    while stack:
+        for c in stack[-1]:
+            if c in used:
+                continue
+            steps += 1
+            if steps > budget:
+                raise BudgetExceeded(f"{what} search budget exhausted")
+            a.append(c)
+            if fits(a):
+                break
+            a.pop()
+        else:                       # position len(a) is exhausted: back up
+            stack.pop()
+            if a:
+                used.discard(a.pop())
+            continue
+        if len(a) == n:
+            out.append(list(a))
+            if not find_all:
+                break
+            a.pop()
+        else:
+            used.add(c)
+            stack.append(iter(candidates(len(a), a)))
+    return out
+
+
 # --- isomorphism ---
 
-def _iso_backtrack(K, L, find_all=False, budget=5_000_000):
+def _iso_backtrack(K, L, find_all=False):
     if K.n != L.n:
         return []
+    for M in (K, L):
+        if not isinstance(M, FiniteLattice):
+            raise BudgetExceeded(f"isomorphism search needs a dense lattice, got {M!r}")
     sigK = K.iso_signature()
     sigL = L.iso_signature()
     if sorted(sigK) != sorted(sigL):
         return []
     n = K.n
-    candidates = [[j for j in range(n) if sigL[j] == sigK[i]] for i in range(n)]
-    out = []
-    assigned = [-1] * n
-    used = [False] * n
-    # an explicit stack, so that long chains stay clear of the recursion
-    # limit: pos[i] is where the scan of candidates[i] resumes
-    pos = [0] * n
-    steps = 0
-    i = 0
-    while i >= 0:
-        if i == n:
-            out.append(list(assigned))
-            if not find_all:
-                break
-            i -= 1
-            continue
-        if assigned[i] >= 0:        # back at position i: release its choice
-            used[assigned[i]] = False
-            assigned[i] = -1
-        cands, k = candidates[i], pos[i]
-        while assigned[i] < 0 and k < len(cands):
-            j = cands[k]
-            k += 1
-            if used[j]:
-                continue
-            steps += 1
-            if steps > budget:
-                raise BudgetExceeded("isomorphism search budget exhausted")
-            for p in range(i):
-                q = assigned[p]
-                if K.leq_i(p, i) != L.leq_i(q, j) or K.leq_i(i, p) != L.leq_i(j, q):
-                    break
-            else:
-                assigned[i] = j
-                used[j] = True
-        if assigned[i] >= 0:
-            pos[i] = k
-            i += 1
-        else:
-            pos[i] = 0
-            i -= 1
-    return out
+    cands = [[j for j in range(n) if sigL[j] == sigK[i]] for i in range(n)]
+    # the order as bytes rows: up[x][y] is x <= y, down[x][y] is y <= x
+    up_K, up_L = ([r.tobytes() for r in M._leq] for M in (K, L))
+    down_K, down_L = ([r.tobytes() for r in M._leq.T] for M in (K, L))
+
+    def fits(a):
+        # the order between the last position and every earlier one is
+        # preserved and reflected
+        i, j = len(a) - 1, a[-1]
+        return (bytes(map(up_L[j].__getitem__, a)) == up_K[i][:i + 1]
+                and bytes(map(down_L[j].__getitem__, a)) == down_K[i][:i + 1])
+
+    return _assignments(n, lambda i, a: cands[i], fits, ISO_SEARCH_BUDGET,
+                        "isomorphism", find_all)
 
 
 def is_isomorphic(K, L) -> Optional[Homomorphism]:
@@ -952,67 +969,40 @@ def induced_partial_sublattice(L, subset) -> PartialLattice:
                           bottom_i=pos[L.bottom_i], top_i=pos[L.top_i])
 
 
-def embed_partial(K: PartialLattice, L, preserve_bounds=None,
-                  budget=EMBED_NODE_BUDGET) -> Optional[dict]:
+def embed_partial(K: PartialLattice, L) -> Optional[dict]:
     """Injective map K -> L preserving every defined meet/join, or None.
 
-    Bounds of K map to bounds of L when K is bounded (overridable).  The
-    search is exhaustive backtracking; the first (lexicographically least)
-    witness is returned as a label dict.
+    Bounds of K map to bounds of L when K is bounded.  The search is
+    exhaustive backtracking; the first (lexicographically least) witness is
+    returned as a label dict.
     """
-    if preserve_bounds is None:
-        preserve_bounds = K.bounded
     n, m = K.n, L.n
     if n > m:
         return None
-    assigned = [-1] * n
-    used = [False] * m
-    # triples to check once their last participant is placed
-    constraints = [[] for _ in range(n)]
-    for (i, j), k in K.meets.items():
-        if i <= j:
-            constraints[max(i, j, k)].append(("meet", i, j, k))
-    for (i, j), k in K.joins.items():
-        if i <= j:
-            constraints[max(i, j, k)].append(("join", i, j, k))
-    steps = 0
+    meet, join = L.meet_i, L.join_i
+    # the meet and the join triples to check once their last participant is
+    # placed, as plain int triples (which the garbage collector stops tracking)
+    meets, joins = [[] for _ in range(n)], [[] for _ in range(n)]
+    for at, table in ((meets, K.meets), (joins, K.joins)):
+        for (i, j), k in table.items():
+            if i <= j:
+                at[max(i, j, k)].append((i, j, k))
+    # a bounded K sends 0 to 0 and 1 to 1 (0 wins when K has one element)
+    forced = {K.top_i: [L.top_i], K.bottom_i: [L.bottom_i]} if K.bounded else {}
 
-    def candidates(i):
-        if preserve_bounds and i == K.bottom_i:
-            return [L.bottom_i]
-        if preserve_bounds and i == K.top_i:
-            return [L.top_i]
-        return range(m)
+    def fits(a):
+        p = len(a) - 1
+        for i, j, k in meets[p]:
+            if meet(a[i], a[j]) != a[k]:
+                return False
+        for i, j, k in joins[p]:
+            if join(a[i], a[j]) != a[k]:
+                return False
+        return True
 
-    def extend(i):
-        nonlocal steps
-        if i == n:
-            return True
-        for c in candidates(i):
-            if used[c]:
-                continue
-            steps += 1
-            if steps > budget:
-                raise BudgetExceeded("partial embedding search budget exhausted")
-            assigned[i] = c
-            ok = True
-            for op, a, b, k in constraints[i]:
-                fa, fb, fk = assigned[a], assigned[b], assigned[k]
-                val = L.meet_i(fa, fb) if op == "meet" else L.join_i(fa, fb)
-                if val != fk:
-                    ok = False
-                    break
-            if ok:
-                used[c] = True
-                if extend(i + 1):
-                    return True
-                used[c] = False
-            assigned[i] = -1
-        return False
-
-    if extend(0):
-        return {K.labels[i]: L.labels[assigned[i]] for i in range(n)}
-    return None
+    found = _assignments(n, lambda i, a: forced.get(i, range(m)), fits,
+                         EMBED_NODE_BUDGET, "partial embedding")
+    return {K.labels[i]: L.labels[c] for i, c in enumerate(found[0])} if found else None
 
 
 # --- builtin generators ---
@@ -1092,10 +1082,10 @@ def save_lattice(L, path):
         fh.write("\n")
 
 
-def lattice_dot(L, graph_name=None) -> str:
+def lattice_dot(L) -> str:
     """Hasse diagram in DOT: one node per element, one edge per cover,
     elements of equal height share a rank."""
-    lines = [f'digraph "{graph_name or L.name or "lattice"}" {{',
+    lines = [f'digraph "{L.name or "lattice"}" {{',
              "  rankdir=BT;", "  node [shape=plaintext];"]
     for i, lab in enumerate(L.labels):
         lines.append(f'  n{i} [label="{lab}"];')

@@ -38,14 +38,19 @@ from .diagrams import (
     node_of,
 )
 from .errors import (
-    BudgetExceeded,
     CritlatError,
     HypothesisUnmet,
     MissingDirectChain,
     PosetMismatch,
     VerificationFailed,
 )
-from .lattice import Homomorphism, chain_order, dual, induced_partial_sublattice
+from .lattice import (
+    Homomorphism,
+    _assignments,
+    chain_order,
+    dual,
+    induced_partial_sublattice,
+)
 
 CHAIN_SEARCH_BUDGET = 200_000
 MAX_LIFTING_FAILURES = 64   # verify_lifting keeps at most this many
@@ -150,24 +155,23 @@ def verify_lifting(lift: Lifting) -> LiftingReport:
 
 # --- congruence chains inside a lifting ---
 
-def find_congruence_chains(B, u, v, J: Optional[JoinIrreducibles] = None,
-                           budget=CHAIN_SEARCH_BUDGET):
+def find_congruence_chains(B, u, v, J: Optional[JoinIrreducibles] = None):
     """All congruence chains of B with extremities u and v.
 
     Requires Con B Boolean.  A qualifying chain steps through distinct atoms
     of Con B, one per step, exhausting them; steps need not be covers of B.
-    Deterministic order (next element by canonical index).
+    Deterministic order (next element by canonical index).  Each element
+    tried as a next step counts one step against CHAIN_SEARCH_BUDGET; the
+    elements the path has already stepped to are skipped without counting.
     """
     atoms = boolean_atoms_of(B, J)
     ui, vi = B.index(u), B.index(v)
-    atom_keys = {t.block_of: t for t in atoms}
+    atom_keys = {t.block_of for t in atoms}
     n_atoms = len(atoms)
     if ui == vi:
         if n_atoms == 0:
             return [ChainWitness(None, (u,), ())]
         return []
-    out = []
-    steps = 0
     theta_cache = {}
 
     def theta(a, b):
@@ -176,27 +180,23 @@ def find_congruence_chains(B, u, v, J: Optional[JoinIrreducibles] = None,
                 B, B.labels[a], B.labels[b])
         return theta_cache[(a, b)]
 
-    def walk(path, used):
-        nonlocal steps
-        cur = path[-1]
-        if len(used) == n_atoms:
-            if cur == vi:
-                out.append(tuple(path))
-            return
-        for z in range(B.n):
-            steps += 1
-            if steps > budget:
-                raise BudgetExceeded("congruence chain search budget exhausted")
-            if z == cur or not B.leq_i(cur, z) or not B.leq_i(z, vi):
-                continue
-            t = theta(cur, z)
-            key = t.block_of
-            if key in atom_keys and key not in used:
-                walk(path + [z], used | {key})
+    def fits(a):
+        # the new step prev -> z: prev < z <= v, its congruence an atom that
+        # no earlier step used, and the last step ends at v
+        path = [ui, *a]
+        prev, z = path[-2:]
+        if (z == prev or not B.leq_i(prev, z) or not B.leq_i(z, vi)
+                or (len(a) == n_atoms and z != vi)):
+            return False
+        key = theta(prev, z).block_of
+        return key in atom_keys and all(theta(x, y).block_of != key
+                                        for x, y in zip(path, path[1:-1]))
 
-    walk([ui], frozenset())
+    found = _assignments(n_atoms, lambda k, a: range(B.n), fits,
+                         CHAIN_SEARCH_BUDGET, "congruence chain", find_all=True)
     witnesses = []
-    for path in out:
+    for steps in found:
+        path = [ui, *steps]
         labels = tuple(B.labels[i] for i in path)
         sigma = tuple(theta(a, b) for a, b in zip(path, path[1:]))
         witnesses.append(ChainWitness(None, labels, sigma))
@@ -424,26 +424,20 @@ def retraction_congruence_chain(f: Homomorphism, pi0: Homomorphism,
 
     allowed = {beta[0].block_of: 0, beta[1].block_of: 1}
     fu_i, fv_i = B.index(fu), B.index(fv)
+    # the first path from f(u) up to f(v) in index order whose steps
+    # generate coatom complements; next steps are pushed in reverse to pop
+    # in increasing order
     chain = None
-
-    def walk(path):
-        nonlocal chain
-        if chain is not None:
-            return
+    stack = [(fu_i,)]
+    while stack:
+        path = stack.pop()
         cur = path[-1]
         if cur == fv_i and len(path) > 1:
-            chain = list(path)
-            return
-        for z in range(B.n):
-            if z == cur or not B.leq_i(cur, z) or not B.leq_i(z, fv_i):
-                continue
-            t = principal_congruence(B, B.labels[cur], B.labels[z])
-            if t.block_of in allowed:
-                walk(path + [z])
-                if chain is not None:
-                    return
-
-    walk([fu_i])
+            chain = path
+            break
+        stack.extend(path + (z,) for z in reversed(range(B.n))
+                     if z != cur and B.leq_i(cur, z) and B.leq_i(z, fv_i)
+                     and principal_congruence(B, B.labels[cur], B.labels[z]).block_of in allowed)
     if chain is None:
         raise HypothesisUnmet("no chain with coatom-complement steps exists")
     first = principal_congruence(B, B.labels[chain[0]], B.labels[chain[1]])

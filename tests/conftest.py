@@ -1,3 +1,6 @@
+import contextlib
+import sys
+
 import pytest
 
 from critlat.lattice import builtin, validate_lattice
@@ -27,3 +30,24 @@ def small_lattices():
 @pytest.fixture(scope="session")
 def corpus(named, small_lattices):
     return list(named.values()) + small_lattices
+
+
+@contextlib.contextmanager
+def _limit_above_caller(frames):
+    depth = 0
+    frame = sys._getframe(2)    # the caller, past this generator and contextmanager
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+@pytest.fixture
+def recursion_limit_above_caller():
+    """`with recursion_limit_above_caller(k):` runs its body with the
+    recursion limit k frames above the calling test's depth."""
+    return _limit_above_caller

@@ -2,13 +2,14 @@
 
 Everything here deliberately avoids the library's own algorithms: congruences
 by filtering all partitions, subuniverses by filtering all subsets,
-isomorphism by trying all permutations, and small lattices by filtered
-enumeration of naturally labelled posets.  The slow Con oracle keeps the
-algorithms the library used before it built Con from J(Con L): one closure
-per cover, a join loop that re-closes unions, and Conc of a homomorphism by
-one closure per congruence.  The table oracle keeps the pair loop and the
-closure by squaring the order matrix that validate_lattice used before it
-searched its tables in numpy.
+isomorphism and partial-lattice embeddings by trying all permutations,
+congruence chains by filtering all strict chains, and small lattices by
+filtered enumeration of naturally labelled posets.  The slow Con oracle
+keeps the algorithms the library used before it built Con from J(Con L):
+one closure per cover, a join loop that re-closes unions, and Conc of a
+homomorphism by one closure per congruence.  The table oracle keeps the
+pair loop and the closure by squaring the order matrix that validate_lattice
+used before it searched its tables in numpy.
 """
 
 import itertools
@@ -385,3 +386,45 @@ def oracle_partition_join(a, b):
                     cls = [lo if c == hi else c for c in cls]
                     changed = True
     return canon_ids(cls)
+
+
+# --- searches by filtering every candidate ---
+
+def oracle_embed_partial(K, L):
+    """The first injective map K -> L, in lexicographic order of the image
+    sequences, that preserves every defined meet and join, as a label dict;
+    None when there is none.  A bounded K sends its 0 to L's 0 and its 1,
+    when it is not its 0, to L's 1."""
+    for img in itertools.permutations(range(L.n), K.n):
+        if K.bounded and (img[K.bottom_i] != L.bottom_i
+                          or (K.top_i != K.bottom_i and img[K.top_i] != L.top_i)):
+            continue
+        if all(img[k] == L.meet_i(img[i], img[j]) for (i, j), k in K.meets.items()) \
+                and all(img[k] == L.join_i(img[i], img[j]) for (i, j), k in K.joins.items()):
+            return {K.labels[i]: L.labels[c] for i, c in enumerate(img)}
+    return None
+
+
+def oracle_congruence_chains(B):
+    """Every strict chain x0 < x1 < ... < xk of B whose step congruences
+    Theta(x_t, x_t+1), closed by oracle_closure, are distinct atoms of Con B
+    (from oracle_con) and use up all of them.  Returns a dict from the
+    extremities' labels (x0, xk) to (labels, step block_ofs) pairs, ordered
+    by the chains' index sequences."""
+    con = oracle_con(B)
+    atoms = {con["cons"][k] for k in con["atoms"]}
+    closures = {}
+    out = {}
+    for r in range(1, B.n + 1):
+        for path in itertools.permutations(range(B.n), r):
+            steps = list(zip(path, path[1:]))
+            if not all(B.leq_i(x, y) for x, y in steps):
+                continue
+            for p in steps:
+                if p not in closures:
+                    closures[p] = oracle_closure(B, [p])
+            sigma = tuple(closures[p] for p in steps)
+            if set(sigma) == atoms and len(sigma) == len(atoms):
+                labels = tuple(B.labels[i] for i in path)
+                out.setdefault((labels[0], labels[-1]), []).append((labels, sigma))
+    return out

@@ -9,6 +9,7 @@ from critlat.diagrams import (
     EMPTY,
     TOP,
     FinitePoset,
+    LatticeDiagram,
     admissible_triples,
     apply_conc,
     base_diagram,
@@ -356,6 +357,22 @@ class TestExtendDiagram:
         e1 = extend_diagram(dd, [a, b])
         e2 = extend_diagram(dd, [b, a])  # sorted internally, same order
         assert diagram_isomorphic(e1, e2)
+
+    @pytest.mark.parametrize("target, want", [("N5", False), ("M:3", True)])
+    def test_edge_images_must_commute(self, target, want):
+        # a <= b, the 3-chain into the target with c1 -> x1 against c1 -> x3:
+        # N5 has only the identity automorphism, so the squares cannot
+        # commute; M3 has the one swapping x1 and x3
+        poset = FinitePoset(["a", "b"], [("a", "b")])
+        C, T = builtin("chain:2"), builtin(target)
+
+        def diagram(image):
+            edge = Homomorphism.from_labels(C, T, {"0": "0", "c1": image, "1": "1"})
+            return LatticeDiagram(poset, {"a": C, "b": T},
+                                  {("a", "a"): Homomorphism.identity(C),
+                                   ("b", "b"): Homomorphism.identity(T), ("a", "b"): edge})
+
+        assert diagram_isomorphic(diagram("x1"), diagram("x3")) is want
 
     def test_precondition_failure(self, named):
         D, _ = chain_diagram_of_partial(named["M:3"], named["M:3"].labels)

@@ -1,6 +1,5 @@
 import itertools
 import re
-import sys
 from unittest import mock
 
 import numpy as np
@@ -48,6 +47,7 @@ from critlat.lattice import (
 from oracles import (
     brute_isomorphic,
     brute_subuniverses,
+    oracle_embed_partial,
     oracle_tables_from_order,
     oracle_validate,
 )
@@ -445,21 +445,41 @@ class TestIsomorphism:
                            for a in range(L.n) for b in range(L.n))]
             assert [h.mapping.tolist() for h in all_isomorphisms(L, L)] == want
 
-    def test_long_chain_needs_no_recursion(self):
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_all_isomorphisms_onto_a_relabelled_copy(self, small_lattices, data):
+        # the order must be preserved and reflected in both directions: onto
+        # a copy with its elements in random order, every isomorphism comes
+        # out, in the lexicographic order of the image sequences
+        K = data.draw(st.sampled_from(small_lattices))
+        perm = data.draw(st.permutations(range(K.n)))
+        L = FiniteLattice._from_order([K.labels[p] for p in perm], K._leq[np.ix_(perm, perm)])
+        want = [list(p) for p in itertools.permutations(range(K.n))
+                if all(K.leq_i(a, b) == L.leq_i(p[a], p[b])
+                       for a in range(K.n) for b in range(K.n))]
+        assert [h.mapping.tolist() for h in all_isomorphisms(K, L)] == want
+
+    def test_long_chain_needs_no_recursion(self, recursion_limit_above_caller):
         # the search keeps its own stack: a 301-element chain is matched with
         # the recursion limit only a few hundred frames above the caller
         K, L = builtin("chain:300"), builtin("chain:300")
-        depth = 0
-        frame = sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 200)
-        try:
+        with recursion_limit_above_caller(200):
             h = is_isomorphic(K, L)
-        finally:
-            sys.setrecursionlimit(old)
         assert h.mapping.tolist() == list(range(K.n))
+
+    def test_lazy_product_refused(self):
+        P = product(builtin("M:3"), builtin("M:3"), cap=0, allow_lazy=True)
+        assert isinstance(P, ProductLattice)
+        for search in (is_isomorphic, all_isomorphisms):
+            with pytest.raises(BudgetExceeded, match="needs a dense lattice"):
+                search(P, P)
+
+    def test_budget_message(self):
+        # placing the eight elements of bool:3 takes more than 4 steps
+        L = builtin("bool:3")
+        with mock.patch.object(lattice, "ISO_SEARCH_BUDGET", 4):
+            with pytest.raises(BudgetExceeded, match="^isomorphism search budget exhausted$"):
+                all_isomorphisms(L, L)
 
 
 class TestChains:
@@ -481,21 +501,13 @@ class TestChains:
         chains = spanning_chains(named["chain:3"], {2})
         assert ("0", "c1", "1") in chains and ("0", "c2", "1") in chains
 
-    def test_long_chain_needs_no_recursion(self):
+    def test_long_chain_needs_no_recursion(self, recursion_limit_above_caller):
         # the walk keeps its own stack: one maximal chain of 301 elements
         # with the recursion limit only a few hundred frames above the caller
         L = builtin("chain:300")
-        depth = 0
-        frame = sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 200)
-        try:
+        with recursion_limit_above_caller(200):
             chains = maximal_chains(L)
             spanning = spanning_chains(L, {2})
-        finally:
-            sys.setrecursionlimit(old)
         assert chains == [tuple(chain_order(L))]
         assert len(spanning) == L.n - 2
 
@@ -550,6 +562,37 @@ class TestEmbedPartial:
         K = induced_partial_sublattice(b3, ["000", "100", "110", "011", "111"])
         found = embed_partial(K, b3)
         assert found is not None
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_agrees_with_oracle(self, small_lattices, data):
+        # the partial sublattice induced by a random spanning subset of a
+        # corpus lattice, bounded or not, into another corpus lattice: the
+        # same first witness in lexicographic order, or None from both
+        S = data.draw(st.sampled_from(small_lattices))
+        inner = sorted(set(S.labels) - {S.bottom, S.top})
+        extra = data.draw(st.sets(st.sampled_from(inner))) if inner else set()
+        K = induced_partial_sublattice(S, [S.bottom, S.top, *extra])
+        if data.draw(st.booleans()):
+            K = PartialLattice(K.labels, K.meets, K.joins)
+        L = data.draw(st.sampled_from(small_lattices))
+        assert embed_partial(K, L) == oracle_embed_partial(K, L)
+
+    def test_long_chain_needs_no_recursion(self, recursion_limit_above_caller):
+        # the search keeps its own stack: the 101 elements of chain:100 are
+        # placed with the recursion limit only 50 frames above the caller
+        L = builtin("chain:100")
+        K = induced_partial_sublattice(L, L.labels)
+        with recursion_limit_above_caller(50):
+            found = embed_partial(K, L)
+        assert found == {x: x for x in L.labels}
+
+    def test_budget_message(self, named):
+        K = PartialLattice.from_lattice(named["M:3"], bounded=False)
+        with mock.patch.object(lattice, "EMBED_NODE_BUDGET", 10):
+            with pytest.raises(BudgetExceeded,
+                               match="^partial embedding search budget exhausted$"):
+                embed_partial(K, named["N5"])
 
 
 class TestSerialization:

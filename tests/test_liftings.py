@@ -1,8 +1,10 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from critlat import liftings
 from critlat.congruence import (
     ConcMap,
     Congruence,
@@ -20,11 +22,12 @@ from critlat.diagrams import (
     node_of,
 )
 from critlat.errors import (
+    BudgetExceeded,
     ConNotBoolean,
     HypothesisUnmet,
     MissingDirectChain,
 )
-from critlat.lattice import Homomorphism, builtin, product, product_projections
+from critlat.lattice import Homomorphism, builtin, is_distributive, product, product_projections
 from critlat.liftings import (
     Lifting,
     check_directing_property,
@@ -39,6 +42,8 @@ from critlat.liftings import (
     retraction_congruence_chain,
     verify_lifting,
 )
+
+from oracles import oracle_congruence_chains
 
 C1, C2, C3 = ("0", "x1", "1"), ("0", "x2", "1"), ("0", "x3", "1")
 
@@ -168,6 +173,34 @@ class TestFindChains:
     def test_non_boolean_rejected(self, named):
         with pytest.raises(ConNotBoolean):
             find_congruence_chains(named["N5"], "0", "1")
+
+    def test_agrees_with_oracle(self, corpus):
+        # every pair of elements of every distributive corpus lattice (whose
+        # Con is Boolean): the same chains, steps and order as the filter
+        # over all strict chains
+        for L in corpus:
+            if not is_distributive(L)[0]:
+                continue
+            want = oracle_congruence_chains(L)
+            for u in L.labels:
+                for v in L.labels:
+                    got = [(w.elements, tuple(t.block_of for t in w.sigma))
+                           for w in find_congruence_chains(L, u, v)]
+                    assert got == want.get((u, v), []), (L, u, v)
+
+    def test_long_chain_needs_no_recursion(self, recursion_limit_above_caller):
+        # the search keeps its own stack: the 60 steps of chain:60 are taken
+        # with the recursion limit only 40 frames above the caller
+        L = builtin("chain:60")
+        with recursion_limit_above_caller(40):
+            ws = find_congruence_chains(L, "0", "1")
+        assert [w.elements for w in ws] == [L.labels]
+
+    def test_budget_message(self):
+        with mock.patch.object(liftings, "CHAIN_SEARCH_BUDGET", 10):
+            with pytest.raises(BudgetExceeded,
+                               match="^congruence chain search budget exhausted$"):
+                find_congruence_chains(builtin("bool:3"), "000", "111")
 
 
 class TestExtraction:
