@@ -3,7 +3,8 @@ emit JSON certificates and DOT renderings.
 
 Inputs are either paths to lattice JSON files or builtin names (2, chain:n,
 M:n, N5, bool:n, F22).  Exit codes: 0 success (crit-gate: Infinite),
-3 crit-gate AtMostAleph2, 2 parse or validation error.
+3 crit-gate AtMostAleph2, 1 lift-check on a well-formed lifting that fails
+verification, 2 parse or validation error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .lattice import (
     is_isomorphic,
     lattice_dot,
     lattice_to_json,
+    load_json,
     load_lattice,
 )
 
@@ -224,8 +226,7 @@ def cmd_glued_diagram(args):
 
 def _lifting_from_args(args):
     if args.bundle:
-        with open(args.bundle, "r", encoding="utf-8") as fh:
-            return liftings.lifting_from_json(json.load(fh))
+        return liftings.lifting_from_json(load_json(args.bundle))
     L = resolve_lattice(args.identity if args.identity else args.dual_of)
     D, _ = diagrams.chain_diagram_of_partial(L, list(L.labels))
     lift = liftings.identity_lifting(D)
@@ -431,7 +432,7 @@ def run(argv=None) -> int:
     except CritlatError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,7 @@ from .errors import (
     NotACongruence,
     NotASublattice,
 )
-from .lattice import FiniteLattice, Homomorphism, _same_lattice, chain_order
+from .lattice import FiniteLattice, Homomorphism, _same_lattice, _same_or_dual, chain_order
 
 CON_SIZE_BUDGET = 300
 # bound on |Con L|: con_lattice makes one union-find join and one partition
@@ -112,6 +112,8 @@ class Congruence:
     def __init__(self, host, blocks):
         self.host = host
         self.blocks = tuple(tuple(sorted(b)) for b in blocks)
+        if not all(self.blocks):
+            raise NotACongruence("a block is empty")
         self.blocks = tuple(sorted(self.blocks, key=lambda b: b[0]))
         bo = [None] * host.n
         for k, b in enumerate(self.blocks):
@@ -240,17 +242,24 @@ class JoinIrreducibles:
     pairs[a] generates cons[a]; leq[a, b] when cons[a] refines cons[b], that
     is when cons[b] identifies pairs[a].  A congruence is held as the bool
     mask of the members below it, its down-set in J.
+
+    Every principal congruence is read off these members with no closure
+    (principal_masks): for a < b, Theta(a, b) is the join of the
+    Theta(j_*, j) over the join-irreducible elements j <= b with j not <= a.
     """
 
-    __slots__ = ("host", "cons", "pairs", "leq")
+    __slots__ = ("host", "cons", "pairs", "leq", "_ji", "_member", "_below", "_gen")
 
     def __init__(self, L):
         """One principal closure per join-irreducible element of L."""
         _require_dense(L)
         found = {}
+        ji, keys = [], []
         for pair in _join_irreducible_pairs(L):
             theta = Congruence.from_rep(L, _closure_rep(L, [pair]))
             found.setdefault(theta.block_of, (theta, pair))
+            ji.append(pair[1])
+            keys.append(theta.block_of)
         ordered = sorted(found.values(),
                          key=lambda tp: _canonical_key(L.n, tp[0].block_of))
         self.host = L
@@ -259,9 +268,26 @@ class JoinIrreducibles:
         k = len(self.cons)
         self.leq = np.array([[t.block_of[a] == t.block_of[b] for t in self.cons]
                              for a, b in self.pairs], dtype=bool).reshape(k, k)
+        # each join-irreducible element of L and the member its pair generates
+        position = {t.block_of: a for a, t in enumerate(self.cons)}
+        self._ji = np.array(ji, dtype=np.intp)
+        self._member = np.array([position[key] for key in keys], dtype=np.intp)
+        self._below = self._gen = None
 
     def __len__(self):
         return len(self.cons)
+
+    def principal_masks(self, a, b):
+        """Down-set masks of Theta(a, b), one row per pair of element indices
+        of the host (or of its dual: both have the same congruences, and
+        duality swaps a ^ b and a v b)."""
+        if self._below is None:
+            # _below[j, x]: j <= x; _gen[j]: the down-set of Theta(j_*, j)
+            self._below = self.host._leq[self._ji]
+            self._gen = self.leq.T[self._member]
+        lo, hi = self.host._meet[a, b], self.host._join[a, b]
+        # a member of Con L is join-prime, so OR over the rows is the join
+        return (self._below[:, hi] & ~self._below[:, lo]).T @ self._gen
 
     def mask_of(self, classes):
         """Down-set mask of the congruence with these class ids (a block_of
@@ -450,6 +476,16 @@ class ConcMap:
         image = self.on_masks(self.source.mask_of(theta.block_of))
         return Congruence.from_rep(self.target.host, self.target.join_ids(image))
 
+    def sends_principal(self, a, b, C, c, d):
+        """For each k, whether phi(Theta(a_k, b_k)) = Theta_C(c_k, d_k), as a
+        bool array, with no partition built.  a, b index the elements of the
+        source's host (or of its dual), c, d those of C; all False unless
+        the target's host is C."""
+        if not _same_lattice(self.target.host, C):
+            return np.zeros(len(a), dtype=bool)
+        got = self.on_masks(self.source.principal_masks(a, b))
+        return (got == self.target.principal_masks(c, d)).all(axis=-1)
+
     def sends(self, theta: Congruence, image: Congruence) -> bool:
         """Whether phi(theta) = image, compared as down-set masks over J(Con
         T), with no partition built."""
@@ -491,19 +527,19 @@ class ConcMap:
 
 def conc_of_hom(f: Homomorphism, j_source: Optional[JoinIrreducibles] = None,
                 j_target: Optional[JoinIrreducibles] = None) -> ConcMap:
-    """The congruence map induced by a lattice homomorphism: one closure
-    Theta(f a, f b) per generating pair (a, b) of J(Con source), read as a
-    mask over J(Con target)."""
+    """The congruence map induced by a lattice homomorphism: Theta(f a, f b)
+    for each generating pair (a, b) of J(Con source), read off J(Con target)
+    as a mask.  The given J must be those of f's source and target or of
+    their duals (HostMismatch otherwise)."""
     JS = JoinIrreducibles(f.source) if j_source is None else j_source
     JT = JoinIrreducibles(f.target) if j_target is None else j_target
+    if not (_same_or_dual(JS.host, f.source) and _same_or_dual(JT.host, f.target)):
+        raise HostMismatch("J(Con) given for another lattice than the map's")
     if f.source is f.target and JS is JT \
             and (f.mapping == np.arange(f.source.n)).all():
         return ConcMap.identity(JS)
-    fm = f.mapping.tolist()
-    images = np.zeros((len(JS), len(JT)), dtype=bool)
-    for j, (a, b) in enumerate(JS.pairs):
-        if fm[a] != fm[b]:
-            images[j] = JT.mask_of(_closure_rep(f.target, [(fm[a], fm[b])]))
+    pairs = np.array(JS.pairs, dtype=np.intp).reshape(len(JS), 2)
+    images = JT.principal_masks(f.mapping[pairs[:, 0]], f.mapping[pairs[:, 1]])
     return ConcMap(JS, JT, np.zeros(len(JT), dtype=bool), images)
 
 
@@ -524,26 +560,40 @@ def is_boolean(con: ConLattice):
     return False, None, ("not complemented", con.cons[first])
 
 
-def chain_steps(L, chain_labels):
-    """Principal congruences of the consecutive steps of a chain in L."""
+def _chain_indices(L, chain_labels):
+    """Element indices of a chain in L; CritlatError unless it ascends."""
     idxs = [L.index(x) for x in chain_labels]
     for a, b in zip(idxs, idxs[1:]):
         if a == b or not L.leq_i(a, b):
             raise CritlatError(f"not an ascending chain: {chain_labels}")
-    return [principal_congruence(L, L.labels[a], L.labels[b])
-            for a, b in zip(idxs, idxs[1:])]
+    return idxs
 
 
-def boolean_atoms_of(B, J: Optional[JoinIrreducibles] = None):
-    """The atoms of Con B, read off J(Con B), which is built within the Con
-    size budget when not given.  ConNotBoolean unless Con B is Boolean."""
+def atom_steps(J: JoinIrreducibles):
+    """theta(a, z): the member of J that Theta(a, z) is when it is an atom of
+    Con, that is when its down-set holds that member alone, else -1.  The
+    row of a is read off J once, for every z."""
+    n, rows = J.host.n, {}
+
+    def theta(a, z):
+        if a not in rows:
+            masks = J.principal_masks(np.full(n, a), np.arange(n))
+            rows[a] = np.where(masks.sum(axis=1) == 1, masks.argmax(axis=1), -1).tolist()
+        return rows[a][z]
+
+    return theta
+
+
+def boolean_J(B, J: Optional[JoinIrreducibles] = None) -> JoinIrreducibles:
+    """J(Con B), built within the Con size budget when not given, whose
+    members are then the atoms of Con B.  ConNotBoolean unless Con B is
+    Boolean."""
     if J is None:
         _check_con_size(B)
         J = JoinIrreducibles(B)
-    atoms = J.boolean_atoms()
-    if atoms is None:
+    if J.boolean_atoms() is None:
         raise ConNotBoolean(f"Con of {B!r} is not Boolean")
-    return atoms
+    return J
 
 
 def is_congruence_chain(B, chain_labels, J: Optional[JoinIrreducibles] = None):
@@ -552,12 +602,13 @@ def is_congruence_chain(B, chain_labels, J: Optional[JoinIrreducibles] = None):
     Requires Con B to be a finite Boolean lattice (ConNotBoolean otherwise).
     sigma is returned as the list of step congruences, sigma(k) = Theta(x_k, x_{k+1}).
     """
-    atoms = boolean_atoms_of(B, J)
-    steps = chain_steps(B, chain_labels)
-    keys = [t.block_of for t in steps]
-    if len(set(keys)) != len(keys) or set(keys) != {t.block_of for t in atoms}:
+    J = boolean_J(B, J)
+    idxs = _chain_indices(B, chain_labels)
+    theta = atom_steps(J)
+    steps = [theta(a, b) for a, b in zip(idxs, idxs[1:])]
+    if -1 in steps or sorted(steps) != list(range(len(J))):
         return None
-    return steps
+    return [Congruence.from_rep(B, J.cons[k].block_of) for k in steps]
 
 
 def is_direct_congruence_chain(B, chain_labels, xi: ConcMap, C) -> bool:
@@ -569,12 +620,13 @@ def is_direct_congruence_chain(B, chain_labels, xi: ConcMap, C) -> bool:
     """
     if not xi.isomorphism:
         raise CritlatError("xi must be an isomorphism")
-    c_elems = chain_order(C)
+    c_elems = [C.index(c) for c in chain_order(C)]
     if len(chain_labels) != C.n:
         raise ArityMismatch(
             f"chain has {len(chain_labels) - 1} steps, target chain has {C.n - 1}")
-    return all(xi.sends(t, principal_congruence(C, c_elems[k], c_elems[k + 1]))
-               for k, t in enumerate(chain_steps(B, chain_labels)))
+    idxs = _chain_indices(B, chain_labels)
+    return bool(xi.sends_principal(idxs[:-1], idxs[1:], C,
+                                   c_elems[:-1], c_elems[1:]).all())
 
 
 def inclusion_hom(sub, amb) -> Homomorphism:

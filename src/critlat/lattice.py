@@ -355,8 +355,8 @@ class ProductLattice(_Lattice):
     """Lazy direct product: componentwise order and operations, no dense tables.
 
     Used by the diagram machinery when the product size passes the dense cap.
-    Element i has coordinates product_coords(sizes, i); covers and heights
-    are computed from the factors on first use.
+    Element i has coordinates product_coords(sizes, i); covers, heights and
+    the label index are computed on first use.
     """
 
     __slots__ = ("name", "factors", "sizes", "labels", "_index", "bottom_i", "top_i",
@@ -371,11 +371,16 @@ class ProductLattice(_Lattice):
         self.name = name
         self.factors = tuple(factors)
         self.labels = _product_labels(factors)
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        self._index = None
         self.bottom_i = int(product_index(self.sizes, [f.bottom_i for f in factors]))
         self.top_i = int(product_index(self.sizes, [f.top_i for f in factors]))
         self._covers = None
         self._heights = None
+
+    def index(self, label: str) -> int:
+        if self._index is None:
+            self._index = {lab: i for i, lab in enumerate(self.labels)}
+        return super().index(label)
 
     def _pairs(self, i, j):
         """(factor, i_k, j_k) for each coordinate k of i and j."""
@@ -595,6 +600,14 @@ def _hom_failure(src, tgt, m):
 
 def _same_lattice(A, B) -> bool:
     return A is B or (A.labels == B.labels and tuple(A.covers) == tuple(B.covers))
+
+
+def _same_or_dual(A, B) -> bool:
+    """Whether B is A or A's dual: the same labels, the same or the reversed
+    covers."""
+    return _same_lattice(A, B) or (
+        A.labels == B.labels
+        and tuple(sorted((j, i) for i, j in A.covers)) == tuple(B.covers))
 
 
 # --- subuniverses ---
@@ -1059,21 +1072,26 @@ def lattice_to_json(L) -> dict:
 
 
 def lattice_from_json(obj) -> FiniteLattice:
+    # a wrong shape (no list of labels, a cover that is no pair of labels)
+    # surfaces as a KeyError, TypeError or ValueError
     try:
-        labels = obj["elements"]
-        covers = [tuple(c) for c in obj["covers"]]
-    except (KeyError, TypeError) as exc:
+        return validate_lattice(obj["elements"], [tuple(c) for c in obj["covers"]],
+                                name=obj.get("name") or None)
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad lattice object: {exc}") from None
-    return validate_lattice(labels, covers, name=obj.get("name") or None)
+
+
+def load_json(path):
+    """The JSON value in a file; FormatError when it is not valid UTF-8 JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 def load_lattice(path) -> FiniteLattice:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: {exc}") from None
-    return lattice_from_json(obj)
+    return lattice_from_json(load_json(path))
 
 
 def save_lattice(L, path):

@@ -10,6 +10,7 @@ embedding of the generating partial lattice into the top node.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,7 +21,8 @@ from .congruence import (
     Congruence,
     JoinIrreducibles,
     _check_con_size,
-    boolean_atoms_of,
+    atom_steps,
+    boolean_J,
     con_lattice,
     conc_of_hom,
     kernel,
@@ -39,6 +41,7 @@ from .diagrams import (
 )
 from .errors import (
     CritlatError,
+    FormatError,
     HypothesisUnmet,
     MissingDirectChain,
     PosetMismatch,
@@ -47,6 +50,7 @@ from .errors import (
 from .lattice import (
     Homomorphism,
     _assignments,
+    _same_or_dual,
     chain_order,
     dual,
     induced_partial_sublattice,
@@ -120,7 +124,7 @@ def verify_lifting(lift: Lifting) -> LiftingReport:
     Checks the source diagram's functor and homomorphism laws on every edge
     (LatticeDiagram.law_failures), the target's functor laws, that every xi
     is an isomorphism, and, once those hold and each xi's source has the
-    elements of its node, every naturality square
+    lattice of its node or its dual, every naturality square
     xi_Q . Conc(g_PQ) = target_PQ . xi_P.  At most MAX_LIFTING_FAILURES
     failures are kept.  An edge out of a lazy product that does not factor
     through one coordinate raises BudgetExceeded.
@@ -143,8 +147,9 @@ def verify_lifting(lift: Lifting) -> LiftingReport:
         elif not x.isomorphism:
             failures.append(("xi-not-iso", p))
     if not failures:
+        # each xi must start at J(Con) of its node's lattice or of its dual
         failures = [("xi-wrong-shape", p) for p in poset.elements
-                    if lift.xi[p].source.host.n != B.lattices[p].n]
+                    if not _same_or_dual(lift.xi[p].source.host, B.lattices[p])]
     if not failures:
         for (p, q) in poset.pairs():
             cf = conc_of_hom(B.maps[(p, q)], lift.xi[p].source, lift.xi[q].source)
@@ -164,21 +169,14 @@ def find_congruence_chains(B, u, v, J: Optional[JoinIrreducibles] = None):
     tried as a next step counts one step against CHAIN_SEARCH_BUDGET; the
     elements the path has already stepped to are skipped without counting.
     """
-    atoms = boolean_atoms_of(B, J)
+    J = boolean_J(B, J)
     ui, vi = B.index(u), B.index(v)
-    atom_keys = {t.block_of for t in atoms}
-    n_atoms = len(atoms)
+    n_atoms = len(J)
     if ui == vi:
         if n_atoms == 0:
             return [ChainWitness(None, (u,), ())]
         return []
-    theta_cache = {}
-
-    def theta(a, b):
-        if (a, b) not in theta_cache:
-            theta_cache[(a, b)] = principal_congruence(
-                B, B.labels[a], B.labels[b])
-        return theta_cache[(a, b)]
+    theta = atom_steps(J)
 
     def fits(a):
         # the new step prev -> z: prev < z <= v, its congruence an atom that
@@ -188,9 +186,8 @@ def find_congruence_chains(B, u, v, J: Optional[JoinIrreducibles] = None):
         if (z == prev or not B.leq_i(prev, z) or not B.leq_i(z, vi)
                 or (len(a) == n_atoms and z != vi)):
             return False
-        key = theta(prev, z).block_of
-        return key in atom_keys and all(theta(x, y).block_of != key
-                                        for x, y in zip(path, path[1:-1]))
+        k = theta(prev, z)
+        return k >= 0 and all(theta(x, y) != k for x, y in zip(path, path[1:-1]))
 
     found = _assignments(n_atoms, lambda k, a: range(B.n), fits,
                          CHAIN_SEARCH_BUDGET, "congruence chain", find_all=True)
@@ -198,7 +195,8 @@ def find_congruence_chains(B, u, v, J: Optional[JoinIrreducibles] = None):
     for steps in found:
         path = [ui, *steps]
         labels = tuple(B.labels[i] for i in path)
-        sigma = tuple(theta(a, b) for a, b in zip(path, path[1:]))
+        sigma = tuple(Congruence.from_rep(B, J.cons[theta(a, b)].block_of)
+                      for a, b in zip(path, path[1:]))
         witnesses.append(ChainWitness(None, labels, sigma))
     return witnesses
 
@@ -211,13 +209,14 @@ def direct_chains_at(lift: Lifting, node, u, v):
     gv = B.maps[(EMPTY, node)].apply(v)
     xi = lift.xi[node]
     C = lift.target.J[node].host
-    c_elems = chain_order(C)
-    witnesses = find_congruence_chains(B.lattices[node], gu, gv, J=xi.source)
+    c_elems = [C.index(c) for c in chain_order(C)]
+    L = B.lattices[node]
+    witnesses = find_congruence_chains(L, gu, gv, J=xi.source)
     for w in witnesses:
         w.node = node
-        w.direct = len(w.elements) == len(c_elems) and all(
-            xi.sends(t, principal_congruence(C, c_elems[k], c_elems[k + 1]))
-            for k, t in enumerate(w.sigma))
+        path = [L.index(x) for x in w.elements]
+        w.direct = len(path) == len(c_elems) and bool(xi.sends_principal(
+            path[:-1], path[1:], C, c_elems[:-1], c_elems[1:]).all())
     return witnesses
 
 
@@ -329,13 +328,11 @@ def extract_embedding(lift: Lifting, subset, u=None, v=None, chain_choices=None)
             okc = okc and (a == b)
         coherence.append((c, okc))
 
-    xi_top = lift.xi[TOP]
-    con_checks = []
-    for i, x in enumerate(K.labels):
-        for y in K.labels[i + 1:]:
-            ok = xi_top.sends(principal_congruence(B_top, h[x], h[y]),
-                              principal_congruence(L, x, y))
-            con_checks.append((x, y, ok))
+    pairs = list(itertools.combinations(K.labels, 2))
+    oks = lift.xi[TOP].sends_principal(
+        [B_top.index(h[x]) for x, _ in pairs], [B_top.index(h[y]) for _, y in pairs],
+        L, [L.index(x) for x, _ in pairs], [L.index(y) for _, y in pairs])
+    con_checks = [(x, y, bool(ok)) for (x, y), ok in zip(pairs, oks)]
 
     report = EmbeddingReport(h, injective, op_checks, con_checks,
                              coherence, choices)
@@ -400,7 +397,8 @@ def retraction_congruence_chain(f: Homomorphism, pi0: Homomorphism,
         if not (comp.mapping == np.arange(A.n)).all():
             raise HypothesisUnmet("pi is not a retraction of f")
     _check_con_size(B)
-    atoms = JoinIrreducibles(B).boolean_atoms()
+    J = JoinIrreducibles(B)
+    atoms = J.boolean_atoms()
     if atoms is None or len(atoms) != 2:
         raise HypothesisUnmet("Con B is not the four-element Boolean lattice")
     a0, a1 = kernel(pi0), kernel(pi1)
@@ -422,8 +420,12 @@ def retraction_congruence_chain(f: Homomorphism, pi0: Homomorphism,
     u, v = A.labels[ui], A.labels[vi]
     fu, fv = f.apply(u), f.apply(v)
 
-    allowed = {beta[0].block_of: 0, beta[1].block_of: 1}
+    # the member of J(Con B) that each beta[k] is, and k
+    allowed = {k: b for b, beta_b in beta.items()
+               for k, t in enumerate(J.cons) if t.block_of == beta_b.block_of}
     fu_i, fv_i = B.index(fu), B.index(fv)
+    theta = atom_steps(J)
+
     # the first path from f(u) up to f(v) in index order whose steps
     # generate coatom complements; next steps are pushed in reverse to pop
     # in increasing order
@@ -437,11 +439,10 @@ def retraction_congruence_chain(f: Homomorphism, pi0: Homomorphism,
             break
         stack.extend(path + (z,) for z in reversed(range(B.n))
                      if z != cur and B.leq_i(cur, z) and B.leq_i(z, fv_i)
-                     and principal_congruence(B, B.labels[cur], B.labels[z]).block_of in allowed)
+                     and theta(cur, z) in allowed)
     if chain is None:
         raise HypothesisUnmet("no chain with coatom-complement steps exists")
-    first = principal_congruence(B, B.labels[chain[0]], B.labels[chain[1]])
-    if allowed[first.block_of] == 1:
+    if allowed[theta(chain[0], chain[1])] == 1:
         pi0, pi1 = pi1, pi0
         beta = {0: beta[1], 1: beta[0]}
     x1 = B.labels[chain[1]]
@@ -478,15 +479,21 @@ def lifting_to_json(lift: Lifting) -> dict:
 
 
 def lifting_from_json(obj) -> Lifting:
-    src = diagram_from_json(obj["source"])
-    tgt = diagram_from_json(obj["target"])
-    S = apply_conc(tgt)
-    xi = {}
-    for n in src.poset.elements:
-        con_s, con_t = con_lattice(src.lattices[n]), con_lattice(tgt.lattices[n])
-        mapping = np.zeros(con_s.n, dtype=np.int32)
-        for sb, tb in obj["xi"][str(n)]:
-            si = con_s.index_of(Congruence.from_label_blocks(src.lattices[n], sb))
-            mapping[si] = con_t.index_of(Congruence.from_label_blocks(tgt.lattices[n], tb))
-        xi[n] = ConcMap.from_mapping(con_s, con_t, mapping)
+    """The lifting of a bundle written by lifting_to_json; FormatError when
+    the bundle does not have that shape."""
+    try:
+        src = diagram_from_json(obj["source"])
+        tgt = diagram_from_json(obj["target"])
+        S = apply_conc(tgt)
+        xi = {}
+        for n in src.poset.elements:
+            con_s, con_t = con_lattice(src.lattices[n]), con_lattice(tgt.lattices[n])
+            mapping = np.zeros(con_s.n, dtype=np.int32)
+            for sb, tb in obj["xi"][str(n)]:
+                si = con_s.index_of(Congruence.from_label_blocks(src.lattices[n], sb))
+                mapping[si] = con_t.index_of(
+                    Congruence.from_label_blocks(tgt.lattices[n], tb))
+            xi[n] = ConcMap.from_mapping(con_s, con_t, mapping)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(f"bad lifting bundle: {exc!r}") from None
     return Lifting(src, S, xi)

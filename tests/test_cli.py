@@ -145,6 +145,19 @@ class TestOperations:
         code, out, _ = invoke(capsys, "lift-check", str(p))
         assert code == 0 and out.strip() == "valid"
 
+    def test_lift_check_failing_bundle_is_one(self, tmp_path, capsys):
+        # a well-formed bundle whose xi at the top swaps two congruences
+        from critlat.diagrams import chain_diagram_of_partial
+        from critlat.liftings import identity_lifting, lifting_to_json
+        D, _ = chain_diagram_of_partial(builtin("N5"), builtin("N5").labels)
+        bundle = lifting_to_json(identity_lifting(D))
+        xi = bundle["xi"]["T"]
+        xi[1][1], xi[2][1] = xi[2][1], xi[1][1]
+        p = tmp_path / "bundle.json"
+        p.write_text(json.dumps(bundle))
+        code, out, _ = invoke(capsys, "lift-check", str(p))
+        assert code == 1 and out.strip() == "invalid: ('xi-not-iso', 'T')"
+
     def test_extract_embedding_dual_flag(self, capsys):
         code, out, _ = invoke(capsys, "extract-embedding", "M:3", "--dual")
         assert code == 0 and "dualized: true" in out
@@ -197,3 +210,57 @@ class TestLongChains:
         code, _, _ = invoke(capsys, *argv.split())
         assert code in (0, 2, 3)
         assert time.perf_counter() - start < 10
+
+
+# every subcommand that reads a file, with {} where the file goes
+FILE_COMMANDS = [
+    "validate {}", "con {}", "simple {}", "si {}", "hs-member {} M:3",
+    "hs-member M:3 {}", "var-leq {} M:3", "var-leq M:3 {}", "crit-gate {} M:3",
+    "crit-gate M:3 {}", "conc-report {} M:3", "conc-report M:3 {}", "iso {} M:3",
+    "iso M:3 {}", "dual {}", "chain-diagram {}",
+    "directing-diagram {} 0,x1,1 0,x2,1 0,x3,1", "glued-diagram {} M:3",
+    "glued-diagram M:3 {}", "lift-check {}", "extract-embedding {}",
+    "find-chains {} 0 1", "export-dot {}"]
+MALFORMED = {
+    "truncated": '{"elements": ["0", "1"], "cov',
+    "list": "[1, 2]",
+    "wrong-shape": '{"labels": ["a"], "covers": "x"}',
+    "cover-not-a-pair": '{"elements": ["a"], "covers": "x"}',
+    "elements-not-a-list": '{"elements": 5, "covers": []}',
+    "not-utf-8": b"\xff\xfe",
+}
+# every subcommand on builtins, for the budget flags at 0 and -1
+BUILTIN_COMMANDS = [
+    "validate N5", "con N5", "simple N5", "si N5", "hs-member M:3 N5",
+    "var-leq N5 M:3", "crit-gate N5 M:3", "conc-report M:3 N5", "iso N5 N5",
+    "dual N5", "chain-diagram N5", "directing-diagram M:3 0,x1,1 0,x2,1 0,x3,1",
+    "glued-diagram M:3 M:3", "lift-check --identity N5", "extract-embedding N5",
+    "find-chains bool:2 00 11", "export-dot N5"]
+
+
+class TestInputContract:
+    """Every input ends with a documented exit code and no traceback."""
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    @pytest.mark.parametrize("command", FILE_COMMANDS)
+    def test_malformed_file_is_two(self, tmp_path, capsys, command, kind):
+        p = tmp_path / "input.json"
+        text = MALFORMED[kind]
+        if isinstance(text, bytes):
+            p.write_bytes(text)
+        else:
+            p.write_text(text)
+        code, _, err = invoke(capsys, *command.format(p).split())
+        assert code == 2 and "FormatError" in err
+        assert "Traceback" not in err
+
+    def test_directory_is_two(self, tmp_path, capsys):
+        code, _, err = invoke(capsys, "lift-check", str(tmp_path))
+        assert code == 2 and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("flag", ["--max-size", "--max-subuniverses", "--cap"])
+    @pytest.mark.parametrize("command", BUILTIN_COMMANDS)
+    def test_budget_flags_at_zero_and_below(self, capsys, command, flag, value):
+        code, _, err = invoke(capsys, *command.split(), flag, value)
+        assert code in (0, 2, 3) and "Traceback" not in err

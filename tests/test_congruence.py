@@ -1,9 +1,11 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from critlat import congruence
 from critlat.congruence import (
     _join_ids,
     ConcMap,
@@ -40,6 +42,7 @@ from oracles import (
     brute_congruences,
     canon_ids,
     con_as_partition_set,
+    oracle_closure,
     oracle_con,
     oracle_conc_of_hom,
     oracle_isomorphism,
@@ -241,6 +244,14 @@ class TestCongruenceChains:
         xi = ConcMap.from_mapping(con, con, perm)
         assert xi.isomorphism
         assert not is_direct_congruence_chain(c2, ["0", "c1", "1"], xi, c2)
+
+    def test_target_on_another_lattice_is_not_direct(self, named):
+        # xi's target is J(Con chain:2), not J(Con) of the relabelled chain C
+        c2 = named["chain:2"]
+        C = validate_lattice(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        xi = ConcMap.identity(JoinIrreducibles(c2))
+        assert is_direct_congruence_chain(c2, ["0", "c1", "1"], xi, c2)
+        assert not is_direct_congruence_chain(c2, ["0", "c1", "1"], xi, C)
 
     def test_length_two_direct_or_dually_direct(self):
         # for any iso xi, a 3-element congruence chain matches one orientation
@@ -616,3 +627,66 @@ class TestConcMapChecks:
             x = data.draw(st.integers(0, CS.n - 1))
             assert [cm.sends(CS.cons[x], t) for t in CT.cons] == \
                 [y == mapping[x] for y in range(CT.n)]
+
+
+def _assert_principal_masks(J, L, pairs):
+    """J.principal_masks on the pairs of elements of L, where J is J(Con L)
+    or J(Con dual L), against the oracle's closure of each pair."""
+    a, b = (np.array(x, dtype=np.intp) for x in zip(*pairs))
+    want = np.array([J.mask_of(oracle_closure(L, [p])) for p in pairs],
+                    dtype=bool).reshape(len(pairs), len(J))
+    assert (J.principal_masks(a, b) == want).all()
+
+
+class TestPrincipalMasks:
+    """Theta(a, b) read off J(Con L), with no closure, against the oracle."""
+
+    def test_every_pair_of_the_corpus(self, corpus):
+        for L in corpus:
+            _assert_principal_masks(JoinIrreducibles(L), L,
+                                    list(itertools.product(range(L.n), repeat=2)))
+
+    def test_pairs_read_on_the_dual(self, corpus):
+        # L and its dual have the same congruences, and J(Con L) answers for
+        # both: duality swaps a ^ b and a v b
+        for L in corpus:
+            _assert_principal_masks(JoinIrreducibles(L), dual(L),
+                                    list(itertools.product(range(L.n), repeat=2)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_products(self, small_lattices, data):
+        A, B = data.draw(st.lists(st.sampled_from(small_lattices), min_size=2, max_size=2))
+        P = product(A, B)
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, P.n - 1),
+                                             st.integers(0, P.n - 1)),
+                                   min_size=1, max_size=30))
+        _assert_principal_masks(JoinIrreducibles(P), P, pairs)
+
+    def test_one_pair_gives_one_row(self, named):
+        L = named["N5"]
+        J = JoinIrreducibles(L)
+        a, b = L.index("x1"), L.index("1")
+        assert (J.principal_masks(a, b) == J.principal_masks([a], [b])[0]).all()
+
+    def test_conc_of_hom_runs_no_closure(self):
+        P = product(builtin("N5"), builtin("M:3"))
+        JP = JoinIrreducibles(P)
+        for pr in product_projections(P):
+            JF = JoinIrreducibles(pr.target)
+            with mock.patch.object(congruence, "_closure_rep",
+                                   wraps=congruence._closure_rep) as spy:
+                cm = conc_of_hom(pr, JP, JF)
+            assert spy.call_count == 0
+            # J(Con) of the duals list the same members: the same map
+            dm = conc_of_hom(pr, JoinIrreducibles(dual(P)),
+                             JoinIrreducibles(dual(pr.target)))
+            assert dm.equal_map(cm)
+
+    def test_conc_of_hom_refuses_another_lattice_s_j(self):
+        f = Homomorphism.identity(builtin("chain:3"))
+        J, other = JoinIrreducibles(f.source), JoinIrreducibles(builtin("bool:2"))
+        with pytest.raises(HostMismatch):
+            conc_of_hom(f, other, J)
+        with pytest.raises(HostMismatch):
+            conc_of_hom(f, J, other)

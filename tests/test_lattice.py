@@ -295,6 +295,13 @@ class TestProduct:
         for hd, hl in zip(product_projections(dense), product_projections(lazy)):
             assert hd.equal_map(hl)
 
+    def test_lazy_product_indexes_its_labels_on_first_lookup(self):
+        P = product(builtin("M:3"), builtin("N5"), cap=0, allow_lazy=True)
+        assert P._index is None
+        assert [P.index(x) for x in P.labels] == list(range(P.n))
+        with pytest.raises(UnknownElement):
+            P.index("x9")
+
     @pytest.mark.parametrize("order", [("N5", "2"), ("2", "N5")])
     def test_lazy_distributivity_witness_lies_in_product(self, order):
         L = product(*[builtin(nm) for nm in order], cap=1, allow_lazy=True)

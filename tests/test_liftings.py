@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from critlat import liftings
+from critlat import congruence, liftings
 from critlat.congruence import (
     ConcMap,
     Congruence,
@@ -143,6 +143,16 @@ class TestVerify:
         lift = identity_lifting(diagram(builtin("2")))
         rep = verify_lifting(Lifting(diagram(builtin("chain:3")), lift.target, lift.xi))
         assert rep.failures == [("xi-wrong-shape", "a"), ("xi-wrong-shape", "b")]
+        # xi out of a lattice of the node's size: the 4-element chain:3 and
+        # bool:2, and the 5-element M:3, whose xi once let a diagram of
+        # chain:4 pass as a lifting of Conc(M3)
+        for given, node in (("bool:2", "chain:3"), ("M:3", "chain:4")):
+            lift = identity_lifting(diagram(builtin(given)))
+            rep = verify_lifting(Lifting(diagram(builtin(node)), lift.target, lift.xi))
+            assert rep.failures == [("xi-wrong-shape", "a"), ("xi-wrong-shape", "b")]
+        # the xi of a lifting pass to its dual unchanged
+        lift = identity_lifting(diagram(builtin("N5")))
+        assert verify_lifting(dual_lifting(lift)).ok
 
 
 class TestFindChains:
@@ -195,6 +205,16 @@ class TestFindChains:
         with recursion_limit_above_caller(40):
             ws = find_congruence_chains(L, "0", "1")
         assert [w.elements for w in ws] == [L.labels]
+
+    def test_steps_are_read_off_j(self):
+        # chain:60 has 60 join-irreducible elements: one closure each builds
+        # J(Con L), and every step of the search is a lookup in it
+        L = builtin("chain:60")
+        with mock.patch.object(congruence, "_closure_rep",
+                               wraps=congruence._closure_rep) as spy:
+            ws = find_congruence_chains(L, "0", "1")
+        assert [w.elements for w in ws] == [L.labels]
+        assert spy.call_count <= 60
 
     def test_budget_message(self):
         with mock.patch.object(liftings, "CHAIN_SEARCH_BUDGET", 10):
