@@ -18,7 +18,7 @@ from . import critpoint, diagrams, liftings, variety
 from .congruence import CON_SIZE_BUDGET, con_lattice, is_boolean, is_simple
 from .errors import CritlatError
 from .lattice import (
-    DEFAULT_PRODUCT_CAP,
+    PRODUCT_CAP,
     builtin,
     dual,
     is_isomorphic,
@@ -217,7 +217,7 @@ def cmd_directing_diagram(args):
 def cmd_glued_diagram(args):
     L = resolve_lattice(args.lattice)
     gen = resolve_lattice(args.generator)
-    g = diagrams.glued_diagram(L, _subset(args, L), gen, cap=args.cap)
+    g = diagrams.glued_diagram(L, _subset(args, L), gen)
     print(f"factors: {g.factor_count} (chain diagram + {len(g.triples)} "
           f"directing triples)")
     print(json.dumps(_diagram_summary(g.diagram), indent=2, sort_keys=True))
@@ -227,6 +227,8 @@ def cmd_glued_diagram(args):
 def _lifting_from_args(args):
     if args.bundle:
         return liftings.lifting_from_json(load_json(args.bundle))
+    if not (args.identity or args.dual_of):
+        raise CritlatError("lift-check needs a bundle, --identity or --dual-of")
     L = resolve_lattice(args.identity if args.identity else args.dual_of)
     D, _ = diagrams.chain_diagram_of_partial(L, list(L.labels))
     lift = liftings.identity_lifting(D)
@@ -302,8 +304,9 @@ def build_parser():
         p.add_argument("--max-subuniverses", type=int, default=None,
                        help="abort HS searches closing more generator "
                             "tuples (each generates one subuniverse)")
-        p.add_argument("--cap", type=int, default=DEFAULT_PRODUCT_CAP,
-                       help="dense product size cap")
+        p.add_argument("--cap", type=int, default=None,
+                       help="accepted and ignored; products above "
+                            f"{PRODUCT_CAP} elements are lazy or refused")
 
     p = sub.add_parser("validate", help="validate a lattice file or builtin")
     p.add_argument("lattice")

@@ -336,7 +336,7 @@ class ConLattice:
     """
 
     __slots__ = ("host", "J", "masks", "cons", "_by_key",
-                 "bottom_i", "top_i", "atoms", "_lattice")
+                 "bottom_i", "top_i", "atoms")
 
     def __init__(self, J: JoinIrreducibles, masks, cons):
         self.host = J.host
@@ -348,7 +348,6 @@ class ConLattice:
         self.bottom_i = int(np.nonzero(~masks.any(axis=1))[0][0])
         self.top_i = int(np.nonzero(masks.all(axis=1))[0][0])
         self.atoms = tuple(int(k) for k in np.nonzero(masks.sum(axis=1) == 1)[0])
-        self._lattice = None
 
     @property
     def n(self):
@@ -360,16 +359,6 @@ class ConLattice:
         except KeyError:
             raise NotACongruence(
                 f"{theta!r} is not a congruence of {self.host!r}") from None
-
-    def as_lattice(self) -> FiniteLattice:
-        """The Con lattice as a plain FiniteLattice, labels c0..c{m-1}."""
-        if self._lattice is None:
-            labels = [f"c{k}" for k in range(self.n)]
-            name = f"Con({self.host.name})" if self.host.name else "Con"
-            # masks[a] is a subset of masks[b] iff no member of J is in a but not in b
-            leq = ~(self.masks @ ~self.masks.T)
-            self._lattice = FiniteLattice._from_order(labels, leq, name=name)
-        return self._lattice
 
     def __repr__(self):
         return f"<ConLattice of {self.host!r}, {self.n} congruences>"

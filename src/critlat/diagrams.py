@@ -30,7 +30,6 @@ from .errors import (
     TooFewElements,
 )
 from .lattice import (
-    DEFAULT_PRODUCT_CAP,
     FiniteLattice,
     Homomorphism,
     _assignments,
@@ -150,7 +149,9 @@ class FinitePoset:
 
 class IndexPoset(FinitePoset):
     """The nested index posets over a chain set: bottom node, singletons,
-    admissible pairs, and a top node above everything."""
+    admissible pairs, and a top node above everything.  Below a node other
+    than the top lie the bottom node, the singletons of its chains and the
+    node itself."""
 
     def __init__(self, chains):
         chains = sorted({tuple(c) for c in chains}, key=_chain_key)
@@ -166,11 +167,9 @@ class IndexPoset(FinitePoset):
         pairs.sort(key=lambda p: p.key())
         kc = jc + pairs
         ic = kc + [TOP]
-        le = []
-        for p in ic:
-            for q in ic:
-                if q.is_top or (not p.is_top and set(p.chains) <= set(q.chains)):
-                    le.append((p, q))
+        le = [(p, TOP) for p in ic]
+        for q in kc:
+            le += [(EMPTY, q)] + [(node_of(c), q) for c in q.chains]
         super().__init__(ic, le)
         self.jc = tuple(jc)
         self.kc = tuple(kc)
@@ -299,19 +298,26 @@ def _bounds_of(chains, default=("0", "1")):
     return b, t
 
 
+def _jc_lattices(chains, b, t):
+    """The lattices at the JC nodes: b < t at the bottom node, each chain at
+    its singleton node."""
+    lattices = {EMPTY: validate_lattice([b, t], [(b, t)], name=f"{b}<{t}")}
+    for c in chains:
+        lattices[node_of(c)] = _chain_lattice(c)
+    return lattices
+
+
 def base_diagram(chains, bounds=None) -> LatticeDiagram:
     """The diagram over JC: bounds at the bottom node, each chain at its
     singleton node, bound-preserving maps upward."""
     ip = build_index_posets(chains)
-    b, t = _bounds_of(ip.chains, bounds or ("0", "1"))
-    e_bot = validate_lattice([b, t], [(b, t)], name=f"{b}<{t}")
-    lattices = {EMPTY: e_bot}
+    lattices = _jc_lattices(ip.chains, *_bounds_of(ip.chains, bounds or ("0", "1")))
+    e_bot = lattices[EMPTY]
     maps = {(EMPTY, EMPTY): Homomorphism.identity(e_bot)}
     poset = FinitePoset(ip.jc, [(EMPTY, n) for n in ip.jc])
     for c in ip.chains:
         node = node_of(c)
-        lat = _chain_lattice(c)
-        lattices[node] = lat
+        lat = lattices[node]
         maps[(node, node)] = Homomorphism.identity(lat)
         maps[(EMPTY, node)] = Homomorphism(
             e_bot, lat, np.array([0, lat.n - 1], dtype=np.int32), check="none")
@@ -342,8 +348,7 @@ def chain_diagram(L, chains) -> LatticeDiagram:
     ip = build_index_posets(chains)
     for c in ip.chains:
         _check_spanning_chain(L, c)
-    base = base_diagram(ip.chains, bounds=(L.bottom, L.top))
-    lattices = dict(base.lattices)
+    lattices = _jc_lattices(ip.chains, L.bottom, L.top)
     lattices[TOP] = L
     for nd in ip.ic:
         if nd.is_top or nd in lattices:
@@ -362,11 +367,12 @@ def chain_diagram(L, chains) -> LatticeDiagram:
 
 
 def spanning_chains_of_subset(L, subset, lengths=(2, 3)):
-    """Spanning chains with all elements inside `subset`, of the given lengths."""
-    sub = set(subset)
-    if L.bottom not in sub or L.top not in sub:
+    """Spanning chains with all elements inside `subset`, of the given
+    lengths; UnknownElement names a label that is not in L."""
+    members = sorted({L.index(x) for x in subset})
+    if L.bottom_i not in members or L.top_i not in members:
         raise NotSpanning("subset must contain both bounds")
-    return spanning_chains(L, lengths, members=[i for i, x in enumerate(L.labels) if x in sub])
+    return spanning_chains(L, lengths, members=members)
 
 
 def chain_diagram_of_partial(L, subset) -> tuple:
@@ -378,15 +384,13 @@ def chain_diagram_of_partial(L, subset) -> tuple:
 
 # --- products of diagrams over a lower subset ---
 
-def product_over(j_nodes, diagrams: Sequence[LatticeDiagram],
-                 cap=DEFAULT_PRODUCT_CAP, with_projections=True):
+def product_over(j_nodes, diagrams: Sequence[LatticeDiagram]) -> LatticeDiagram:
     """Product of several diagrams over a common lower subset J.
 
     Nodes in J stay untouched (all factors must agree there); nodes outside J
-    become direct products, with transition maps acting componentwise;
-    products above `cap` elements get the lazy representation.  Returns
-    (diagram, projections) where projections[t] maps nodes to the canonical
-    projection onto factor t (None when with_projections is off).
+    become direct products (lazy above PRODUCT_CAP elements), with
+    transition maps acting componentwise.  product_projections() of a node
+    outside J gives its projections onto the factors.
     """
     if not diagrams:
         raise CritlatError("need at least one diagram")
@@ -402,8 +406,7 @@ def product_over(j_nodes, diagrams: Sequence[LatticeDiagram],
     if not all(d.restrict(j_nodes).equal(first.restrict(j_nodes)) for d in diagrams[1:]):
         raise RestrictionMismatch(f"factors disagree on {j_nodes}")
     if len(diagrams) == 1:
-        proj = {n: Homomorphism.identity(first.lattices[n]) for n in poset.elements}
-        return first, [proj]
+        return first
 
     lattices = {}
     sizes = {}
@@ -411,8 +414,7 @@ def product_over(j_nodes, diagrams: Sequence[LatticeDiagram],
         if n in jset:
             lattices[n] = first.lattices[n]
         else:
-            lattices[n] = product(*[d.lattices[n] for d in diagrams],
-                                  cap=cap, allow_lazy=True)
+            lattices[n] = product(*[d.lattices[n] for d in diagrams], allow_lazy=True)
             sizes[n] = [d.lattices[n].n for d in diagrams]
 
     def coords(n):
@@ -433,17 +435,7 @@ def product_over(j_nodes, diagrams: Sequence[LatticeDiagram],
                                           for d, c in zip(diagrams, coords(p))])
             maps[(p, q)] = Homomorphism(src, tgt, mp, check="none")
 
-    result = LatticeDiagram(poset, lattices, maps)
-    if not with_projections:
-        return result, None
-    projections = [{} for _ in diagrams]
-    for n in poset.elements:
-        node_coords = coords(n)
-        for t, d in enumerate(diagrams):
-            projections[t][n] = (
-                Homomorphism.identity(lattices[n]) if n in jset else
-                Homomorphism(lattices[n], d.lattices[n], node_coords[t], check="none"))
-    return result, projections
+    return LatticeDiagram(poset, lattices, maps)
 
 
 # --- diagram extension ---
@@ -607,7 +599,7 @@ def directing_diagram(kgen, c1, c2, c3, with_t=False):
                 maps[(p, q)] = Homomorphism(src, tgt, mp, check="none")
         factors.append(LatticeDiagram(ip, lattices, maps))
 
-    glued, _ = product_over(ip.jc, factors, with_projections=False)
+    glued = product_over(ip.jc, factors)
     if not glued.restrict(ip.jc).equal(base):
         raise CritlatError("directing diagram does not restrict to the base diagram")
     return (glued, surjections) if with_t else glued
@@ -641,26 +633,26 @@ def admissible_triples(chains):
     return out
 
 
-def glued_diagram(L, subset, kgen, cap=DEFAULT_PRODUCT_CAP) -> GluedDiagram:
+def glued_diagram(L, subset, kgen) -> GluedDiagram:
     """Chain diagram of the subset glued with one directing diagram per
     admissible triple; the product is taken over JC.
 
     Guarantees: nodes below the top stay finite and distributive, and the
-    restriction to JC is the base diagram.  Products beyond `cap` elements
-    switch to the lazy componentwise representation.
+    restriction to JC is the base diagram.  Products beyond PRODUCT_CAP
+    elements switch to the lazy componentwise representation.
     """
     subset = list(subset)
-    if len(subset) < 5:
+    if len(set(subset)) < 5:
         raise TooFewElements("the spanning subset needs at least five elements")
     chains = spanning_chains_of_subset(L, subset)
-    ip = build_index_posets(chains)
-    base, _ = chain_diagram_of_partial(L, subset)
+    base = chain_diagram(L, chains)
+    ip = base.poset
     factors = [base]
     triples = admissible_triples(chains)
     for (c1, c2, d) in triples:
         dd = directing_diagram(kgen, c1, c2, d)
         factors.append(extend_diagram(dd, chains))
-    glued, _ = product_over(ip.jc, factors, cap=cap, with_projections=False)
+    glued = product_over(ip.jc, factors)
     _require_distributive(glued.lattices, "glued")
     if not glued.restrict(ip.jc).equal(base.restrict(ip.jc)):
         raise CritlatError("glued diagram does not restrict to the base diagram")

@@ -30,8 +30,7 @@ from .errors import (
     UnknownElement,
 )
 
-DEFAULT_PRODUCT_CAP = 4096
-_DENSE_LIMIT = 4096  # largest product stored with full tables
+PRODUCT_CAP = 4096  # largest product with dense tables; larger ones are lazy or refused
 SUBUNIVERSE_SIZE_BOUND = 10
 EMBED_NODE_BUDGET = 2_000_000
 ISO_SEARCH_BUDGET = 5_000_000
@@ -354,7 +353,7 @@ def _reach(succ, v):
 class ProductLattice(_Lattice):
     """Lazy direct product: componentwise order and operations, no dense tables.
 
-    Used by the diagram machinery when the product size passes the dense cap.
+    Used by the diagram machinery when the product size passes PRODUCT_CAP.
     Element i has coordinates product_coords(sizes, i); covers, heights and
     the label index are computed on first use.
     """
@@ -463,13 +462,13 @@ def _product_tables(factors):
               for s, t in zip(first[1:], second[1:])))
 
 
-def product(*lattices, cap: int = DEFAULT_PRODUCT_CAP, allow_lazy=False):
+def product(*lattices, allow_lazy=False):
     """Direct product with componentwise operations.
 
-    Sizes above `cap` raise SizeCapExceeded unless allow_lazy is set.  The
-    result carries dense tables up to the fixed dense limit and switches to
-    the lazy componentwise representation beyond it.  Use
-    product_projections() to get the canonical projections as Homomorphisms.
+    The result carries dense tables up to PRODUCT_CAP elements; a larger
+    product is a lazy ProductLattice with allow_lazy, and raises
+    SizeCapExceeded without it.  Use product_projections() to get the
+    canonical projections as Homomorphisms.
     """
     if not lattices:
         raise CritlatError("product of zero lattices")
@@ -477,9 +476,9 @@ def product(*lattices, cap: int = DEFAULT_PRODUCT_CAP, allow_lazy=False):
         return lattices[0]
     total = math.prod(f.n for f in lattices)
     name = "x".join(f.name or "?" for f in lattices)
-    if total > cap and not allow_lazy:
-        raise SizeCapExceeded(f"product has {total} elements, cap is {cap}")
-    if total > min(cap, _DENSE_LIMIT):
+    if total > PRODUCT_CAP:
+        if not allow_lazy:
+            raise SizeCapExceeded(f"product has {total} elements, cap is {PRODUCT_CAP}")
         return ProductLattice(lattices, name=name)
     L = FiniteLattice._from_tables(_product_labels(lattices), *_product_tables(lattices),
                                    name=name, covers=_product_covers(lattices))
@@ -624,18 +623,56 @@ def subuniverse_closure(L, subset, include_bounds=False):
         raise CritlatError("cannot close an empty subset")
     if include_bounds:
         idxs |= {L.bottom_i, L.top_i}
-    closed = set(idxs)
-    changed = True
-    while changed:
-        changed = False
-        members = sorted(closed)
-        for i in members:
-            for j in members:
-                for v in (L.meet_i(i, j), L.join_i(i, j)):
-                    if v not in closed:
-                        closed.add(v)
-                        changed = True
-    return _sublattice_from_indices(L, sorted(closed))
+    # the tables are read in place: converting them costs more than a
+    # closure of a few elements in a long chain
+    members = _closure(L.n, idxs, (L._meet, L._join) * 2)
+    return _sublattice_from_indices(L, sorted(members))
+
+
+def _truncate(f, members, start):
+    """Undo the graph additions made since len(members) was start."""
+    for z in members[start:]:
+        f[z] = -1
+    del members[start:]
+
+
+def _extend_graph(f, members, a, g, tables):
+    """Add (a, g) to the graph of the partial map f (L-index -> M-index,
+    -1 where undefined) and close it under componentwise meet and join in
+    L x M, the tables being (meet and join of L, meet and join of M), read
+    as t[x][y].  On the first pair that makes the relation non-functional,
+    undo the additions and return False.  This is the one meet-join
+    closure: the graph of the identity of L closes to a sublattice."""
+    Lm, Lj, Mm, Mj = tables
+    start = len(members)
+    if f[a] != -1:
+        return f[a] == g
+    f[a] = g
+    members.append(a)
+    i = start
+    while i < len(members):
+        x = members[i]
+        fx = f[x]
+        for y in members[:i]:
+            fy = f[y]
+            for l, m in ((Lm[x][y], Mm[fx][fy]), (Lj[x][y], Mj[fx][fy])):
+                if f[l] == -1:
+                    f[l] = m
+                    members.append(l)
+                elif f[l] != m:
+                    _truncate(f, members, start)
+                    return False
+        i += 1
+    return True
+
+
+def _closure(n, gens, tables):
+    """The indices of the sublattice generated by gens in an n-element
+    lattice with tables (meet, join, meet, join), in the order added."""
+    f, members = [-1] * n, []
+    for g in gens:
+        _extend_graph(f, members, g, g, tables)
+    return members
 
 
 def _sublattice_from_indices(L, indices):
@@ -644,7 +681,7 @@ def _sublattice_from_indices(L, indices):
     idx = np.asarray(indices, dtype=np.intp)
     pos = np.full(L.n, -1, dtype=np.int32)
     pos[idx] = np.arange(len(idx))
-    grid = np.ix_(idx, idx)
+    grid = idx[:, None], idx
     meet, join = pos[L._meet[grid]], pos[L._join[grid]]
     if (meet < 0).any() or (join < 0).any():
         raise NotASublattice("index set is not closed under meet and join")
@@ -656,31 +693,30 @@ def _sublattice_from_indices(L, indices):
 def enumerate_subuniverses(L, max_size=SUBUNIVERSE_SIZE_BOUND):
     """All nonempty meet-join-closed subsets of L, as sorted index tuples.
 
-    Deterministic order: by (size, index tuple).
+    Deterministic order: by (size, index tuple).  Each found subuniverse is
+    extended by every element outside it, one closure each.
     """
     if L.n > max_size:
         raise BudgetExceeded(
             f"|L| = {L.n} exceeds the subuniverse enumeration bound {max_size}")
+    tables = (L._meet.tolist(), L._join.tolist()) * 2
+    f, members = [-1] * L.n, []
     seen = set()
-    frontier = []
-    for i in range(L.n):
-        sub, _ = subuniverse_closure(L, [L.labels[i]])
-        key = tuple(L.index(x) for x in sub.labels)
-        if key not in seen:
-            seen.add(key)
-            frontier.append(key)
+    frontier = [()]
     while frontier:
         fresh = []
         for key in frontier:
-            base = set(key)
+            for i in key:       # key is closed: its elements alone
+                _extend_graph(f, members, i, i, tables)
             for i in range(L.n):
-                if i in base:
-                    continue
-                sub, _ = subuniverse_closure(L, [L.labels[t] for t in base | {i}])
-                k2 = tuple(L.index(x) for x in sub.labels)
-                if k2 not in seen:
-                    seen.add(k2)
-                    fresh.append(k2)
+                if f[i] == -1:
+                    _extend_graph(f, members, i, i, tables)
+                    sub = tuple(sorted(members))
+                    _truncate(f, members, len(key))
+                    if sub not in seen:
+                        seen.add(sub)
+                        fresh.append(sub)
+            _truncate(f, members, 0)
         frontier = fresh
     return sorted(seen, key=lambda t: (len(t), t))
 

@@ -24,7 +24,10 @@ from .lattice import (
     product,
     product_index,
     quotient,
+    _closure,
+    _extend_graph,
     _sublattice_from_indices,
+    _truncate,
 )
 
 HS_SIZE_BUDGET = 32
@@ -110,41 +113,6 @@ def subdirect_decomposition(K, max_size=HS_SIZE_BUDGET):
     return thetas, P, emb
 
 
-def _truncate(f, members, start):
-    """Undo the graph additions made since len(members) was start."""
-    for z in members[start:]:
-        f[z] = -1
-    del members[start:]
-
-
-def _extend_graph(f, members, a, g, tables):
-    """Add (a, g) to the graph of the partial map f (L-index -> M-index,
-    -1 where undefined) and close it under componentwise meet and join in
-    L x M.  On the first pair that makes the relation non-functional, undo
-    the additions and return False."""
-    Lm, Lj, Mm, Mj = tables
-    start = len(members)
-    if f[a] != -1:
-        return f[a] == g
-    f[a] = g
-    members.append(a)
-    i = start
-    while i < len(members):
-        x = members[i]
-        fx = f[x]
-        for y in members[:i]:
-            fy = f[y]
-            for l, m in ((Lm[x][y], Mm[fx][fy]), (Lj[x][y], Mj[fx][fy])):
-                if f[l] == -1:
-                    f[l] = m
-                    members.append(l)
-                elif f[l] != m:
-                    _truncate(f, members, start)
-                    return False
-        i += 1
-    return True
-
-
 def _least_generating_set(M):
     """The least generating set of M: smallest size first, then
     lexicographic on M's element indices.
@@ -164,12 +132,7 @@ def _least_generating_set(M):
     for extra in range(len(rest)):
         for chosen in itertools.combinations(rest, extra):
             gens = sorted(required + list(chosen))
-            # the graph of the identity on gens closes to the generated
-            # sublattice
-            f, members = [-1] * M.n, []
-            for g in gens:
-                _extend_graph(f, members, g, g, tables)
-            if len(members) == M.n:
+            if len(_closure(M.n, gens, tables)) == M.n:
                 return gens
     return list(range(M.n))
 

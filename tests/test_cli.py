@@ -193,8 +193,10 @@ class TestBudgetFlags:
         assert "|J(Con L)| = 40" in err
 
     def test_env_product_cap(self, capsys):
+        # --cap is accepted and ignored
         code, out, _ = invoke(capsys, "glued-diagram", "M:3", "M:3", "--cap", "100000")
         assert code == 0 and "factors: 7" in out
+        assert invoke(capsys, "glued-diagram", "M:3", "M:3") == (0, out, "")
 
 
 class TestLongChains:
@@ -257,6 +259,20 @@ class TestInputContract:
     def test_directory_is_two(self, tmp_path, capsys):
         code, _, err = invoke(capsys, "lift-check", str(tmp_path))
         assert code == 2 and "Traceback" not in err
+
+    def test_lift_check_without_input_is_two(self, capsys):
+        code, _, err = invoke(capsys, "lift-check")
+        assert code == 2 and "--identity or --dual-of" in err
+
+    @pytest.mark.parametrize("argv, error", [
+        ("chain-diagram M:3 --subset 0,zz,1", "UnknownElement"),
+        ("extract-embedding M:3 --subset 0,zz,1", "UnknownElement"),
+        ("glued-diagram M:3 M:3 --subset 0,a,b,c,1", "UnknownElement"),
+        ("glued-diagram M:3 M:3 --subset 0,x1,x2,x2,1", "TooFewElements"),
+    ])
+    def test_malformed_subset_is_two(self, capsys, argv, error):
+        code, _, err = invoke(capsys, *argv.split())
+        assert code == 2 and error in err
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize("flag", ["--max-size", "--max-subuniverses", "--cap"])

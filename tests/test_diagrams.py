@@ -1,4 +1,5 @@
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,15 +38,18 @@ from critlat.errors import (
     PreconditionFailed,
     RestrictionMismatch,
     TooFewElements,
+    UnknownElement,
 )
+from critlat import lattice
 from critlat.lattice import (
     Homomorphism,
+    ProductLattice,
     builtin,
     is_distributive,
     is_isomorphic,
-    product,
     product_coords,
     product_index,
+    product_projections,
     quotient,
     spanning_chains,
     subuniverse_closure,
@@ -106,6 +110,19 @@ class TestIndexPosets:
                                ("b", "c"), ("c", "c")]
         assert sub.strict_triples() == [("a", "b", "c")]
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_order_is_chain_inclusion(self, corpus, data):
+        # the order built from the definition is inclusion of chain sets,
+        # with the top above every node
+        L = data.draw(st.sampled_from([K for K in corpus if K.n >= 2]))
+        pool = spanning_chains(L, (1, 2, 3, 4))
+        ip = build_index_posets(data.draw(st.lists(st.sampled_from(pool), max_size=6)))
+        for p in ip.ic:
+            for q in ip.ic:
+                want = q.is_top or (not p.is_top and set(p.chains) <= set(q.chains))
+                assert ip.le(p, q) == want
+
 
 class TestBaseDiagram:
     def test_single_chain(self):
@@ -157,6 +174,10 @@ class TestChainDiagram:
         with pytest.raises(NotSpanning):
             chain_diagram_of_partial(named["M:3"], ["x1", "x2", "1"])
 
+    def test_subset_label_outside_the_lattice(self, named):
+        with pytest.raises(UnknownElement):
+            chain_diagram_of_partial(named["M:3"], ["0", "zz", "1"])
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_subset_chains_are_the_filtered_spanning_chains(self, corpus, data):
@@ -184,43 +205,51 @@ def _product_pool():
 class TestProductOver:
     def test_single_factor_unchanged(self, named):
         D, _ = chain_diagram_of_partial(named["M:3"], named["M:3"].labels)
-        P, projs = product_over(D.poset.jc, [D])
-        assert P is D
-        assert all((h.mapping == range(h.source.n)).all()
-                   for h in projs[0].values())
+        assert product_over(D.poset.jc, [D]) is D
 
     def test_two_copies_square_the_top(self, named):
         D, _ = chain_diagram_of_partial(named["chain:2"], named["chain:2"].labels)
-        P, projs = product_over(D.poset.jc, [D, D])
+        P = product_over(D.poset.jc, [D, D])
         assert P.lattices[TOP].n == named["chain:2"].n ** 2
         for n in D.poset.jc:
             assert P.lattices[n] is D.lattices[n]
 
     def test_restriction_agrees(self, named):
         D, _ = chain_diagram_of_partial(named["chain:2"], named["chain:2"].labels)
-        P, _ = product_over(D.poset.jc, [D, D])
+        P = product_over(D.poset.jc, [D, D])
         assert P.restrict(D.poset.jc).equal(D.restrict(D.poset.jc))
 
     def test_projections_are_natural(self, named):
         D, _ = chain_diagram_of_partial(named["chain:2"], named["chain:2"].labels)
-        P, projs = product_over(D.poset.jc, [D, D])
-        for t, proj in enumerate(projs):
+        P = product_over(D.poset.jc, [D, D])
+
+        def proj(n, t):
+            # the identity on JC, the canonical projection elsewhere
+            if n in D.poset.jc:
+                return Homomorphism.identity(P.lattices[n])
+            return product_projections(P.lattices[n])[t]
+        for t in range(2):
             for (p, q) in D.poset.pairs():
-                left = proj[q].compose(P.maps[(p, q)])
-                right = D.maps[(p, q)].compose(proj[p])
+                left = proj(q, t).compose(P.maps[(p, q)])
+                right = D.maps[(p, q)].compose(proj(p, t))
                 assert left.equal_map(right)
 
     @staticmethod
     def _same_as_lazy(ds):
         jc = ds[0].poset.jc
-        dense, dense_projs = product_over(jc, ds)
-        lazy, lazy_projs = product_over(jc, ds, cap=0)
+        dense = product_over(jc, ds)
+        # every product node lazy
+        with mock.patch.object(lattice, "PRODUCT_CAP", 0):
+            lazy = product_over(jc, ds)
         for n in dense.poset.elements:
             assert dense.lattices[n].labels == lazy.lattices[n].labels
+            if n not in jc:
+                assert isinstance(lazy.lattices[n], ProductLattice)
+                pairs = zip(product_projections(dense.lattices[n]),
+                            product_projections(lazy.lattices[n]))
+                assert all(dp.equal_map(lp) for dp, lp in pairs)
         for pq in dense.poset.pairs():
             assert dense.maps[pq].equal_map(lazy.maps[pq])
-        for dp, lp in zip(dense_projs, lazy_projs):
-            assert all(dp[n].equal_map(lp[n]) for n in dense.poset.elements)
 
     @settings(max_examples=10, deadline=None)
     @given(st.data())
@@ -290,7 +319,8 @@ class TestExactHomomorphismCheck:
                                           "product-over"]))
         if kind == "product-over":
             ds = data.draw(st.lists(st.sampled_from(_product_pool()), min_size=2, max_size=3))
-            D, _ = product_over(ds[0].poset.jc, ds, cap=0, with_projections=False)
+            with mock.patch.object(lattice, "PRODUCT_CAP", 0):
+                D = product_over(ds[0].poset.jc, ds)
             # edges out of lazy nodes; edges into them come with "into-lazy"
             pq = data.draw(st.sampled_from([(p, q) for (p, q) in D.poset.pairs()
                                             if p != q and p not in D.poset.jc]))
@@ -308,12 +338,12 @@ class TestExactHomomorphismCheck:
             if kind == "into-lazy":
                 _, h = quotient(f.source, data.draw(st.sampled_from(con_lattice(f.source).cons)))
                 parts = [f, h] if k == 0 else [h, f]
-                P = product(*[g.target for g in parts], cap=0, allow_lazy=True)
+                P = ProductLattice([g.target for g in parts])
                 f = Homomorphism(f.source, P, product_index(P.sizes, [g.mapping for g in parts]),
                                  check="none")
             elif kind == "out-of-lazy":
                 C = data.draw(st.sampled_from([K for K in small_lattices if K.n <= 4]))
-                P = product(*([f.source, C] if k == 0 else [C, f.source]), cap=0, allow_lazy=True)
+                P = ProductLattice([f.source, C] if k == 0 else [C, f.source])
                 coords = product_coords(P.sizes, np.arange(P.n))
                 f = Homomorphism(P, f.target, f.mapping[coords[k]], check="none")
         assert self._accepts(f) == oracle_is_homomorphism(f)
@@ -456,6 +486,14 @@ class TestGluedDiagram:
     def test_too_few_elements(self, named):
         with pytest.raises(TooFewElements):
             glued_diagram(named["bool:2"], named["bool:2"].labels, builtin("M:3"))
+
+    def test_repeated_labels_count_once(self, named):
+        with pytest.raises(TooFewElements):
+            glued_diagram(named["M:3"], ["0", "x1", "x2", "x2", "1"], builtin("M:3"))
+
+    def test_subset_label_outside_the_lattice(self, named):
+        with pytest.raises(UnknownElement):
+            glued_diagram(named["M:3"], ["0", "a", "b", "c", "1"], builtin("M:3"))
 
     def test_admissible_triples_chain3(self, named):
         chains = [("0", "c1", "1"), ("0", "c2", "1"), ("0", "c1", "c2", "1")]

@@ -225,7 +225,7 @@ class TestTablesAgainstOracle:
         assert P.n == 1024 and len(P.covers) == 10 * 512
         assert P.height() == 10 and (P.bottom_i, P.top_i) == (0, 1023)
         assert P.join_i(1, 2) == 3 and P.meet_i(3, 6) == 2
-        assert P.covers == product(*[builtin("2")] * 10, cap=0, allow_lazy=True).covers
+        assert P.covers == ProductLattice([builtin("2")] * 10).covers
 
 
 class TestDual:
@@ -283,7 +283,7 @@ class TestProduct:
         pool = [L for L in small_lattices if L.n <= (6 if k == 2 else 5)]
         fs = data.draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
         dense = product(*fs)
-        lazy = product(*fs, cap=0, allow_lazy=True)
+        lazy = ProductLattice(fs)
         assert isinstance(dense, FiniteLattice) and isinstance(lazy, ProductLattice)
         assert dense.labels == lazy.labels
         for i, j in itertools.product(range(dense.n), repeat=2):
@@ -296,7 +296,7 @@ class TestProduct:
             assert hd.equal_map(hl)
 
     def test_lazy_product_indexes_its_labels_on_first_lookup(self):
-        P = product(builtin("M:3"), builtin("N5"), cap=0, allow_lazy=True)
+        P = ProductLattice([builtin("M:3"), builtin("N5")])
         assert P._index is None
         assert [P.index(x) for x in P.labels] == list(range(P.n))
         with pytest.raises(UnknownElement):
@@ -304,7 +304,7 @@ class TestProduct:
 
     @pytest.mark.parametrize("order", [("N5", "2"), ("2", "N5")])
     def test_lazy_distributivity_witness_lies_in_product(self, order):
-        L = product(*[builtin(nm) for nm in order], cap=1, allow_lazy=True)
+        L = ProductLattice([builtin(nm) for nm in order])
         ok, witness = is_distributive(L)
         assert not ok and all(w in L.labels for w in witness)
         x, y, z = (L.index(w) for w in witness)
@@ -330,7 +330,7 @@ class TestHomomorphismCheck:
         # the identity of 2 x 2 through a lazy copy: a homomorphism, but it
         # depends on both coordinates, so the check refuses it
         sq = builtin("bool:2")
-        lazy = product(builtin("2"), builtin("2"), cap=0, allow_lazy=True)
+        lazy = ProductLattice([builtin("2"), builtin("2")])
         with pytest.raises(BudgetExceeded):
             Homomorphism(lazy, sq, np.arange(4))
         Homomorphism(lazy, lazy, np.arange(4))
@@ -475,7 +475,7 @@ class TestIsomorphism:
         assert h.mapping.tolist() == list(range(K.n))
 
     def test_lazy_product_refused(self):
-        P = product(builtin("M:3"), builtin("M:3"), cap=0, allow_lazy=True)
+        P = ProductLattice([builtin("M:3"), builtin("M:3")])
         assert isinstance(P, ProductLattice)
         for search in (is_isomorphic, all_isomorphisms):
             with pytest.raises(BudgetExceeded, match="needs a dense lattice"):
