@@ -569,24 +569,15 @@ class Homomorphism:
 
 def _hom_failure(src, tgt, m):
     """First (op, a, b) with m(a op b) != m(a) op m(b), or None.  A map into
-    a lazy product is checked by its projections; a map out of one must
-    factor as g o pi_j, and since pi_j is onto it is a homomorphism iff g is.
-    Dense tables are compared in row chunks, all meets before any join."""
+    a lazy product is checked by its projections, a map out of one by
+    _product_hom_failure.  Dense tables are compared in row chunks, all
+    meets before any join."""
     if isinstance(tgt, ProductLattice):
         coords = product_coords(tgt.sizes, m)
         fails = (_hom_failure(src, f, c) for f, c in zip(tgt.factors, coords))
         return next((bad for bad in fails if bad is not None), None)
     if isinstance(src, ProductLattice):
-        grid = m.reshape(src.sizes)
-        for j, f in enumerate(src.factors):
-            # the values along axis j, every other coordinate at 0
-            axis = grid[tuple(slice(None) if k == j else slice(0, 1) for k in range(grid.ndim))]
-            if (grid == axis).all():
-                # a failing pair of f, as elements with every other coordinate at 0
-                bad = _hom_failure(f, tgt, axis.ravel())
-                stride = math.prod(src.sizes[j + 1:])
-                return bad and (bad[0], bad[1] * stride, bad[2] * stride)
-        raise BudgetExceeded(f"map out of {src!r} depends on several coordinates")
+        return _product_hom_failure(src, tgt, m)
     rows = max(1, _HOM_CHUNK // src.n)
     for op, s_tab, t_tab in (("meet", src._meet, tgt._meet), ("join", src._join, tgt._join)):
         for lo in range(0, src.n, rows):
@@ -594,6 +585,48 @@ def _hom_failure(src, tgt, m):
             if bad.any():
                 a, b = np.argwhere(bad)[0]
                 return op, lo + int(a), int(b)
+    return None
+
+
+def _product_hom_failure(src, tgt, m):
+    """_hom_failure for a map h out of a lazy product into a dense lattice.
+
+    A map that factors as g o pi_j is a homomorphism iff g is, pi_j being
+    onto.  Otherwise h is one iff (1) each axis map x -> h(e_j(x)), the
+    other coordinates at 1 and again at 0, is one, and (2) h(x) is the meet
+    of the h(e_j^1(x_j)) and the join of the h(e_j^0(x_j)) for every x.
+    (2) is checked one step at a time: with y_k holding the first k
+    coordinates of x and the rest at 1, h(y_k) = h(y_(k-1)) ^ h(e_k^1(x_k)),
+    and dually at 0; the first failing step is the witness.  Meets (at 1)
+    come before joins (at 0)."""
+    grid = m.reshape(src.sizes)
+    for j, f in enumerate(src.factors):
+        # the values along axis j, every other coordinate at 0
+        axis = grid[tuple(slice(None) if k == j else slice(0, 1) for k in range(grid.ndim))]
+        if (grid == axis).all():
+            # a failing pair of f, as elements with every other coordinate at 0
+            bad = _hom_failure(f, tgt, axis.ravel())
+            stride = math.prod(src.sizes[j + 1:])
+            return bad and (bad[0], bad[1] * stride, bad[2] * stride)
+    coords = product_coords(src.sizes, np.arange(src.n))
+    for op, bound, t_tab in (("meet", "top_i", tgt._meet), ("join", "bottom_i", tgt._join)):
+        rest = [getattr(f, bound) for f in src.factors]
+        # embed[j][a]: the element with coordinate a on axis j, the rest at the bound
+        embed = [product_index(src.sizes, rest[:j] + [np.arange(f.n)] + rest[j + 1:])
+                 for j, f in enumerate(src.factors)]
+        for f, e in zip(src.factors, embed):
+            bad = _hom_failure(f, tgt, m[e])
+            if bad is not None:
+                return bad[0], int(e[bad[1]]), int(e[bad[2]])
+        y = embed[0][coords[0]]
+        for k in range(1, len(embed)):
+            z = product_index(src.sizes, list(coords[:k + 1]) + rest[k + 1:])
+            e = embed[k][coords[k]]
+            wrong = m[z] != t_tab[m[y], m[e]]
+            if wrong.any():
+                x = int(np.argmax(wrong))
+                return op, int(y[x]), int(e[x])
+            y = z
     return None
 
 

@@ -2,10 +2,11 @@
 
 A lifting pairs a diagram of lattices with a natural family of isomorphisms
 from its nodewise congruence lattices onto a target semilattice diagram.
-Verification is exhaustive: homomorphism laws, functor laws, isomorphism
-flags, and every naturality square.  On top of valid liftings of chain
-diagrams we search for congruence chains, check directness, and extract the
-embedding of the generating partial lattice into the top node.
+Verification is exhaustive: homomorphism and functor laws of the lattice
+diagram, isomorphism flags, and every naturality square; these imply the
+target's functor laws.  On top of valid liftings of chain diagrams we
+search for congruence chains, check directness, and extract the embedding
+of the generating partial lattice into the top node.
 """
 
 from __future__ import annotations
@@ -122,22 +123,20 @@ def verify_lifting(lift: Lifting) -> LiftingReport:
     """Exhaustive verification; collects failures instead of raising.
 
     Checks the source diagram's functor and homomorphism laws on every edge
-    (LatticeDiagram.law_failures), the target's functor laws, that every xi
-    is an isomorphism, and, once those hold and each xi's source has the
-    lattice of its node or its dual, every naturality square
-    xi_Q . Conc(g_PQ) = target_PQ . xi_P.  At most MAX_LIFTING_FAILURES
-    failures are kept.  An edge out of a lazy product that does not factor
-    through one coordinate raises BudgetExceeded.
+    (LatticeDiagram.law_failures), that every xi is an isomorphism, and,
+    once those hold and each xi's source has the lattice of its node or its
+    dual, every naturality square xi_Q . Conc(g_PQ) = target_PQ . xi_P on
+    every p <= q, p = q included; a missing target edge fails its square.
+    The target's functor laws are implied, not checked: with B lawful,
+    every xi invertible and every square commuting, target_PQ =
+    xi_Q . Conc(g_PQ) . xi_P^-1, a composite of functors.  At most
+    MAX_LIFTING_FAILURES failures are kept.
     """
     B, S = lift.source, lift.target
     if B.poset != S.poset:
         raise PosetMismatch("source and target live on different posets")
     poset = B.poset
     failures = list(B.law_failures())
-    try:
-        S.validate()
-    except CritlatError as exc:
-        failures.append(("target-functor", str(exc)))
     for p in poset.elements:
         x = lift.xi.get(p)
         if x is None:
@@ -153,7 +152,8 @@ def verify_lifting(lift: Lifting) -> LiftingReport:
     if not failures:
         for (p, q) in poset.pairs():
             cf = conc_of_hom(B.maps[(p, q)], lift.xi[p].source, lift.xi[q].source)
-            if not lift.xi[q].compose(cf).equal_map(S.maps[(p, q)].compose(lift.xi[p])):
+            s = S.maps.get((p, q))
+            if s is None or not lift.xi[q].compose(cf).equal_map(s.compose(lift.xi[p])):
                 failures.append(("naturality", p, q))
     return LiftingReport(not failures, failures[:MAX_LIFTING_FAILURES])
 

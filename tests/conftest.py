@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from critlat.diagrams import chain_diagram_of_partial, directing_diagram
 from critlat.lattice import builtin, validate_lattice
 
 from oracles import enumerate_all_lattices
@@ -30,6 +31,17 @@ def small_lattices():
 @pytest.fixture(scope="session")
 def corpus(named, small_lattices):
     return list(named.values()) + small_lattices
+
+
+@pytest.fixture(scope="session")
+def lawful_diagrams(small_lattices):
+    """Chain diagrams of every lattice of 2 to 5 elements, of F22 and of
+    bool:3, and the directing diagrams of M:3 and N5 over three two-element
+    chains."""
+    lattices = [K for K in small_lattices if 2 <= K.n <= 5] + [builtin("F22"), builtin("bool:3")]
+    pool = [chain_diagram_of_partial(K, K.labels)[0] for K in lattices]
+    chains = [("0", x, "1") for x in ("x1", "x2", "x3")]
+    return pool + [directing_diagram(builtin(nm), *chains) for nm in ("M:3", "N5")]
 
 
 @contextlib.contextmanager

@@ -260,6 +260,43 @@ class TestInputContract:
         code, _, err = invoke(capsys, "lift-check", str(tmp_path))
         assert code == 2 and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["not-transitive", "cycle", "repeated-node",
+                                      "unknown-node"])
+    def test_bundle_whose_order_is_no_partial_order_is_two(self, tmp_path, capsys, kind):
+        # an identity lifting with both posets' order broken the same way:
+        # the M:3 chain diagram, or for the cycle a <= b <= a the diagram of
+        # two copies of 2 joined by identities, which is transitive
+        from critlat.diagrams import FinitePoset, LatticeDiagram, chain_diagram_of_partial
+        from critlat.lattice import Homomorphism
+        from critlat.liftings import identity_lifting, lifting_to_json
+        if kind == "cycle":
+            two = builtin("2")
+            ident = Homomorphism.identity(two)
+            D = LatticeDiagram(FinitePoset(["a", "b"], [("a", "b")]), {"a": two, "b": two},
+                               {("a", "a"): ident, ("b", "b"): ident, ("a", "b"): ident})
+        else:
+            M3 = builtin("M:3")
+            D, _ = chain_diagram_of_partial(M3, M3.labels)
+        bundle = lifting_to_json(identity_lifting(D))
+        for side in (bundle["source"], bundle["target"]):
+            poset = side["poset"]
+            if kind == "not-transitive":
+                # {} <= {0<x1<1} <= T stays, {} <= T goes
+                poset["leq"].remove(["{}", "T"])
+                del side["maps"]["{}<=T"]
+            elif kind == "cycle":
+                poset["leq"].append(["b", "a"])
+                side["maps"]["b<=a"] = {"0": "0", "1": "1"}
+            elif kind == "repeated-node":
+                poset["nodes"].append("{}")
+            else:
+                poset["leq"].append(["{}", "zz"])
+        p = tmp_path / "bundle.json"
+        p.write_text(json.dumps(bundle))
+        code, _, err = invoke(capsys, "lift-check", str(p))
+        assert code == 2 and "FormatError" in err
+        assert "Traceback" not in err
+
     def test_lift_check_without_input_is_two(self, capsys):
         code, _, err = invoke(capsys, "lift-check")
         assert code == 2 and "--identity or --dual-of" in err

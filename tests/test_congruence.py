@@ -168,17 +168,33 @@ class TestConcOfHom:
         images = {int(mapping[a]) for a in consub.atoms}
         assert images == set(consq.atoms)
 
-    def test_functoriality_on_composites(self, named):
-        sq = builtin("bool:2")
-        sub, _ = subuniverse_closure(sq, ["00", "01", "11"])
-        f = inclusion_hom(sub, sq)
-        theta = principal_congruence(sq, "00", "01")
-        Q, proj = quotient(sq, theta)
-        g = proj
-        cf = conc_of_hom(f)
-        cg = conc_of_hom(g, cf.target)
-        composite = conc_of_hom(g.compose(f), cf.source, cg.target)
-        assert composite.equal_map(cg.compose(cf))
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_functoriality_on_composites(self, lawful_diagrams, data):
+        # Conc(g . f) = Conc g . Conc f for composable edges of chain and
+        # directing diagrams, an edge followed by a quotient map, and two
+        # quotient maps in turn; every map against the oracle, and Conc of
+        # an identity is the identity.  The laws of apply_conc(D) rest on
+        # this.
+        D = data.draw(st.sampled_from(lawful_diagrams))
+        p, q = data.draw(st.sampled_from(D.poset.pairs()))
+        kind = data.draw(st.sampled_from(["edges", "edge-quotient", "quotients"]))
+        if kind == "quotients":
+            A = D.lattices[p]
+            _, f = quotient(A, data.draw(st.sampled_from(con_lattice(A).cons)))
+        else:
+            f = D.maps[(p, q)]
+        if kind == "edges":
+            g = D.maps[(q, data.draw(st.sampled_from(
+                [r for r in D.poset.elements if D.poset.le(q, r)])))]
+        else:
+            _, g = quotient(f.target, data.draw(st.sampled_from(con_lattice(f.target).cons)))
+        _assert_composite_agrees(f, g)
+        _assert_conc_agrees(g.compose(f))
+        # the identity, read through a second J of the same lattice
+        J = JoinIrreducibles(f.source)
+        cm = conc_of_hom(Homomorphism.identity(f.source), J, JoinIrreducibles(f.source))
+        assert cm.equal_map(ConcMap.identity(J))
 
     def test_injective_separates_zero(self, named):
         sq = builtin("bool:2")

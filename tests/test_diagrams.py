@@ -43,6 +43,7 @@ from critlat.errors import (
 from critlat import lattice
 from critlat.lattice import (
     Homomorphism,
+    _hom_failure,
     ProductLattice,
     builtin,
     is_distributive,
@@ -95,20 +96,16 @@ class TestIndexPosets:
         [C1, ("0", "x1", "x2", "1"), ("0", "x2", "1")],
         [],
     ])
-    def test_pairs_and_triples_match_brute_force(self, chains):
+    def test_pairs_match_brute_force(self, chains):
         ip = build_index_posets(chains)
         els = ip.elements
         assert ip.pairs() == [(a, b) for a in els for b in els if ip.le(a, b)]
-        assert ip.strict_triples() == [
-            (a, b, c) for a in els for b in els for c in els
-            if a != b and b != c and ip.le(a, b) and ip.le(b, c)]
 
     def test_order_pair_naming_no_element_is_ignored(self):
         sub = FinitePoset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c"),
                                              ("z", "a")])
         assert sub.pairs() == [("a", "a"), ("a", "b"), ("a", "c"), ("b", "b"),
                                ("b", "c"), ("c", "c")]
-        assert sub.strict_triples() == [("a", "b", "c")]
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -312,11 +309,11 @@ class TestExactHomomorphismCheck:
             mapping[i] = (mapping[i] + data.draw(st.integers(1, f.target.n - 1))) % f.target.n
         return Homomorphism(f.source, f.target, mapping, check="none")
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_agrees_with_oracle(self, small_lattices, data):
         kind = data.draw(st.sampled_from(["dense", "into-lazy", "out-of-lazy",
-                                          "product-over"]))
+                                          "both-coordinates", "product-over"]))
         if kind == "product-over":
             ds = data.draw(st.lists(st.sampled_from(_product_pool()), min_size=2, max_size=3))
             with mock.patch.object(lattice, "PRODUCT_CAP", 0):
@@ -330,6 +327,18 @@ class TestExactHomomorphismCheck:
                 bad = f.mapping.copy()
                 bad[i] = (bad[i] + data.draw(st.integers(1, f.target.n - 1))) % f.target.n
                 f = Homomorphism(f.source, f.target, bad, check="none")
+        elif kind == "both-coordinates":
+            # (a, b) -> (f a, g b) out of a lazy A x B into the dense product
+            # of the targets, one entry changed half of the time
+            f, g = (self._dense_map(data.draw(st.sampled_from(
+                [K for K in small_lattices if 2 <= K.n <= 5])), data) for _ in range(2))
+            P = ProductLattice([f.source, g.source])
+            T = lattice.product(f.target, g.target)
+            a, b = product_coords(P.sizes, np.arange(P.n))
+            mapping = product_index((f.target.n, g.target.n), [f.mapping[a], g.mapping[b]])
+            if data.draw(st.booleans()):
+                mapping[data.draw(st.integers(0, P.n - 1))] = data.draw(st.integers(0, T.n - 1))
+            f = Homomorphism(P, T, mapping, check="none")
         else:
             L = data.draw(st.sampled_from(small_lattices))
             f = self._dense_map(L, data)
@@ -347,6 +356,69 @@ class TestExactHomomorphismCheck:
                 coords = product_coords(P.sizes, np.arange(P.n))
                 f = Homomorphism(P, f.target, f.mapping[coords[k]], check="none")
         assert self._accepts(f) == oracle_is_homomorphism(f)
+
+
+    def test_every_one_entry_corruption_of_a_lazy_edge_as_on_the_dense_product(self):
+        # the edges {C, D} -> T of the square of the M:3 chain diagram run
+        # between lazy products and depend on both coordinates once one
+        # entry changes; each verdict must be the dense product's, and each
+        # witness a pair the map breaks
+        D, _ = chain_diagram_of_partial(builtin("M:3"), builtin("M:3").labels)
+        dense = product_over(D.poset.jc, [D, D])
+        with mock.patch.object(lattice, "PRODUCT_CAP", 0):
+            lazy = product_over(D.poset.jc, [D, D])
+        for p in D.poset.elements:
+            if p in D.poset.jc or p == TOP:
+                continue
+            f, g = lazy.maps[(p, TOP)], dense.maps[(p, TOP)]
+            S, T = f.source, f.target
+            assert isinstance(S, ProductLattice) and isinstance(T, ProductLattice)
+            for i in range(S.n):
+                for v in range(T.n):
+                    m = f.mapping.copy()
+                    m[i] = v
+                    bad = _hom_failure(S, T, m)
+                    assert (bad is None) == (_hom_failure(g.source, g.target, m) is None)
+                    if bad is not None:
+                        op, a, b = bad
+                        s_op, t_op = (S.meet_i, T.meet_i) if op == "meet" else (S.join_i, T.join_i)
+                        assert m[s_op(a, b)] != t_op(m[a], m[b])
+        # the diagram reports the corruption instead of raising
+        pq = (node_of(C1, C2), TOP)
+        m = lazy.maps[pq].mapping.copy()
+        m[1] = m[2]
+        lazy.maps[pq] = Homomorphism(lazy.lattices[pq[0]], lazy.lattices[TOP], m, check="none")
+        assert ("edge-not-hom", *pq) in list(lazy.law_failures())
+
+
+class TestLawWalk:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_commutativity_failures_match_brute_force(self, lawful_diagrams, data):
+        # one entry of one edge p <= r changes; the triangles p < q < r
+        # reported are exactly the brute-force list of non-commuting ones,
+        # and each passes through that edge
+        D = data.draw(st.sampled_from(lawful_diagrams))
+        els, le = D.poset.elements, D.poset.le
+        p, r = data.draw(st.sampled_from(D.poset.pairs()))
+        f = D.maps[(p, r)]
+        m = f.mapping.copy()
+        i = data.draw(st.integers(0, f.source.n - 1))
+        m[i] = (m[i] + data.draw(st.integers(1, f.target.n - 1))) % f.target.n
+        maps = dict(D.maps)
+        maps[(p, r)] = Homomorphism(f.source, f.target, m, check="none")
+        bad = LatticeDiagram(D.poset, D.lattices, maps, validate=False)
+
+        def commutes(a, b, c):
+            first, then = maps[(a, b)].mapping.tolist(), maps[(b, c)].mapping.tolist()
+            return maps[(a, c)].mapping.tolist() == [then[x] for x in first]
+
+        want = [(a, b, c) for a in els for b in els for c in els
+                if a != b != c and le(a, b) and le(b, c) and not commutes(a, b, c)]
+        assert [t[1:] for t in bad.law_failures() if t[0] == "commutativity"] == want
+        assert all((p, r) in ((a, b), (b, c), (a, c)) for a, b, c in want)
+        # the changed edge fails every triangle it closes
+        assert {(p, q, r) for q in els if p != q != r and le(p, q) and le(q, r)} <= set(want)
 
 
 class TestExtendDiagram:

@@ -326,14 +326,17 @@ class TestHomomorphismCheck:
         with pytest.raises(CritlatError, match=re.escape(message)):
             Homomorphism(*args)
 
-    def test_map_out_of_a_lazy_product_through_two_coordinates_is_refused(self):
-        # the identity of 2 x 2 through a lazy copy: a homomorphism, but it
-        # depends on both coordinates, so the check refuses it
+    def test_map_out_of_a_lazy_product_through_two_coordinates_is_decided(self):
+        # the identity of 2 x 2 through a lazy copy depends on both
+        # coordinates and is a homomorphism; sending 11 to 00 as well breaks
+        # the meet of the axis map x -> h(x1): h(01 ^ 11) = h(01) = 01, but
+        # h(01) ^ h(11) = 01 ^ 00 = 00
         sq = builtin("bool:2")
         lazy = ProductLattice([builtin("2"), builtin("2")])
-        with pytest.raises(BudgetExceeded):
-            Homomorphism(lazy, sq, np.arange(4))
+        Homomorphism(lazy, sq, np.arange(4))
         Homomorphism(lazy, lazy, np.arange(4))
+        with pytest.raises(CritlatError, match=re.escape("meet fails at (01, 11)")):
+            Homomorphism(lazy, sq, [0, 1, 2, 0])
 
 
 class TestSubuniverses:

@@ -103,6 +103,22 @@ class TestVerify:
             f.source, f.target, bad, check="none")
         assert not verify_lifting(lift).ok
 
+    def test_target_edge_replaced_fails_naturality(self, named):
+        # the zero map in place of Conc of the inclusion of a chain into M3:
+        # the target's laws are not checked, its one square fails
+        lift = m3_identity_lifting(named)
+        pq = (node_of(C1), TOP)
+        JP, JQ = lift.target.J[pq[0]], lift.target.J[TOP]
+        lift.target.maps[pq] = ConcMap(JP, JQ, np.zeros(len(JQ), dtype=bool),
+                                       np.zeros((len(JP), len(JQ)), dtype=bool))
+        assert verify_lifting(lift).failures == [("naturality", *pq)]
+
+    def test_target_edge_deleted_fails_naturality(self, named):
+        lift = m3_identity_lifting(named)
+        pq = (node_of(C1), TOP)
+        del lift.target.maps[pq]
+        assert verify_lifting(lift).failures == [("naturality", *pq)]
+
     def test_missing_edge_is_noted_not_raised(self, named):
         lift = m3_identity_lifting(named)
         del lift.source.maps[(node_of(C1), TOP)]
