@@ -105,7 +105,9 @@ def _join_ids(a, b):
 
 
 class Congruence:
-    """A partition of a lattice compatible with meet and join."""
+    """A partition of a lattice compatible with meet and join.  The
+    constructor and from_label_blocks check that it is one; from_rep trusts
+    it, so quotient() never checks again."""
 
     __slots__ = ("host", "blocks", "block_of")
 
@@ -130,7 +132,9 @@ class Congruence:
     @classmethod
     def from_rep(cls, host, rep):
         """The partition into the classes of rep (any class ids), trusted to
-        be a congruence."""
+        be a congruence: for partitions the library computed (closures,
+        kernels, meets and joins of congruences, members of J(Con) and
+        meet-irreducibles)."""
         ids = _canon_ids(rep.tolist() if isinstance(rep, np.ndarray) else rep)
         blocks = [[] for _ in range(max(ids, default=-1) + 1)]
         for i, k in enumerate(ids):

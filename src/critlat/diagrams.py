@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 import numpy as np
@@ -129,9 +130,11 @@ class FinitePoset:
                    for b in sub for a in self.elements if self.le(a, b))
 
     def restrict(self, subset):
-        keep = [e for e in self.elements if e in set(subset)]
+        sub = set(subset)
+        keep = [e for e in self.elements if e in sub]
+        kept = set(keep)
         return FinitePoset(keep, [(a, b) for (a, b) in self._le
-                                  if a in set(keep) and b in set(keep)])
+                                  if a in kept and b in kept])
 
     def __eq__(self, other):
         return (isinstance(other, FinitePoset)
@@ -176,75 +179,84 @@ def build_index_posets(chains) -> IndexPoset:
     return IndexPoset(chains)
 
 
+def law_failures(poset: FinitePoset, lattices, maps):
+    """Yield the functor-law failures of the maps over poset:
+    ("identity-edge", p) per node whose map p -> p is missing or not the
+    identity, then per edge p <= q ("missing-edge", p, q) or
+    ("edge-not-hom", p, q) and ("edge-not-bounded", p, q) (not asked of
+    identity edges that passed), then ("commutativity", p, q, r) per triangle
+    p < q < r whose three edges exist.  The poset's order must be
+    transitive; edges are looked up once, by position."""
+    els = poset.elements
+    # out[a][b]: the map from node a to node b above it, or None
+    out = [{b: maps.get((p, els[b])) for b in up}
+           for p, up in zip(els, poset._up_sets())]
+    identities = set()
+    for a, p in enumerate(els):
+        f = out[a].get(a)
+        if f is not None and f.equal_map(Homomorphism.identity(lattices[p])):
+            identities.add(a)
+        else:
+            yield ("identity-edge", p)
+    for a, p in enumerate(els):
+        for b, f in out[a].items():
+            if f is None:
+                yield ("missing-edge", p, els[b])
+            elif not (a == b and a in identities):
+                if _hom_failure(f.source, f.target, f.mapping) is not None:
+                    yield ("edge-not-hom", p, els[b])
+                if not f.preserves_bounds:
+                    yield ("edge-not-bounded", p, els[b])
+    for a, p in enumerate(els):
+        for b, f in out[a].items():
+            if b == a or f is None:
+                continue
+            for c, g in out[b].items():
+                h = out[a].get(c)
+                if c != b and g is not None and h is not None \
+                        and not h.equal_map(g.compose(f)):
+                    yield ("commutativity", p, els[b], els[c])
+
+
 class LatticeDiagram:
     """A functor from a finite poset to lattices: one bounded homomorphism
-    per ordered pair, commuting."""
+    per ordered pair, commuting.
 
-    def __init__(self, poset: FinitePoset, lattices: dict, maps: dict, validate=True):
+    The constructor raises on a missing node lattice, an edge with the wrong
+    source or target, or the first failure of law_failures().  lattices and
+    maps are read-only views, so a diagram stays lawful once built."""
+
+    def __init__(self, poset: FinitePoset, lattices: dict, maps: dict):
         self.poset = poset
-        self.lattices = dict(lattices)
-        self.maps = dict(maps)
-        if validate:
-            self.validate()
-
-    def law_failures(self):
-        """Yield the functor-law failures: ("identity-edge", p) per node whose
-        map p -> p is missing or not the identity, then per edge p <= q
-        ("missing-edge", p, q) or ("edge-not-hom", p, q) and
-        ("edge-not-bounded", p, q) (not asked of identity edges that passed),
-        then ("commutativity", p, q, r) per triangle p < q < r whose three
-        edges exist.  The poset's order must be transitive; edges are looked
-        up once, by position."""
-        els = self.poset.elements
-        # out[a][b]: the map from node a to node b above it, or None
-        out = [{b: self.maps.get((p, els[b])) for b in up}
-               for p, up in zip(els, self.poset._up_sets())]
-        identities = set()
-        for a, p in enumerate(els):
-            f = out[a].get(a)
-            if f is not None and f.equal_map(Homomorphism.identity(self.lattices[p])):
-                identities.add(a)
-            else:
-                yield ("identity-edge", p)
-        for a, p in enumerate(els):
-            for b, f in out[a].items():
-                if f is None:
-                    yield ("missing-edge", p, els[b])
-                elif not (a == b and a in identities):
-                    if _hom_failure(f.source, f.target, f.mapping) is not None:
-                        yield ("edge-not-hom", p, els[b])
-                    if not f.preserves_bounds:
-                        yield ("edge-not-bounded", p, els[b])
-        for a, p in enumerate(els):
-            for b, f in out[a].items():
-                if b == a or f is None:
-                    continue
-                for c, g in out[b].items():
-                    h = out[a].get(c)
-                    if c != b and g is not None and h is not None \
-                            and not h.equal_map(g.compose(f)):
-                        yield ("commutativity", p, els[b], els[c])
-
-    def validate(self):
-        """Raise on a missing node lattice, an edge with the wrong source or
-        target, or the first failure of law_failures()."""
-        for p in self.poset.elements:
+        self.lattices = MappingProxyType(dict(lattices))
+        self.maps = MappingProxyType(dict(maps))
+        for p in poset.elements:
             if p not in self.lattices:
                 raise CritlatError(f"missing lattice at node {p}")
-        for (p, q) in self.poset.pairs():
+        for (p, q) in poset.pairs():
             f = self.maps.get((p, q))
             if f is not None and not _same_lattice(f.source, self.lattices[p]):
                 raise CritlatError(f"map at {p} -> {q} has wrong source")
             if f is not None and not _same_lattice(f.target, self.lattices[q]):
                 raise CritlatError(f"map at {p} -> {q} has wrong target")
-        for kind, *nodes in self.law_failures():
+        for kind, *nodes in law_failures(poset, self.lattices, self.maps):
             raise CritlatError(f"diagram fails {kind} at {', '.join(map(str, nodes))}")
+
+    @classmethod
+    def _derived(cls, poset, lattices, maps) -> "LatticeDiagram":
+        """A diagram built from lawful ones by a construction that keeps the
+        laws (a restriction, the dual, a product over a lower subset); they
+        are not checked again."""
+        D = cls.__new__(cls)
+        D.poset = poset
+        D.lattices, D.maps = MappingProxyType(dict(lattices)), MappingProxyType(dict(maps))
+        return D
 
     def restrict(self, nodes) -> "LatticeDiagram":
         sub = self.poset.restrict(nodes)
         lat = {n: self.lattices[n] for n in sub.elements}
         mp = {(p, q): self.maps[(p, q)] for (p, q) in sub.pairs()}
-        return LatticeDiagram(sub, lat, mp, validate=False)
+        return LatticeDiagram._derived(sub, lat, mp)
 
     def equal(self, other: "LatticeDiagram") -> bool:
         return (self.poset == other.poset
@@ -378,7 +390,9 @@ def product_over(j_nodes, diagrams: Sequence[LatticeDiagram]) -> LatticeDiagram:
     Nodes in J stay untouched (all factors must agree there); nodes outside J
     become direct products (lazy above PRODUCT_CAP elements), with
     transition maps acting componentwise.  product_projections() of a node
-    outside J gives its projections onto the factors.
+    outside J gives its projections onto the factors.  The result is lawful
+    without a check: componentwise maps of bounded homomorphisms are bounded
+    homomorphisms, and each triangle commutes factor by factor.
     """
     if not diagrams:
         raise CritlatError("need at least one diagram")
@@ -423,7 +437,7 @@ def product_over(j_nodes, diagrams: Sequence[LatticeDiagram]) -> LatticeDiagram:
                                           for d, c in zip(diagrams, coords(p))])
             maps[(p, q)] = Homomorphism(src, tgt, mp, check="none")
 
-    return LatticeDiagram(poset, lattices, maps)
+    return LatticeDiagram._derived(poset, lattices, maps)
 
 
 # --- diagram extension ---
@@ -650,9 +664,9 @@ def glued_diagram(L, subset, kgen) -> GluedDiagram:
 # --- Conc applied to a diagram ---
 
 def apply_conc(D: LatticeDiagram) -> SemilatticeDiagram:
-    """Nodewise J(Con), edgewise induced maps.  Conc is a functor, so the
-    result obeys the functor laws whenever D does; they are not checked
-    again.  Nodes above APPLY_CONC_NODE_BUDGET elements are refused."""
+    """Nodewise J(Con), edgewise induced maps.  Conc is a functor and D is
+    lawful, so the result obeys the functor laws; they are not checked.
+    Nodes above APPLY_CONC_NODE_BUDGET elements are refused."""
     J = {}
     for n in D.poset.elements:
         if D.lattices[n].n > APPLY_CONC_NODE_BUDGET:

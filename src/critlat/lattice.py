@@ -23,6 +23,7 @@ from .errors import (
     CycleDetected,
     DuplicateLabel,
     FormatError,
+    HostMismatch,
     NotALattice,
     NotASublattice,
     NotSpanning,
@@ -354,11 +355,11 @@ class ProductLattice(_Lattice):
     """Lazy direct product: componentwise order and operations, no dense tables.
 
     Used by the diagram machinery when the product size passes PRODUCT_CAP.
-    Element i has coordinates product_coords(sizes, i); covers, heights and
-    the label index are computed on first use.
+    Element i has coordinates product_coords(sizes, i); labels, covers,
+    heights and the label index are computed on first use.
     """
 
-    __slots__ = ("name", "factors", "sizes", "labels", "_index", "bottom_i", "top_i",
+    __slots__ = ("name", "factors", "sizes", "_labels", "_index", "bottom_i", "top_i",
                  "_covers", "_heights")
     _kind = "ProductLattice"
 
@@ -369,12 +370,22 @@ class ProductLattice(_Lattice):
             raise SizeCapExceeded(f"product of size {total} exceeds the lazy limit")
         self.name = name
         self.factors = tuple(factors)
-        self.labels = _product_labels(factors)
+        self._labels = None
         self._index = None
         self.bottom_i = int(product_index(self.sizes, [f.bottom_i for f in factors]))
         self.top_i = int(product_index(self.sizes, [f.top_i for f in factors]))
         self._covers = None
         self._heights = None
+
+    @property
+    def n(self) -> int:
+        return math.prod(self.sizes)
+
+    @property
+    def labels(self):
+        if self._labels is None:
+            self._labels = _product_labels(self.factors)
+        return self._labels
 
     def index(self, label: str) -> int:
         if self._index is None:
@@ -758,13 +769,11 @@ def quotient(L, theta):
     """Quotient lattice L/theta plus the canonical projection.
 
     Blocks are ordered by least element; each block is labelled by its least
-    element's label.
+    element's label.  theta is not checked again: a Congruence is checked
+    where it is made, or comes from the library's trusted Congruence.from_rep.
     """
-    from .errors import HostMismatch, NotACongruence
     if theta.host is not L and not _same_lattice(theta.host, L):
         raise HostMismatch("congruence belongs to a different lattice")
-    if not theta.is_valid():
-        raise NotACongruence("partition is not compatible with meet and join")
     reps = [b[0] for b in theta.blocks]
     block_of = np.array(theta.block_of, dtype=np.int32)
     grid = np.ix_(reps, reps)

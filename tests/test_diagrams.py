@@ -24,6 +24,7 @@ from critlat.diagrams import (
     export_dot,
     extend_diagram,
     glued_diagram,
+    law_failures,
     node_of,
     product_over,
     spanning_chains_of_subset,
@@ -55,6 +56,7 @@ from critlat.lattice import (
     spanning_chains,
     subuniverse_closure,
 )
+from critlat.liftings import dual_diagram, identity_lifting
 
 from oracles import oracle_is_homomorphism
 
@@ -383,12 +385,69 @@ class TestExactHomomorphismCheck:
                         op, a, b = bad
                         s_op, t_op = (S.meet_i, T.meet_i) if op == "meet" else (S.join_i, T.join_i)
                         assert m[s_op(a, b)] != t_op(m[a], m[b])
-        # the diagram reports the corruption instead of raising
+        # the law walk reports the corruption instead of raising
         pq = (node_of(C1, C2), TOP)
         m = lazy.maps[pq].mapping.copy()
         m[1] = m[2]
-        lazy.maps[pq] = Homomorphism(lazy.lattices[pq[0]], lazy.lattices[TOP], m, check="none")
-        assert ("edge-not-hom", *pq) in list(lazy.law_failures())
+        maps = dict(lazy.maps)
+        maps[pq] = Homomorphism(lazy.lattices[pq[0]], lazy.lattices[TOP], m, check="none")
+        assert ("edge-not-hom", *pq) in list(law_failures(lazy.poset, lazy.lattices, maps))
+
+
+class TestLawfulByType:
+    def test_lattices_and_maps_are_read_only(self, named):
+        D, _ = chain_diagram_of_partial(named["M:3"], named["M:3"].labels)
+        f = D.maps[(EMPTY, TOP)]
+        for table, key, value in ((D.maps, (EMPTY, TOP), f), (D.lattices, EMPTY, named["2"])):
+            with pytest.raises(TypeError):
+                table[key] = value
+            with pytest.raises(TypeError):
+                del table[key]
+        assert D.maps[(EMPTY, TOP)] is f
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_derived_diagrams_keep_the_laws(self, lawful_diagrams, data):
+        # the derived diagrams are built without a law check: products over
+        # JC of 2 or 3 diagrams on one poset, dense or lazy, and the
+        # restrictions to JC and KC and the duals of a diagram and of its
+        # product must all be lawful
+        D = data.draw(st.sampled_from(lawful_diagrams))
+        ip = D.poset
+        same = [E for E in lawful_diagrams if E.poset == ip]
+        factors = data.draw(st.lists(st.sampled_from(same), min_size=2, max_size=3))
+        cap = data.draw(st.sampled_from([lattice.PRODUCT_CAP, 0]))
+        with mock.patch.object(lattice, "PRODUCT_CAP", cap):
+            P = product_over(ip.jc, factors)
+        for E in (D, P):
+            for R in (E, E.restrict(ip.jc), E.restrict(ip.kc)):
+                for X in (R, dual_diagram(R)):
+                    assert list(law_failures(X.poset, X.lattices, X.maps)) == []
+
+    def test_restrict_keeps_element_order_and_relation(self, lawful_diagrams):
+        for D in lawful_diagrams[:5] + lawful_diagrams[-2:]:
+            P, keep = D.poset, set(D.poset.kc[::2])
+            want = [e for e in P.elements if e in keep]
+            assert P.restrict(keep) == FinitePoset(
+                want, [(a, b) for a in want for b in want if P.le(a, b)])
+
+    def test_glued_diagram_builds_no_lazy_labels(self, named):
+        # the glued diagram and Conc's refusal read sizes only
+        built = []
+
+        def counted(factors):
+            labels = real(factors)
+            built.append(len(labels))
+            return labels
+
+        real = lattice._product_labels
+        with mock.patch.object(lattice, "_product_labels", counted):
+            g = glued_diagram(named["M:3"], named["M:3"].labels, builtin("M:3"))
+            with pytest.raises(BudgetExceeded, match=r"^node \{0<x1<1\|0<x2<1\} has 16384 "
+                                                     r"elements, above the Conc budget$"):
+                identity_lifting(g.diagram)
+        assert any(isinstance(L, ProductLattice) for L in g.diagram.lattices.values())
+        assert max(built, default=0) <= lattice.PRODUCT_CAP
 
 
 class TestLawWalk:
@@ -407,7 +466,6 @@ class TestLawWalk:
         m[i] = (m[i] + data.draw(st.integers(1, f.target.n - 1))) % f.target.n
         maps = dict(D.maps)
         maps[(p, r)] = Homomorphism(f.source, f.target, m, check="none")
-        bad = LatticeDiagram(D.poset, D.lattices, maps, validate=False)
 
         def commutes(a, b, c):
             first, then = maps[(a, b)].mapping.tolist(), maps[(b, c)].mapping.tolist()
@@ -415,7 +473,8 @@ class TestLawWalk:
 
         want = [(a, b, c) for a in els for b in els for c in els
                 if a != b != c and le(a, b) and le(b, c) and not commutes(a, b, c)]
-        assert [t[1:] for t in bad.law_failures() if t[0] == "commutativity"] == want
+        assert [t[1:] for t in law_failures(D.poset, D.lattices, maps)
+                if t[0] == "commutativity"] == want
         assert all((p, r) in ((a, b), (b, c), (a, c)) for a, b, c in want)
         # the changed edge fails every triangle it closes
         assert {(p, q, r) for q in els if p != q != r and le(p, q) and le(q, r)} <= set(want)
@@ -477,18 +536,18 @@ class TestExtendDiagram:
         assert diagram_isomorphic(diagram("x1"), diagram("x3")) is want
 
     def test_precondition_failure(self, named):
+        # a lawful diagram whose bottom node lattice is relabelled does not
+        # restrict to the base diagram
         D, _ = chain_diagram_of_partial(named["M:3"], named["M:3"].labels)
-        bad = D.restrict(D.poset.ic)
-        bad.maps[(EMPTY, TOP)] = bad.maps[(EMPTY, TOP)].compose(
-            bad.maps[(EMPTY, EMPTY)])
-        # break the base restriction by relabelling the bottom node lattice
-        from critlat.lattice import Homomorphism, validate_lattice
+        from critlat.lattice import validate_lattice
         wrong = validate_lattice(["z", "t"], [("z", "t")])
-        bad.lattices[EMPTY] = wrong
-        for q in bad.poset.elements:
-            old = bad.maps[(EMPTY, q)]
-            bad.maps[(EMPTY, q)] = Homomorphism(wrong, old.target, old.mapping,
-                                                check="none")
+        lattices, maps = dict(D.lattices), dict(D.maps)
+        lattices[EMPTY] = wrong
+        for q in D.poset.elements:
+            target = wrong if q == EMPTY else D.lattices[q]
+            maps[(EMPTY, q)] = Homomorphism(wrong, target, D.maps[(EMPTY, q)].mapping,
+                                            check="none")
+        bad = LatticeDiagram(D.poset, lattices, maps)
         with pytest.raises(PreconditionFailed):
             extend_diagram(bad, [("0", "w", "1")])
 

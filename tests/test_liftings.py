@@ -19,11 +19,13 @@ from critlat.diagrams import (
     LatticeDiagram,
     chain_diagram_of_partial,
     directing_diagram,
+    law_failures,
     node_of,
 )
 from critlat.errors import (
     BudgetExceeded,
     ConNotBoolean,
+    CritlatError,
     HypothesisUnmet,
     MissingDirectChain,
 )
@@ -94,14 +96,20 @@ class TestVerify:
         assert any(f[0] in ("xi-not-iso",) for f in rep.failures)
 
     def test_edge_corruption_detected(self, named):
-        lift = m3_identity_lifting(named)
+        # the corrupted diagram cannot be built; the law walk names the two
+        # triangles through the changed edge
+        B = m3_identity_lifting(named).source
         node = node_of(C1)
-        f = lift.source.maps[(node, TOP)]
+        f = B.maps[(node, TOP)]
         bad = f.mapping.copy()
         bad[1] = (bad[1] + 1) % f.target.n   # send x1 somewhere else
-        lift.source.maps[(node, TOP)] = Homomorphism(
-            f.source, f.target, bad, check="none")
-        assert not verify_lifting(lift).ok
+        maps = dict(B.maps)
+        maps[(node, TOP)] = Homomorphism(f.source, f.target, bad, check="none")
+        assert list(law_failures(B.poset, B.lattices, maps)) == [
+            ("commutativity", node, node_of(C1, C2), TOP),
+            ("commutativity", node, node_of(C1, C3), TOP)]
+        with pytest.raises(CritlatError, match="diagram fails commutativity at"):
+            LatticeDiagram(B.poset, B.lattices, maps)
 
     def test_target_edge_replaced_fails_naturality(self, named):
         # the zero map in place of Conc of the inclusion of a chain into M3:
@@ -120,31 +128,27 @@ class TestVerify:
         assert verify_lifting(lift).failures == [("naturality", *pq)]
 
     def test_missing_edge_is_noted_not_raised(self, named):
-        lift = m3_identity_lifting(named)
-        del lift.source.maps[(node_of(C1), TOP)]
+        B = m3_identity_lifting(named).source
+        maps = dict(B.maps)
+        del maps[(node_of(C1), TOP)]
         # the triangles through the missing edge are skipped, not raised on
-        assert verify_lifting(lift).failures == [("missing-edge", node_of(C1), TOP)]
+        assert list(law_failures(B.poset, B.lattices, maps)) == [
+            ("missing-edge", node_of(C1), TOP)]
+        with pytest.raises(CritlatError, match=r"fails missing-edge at \{0<x1<1\}, T$"):
+            LatticeDiagram(B.poset, B.lattices, maps)
 
     def test_edge_out_of_large_node_is_checked(self):
-        # two 301-element chains joined by a map that swaps two neighbours;
-        # the law checks come before any use of the lifting's target, so the
-        # target of a two-element diagram on the same poset serves
+        # two 301-element chains joined by a map that swaps two neighbours
         poset = FinitePoset(["a", "b"], [("a", "b")])
-
-        def diagram(L, edge):
-            ident = Homomorphism.identity(L)
-            return LatticeDiagram(poset, {"a": L, "b": L},
-                                  {("a", "a"): ident, ("b", "b"): ident, ("a", "b"): edge},
-                                  validate=False)
-
-        two = builtin("2")
-        lift = identity_lifting(diagram(two, Homomorphism.identity(two)))
         C = builtin("chain:300")
         swap = np.arange(C.n)
         swap[[150, 151]] = swap[[151, 150]]
-        big = diagram(C, Homomorphism(C, C, swap, check="none"))
-        rep = verify_lifting(Lifting(big, lift.target, lift.xi))
-        assert rep.failures == [("edge-not-hom", "a", "b")]
+        ident = Homomorphism.identity(C)
+        maps = {("a", "a"): ident, ("b", "b"): ident,
+                ("a", "b"): Homomorphism(C, C, swap, check="none")}
+        assert list(law_failures(poset, {"a": C, "b": C}, maps)) == [("edge-not-hom", "a", "b")]
+        with pytest.raises(CritlatError, match="fails edge-not-hom at a, b"):
+            LatticeDiagram(poset, {"a": C, "b": C}, maps)
 
     def test_xi_out_of_another_lattice_is_wrong_shape(self):
         # a lawful diagram of 4-element chains with the xi of the lifting of
