@@ -71,7 +71,7 @@ def cmd_validate(args):
 def cmd_con(args):
     L = resolve_lattice(args.lattice)
     con = con_lattice(L, **_size_budget(args))
-    simple = is_simple(L)
+    simple = len(con.J) == 1
     boolean, atoms, _ = is_boolean(con)
     if args.json:
         _emit({
@@ -442,3 +442,7 @@ def run(argv=None) -> int:
 
 def main():
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

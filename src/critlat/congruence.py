@@ -407,16 +407,10 @@ def con_lattice(L, max_size=CON_SIZE_BUDGET) -> ConLattice:
 
 
 def is_simple(L) -> bool:
-    """Whether Con L = {0, 1}: L has two or more elements and every
-    join-irreducible j generates the full congruence with its lower cover."""
-    _require_dense(L)
-    if L.n < 2:
-        return False
-    for pair in _join_irreducible_pairs(L):
-        rep = _closure_rep(L, [pair])
-        if not (rep == rep[0]).all():
-            return False
-    return True
+    """Whether Con L = {0, 1} with 0 != 1: J(Con L) has exactly one member.
+    That member is then the top of Con L, the full congruence, and L has two
+    or more elements; a one-element L has no member."""
+    return len(JoinIrreducibles(L)) == 1
 
 
 class ConcMap:
@@ -629,7 +623,7 @@ def inclusion_hom(sub, amb) -> Homomorphism:
     except Exception:
         raise NotASublattice("sublattice labels missing from the ambient lattice")
     try:
-        return Homomorphism(sub, amb, np.array(mapping, dtype=np.int32), check="full")
+        return Homomorphism(sub, amb, np.array(mapping, dtype=np.int32))
     except CritlatError:
         raise NotASublattice(
             "inclusion does not preserve meet and join") from None

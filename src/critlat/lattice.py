@@ -503,34 +503,50 @@ def product_projections(P):
     if not factors:
         raise CritlatError("not a product lattice")
     coords = product_coords([f.n for f in factors], np.arange(P.n))
-    return [Homomorphism(P, f, c, check="none") for f, c in zip(factors, coords)]
+    return [Homomorphism._trusted(P, f, c) for f, c in zip(factors, coords)]
 
 
 class Homomorphism:
-    """A total map between lattices preserving meet and join."""
+    """A total map between lattices preserving meet and join.
+
+    The constructor checks the mapping: a one-dimensional integer array
+    (bool refused) of the source's length, its values indices of the target,
+    preserving meet and join on every pair.  Maps the library computes are
+    built by _trusted, which checks nothing."""
 
     __slots__ = ("source", "target", "mapping")
 
-    def __init__(self, source, target, mapping, check="full"):
-        self.source = source
-        self.target = target
-        self.mapping = np.asarray(mapping, dtype=np.int32)
-        self.mapping.flags.writeable = False
-        if len(self.mapping) != source.n:
+    def __init__(self, source, target, mapping):
+        m = np.asarray(mapping)
+        if m.ndim != 1 or m.dtype.kind not in "iu":
+            raise CritlatError("mapping must be a one-dimensional array of integers")
+        if len(m) != source.n:
             raise CritlatError("mapping length does not match source size")
-        if self.mapping.size and (self.mapping.min() < 0 or self.mapping.max() >= target.n):
+        if m.size and (m.min() < 0 or m.max() >= target.n):
             raise CritlatError("mapping hits indices outside the target")
-        if check != "none":
-            self.validate()
+        self.source, self.target = source, target
+        self.mapping = m.astype(np.int32)   # a copy: the caller's array stays writable
+        self.mapping.flags.writeable = False
+        self.validate()
 
     @classmethod
-    def from_labels(cls, source, target, label_map: dict, check="full"):
+    def _trusted(cls, source, target, mapping):
+        """A map the library computed, stored as a read-only int32 array;
+        nothing is checked."""
+        f = cls.__new__(cls)
+        f.source, f.target = source, target
+        f.mapping = np.asarray(mapping, dtype=np.int32)
+        f.mapping.flags.writeable = False
+        return f
+
+    @classmethod
+    def from_labels(cls, source, target, label_map: dict):
         mapping = [target.index(label_map[lab]) for lab in source.labels]
-        return cls(source, target, mapping, check=check)
+        return cls(source, target, mapping)
 
     @classmethod
     def identity(cls, L):
-        return cls(L, L, np.arange(L.n, dtype=np.int32), check="none")
+        return cls._trusted(L, L, np.arange(L.n))
 
     def validate(self):
         """Raise CritlatError unless meet and join are preserved on every pair."""
@@ -563,8 +579,7 @@ class Homomorphism:
         """self after first (self ∘ first)."""
         if first.target is not self.source and not _same_lattice(first.target, self.source):
             raise CritlatError("composition mismatch")
-        return Homomorphism(first.source, self.target, self.mapping[first.mapping],
-                            check="none")
+        return Homomorphism._trusted(first.source, self.target, self.mapping[first.mapping])
 
     def equal_map(self, other: "Homomorphism") -> bool:
         return (self.mapping.shape == other.mapping.shape
@@ -730,8 +745,7 @@ def _sublattice_from_indices(L, indices):
     if (meet < 0).any() or (join < 0).any():
         raise NotASublattice("index set is not closed under meet and join")
     sub = FiniteLattice._from_tables([L.labels[i] for i in indices], L._leq[grid], meet, join)
-    incl = Homomorphism(sub, L, idx, check="none")
-    return sub, incl
+    return sub, Homomorphism._trusted(sub, L, idx)
 
 
 def enumerate_subuniverses(L, max_size=SUBUNIVERSE_SIZE_BOUND):
@@ -782,8 +796,7 @@ def quotient(L, theta):
     # [a] <= [b] iff [a] v [b] = [b]
     Q = FiniteLattice._from_tables([L.labels[r] for r in reps], join == np.arange(len(reps)),
                                    meet, join, name=name)
-    proj = Homomorphism(L, Q, block_of, check="none")
-    return Q, proj
+    return Q, Homomorphism._trusted(L, Q, block_of)
 
 
 # --- backtracking search ---
@@ -868,12 +881,11 @@ def is_isomorphic(K, L) -> Optional[Homomorphism]:
     found = _iso_backtrack(K, L, find_all=False)
     if not found:
         return None
-    return Homomorphism(K, L, np.array(found[0], dtype=np.int32), check="none")
+    return Homomorphism._trusted(K, L, found[0])
 
 
 def all_isomorphisms(K, L):
-    return [Homomorphism(K, L, np.array(a, dtype=np.int32), check="none")
-            for a in _iso_backtrack(K, L, find_all=True)]
+    return [Homomorphism._trusted(K, L, a) for a in _iso_backtrack(K, L, find_all=True)]
 
 
 # --- chains ---

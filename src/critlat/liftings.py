@@ -108,7 +108,7 @@ def identity_lifting(D: LatticeDiagram) -> Lifting:
 def dual_diagram(D: LatticeDiagram) -> LatticeDiagram:
     """Dualize every lattice of the diagram, keeping the transition maps."""
     lattices = {n: dual(D.lattices[n]) for n in D.poset.elements}
-    maps = {(p, q): Homomorphism(lattices[p], lattices[q], f.mapping, check="none")
+    maps = {(p, q): Homomorphism._trusted(lattices[p], lattices[q], f.mapping)
             for (p, q), f in D.maps.items()}
     # a bounded homomorphism L -> M is one L^d -> M^d, so the dual is lawful
     return LatticeDiagram._derived(D.poset, lattices, maps)

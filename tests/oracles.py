@@ -9,7 +9,8 @@ keeps the algorithms the library used before it built Con from J(Con L):
 one closure per cover, a join loop that re-closes unions, and Conc of a
 homomorphism by one closure per congruence.  The table oracle keeps the
 pair loop and the closure by squaring the order matrix that validate_lattice
-used before it searched its tables in numpy.
+used before it searched its tables in numpy; distributivity is checked on
+every triple of those tables.
 """
 
 import itertools
@@ -210,6 +211,16 @@ def oracle_tables_from_order(labels, leq):
     top = int(np.nonzero(leq.sum(axis=0) == n)[0][0])
     return meet, join, covers, bottom, top, heights
 
+
+
+def oracle_is_distributive(L):
+    """Whether x ^ (y v z) = (x ^ y) v (x ^ z) for every triple, on the
+    tables oracle_tables_from_order rebuilds from L's order."""
+    n = L.n
+    leq = [[L.leq_i(i, j) for j in range(n)] for i in range(n)]
+    meet, join, *_ = oracle_tables_from_order(L.labels, leq)
+    x = np.arange(n)[:, None, None]
+    return bool((meet[x, join[None]] == join[meet[:, :, None], meet[:, None, :]]).all())
 
 def oracle_validate(labels, covers):
     """The former validate_lattice on distinct labels and known cover ends:

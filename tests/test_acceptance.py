@@ -221,7 +221,7 @@ def _edge_corruptions(D):
         at = f.source.n // 2
         bad[at] = (bad[at] + 1) % f.target.n
         maps = dict(D.maps)
-        maps[(p, q)] = Homomorphism(f.source, f.target, bad, check="none")
+        maps[(p, q)] = Homomorphism._trusted(f.source, f.target, bad)
         out.append((f"edge {p}->{q}", maps))
     return out
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +71,31 @@ class TestCritGateExitCodes:
     def test_error_is_two(self, capsys):
         code, _, err = invoke(capsys, "crit-gate", "M:4", "missing.lat")
         assert code == 2
+
+
+class TestModuleEntry:
+    """`python -m critlat` and `python -m critlat.cli` run the command line
+    without an installed `critlat` script."""
+
+    @staticmethod
+    def _module(*argv):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        return subprocess.run([sys.executable, "-m", *argv], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_package_exit_code_is_the_verdict(self):
+        done = self._module("critlat", "crit-gate", "M:4", "M:3")
+        assert done.returncode == 3, done.stderr
+
+    def test_cli_module_prints_what_run_prints(self, capsys):
+        done = self._module("critlat.cli", "crit-gate", "M:3", "M:4")
+        code, out, _ = invoke(capsys, "crit-gate", "M:3", "M:4")
+        assert done.returncode == code == 0 and done.stdout == out != ""
+
+    def test_package_refuses_bad_input_with_two(self):
+        done = self._module("critlat", "validate", "chain:0")
+        assert done.returncode == 2 and "Traceback" not in done.stderr
 
 
 class TestJsonModes:

@@ -58,7 +58,7 @@ from critlat.lattice import (
 )
 from critlat.liftings import dual_diagram, identity_lifting
 
-from oracles import oracle_is_homomorphism
+from oracles import oracle_is_distributive, oracle_is_homomorphism
 
 C1, C2, C3 = ("0", "x1", "1"), ("0", "x2", "1"), ("0", "x3", "1")
 
@@ -193,6 +193,47 @@ class TestChainDiagram:
         assert spanning_chains_of_subset(L, ["0", "c600", "1"]) == [("0", "c600", "1")]
 
 
+
+class TestGuaranteedByConstruction:
+    """What chain_diagram, directing_diagram and glued_diagram guarantee and
+    no longer check when they run: every non-top node is distributive, and
+    the restriction to JC is the base diagram."""
+
+    @staticmethod
+    def _assert_guarantees(D):
+        for nd in D.poset.elements:
+            if not nd.is_top:
+                assert oracle_is_distributive(D.lattices[nd]), nd
+        bounds = D.lattices[EMPTY].labels
+        assert D.restrict(D.poset.jc).equal(base_diagram(D.poset.chains, bounds))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_chain_diagrams_of_bounded_sublattices_of_products(self, corpus, data):
+        pool = [K for K in corpus if 2 <= K.n <= 6]
+        factors = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2))
+        P = lattice.product(*factors)
+        gens = data.draw(st.sets(st.sampled_from(P.labels), min_size=1, max_size=3))
+        sub, _ = subuniverse_closure(P, gens, include_bounds=True)
+        D, _ = chain_diagram_of_partial(P, sub.labels)
+        self._assert_guarantees(D)
+
+    @pytest.mark.parametrize("name", ["M:3", "N5"])
+    def test_directing_diagrams_over_every_admissible_triple(self, name):
+        K = builtin(name)
+        triples = admissible_triples(spanning_chains_of_subset(K, K.labels))
+        assert triples
+        for triple in triples:
+            self._assert_guarantees(directing_diagram(K, *triple))
+
+    def test_index_poset_does_not_pair_chains_generating_n5(self):
+        N5 = builtin("N5")
+        c, d = ("0", "x3", "1"), ("0", "x1", "x2", "1")
+        sub, _ = subuniverse_closure(N5, set(c) | set(d))
+        assert sub.n == N5.n and not oracle_is_distributive(sub)
+        ip = build_index_posets(spanning_chains_of_subset(N5, N5.labels))
+        assert {c, d} <= set(ip.chains) and node_of(c, d) not in set(ip.ic)
+
 @functools.lru_cache(maxsize=None)
 def _product_pool():
     """Diagrams over the chains C1, C2, C3 that agree on JC: the chain
@@ -279,13 +320,13 @@ class TestProductOver:
 
 
 class TestExactHomomorphismCheck:
-    """Homomorphism(..., check="full") accepts exactly the maps that preserve
+    """The Homomorphism constructor accepts exactly the maps that preserve
     meet and join on every pair, dense or lazy on either side."""
 
     @staticmethod
     def _accepts(f):
         try:
-            Homomorphism(f.source, f.target, f.mapping, check="full")
+            Homomorphism(f.source, f.target, f.mapping)
         except CritlatError:
             return False
         return True
@@ -304,12 +345,12 @@ class TestExactHomomorphismCheck:
         else:
             a = data.draw(st.integers(0, L.n - 1))
             op = L.meet_i if kind == "meet-a" else L.join_i
-            f = Homomorphism(L, L, [op(x, a) for x in range(L.n)], check="none")
+            f = Homomorphism._trusted(L, L, [op(x, a) for x in range(L.n)])
         mapping = f.mapping.copy()
         if f.target.n > 1 and data.draw(st.booleans()):
             i = data.draw(st.integers(0, f.source.n - 1))
             mapping[i] = (mapping[i] + data.draw(st.integers(1, f.target.n - 1))) % f.target.n
-        return Homomorphism(f.source, f.target, mapping, check="none")
+        return Homomorphism._trusted(f.source, f.target, mapping)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -328,7 +369,7 @@ class TestExactHomomorphismCheck:
                 i = data.draw(st.integers(0, f.source.n - 1))
                 bad = f.mapping.copy()
                 bad[i] = (bad[i] + data.draw(st.integers(1, f.target.n - 1))) % f.target.n
-                f = Homomorphism(f.source, f.target, bad, check="none")
+                f = Homomorphism._trusted(f.source, f.target, bad)
         elif kind == "both-coordinates":
             # (a, b) -> (f a, g b) out of a lazy A x B into the dense product
             # of the targets, one entry changed half of the time
@@ -340,7 +381,7 @@ class TestExactHomomorphismCheck:
             mapping = product_index((f.target.n, g.target.n), [f.mapping[a], g.mapping[b]])
             if data.draw(st.booleans()):
                 mapping[data.draw(st.integers(0, P.n - 1))] = data.draw(st.integers(0, T.n - 1))
-            f = Homomorphism(P, T, mapping, check="none")
+            f = Homomorphism._trusted(P, T, mapping)
         else:
             L = data.draw(st.sampled_from(small_lattices))
             f = self._dense_map(L, data)
@@ -350,13 +391,13 @@ class TestExactHomomorphismCheck:
                 _, h = quotient(f.source, data.draw(st.sampled_from(con_lattice(f.source).cons)))
                 parts = [f, h] if k == 0 else [h, f]
                 P = ProductLattice([g.target for g in parts])
-                f = Homomorphism(f.source, P, product_index(P.sizes, [g.mapping for g in parts]),
-                                 check="none")
+                f = Homomorphism._trusted(
+                    f.source, P, product_index(P.sizes, [g.mapping for g in parts]))
             elif kind == "out-of-lazy":
                 C = data.draw(st.sampled_from([K for K in small_lattices if K.n <= 4]))
                 P = ProductLattice([f.source, C] if k == 0 else [C, f.source])
                 coords = product_coords(P.sizes, np.arange(P.n))
-                f = Homomorphism(P, f.target, f.mapping[coords[k]], check="none")
+                f = Homomorphism._trusted(P, f.target, f.mapping[coords[k]])
         assert self._accepts(f) == oracle_is_homomorphism(f)
 
 
@@ -390,7 +431,7 @@ class TestExactHomomorphismCheck:
         m = lazy.maps[pq].mapping.copy()
         m[1] = m[2]
         maps = dict(lazy.maps)
-        maps[pq] = Homomorphism(lazy.lattices[pq[0]], lazy.lattices[TOP], m, check="none")
+        maps[pq] = Homomorphism._trusted(lazy.lattices[pq[0]], lazy.lattices[TOP], m)
         assert ("edge-not-hom", *pq) in list(law_failures(lazy.poset, lazy.lattices, maps))
 
 
@@ -465,7 +506,7 @@ class TestLawWalk:
         i = data.draw(st.integers(0, f.source.n - 1))
         m[i] = (m[i] + data.draw(st.integers(1, f.target.n - 1))) % f.target.n
         maps = dict(D.maps)
-        maps[(p, r)] = Homomorphism(f.source, f.target, m, check="none")
+        maps[(p, r)] = Homomorphism._trusted(f.source, f.target, m)
 
         def commutes(a, b, c):
             first, then = maps[(a, b)].mapping.tolist(), maps[(b, c)].mapping.tolist()
@@ -545,8 +586,7 @@ class TestExtendDiagram:
         lattices[EMPTY] = wrong
         for q in D.poset.elements:
             target = wrong if q == EMPTY else D.lattices[q]
-            maps[(EMPTY, q)] = Homomorphism(wrong, target, D.maps[(EMPTY, q)].mapping,
-                                            check="none")
+            maps[(EMPTY, q)] = Homomorphism._trusted(wrong, target, D.maps[(EMPTY, q)].mapping)
         bad = LatticeDiagram(D.poset, lattices, maps)
         with pytest.raises(PreconditionFailed):
             extend_diagram(bad, [("0", "w", "1")])

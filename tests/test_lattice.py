@@ -48,6 +48,7 @@ from oracles import (
     brute_isomorphic,
     brute_subuniverses,
     oracle_embed_partial,
+    oracle_is_homomorphism,
     oracle_tables_from_order,
     oracle_validate,
 )
@@ -337,6 +338,36 @@ class TestHomomorphismCheck:
         Homomorphism(lazy, lazy, np.arange(4))
         with pytest.raises(CritlatError, match=re.escape("meet fails at (01, 11)")):
             Homomorphism(lazy, sq, [0, 1, 2, 0])
+
+    @pytest.mark.parametrize("mapping", [
+        [0.9, 1.9], [0, 3.5], ["0", "1"], [False, True], [[0], [1]], np.array([0, 2 ** 40]),
+    ], ids=["floats", "float-in-range", "strings", "bools", "two-dimensional", "beyond-int32"])
+    def test_malformed_mapping_is_refused_before_the_cast(self, mapping):
+        # each of these, cast to int32 first, reads as a homomorphism 2 -> chain:3
+        with pytest.raises(CritlatError):
+            Homomorphism(builtin("2"), builtin("chain:3"), mapping)
+
+    def test_the_callers_array_is_copied(self):
+        m = np.array([0, 3], dtype=np.int32)
+        f = Homomorphism(builtin("2"), builtin("chain:3"), m)
+        m[1] = 1
+        assert f.mapping.tolist() == [0, 3] and not f.mapping.flags.writeable
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_accepts_an_integer_mapping_iff_the_oracle_does(self, corpus, data):
+        K, L = (data.draw(st.sampled_from([M for M in corpus if M.n <= 5])) for _ in range(2))
+        values = st.integers(0, L.n - 1) if data.draw(st.booleans()) else st.integers(-1, L.n)
+        mapping = data.draw(st.lists(values, min_size=K.n, max_size=K.n))
+        want = (all(0 <= v < L.n for v in mapping)
+                and oracle_is_homomorphism(Homomorphism._trusted(K, L, mapping)))
+        dtype = data.draw(st.sampled_from([np.int8, np.int32, np.int64]))
+        try:
+            Homomorphism(K, L, np.array(mapping, dtype=dtype))
+        except CritlatError:
+            assert not want
+        else:
+            assert want
 
 
 class TestSubuniverses:
