@@ -252,7 +252,7 @@ class JoinIrreducibles:
     Theta(j_*, j) over the join-irreducible elements j <= b with j not <= a.
     """
 
-    __slots__ = ("host", "cons", "pairs", "leq", "_ji", "_member", "_below", "_gen")
+    __slots__ = ("host", "cons", "pairs", "leq", "_below", "_gen")
 
     def __init__(self, L):
         """One principal closure per join-irreducible element of L."""
@@ -272,11 +272,11 @@ class JoinIrreducibles:
         k = len(self.cons)
         self.leq = np.array([[t.block_of[a] == t.block_of[b] for t in self.cons]
                              for a, b in self.pairs], dtype=bool).reshape(k, k)
-        # each join-irreducible element of L and the member its pair generates
+        # _below[j, x]: the join-irreducible j <= x; _gen[j]: the down-set
+        # of Theta(j_*, j), the member its pair generates
         position = {t.block_of: a for a, t in enumerate(self.cons)}
-        self._ji = np.array(ji, dtype=np.intp)
-        self._member = np.array([position[key] for key in keys], dtype=np.intp)
-        self._below = self._gen = None
+        self._below = L._leq[ji]
+        self._gen = self.leq.T[[position[key] for key in keys]]
 
     def __len__(self):
         return len(self.cons)
@@ -285,10 +285,6 @@ class JoinIrreducibles:
         """Down-set masks of Theta(a, b), one row per pair of element indices
         of the host (or of its dual: both have the same congruences, and
         duality swaps a ^ b and a v b)."""
-        if self._below is None:
-            # _below[j, x]: j <= x; _gen[j]: the down-set of Theta(j_*, j)
-            self._below = self.host._leq[self._ji]
-            self._gen = self.leq.T[self._member]
         lo, hi = self.host._meet[a, b], self.host._join[a, b]
         # a member of Con L is join-prime, so OR over the rows is the join
         return (self._below[:, hi] & ~self._below[:, lo]).T @ self._gen
@@ -407,10 +403,12 @@ def con_lattice(L, max_size=CON_SIZE_BUDGET) -> ConLattice:
 
 
 def is_simple(L) -> bool:
-    """Whether Con L = {0, 1} with 0 != 1: J(Con L) has exactly one member.
-    That member is then the top of Con L, the full congruence, and L has two
-    or more elements; a one-element L has no member."""
-    return len(JoinIrreducibles(L)) == 1
+    """Whether Con L = {0, 1} with 0 != 1: L has two or more elements and
+    every Theta(j_*, j), a generator of Con L, is the full congruence.
+    Stops at the first closure that is not full."""
+    _require_dense(L)
+    return L.n > 1 and all(len(set(_closure_rep(L, [pair]).tolist())) == 1
+                           for pair in _join_irreducible_pairs(L))
 
 
 class ConcMap:
@@ -611,9 +609,16 @@ def is_direct_congruence_chain(B, chain_labels, xi: ConcMap, C) -> bool:
     if len(chain_labels) != C.n:
         raise ArityMismatch(
             f"chain has {len(chain_labels) - 1} steps, target chain has {C.n - 1}")
-    idxs = _chain_indices(B, chain_labels)
-    return bool(xi.sends_principal(idxs[:-1], idxs[1:], C,
-                                   c_elems[:-1], c_elems[1:]).all())
+    return _sends_chain(xi, _chain_indices(B, chain_labels), C, c_elems)
+
+
+def _sends_chain(xi: ConcMap, path, C, c_elems) -> bool:
+    """Directness of the chain of element indices path for (xi, C), c_elems
+    being the elements of the chain lattice C from bottom to top: the two
+    have the same length and xi(Theta(x_k, x_{k+1})) = Theta_C(c_k, c_{k+1})
+    for every k."""
+    return len(path) == len(c_elems) and bool(xi.sends_principal(
+        path[:-1], path[1:], C, c_elems[:-1], c_elems[1:]).all())
 
 
 def inclusion_hom(sub, amb) -> Homomorphism:

@@ -287,7 +287,7 @@ def _chain_lattice(chain: Chain) -> FiniteLattice:
                             name="<".join(chain))
 
 
-def _bounds_of(chains, default=("0", "1")):
+def _bounds_of(chains, default):
     if not chains:
         return default
     b, t = chains[0][0], chains[0][-1]
@@ -356,13 +356,13 @@ def chain_diagram(L, chains) -> LatticeDiagram:
     return LatticeDiagram(ip, lattices, maps)
 
 
-def spanning_chains_of_subset(L, subset, lengths=(2, 3)):
-    """Spanning chains with all elements inside `subset`, of the given
-    lengths; UnknownElement names a label that is not in L."""
+def spanning_chains_of_subset(L, subset):
+    """Spanning chains of length 2 or 3 with all elements inside `subset`;
+    UnknownElement names a label that is not in L."""
     members = sorted({L.index(x) for x in subset})
     if L.bottom_i not in members or L.top_i not in members:
         raise NotSpanning("subset must contain both bounds")
-    return spanning_chains(L, lengths, members=members)
+    return spanning_chains(L, (2, 3), members=members)
 
 
 def chain_diagram_of_partial(L, subset) -> tuple:
@@ -432,12 +432,6 @@ def product_over(j_nodes, diagrams: Sequence[LatticeDiagram]) -> LatticeDiagram:
 
 # --- diagram extension ---
 
-def _collapse_to_bounds(chain_lat, target, bot_label, top_label):
-    """x -> bot if x < 1_C, top if x = 1_C, landing in `target`."""
-    bot_i, top_i = target.index(bot_label), target.index(top_label)
-    return Homomorphism._trusted(chain_lat, target, [bot_i] * (chain_lat.n - 1) + [top_i])
-
-
 def extend_diagram(B: LatticeDiagram, new_chains) -> LatticeDiagram:
     """Extend a diagram over IC(C) to IC(C') for C' containing extra chains.
 
@@ -459,50 +453,39 @@ def extend_diagram(B: LatticeDiagram, new_chains) -> LatticeDiagram:
 
 
 def _extend_one(B: LatticeDiagram, new: Chain) -> LatticeDiagram:
-    old = B.poset
-    assert isinstance(old, IndexPoset)
-    bot_label = B.lattices[EMPTY].labels[0]
-    top_label = B.lattices[EMPTY].labels[1]
-    if new[0] != bot_label or new[-1] != top_label:
+    """B over IC(C) extended to IC(C + [new]).  Each node n reads B at
+    carried(n): {new} at the bottom node, a fresh pair {C, new} at {C}, any
+    other node at itself.  {new} holds its chain; an edge out of it first
+    collapses the chain onto the bounds b < t (everything below its top to
+    b), and the edge into it sends b, t to its bottom and top."""
+    ip = build_index_posets(list(B.poset.chains) + [new])
+    e_bot = B.lattices[EMPTY]
+    if (new[0], new[-1]) != tuple(e_bot.labels):
         raise BadChainShapes("new chain must share the diagram's extremities")
-    ip = build_index_posets(list(old.chains) + [new])
     new_single = node_of(new)
     new_lat = _chain_lattice(new)
-    lattices = dict(B.lattices)
+    collapse = Homomorphism._trusted(new_lat, e_bot, [0] * (new_lat.n - 1) + [1])
+    entry = Homomorphism._trusted(e_bot, new_lat, [0, new_lat.n - 1])
+
+    def carried(n):
+        if n == new_single:
+            return EMPTY
+        if n.is_top or new not in n.chains:
+            return n
+        return node_of(*(c for c in n.chains if c != new))
+
+    lattices = {n: B.lattices[carried(n)] for n in ip.elements}
     lattices[new_single] = new_lat
-    for nd in ip.ic:
-        if nd in lattices or nd.is_top:
-            continue
-        # a fresh pair node {C, new}: carries the old chain C
-        others = [c for c in nd.chains if c != new]
-        lattices[nd] = B.lattices[node_of(others[0])]
     maps = {}
-    e_bot = B.lattices[EMPTY]
     for (p, q) in ip.pairs():
-        if (p, q) in B.maps:
-            maps[(p, q)] = B.maps[(p, q)]
-            continue
-        src, tgt = lattices[p], lattices[q]
-        if p == q:
-            maps[(p, q)] = Homomorphism.identity(src)
-        elif p == EMPTY:
-            maps[(p, q)] = Homomorphism._trusted(
-                src, tgt, [tgt.index(bot_label), tgt.index(top_label)])
-        elif p == new_single and q.is_top:
-            maps[(p, q)] = B.maps[(EMPTY, TOP)].compose(
-                _collapse_to_bounds(new_lat, e_bot, bot_label, top_label))
+        f = B.maps[(carried(p), carried(q))]
+        if p == q == new_single:
+            f = Homomorphism.identity(new_lat)
         elif p == new_single:
-            # q = {C, new}: collapse new onto the bounds of C
-            maps[(p, q)] = _collapse_to_bounds(new_lat, tgt, bot_label, top_label)
-        elif not p.is_top and new in (q.chains or ()):
-            # q = {C, new} with p = {C}: the identity on C
-            maps[(p, q)] = Homomorphism.identity(src)
-        elif not p.is_top and new in (p.chains or ()) and q.is_top:
-            # p = {C, new} carrying C: reuse the old map from {C}
-            others = [c for c in p.chains if c != new]
-            maps[(p, q)] = B.maps[(node_of(others[0]), TOP)]
-        else:
-            raise CritlatError(f"unhandled extension edge {p} -> {q}")
+            f = f.compose(collapse)
+        elif q == new_single:
+            f = entry.compose(f)
+        maps[(p, q)] = f
     return LatticeDiagram(ip, lattices, maps)
 
 
@@ -549,23 +532,27 @@ def directing_diagram(kgen, c1, c2, c3, with_t=False):
         raise BadChainShapes("c1 and c2 must have length 2")
     if len(c3) != 3 and not (set(c1) <= set(c3) and set(c2) <= set(c3)):
         raise BadChainShapes("c3 must have length 2 or contain c1 and c2")
-    bot, top = _bounds_of([c1, c2, c3])
     ip = build_index_posets([c1, c2, c3])
-    base = base_diagram(ip.chains)
+    lattices = dict(base_diagram(ip.chains).lattices)
+    lattices[TOP] = kgen
     role = {c1: "x1", c2: "x2", c3: "x3"}
+    # the labels of kgen each node other than the bottom goes to: c1 and c2
+    # by their role, c3 through t (set per factor), a pair node and the top
+    # by their own labels
+    image = {node_of(c): ["0", role[c], "1"] for c in (c1, c2)}
+    image[TOP] = kgen.labels
+    for nd in ip.ic:
+        if nd.is_top or nd in lattices:
+            continue
+        ca, cb = nd.chains
+        gens = sorted({kgen.index(v) for v in ("0", role[ca], role[cb], "1")})
+        lattices[nd], _ = _sublattice_from_indices(kgen, gens)
+        image[nd] = lattices[nd].labels
     surjections = _isotone_surjections(len(c3), 3)
-    d3_labels = ["0", "x3", "1"]
 
     factors = []
     for t in surjections:
-        lattices = dict(base.lattices)
-        lattices[TOP] = kgen
-        for nd in ip.ic:
-            if nd.is_top or nd in lattices:
-                continue
-            ca, cb = nd.chains
-            gens = sorted({kgen.index(v) for v in ("0", role[ca], role[cb], "1")})
-            lattices[nd], _ = _sublattice_from_indices(kgen, gens)
+        image[node_of(c3)] = [("0", "x3", "1")[k] for k in t]
         maps = {}
         for (p, q) in ip.pairs():
             src, tgt = lattices[p], lattices[q]
@@ -573,17 +560,8 @@ def directing_diagram(kgen, c1, c2, c3, with_t=False):
                 maps[(p, q)] = Homomorphism.identity(src)
             elif p == EMPTY:
                 maps[(p, q)] = Homomorphism._trusted(src, tgt, [tgt.bottom_i, tgt.top_i])
-            elif p == node_of(c3) and q != node_of(c3):
-                mp = [tgt.index(d3_labels[t[k]]) for k in range(len(c3))]
-                maps[(p, q)] = Homomorphism._trusted(src, tgt, mp)
-            elif not p.is_top and len(p.chains) == 1:
-                c = p.chains[0]
-                translated = ["0"] + [role[c]] * (len(c) - 2) + ["1"]
-                mp = [tgt.index(v) for v in translated]
-                maps[(p, q)] = Homomorphism._trusted(src, tgt, mp)
             else:
-                mp = [tgt.index(v) for v in src.labels]
-                maps[(p, q)] = Homomorphism._trusted(src, tgt, mp)
+                maps[(p, q)] = Homomorphism._trusted(src, tgt, [tgt.index(v) for v in image[p]])
         factors.append(LatticeDiagram(ip, lattices, maps))
 
     glued = product_over(ip.jc, factors)
@@ -690,12 +668,8 @@ def diagram_isomorphic(d1: LatticeDiagram, d2: LatticeDiagram) -> bool:
 
 # --- serialization ---
 
-def _node_id(n) -> str:
-    return str(n)
-
-
 def diagram_to_json(D: LatticeDiagram) -> dict:
-    ids = {n: _node_id(n) for n in D.poset.elements}
+    ids = {n: str(n) for n in D.poset.elements}
     return {
         "poset": {
             "nodes": [ids[n] for n in D.poset.elements],

@@ -23,6 +23,7 @@ from .congruence import (
     Congruence,
     JoinIrreducibles,
     _check_con_size,
+    _sends_chain,
     atom_steps,
     boolean_J,
     con_lattice,
@@ -218,9 +219,7 @@ def direct_chains_at(lift: Lifting, node, u, v):
     witnesses = find_congruence_chains(L, gu, gv, J=xi.source)
     for w in witnesses:
         w.node = node
-        path = [L.index(x) for x in w.elements]
-        w.direct = len(path) == len(c_elems) and bool(xi.sends_principal(
-            path[:-1], path[1:], C, c_elems[:-1], c_elems[1:]).all())
+        w.direct = _sends_chain(xi, [L.index(x) for x in w.elements], C, c_elems)
     return witnesses
 
 

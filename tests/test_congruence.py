@@ -360,6 +360,22 @@ class TestSimple:
         for L in small_lattices:
             assert is_simple(L) == (con_lattice(L).n == 2 and L.n >= 2)
 
+    def test_long_chain_stops_at_the_first_closure(self):
+        # Theta(0, c1) of a chain is not full, so no further closure runs
+        with mock.patch.object(congruence, "_closure_rep",
+                               wraps=congruence._closure_rep) as spy:
+            assert not is_simple(builtin("chain:800"))
+        assert spy.call_count == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_against_the_members_of_j(self, corpus, named, data):
+        factors = data.draw(st.lists(st.sampled_from([K for K in corpus if K.n <= 6]),
+                                     min_size=1, max_size=2))
+        L = product(*factors) if len(factors) > 1 else factors[0]
+        for K in (named["one"], L):
+            assert is_simple(K) == (len(JoinIrreducibles(K)) == 1)
+
 
 class TestChainLemmas:
     def chains_of(self, L, max_len=4):

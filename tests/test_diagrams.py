@@ -45,6 +45,7 @@ from critlat import lattice
 from critlat.lattice import (
     Homomorphism,
     _hom_failure,
+    _same_lattice,
     ProductLattice,
     builtin,
     is_distributive,
@@ -184,9 +185,8 @@ class TestChainDiagram:
         # filtered walk over all of L
         L = data.draw(st.sampled_from([K for K in corpus if K.n >= 2]))
         subset = {L.bottom, L.top} | data.draw(st.sets(st.sampled_from(L.labels)))
-        lengths = data.draw(st.sets(st.integers(1, 4), min_size=1))
-        want = [c for c in spanning_chains(L, lengths) if set(c) <= subset]
-        assert spanning_chains_of_subset(L, subset, lengths) == want
+        want = [c for c in spanning_chains(L, (2, 3)) if set(c) <= subset]
+        assert spanning_chains_of_subset(L, subset) == want
 
     def test_small_subset_of_a_long_chain(self):
         L = builtin("chain:1200")
@@ -521,7 +521,48 @@ class TestLawWalk:
         assert {(p, q, r) for q in els if p != q != r and le(p, q) and le(q, r)} <= set(want)
 
 
+@functools.lru_cache(maxsize=None)
+def _directing_pool():
+    """The directing diagrams of M:3 and N5 over every admissible triple."""
+    return tuple(directing_diagram(builtin(nm), *triple) for nm in ("M:3", "N5")
+                 for triple in admissible_triples(
+                     spanning_chains_of_subset(builtin(nm), builtin(nm).labels)))
+
+
 class TestExtendDiagram:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_extension_rule(self, corpus, data):
+        # B stays as it was, each new pair {C, N} with C old holds C's
+        # lattice, and every edge out of {N} to a node of B or a new pair
+        # {C, N} collapses N onto the bounds
+        if data.draw(st.booleans()):
+            B = data.draw(st.sampled_from(_directing_pool()))
+        else:
+            K = data.draw(st.sampled_from([K for K in corpus if 2 <= K.n <= 6]))
+            B, _ = chain_diagram_of_partial(K, K.labels)
+        b, t = B.lattices[EMPTY].labels
+        labels = sorted({x for c in B.poset.chains for x in c[1:-1]}) + ["w1", "w2", "w3"]
+        middles = st.lists(st.sampled_from(labels), min_size=1, max_size=2, unique=True)
+        chains = [(b, *m, t) for m in data.draw(st.lists(middles, min_size=1, max_size=2))]
+        E = extend_diagram(B, chains)
+        assert E.restrict(B.poset.ic).equal(B)
+        for N in set(chains) - set(B.poset.chains):
+            for C in B.poset.chains:
+                if node_of(C, N) in E.poset.elements:
+                    assert _same_lattice(E.lattices[node_of(C, N)], B.lattices[node_of(C)])
+            for q in E.poset.elements:
+                if q != node_of(N) and E.poset.le(node_of(N), q) and (
+                        q.is_top or set(q.chains) <= set(B.poset.chains) | {N}):
+                    f, g = E.maps[(node_of(N), q)], E.maps[(EMPTY, q)]
+                    assert [f.apply(x) for x in N] == \
+                        [g.apply(b)] * (len(N) - 1) + [g.apply(t)]
+
+    def test_empty_new_chain_rejected(self):
+        dd = directing_diagram(builtin("M:3"), C1, C2, C3)
+        with pytest.raises(EmptyChainSet):
+            extend_diagram(dd, [()])
+
     def test_no_new_chains_unchanged(self):
         dd = directing_diagram(builtin("M:3"), C1, C2, C3)
         assert extend_diagram(dd, [C1, C2, C3]) is dd
