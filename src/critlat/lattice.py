@@ -36,10 +36,7 @@ SUBUNIVERSE_SIZE_BOUND = 10
 EMBED_NODE_BUDGET = 2_000_000
 ISO_SEARCH_BUDGET = 5_000_000
 _HOM_CHUNK = 1 << 20  # table entries compared at once by the homomorphism check
-_SEARCH_CHUNK = 1 << 19  # bytes of intersected bit rows the table search holds (one row at least)
-_STACKED = np.arange(2)[:, None, None]  # the join and meet halves of the search
-# position of the lowest set bit of each byte value (0 for the value 0)
-_LOWBIT = np.array([(b & -b).bit_length() - 1 if b else 0 for b in range(256)], dtype=np.intp)
+_SEARCH_CHUNK = 1 << 19  # bytes (about) one chunked step of the table build holds (one row at least)
 _LAZY_LABEL_LIMIT = 500_000
 
 
@@ -136,47 +133,43 @@ class FiniteLattice(_Lattice):
     # --- construction ---
 
     @classmethod
-    def _from_tables(cls, labels, leq, meet, join, name=None, covers=None):
+    def _from_tables(cls, labels, leq, meet, join, name=None, covers=None, ext=None):
         """Build from order, meet and join tables known to be a lattice's;
         bounds and heights are derived, and the sorted covers too unless
-        given."""
+        given.  A linear extension ext (a list) spares a topological sort."""
         for table in (leq, meet, join):
             table.flags.writeable = False
         if covers is None:
-            covers = _covers_of_order(*_bit_rows(leq[None]))
-        heights = _heights_from_covers(len(labels), covers)
+            covers, ext = _covers_of_order(leq)
+        heights = _heights_from_covers(len(labels), covers, ext)
         # 0 is the one element of height 0, and 1 is higher than all others
         return cls(name, tuple(labels), leq, meet, join, covers,
                    int(heights.argmin()), int(heights.argmax()), heights)
 
     @classmethod
     def _from_order(cls, labels, leq, name=None):
-        """Build from a reflexive partial-order matrix, searching for every
-        join and meet.  NotALattice names the first pair without one, in
-        row-major order over i <= j, the join checked before the meet."""
-        n = len(labels)
+        """Build from a reflexive partial-order matrix, as _from_covers."""
         leq = np.asarray(leq, dtype=bool)
-        # the join of i and j is searched among their common upper bounds,
-        # the meet among their common lower bounds: index 0 holds up-sets and
-        # joins, index 1 down-sets and meets
-        rows, order = _bit_rows(np.array([leq, leq.T]))
-        tables = np.empty((2, n, n), dtype=np.int32)
-        lo = 0
-        while lo < n:
-            # rows lo..hi-1 against columns lo..n-1, mirrored into the tables
-            hi = min(n, lo + max(1, _SEARCH_CHUNK // (2 * (n - lo) * rows.shape[2])))
-            k, ok = _least_common(rows, order, lo, hi)
-            tables[:, lo:hi, lo:] = k
-            tables[:, lo:, lo:hi] = k.transpose(0, 2, 1)
-            if not ok.all():
-                # the first failure in row-major order has a <= b: a failing
-                # pair below the diagonal fails mirrored in an earlier row
-                a, b = np.argwhere(~ok[0] | ~ok[1])[0]
-                raise NotALattice((labels[lo + a], labels[lo + b]),
-                                  "meet" if ok[0, a, b] else "join")
-            lo = hi
-        return cls._from_tables(labels, leq, tables[1], tables[0], name=name,
-                                covers=_covers_of_order(rows[:1], order[:1]))
+        return cls._from_covers(labels, leq, *_covers_of_order(leq), name=name)
+
+    @classmethod
+    def _from_covers(cls, labels, leq, covers, ext, name=None):
+        """Build from a partial order given by its matrix, its sorted covers
+        and a linear extension ext (a list).  One pass down the upper covers
+        gives every pair's first common upper bound in ext, and the order is
+        a lattice iff it has a top and a bottom and that table is monotone
+        along each cover x ⋖ c where x has two or more upper covers; the
+        meets are the same pass up the lower covers (README, "Lattice
+        tables").  Otherwise NotALattice names the first pair without a
+        join or meet, in row-major order over i <= j, the join checked
+        before the meet."""
+        ups, downs = _neighbours(len(labels), covers)
+        join, meet = _bound_tables(leq, ext, ups, downs)
+        # one maximal and one minimal element: a top and a bottom
+        if list(map(len, ups)).count(0) == 1 == list(map(len, downs)).count(0) \
+                and not _breaks(leq, join, ups).any():
+            return cls._from_tables(labels, leq, meet, join, name, covers, ext)
+        raise _first_failure(labels, leq, join, meet, ups, downs)
 
     # --- table reads ---
 
@@ -213,56 +206,118 @@ class FiniteLattice(_Lattice):
         return self._signature
 
 
-def _bit_rows(sets):
-    """The rows of each stacked set matrix packed into bytes, the columns
-    taken in a linear extension: a stable sort by column count, fewest
-    first (for up-sets, the count of the elements below).  Returns (rows,
-    order), order[s, p] the element at bit p of the rows of matrix s."""
-    order = sets.sum(axis=1).argsort(axis=1, kind="stable")
-    cols = sets[np.arange(len(sets))[:, None, None], np.arange(sets.shape[1])[:, None],
-                order[:, None]]
-    return np.packbits(cols, axis=2, bitorder="little"), order
-
-
-def _least_common(rows, order, lo, hi):
-    """For i in [lo, hi) and j in [lo, n), in each stacked matrix s: the
-    member k of rows[s, i] & rows[s, j] that comes first in order[s], and
-    whether rows[s, k] is all of it, that is whether k is the least common
-    bound (an empty set gives False)."""
-    common = rows[:, lo:hi, None] & rows[:, None, lo:]
-    flat = common.reshape(-1, common.shape[3])
-    first = (flat != 0).argmax(axis=1)
-    bit = 8 * first + _LOWBIT[flat[np.arange(len(flat)), first]]
-    k = order[_STACKED, bit.reshape(common.shape[:3])]
-    return k, (common == rows[_STACKED, k]).all(axis=3)
-
-
-def _covers_of_order(rows, order):
-    """Sorted cover pairs of a partial order, from _bit_rows of its up-sets.
-    Walking the strict up-set of i in the linear extension, the first element
-    left is an upper cover, and taking it removes everything above it (the
-    up-sets as Python int bit sets)."""
-    data, width = rows.tobytes(), rows.shape[2]
+def _covers_of_order(leq):
+    """(covers, ext): the sorted cover pairs of a partial order and a linear
+    extension, the elements stably sorted by how many lie below them.
+    Walking the strict up-set of i in ext, the first element left is an
+    upper cover, and taking it removes everything above it (the up-sets as
+    Python int bit sets, bit p for the element at position p)."""
+    ext = leq.sum(axis=0).argsort(kind="stable")
+    rows = np.packbits(leq[:, ext], axis=1, bitorder="little")
+    data, width = rows.tobytes(), rows.shape[1]
     ups = [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
-    order = order[0].tolist()
+    ext = ext.tolist()
     covers = []
-    for p, i in enumerate(order):
+    for p, i in enumerate(ext):
         rest = ups[i] ^ (1 << p)
         while rest:
-            c = order[(rest & -rest).bit_length() - 1]
+            c = ext[(rest & -rest).bit_length() - 1]
             covers.append((i, c))
             rest &= ~ups[c]
     covers.sort()
-    return tuple(covers)
+    return tuple(covers), ext
 
 
-def _heights_from_covers(n, covers):
-    """Length of the longest chain from 0 to each element."""
-    ups = [[] for _ in range(n)]
+def _neighbours(n, covers):
+    """The upper and the lower covers of each element, as lists."""
+    ups, downs = [[] for _ in range(n)], [[] for _ in range(n)]
     for i, j in covers:
         ups[i].append(j)
+        downs[j].append(i)
+    return ups, downs
+
+
+def _bound_tables(leq, ext, ups, downs):
+    """(join, meet): for each pair its first common upper bound in the
+    linear extension ext (a list) and its last common lower bound, n where
+    there is none.  The common upper bounds of x and y are x itself if
+    y <= x, and else those of c and y over the upper covers c of x, so one
+    pass from the top down fills row x with the least position in its own
+    and its covers' rows; the meets are the same pass upward, greatest
+    position first."""
+    n = len(ext)
+    pos = np.empty(n, dtype=np.int32)
+    pos[ext] = range(n)
+    # position -> element; n (join) and -1 (meet, wrapping round) mean none
+    element = np.array(ext + [n], dtype=np.int32)
+    step = max(1, _SEARCH_CHUNK // (8 * n))  # rows converted at once: take copies indices to intp
+    tables = []
+    for le, walk, succ, best, none in ((leq.T, ext[::-1], ups, np.minimum, n),
+                                       (leq, ext, downs, np.maximum, -1)):
+        # C order (np.where would follow le.T), so that rows are contiguous
+        t = np.full((n, n), none, dtype=np.int32)
+        np.copyto(t, pos[:, None], where=le)
+        rows = [*t]
+        for x in walk:
+            for c in succ[x]:
+                best(rows[x], rows[c], out=rows[x])
+        for lo in range(0, n, step):
+            element.take(t[lo:lo + step], out=t[lo:lo + step], mode="wrap")
+        tables.append(t)
+    return tables
+
+
+def _breaks(le, table, succ):
+    """Mask of the columns y where table[x, y] <= table[c, y] fails in the
+    order le for some cover c of an x with two or more covers (succ), taken
+    in chunks of covers.  Every entry of table is an element."""
+    pairs = [(x, c) for x, cs in enumerate(succ) if len(cs) > 1 for c in cs]
+    bad = np.zeros(len(le), dtype=bool)
+    step = max(1, _SEARCH_CHUNK // len(le))
+    for lo in range(0, len(pairs), step):
+        ends = table[pairs[lo:lo + step]]
+        bad |= ~le[ends[:, 0], ends[:, 1]].all(axis=0)
+    return bad
+
+
+def _first_failure(labels, leq, join, meet, ups, downs):
+    """NotALattice for the first pair i <= j, in row-major order, without a
+    join or (checked second) a meet.  The join of i and j fails iff
+    join[i, j] is n or up(i) & up(j) is not up(join[i, j]); then column j
+    holds an n or a break, and so does column i.  The search runs over
+    the elements so marked, in row chunks of at most _SEARCH_CHUNK bytes
+    of intersected bit rows.  The tables are clipped in place."""
+    n = len(labels)
+    sides = []
+    for table, le, succ in ((join, leq, ups), (meet, leq.T, downs)):
+        bare = (table == n).any(axis=0)
+        # with no bound taken as element n - 1 the pair still fails below,
+        # since every up-set holds its own element
+        np.minimum(table, n - 1, out=table)
+        sides.append((table, np.packbits(le, axis=1), bare | _breaks(le, table, succ)))
+    marked = np.flatnonzero(sides[0][2] | sides[1][2])
+    width, m, lo = sides[0][1].shape[1], len(marked), 0
+    while lo < m:
+        hi = min(m, lo + max(1, _SEARCH_CHUNK // ((m - lo) * width)))
+        r, c = marked[lo:hi, None], marked[None, lo:]
+        fails = []
+        for table, sets, _ in sides:
+            fails.append((sets[r] & sets[c] != sets[table[r, c]]).any(axis=2))
+        hit = fails[0] | fails[1]
+        if hit.any():
+            a, b = np.argwhere(hit)[0]
+            return NotALattice((labels[marked[lo + a]], labels[marked[lo + b]]),
+                               "join" if fails[0][a, b] else "meet")
+        lo = hi
+    raise AssertionError("a marked order without a failing pair")
+
+
+def _heights_from_covers(n, covers, ext=None):
+    """Length of the longest chain from 0 to each element, walking a linear
+    extension (Kahn's order unless given)."""
+    ups = _neighbours(n, covers)[0]
     heights = [0] * n
-    for u in _kahn(ups):
+    for u in _kahn(ups) if ext is None else ext:
         for v in ups[u]:
             heights[v] = max(heights[v], heights[u] + 1)
     return np.array(heights, dtype=np.int32)
@@ -315,15 +370,24 @@ def validate_lattice(labels: Iterable[str], covers: Iterable[tuple], name=None) 
     if len(order) < n:
         i, j = _cycle_pair(succ, sorted(set(range(n)) - set(order)))
         raise CycleDetected(f"cycle through {labels[i]!r} and {labels[j]!r}")
-    # the up-set of each element as a Python int, closed in reverse order
+    # the up-set of each element as a Python int, closed in reverse order;
+    # a successor of v is a cover iff it lies strictly above no other one
     up = [1 << v for v in range(n)]
+    reduced = []
     for v in reversed(order):
+        above = 0
         for w in succ[v]:
             up[v] |= up[w]
+            above |= up[w] ^ (1 << w)
+        for w in succ[v]:
+            if not above >> w & 1:
+                reduced.append((v, w))
+                above |= 1 << w  # a repeated pair once
     width = (n + 7) // 8
     packed = np.frombuffer(b"".join(u.to_bytes(width, "little") for u in up), dtype=np.uint8)
     leq = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
-    return FiniteLattice._from_order(labels, leq.view(bool), name=name)
+    return FiniteLattice._from_covers(labels, leq.view(bool), tuple(sorted(reduced)), order,
+                                      name=name)
 
 
 def _cycle_pair(succ, stuck):
@@ -1162,13 +1226,19 @@ def lattice_to_json(L) -> dict:
 
 
 def lattice_from_json(obj) -> FiniteLattice:
-    # a wrong shape (no list of labels, a cover that is no pair of labels)
-    # surfaces as a KeyError, TypeError or ValueError
-    try:
-        return validate_lattice(obj["elements"], [tuple(c) for c in obj["covers"]],
-                                name=obj.get("name") or None)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad lattice object: {exc}") from None
+    """The lattice of a JSON object whose "elements" is an array of strings
+    and whose "covers" is an array of [lower, upper] string pairs; any other
+    shape is a FormatError."""
+    if not isinstance(obj, dict) or "elements" not in obj or "covers" not in obj:
+        raise FormatError("bad lattice object: it needs \"elements\" and \"covers\"")
+    elements, covers = obj["elements"], obj["covers"]
+    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+        raise FormatError("bad lattice object: \"elements\" is not an array of strings")
+    if not isinstance(covers, list) or not all(
+            isinstance(c, list) and len(c) == 2 and all(isinstance(e, str) for e in c)
+            for c in covers):
+        raise FormatError("bad lattice object: \"covers\" is not an array of string pairs")
+    return validate_lattice(elements, [tuple(c) for c in covers], name=obj.get("name") or None)
 
 
 def load_json(path):

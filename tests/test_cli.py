@@ -258,6 +258,11 @@ MALFORMED = {
     "wrong-shape": '{"labels": ["a"], "covers": "x"}',
     "cover-not-a-pair": '{"elements": ["a"], "covers": "x"}',
     "elements-not-a-list": '{"elements": 5, "covers": []}',
+    # shapes that read as the lattice a < b when iterated loosely
+    "elements-a-string": '{"elements": "ab", "covers": [["a", "b"]]}',
+    "elements-an-object": '{"elements": {"a": 1, "b": 2}, "covers": [["a", "b"]]}',
+    "cover-a-string": '{"elements": ["a", "b"], "covers": ["ab"]}',
+    "elements-not-strings": '{"elements": [0, 1], "covers": [[0, 1]]}',
     "not-utf-8": b"\xff\xfe",
 }
 # every subcommand on builtins, for the budget flags at 0 and -1

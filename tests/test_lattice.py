@@ -1,10 +1,11 @@
 import itertools
+import random
 import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from critlat import lattice
 from critlat.errors import (
@@ -141,8 +142,9 @@ def _random_congruence(L, data):
 
 
 class TestTablesAgainstOracle:
-    """_from_order searches the tables in numpy; quotients, sublattices and
-    products read them off their source.  All must equal the pair loop."""
+    """_from_order and validate_lattice build the tables from the covers;
+    quotients, sublattices and products read them off their source.  All
+    must equal the pair loop."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -188,6 +190,56 @@ class TestTablesAgainstOracle:
                 if isinstance(exc, NotALattice):
                     assert (got.value.pair, got.value.kind) == (exc.pair, exc.kind)
             else:
+                L = validate_lattice(labels, covers)
+                assert (L._leq == leq).all()
+                assert_oracle_tables(L, want)
+
+    @pytest.mark.parametrize("kind", ["maxima", "twin", "delete", "redundant"])
+    @settings(max_examples=12, deadline=None)
+    @given(st.data())
+    def test_validate_on_perturbed_products(self, corpus, kind, data):
+        # dense products of 40 to 150 elements with one perturbation, so
+        # that the failing pair, if any, may lie deep in the tables
+        factors, size = [], 1
+        while size < 40:
+            factors.append(data.draw(st.sampled_from([K for K in corpus
+                                                      if 2 <= K.n <= 150 // size])))
+            size *= factors[-1].n
+        P = product(*factors)
+        labels = list(P.labels)
+        covers = [(labels[i], labels[j]) for i, j in P.covers]
+        if kind == "maxima":
+            # two maximal elements above the top: no join of the two
+            labels += ["t1", "t2"]
+            covers += [(P.top, "t1"), (P.top, "t2")]
+        elif kind == "twin":
+            # a copy of an inner element with its lower and upper covers:
+            # every pair keeps a common upper and lower bound
+            e = data.draw(st.sampled_from([x for x in labels if x not in (P.bottom, P.top)]))
+            labels.append("twin")
+            covers += [(a, "twin") for a, b in covers if b == e]
+            covers += [("twin", b) for a, b in covers if a == e]
+        elif kind == "delete":
+            covers.remove(data.draw(st.sampled_from(covers)))
+        else:
+            strict = [(labels[i], labels[j]) for i, j in zip(*np.nonzero(P._leq)) if i != j]
+            covers.append(data.draw(st.sampled_from(sorted(set(strict) - set(covers)))))
+        # shuffled by a drawn seed: permutations this long overrun the data
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        rng.shuffle(labels)
+        rng.shuffle(covers)
+        chunk = data.draw(st.sampled_from([1, 40, lattice._SEARCH_CHUNK]))
+        with mock.patch.object(lattice, "_SEARCH_CHUNK", chunk):
+            try:
+                leq, want = oracle_validate(labels, covers)
+            except NotALattice as exc:
+                event(f"{kind}: no {exc.kind}")
+                with pytest.raises(NotALattice) as got:
+                    validate_lattice(labels, covers)
+                assert str(got.value) == str(exc)
+                assert (got.value.pair, got.value.kind) == (exc.pair, exc.kind)
+            else:
+                event(f"{kind}: a lattice")
                 L = validate_lattice(labels, covers)
                 assert (L._leq == leq).all()
                 assert_oracle_tables(L, want)
