@@ -3,12 +3,12 @@
 A congruence is stored as a partition in canonical form: blocks sorted by
 least element, each block a sorted tuple of element indices.
 
-Con L is built from J(Con L), its join-irreducible members.  These are the
-principal congruences Theta(j_*, j) of the join-irreducible elements j of L,
-j_* being the unique lower cover of j: a cover u < v is perspective to
-(j_*, j) for a minimal j <= v with j not <= u, so it generates the same
-congruence.  Con L is distributive, so its members are the joins of the
-down-sets of J(Con L), and a congruence is held as the mask of its down-set.
+Con L is built from J(Con L), its join-irreducible members: the
+congruences Theta(j_*, j) of the join-irreducible elements j of L, j_* the
+lower cover of j, ordered by the dependency relation D of L with no closure
+(README, "How Con is computed").  Con L is distributive, so a congruence is
+held as the mask of its down-set in J(Con L), and every partition is read
+off such a mask (JoinIrreducibles.congruences).
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from .errors import (
     NotACongruence,
     NotASublattice,
 )
-from .lattice import FiniteLattice, Homomorphism, _same_lattice, _same_or_dual, chain_order
+from .lattice import (FiniteLattice, Homomorphism, _dependency, _same_lattice,
+                      _same_or_dual, chain_order)
 
 CON_SIZE_BUDGET = 300
-# bound on |Con L|: con_lattice makes one union-find join and one partition
-# of |L| entries per member; 2048 is |Con L| for L = bool:11
+# bound on |Con L|: con_lattice reads one partition of |L| entries off each
+# member's mask; 2048 is |Con L| for L = bool:11
 CON_COUNT_BUDGET = 2048
 
 
@@ -40,68 +41,19 @@ def _require_dense(L):
             f"congruence computations need a dense lattice, got {L!r}")
 
 
-def _closure_rep(L, seed_pairs):
-    """Least congruence containing the seed pairs, as a class-id array.
-
-    Work queue over merged pairs; every merge re-checks compatibility against
-    all one-sided meets and joins.  Merging relabels the smaller class, so the
-    total cost stays near n^2 per closure.
-    """
-    n = L.n
-    rep = np.arange(n)
-    members = {i: [i] for i in range(n)}
-    queue = []
-
-    def union(a, b):
-        ra, rb = int(rep[a]), int(rep[b])
-        if ra == rb:
-            return
-        if len(members[ra]) < len(members[rb]):
-            ra, rb = rb, ra
-        for m in members[rb]:
-            rep[m] = ra
-        members[ra].extend(members.pop(rb))
-        queue.append((a, b))
-
-    for a, b in seed_pairs:
-        union(a, b)
-    qi = 0
-    while qi < len(queue):
-        x, y = queue[qi]
-        qi += 1
-        for table in (L._meet, L._join):
-            rx, ry = rep[table[x]], rep[table[y]]
-            for z in np.nonzero(rx != ry)[0]:
-                union(int(table[x][z]), int(table[y][z]))
-    return rep
-
-
-def _canon_ids(classes):
-    """Class ids renumbered by first occurrence: the canonical block_of."""
-    ids = {}
-    return tuple(ids.setdefault(c, len(ids)) for c in classes)
-
-
-def _join_ids(a, b):
-    """block_of of the join of two partitions given by their block_of.
-
-    Union-find over the classes of a, merged along the classes of b.  The
-    transitive closure of a union of congruences is a congruence, so for
-    congruences this is their join in Con L.
-    """
-    parent = list(range(len(a)))
-    first = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for x, y in zip(a, b):
-        rx, ry = find(x), find(first.setdefault(y, x))
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-    return _canon_ids([find(x) for x in a])
+def _reach(D):
+    """D*, the reflexive transitive closure of the bool matrix D, by
+    Warshall's algorithm on int bit rows."""
+    m = len(D)
+    rows = [int.from_bytes(row.tobytes(), "little") | 1 << a
+            for a, row in enumerate(np.packbits(D, axis=1, bitorder="little"))]
+    for k in range(m):
+        bit, rk = 1 << k, rows[k]
+        if rk != bit:
+            rows = [r | rk if r & bit else r for r in rows]
+    width = (m + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(m, width), axis=1, count=m, bitorder="little").view(bool)
 
 
 class Congruence:
@@ -132,10 +84,12 @@ class Congruence:
     @classmethod
     def from_rep(cls, host, rep):
         """The partition into the classes of rep (any class ids), trusted to
-        be a congruence: for partitions the library computed (closures,
-        kernels, meets and joins of congruences, members of J(Con) and
-        meet-irreducibles)."""
-        ids = _canon_ids(rep.tolist() if isinstance(rep, np.ndarray) else rep)
+        be a congruence: for partitions the library computed (kernels,
+        meets of congruences and partitions read off masks over J(Con))."""
+        # class ids renumbered by first occurrence: the canonical block_of
+        seen = {}
+        ids = tuple(seen.setdefault(c, len(seen))
+                    for c in (rep.tolist() if isinstance(rep, np.ndarray) else rep))
         blocks = [[] for _ in range(max(ids, default=-1) + 1)]
         for i, k in enumerate(ids):
             blocks[k].append(i)
@@ -206,8 +160,8 @@ def _canonical_key(n, block_of):
 
 def principal_congruence(L, a, b) -> Congruence:
     """Theta(a, b): the smallest congruence identifying a and b."""
-    _require_dense(L)
-    return Congruence.from_rep(L, _closure_rep(L, [(L.index(a), L.index(b))]))
+    J = JoinIrreducibles(L)
+    return J.congruences(J.principal_masks(L.index(a), L.index(b)))[0]
 
 
 def _check_same_host(t1, t2):
@@ -216,9 +170,10 @@ def _check_same_host(t1, t2):
 
 
 def congruence_join(t1: Congruence, t2: Congruence) -> Congruence:
-    """Join: the transitive closure of the union."""
+    """Join: the union of the two down-sets of J(Con L)."""
     _check_same_host(t1, t2)
-    return Congruence.from_rep(t1.host, _join_ids(t1.block_of, t2.block_of))
+    J = JoinIrreducibles(t1.host)
+    return J.congruences(J.mask_of(t1.block_of) | J.mask_of(t2.block_of))[0]
 
 
 def congruence_meet(t1: Congruence, t2: Congruence) -> Congruence:
@@ -232,14 +187,6 @@ def kernel(f: Homomorphism) -> Congruence:
     return Congruence.from_rep(f.source, f.mapping)
 
 
-def _join_irreducible_pairs(L):
-    """(j_*, j) for each join-irreducible element j of L, in index order of j."""
-    lower = {}
-    for i, j in L.covers:
-        lower.setdefault(j, []).append(i)
-    return [(lo[0], j) for j, lo in sorted(lower.items()) if len(lo) == 1]
-
-
 class JoinIrreducibles:
     """J(Con L): the distinct congruences Theta(j_*, j), in canonical order.
 
@@ -247,39 +194,46 @@ class JoinIrreducibles:
     is when cons[b] identifies pairs[a].  A congruence is held as the bool
     mask of the members below it, its down-set in J.
 
-    Every principal congruence is read off these members with no closure
-    (principal_masks): for a < b, Theta(a, b) is the join of the
-    Theta(j_*, j) over the join-irreducible elements j <= b with j not <= a.
+    Theta(j_*, j) <= Theta(k_*, k) iff j D* k, so the members are the
+    classes of D*, ordered by it.  For a < b, Theta(a, b) is the join of the
+    Theta(j_*, j) over the j <= b with j not <= a (principal_masks).
     """
 
-    __slots__ = ("host", "cons", "pairs", "leq", "_below", "_gen")
+    __slots__ = ("host", "cons", "pairs", "leq", "_below", "_gen", "_covers", "_cover_of")
 
     def __init__(self, L):
-        """One principal closure per join-irreducible element of L."""
         _require_dense(L)
-        found = {}
-        ji, keys = [], []
-        for pair in _join_irreducible_pairs(L):
-            theta = Congruence.from_rep(L, _closure_rep(L, [pair]))
-            found.setdefault(theta.block_of, (theta, pair))
-            ji.append(pair[1])
-            keys.append(theta.block_of)
-        ordered = sorted(found.values(),
-                         key=lambda tp: _canonical_key(L.n, tp[0].block_of))
+        ji, lower, D = _dependency(L)
+        star = _reach(D)
+        # j and k share a class of D*, a member, iff their rows of D* are
+        # equal; first lists each member's first j
+        firsts = {}
+        first_of = [firsts.setdefault(row.tobytes(), a) for a, row in enumerate(star)]
+        first = np.array(list(firsts.values()), dtype=np.intp)
+        member = np.searchsorted(first, first_of)
         self.host = L
-        self.cons = tuple(t for t, _ in ordered)
-        self.pairs = tuple(p for _, p in ordered)
-        k = len(self.cons)
-        self.leq = np.array([[t.block_of[a] == t.block_of[b] for t in self.cons]
-                             for a, b in self.pairs], dtype=bool).reshape(k, k)
+        self._below = L._leq[ji]
+        # the member of each cover u < v: Theta(j_*, j) for a minimal j <= v
+        # with j not <= u, one of least height
+        self._covers = np.array(L.covers, dtype=np.intp).reshape(-1, 2).T
+        u, v = self._covers
+        height = np.where(self._below[:, v] & ~self._below[:, u],
+                          L.heights[ji][:, None], L.n)
+        self._cover_of = member[height.argmin(axis=0)] if len(ji) else member
+        # read the members off their down-sets, then put them in canonical order
+        cons = self.congruences(star[first][:, first].T)
+        order = sorted(range(len(first)), key=lambda a: _canonical_key(L.n, cons[a].block_of))
+        first = first[order]
+        self.cons = tuple(cons[a] for a in order)
+        self.pairs = tuple(zip(lower[first].tolist(), ji[first].tolist()))
         # _below[j, x]: the join-irreducible j <= x; _gen[j]: the down-set
         # of Theta(j_*, j), the member its pair generates
-        position = {t.block_of: a for a, t in enumerate(self.cons)}
-        self._below = L._leq[ji]
-        self._gen = self.leq.T[[position[key] for key in keys]]
+        self._gen = star[first].T
+        self.leq = self._gen[first].T
+        self._cover_of = np.argsort(order)[self._cover_of]
 
     def __len__(self):
-        return len(self.cons)
+        return len(self.leq)
 
     def principal_masks(self, a, b):
         """Down-set masks of Theta(a, b), one row per pair of element indices
@@ -291,15 +245,26 @@ class JoinIrreducibles:
 
     def mask_of(self, classes):
         """Down-set mask of the congruence with these class ids (a block_of
-        or a closure's rep): the members whose pair it identifies."""
+        or any class ids): the members whose pair it identifies."""
         return np.array([classes[a] == classes[b] for a, b in self.pairs], dtype=bool)
 
-    def join_ids(self, mask):
-        """block_of of the join of the members marked in mask."""
-        ids = tuple(range(self.host.n))
-        for a in np.nonzero(mask)[0]:
-            ids = _join_ids(ids, self.cons[a].block_of)
-        return ids
+    def congruences(self, masks):
+        """The congruence of each bool down-set mask (rows, or one mask): a
+        cover is collapsed iff its member is marked, and classes are
+        intervals, so following collapsed lower covers down from x, by
+        pointer jumping, ends at the least element of x's class."""
+        masks = np.atleast_2d(masks)
+        n = self.host.n
+        # one pointer per element of each mask's copy of L, mask h at h * n
+        hit, edges = np.nonzero(masks[:, self._cover_of])
+        u, v = self._covers[:, edges] + hit * n
+        least = np.arange(len(masks) * n)
+        least[v] = u
+        # after t jumps each pointer has walked 2^t covers or to its end
+        for _ in range(self.host.height().bit_length()):
+            least = least[least]
+        return [Congruence.from_rep(self.host, row)
+                for row in least.reshape(len(masks), n).tolist()]
 
     def minimal(self):
         """Indices of the minimal members: the atoms of Con L."""
@@ -317,13 +282,11 @@ class JoinIrreducibles:
         not above j.  These are the meet-irreducibles of Con L, and m(j) v j
         is the unique upper cover of m(j).
         """
-        out = []
-        for a, theta_j in enumerate(self.cons):
-            low = self.join_ids(~self.leq[a])
-            out.append((low, _join_ids(low, theta_j.block_of)))
-        out.sort(key=lambda pair: _canonical_key(self.host.n, pair[0]))
-        return [(Congruence.from_rep(self.host, low),
-                 Congruence.from_rep(self.host, star)) for low, star in out]
+        # row a of ~leq: the members not above a; adding a's down-set joins it
+        low = ~self.leq
+        cons = self.congruences(np.concatenate([low, low | self.leq.T]))
+        return sorted(zip(cons[:len(self)], cons[len(self):]),
+                      key=lambda pair: _canonical_key(self.host.n, pair[0].block_of))
 
 
 class ConLattice:
@@ -374,41 +337,44 @@ def con_lattice(L, max_size=CON_SIZE_BUDGET) -> ConLattice:
     """All congruences of L: the joins of the down-sets of J(Con L).
 
     Down-sets are enumerated breadth first from the empty one, each new one
-    adding a member of J whose lower members it holds; its partition is
-    the union-find join of its parent's with that member's.  Refuses L above
-    max_size elements and Con L above CON_COUNT_BUDGET members.
+    adding a member of J whose lower members it holds; all their partitions
+    are then read off at once (JoinIrreducibles.congruences).  Refuses L
+    above max_size elements and Con L above CON_COUNT_BUDGET members.
     """
     _check_con_size(L, max_size)
     J = JoinIrreducibles(L)
     k = len(J)
     below = [sum(1 << b for b in np.nonzero(J.leq[:, a])[0].tolist() if b != a)
              for a in range(k)]
-    found = {0: tuple(range(L.n))}
+    found = {0}
     queue = [0]
     for down in queue:
         for a in range(k):
             grown = down | 1 << a
             if grown == down or below[a] & ~down or grown in found:
                 continue
-            found[grown] = _join_ids(found[down], J.cons[a].block_of)
+            found.add(grown)
             if len(found) > CON_COUNT_BUDGET:
                 raise BudgetExceeded(
                     f"Con of {L!r} has more than {CON_COUNT_BUDGET} congruences: "
                     f"{len(found)} enumerated from |J(Con L)| = {k}")
             queue.append(grown)
-    ordered = sorted(found.items(), key=lambda kv: _canonical_key(L.n, kv[1]))
-    masks = np.array([[down >> a & 1 for a in range(k)] for down, _ in ordered],
-                     dtype=bool).reshape(len(ordered), k)
-    return ConLattice(J, masks, [Congruence.from_rep(L, ids) for _, ids in ordered])
+    masks = np.array([[down >> a & 1 for a in range(k)] for down in queue],
+                     dtype=bool).reshape(len(queue), k)
+    cons = J.congruences(masks)
+    order = sorted(range(len(cons)), key=lambda c: _canonical_key(L.n, cons[c].block_of))
+    return ConLattice(J, masks[order], [cons[c] for c in order])
 
 
 def is_simple(L) -> bool:
     """Whether Con L = {0, 1} with 0 != 1: L has two or more elements and
-    every Theta(j_*, j), a generator of Con L, is the full congruence.
-    Stops at the first closure that is not full."""
+    D* (_dependency) has one class, J(Con L) one member.  Stops early when
+    some j has no D edge in or out: its class is {j}."""
     _require_dense(L)
-    return L.n > 1 and all(len(set(_closure_rep(L, [pair]).tolist())) == 1
-                           for pair in _join_irreducible_pairs(L))
+    D = _dependency(L)[2]
+    if L.n < 2 or len(D) > 1 and not (D.any(axis=0) & D.any(axis=1)).all():
+        return False
+    return bool(_reach(D).all())
 
 
 class ConcMap:
@@ -459,7 +425,7 @@ class ConcMap:
 
     def apply(self, theta: Congruence) -> Congruence:
         image = self.on_masks(self.source.mask_of(theta.block_of))
-        return Congruence.from_rep(self.target.host, self.target.join_ids(image))
+        return self.target.congruences(image)[0]
 
     def sends_principal(self, a, b, C, c, d):
         """For each k, whether phi(Theta(a_k, b_k)) = Theta_C(c_k, d_k), as a

@@ -35,6 +35,7 @@ from .lattice import (
     FiniteLattice,
     Homomorphism,
     _assignments,
+    _dot_string,
     _hom_failure,
     _same_lattice,
     _sublattice_from_indices,
@@ -723,12 +724,12 @@ def export_dot(D: LatticeDiagram) -> str:
         L = D.lattices[n]
         k = ids[n]
         lines.append(f'  subgraph cluster_{k} {{')
-        lines.append(f'    label="{n}";')
+        lines.append(f'    label={_dot_string(n)};')
         if L.n > DOT_NODE_LIMIT:
             lines.append(f'    n{k}_0 [label="{L.n} elements", shape=box];')
         else:
             for i, lab in enumerate(L.labels):
-                lines.append(f'    n{k}_{i} [label="{lab}", shape=plaintext];')
+                lines.append(f'    n{k}_{i} [label={_dot_string(lab)}, shape=plaintext];')
             for i, j in L.covers:
                 lines.append(f"    n{k}_{i} -> n{k}_{j};")
         lines.append("  }")

@@ -1012,16 +1012,39 @@ def chain_order(C):
 
 # --- distributivity ---
 
-def is_distributive(L, max_size=512):
-    """Exhaustive check of x∧(y∨z) = (x∧y)∨(x∧z); returns (bool, witness).
+def _dependency(L):
+    """(ji, lower, D) for a dense L: its join-irreducible elements in index
+    order, the lower cover k_* of each, and the dependency relation, D[a, b]
+    when ji[a] D ji[b]: j != k and some x has k_* <= x, j not <= x and
+    j <= k v x.  x can be taken meet-irreducible, so D is the Boolean product
+    of the arrow relations j up-arrow x and x down-arrow k (README, "How Con
+    is computed")."""
+    ups, downs = _neighbours(L.n, L.covers)
+    ji = np.array([j for j, d in enumerate(downs) if len(d) == 1], dtype=np.intp)
+    lower = np.array([downs[j][0] for j in ji.tolist()], dtype=np.intp)
+    mi = [x for x, u in enumerate(ups) if len(u) == 1]
+    le = L._leq
+    outside = ~le[ji[:, None], mi]
+    up = outside & le[ji[:, None], [ups[x][0] for x in mi]]
+    down = outside & le[lower[:, None], mi]
+    # exact: the float32 sums count at most |L| arrows
+    D = up.astype(np.float32) @ down.T.astype(np.float32) > 0
+    D.flat[::len(D) + 1] = False
+    return ji, lower, D
 
-    A lazy product is checked factor by factor: a product is distributive iff
-    every factor is.  A failing triple of one factor, with every other
-    coordinate at the bottom of its factor, fails in the product too.
+
+def is_distributive(L):
+    """Whether x∧(y∨z) = (x∧y)∨(x∧z) throughout L; returns (bool, witness).
+
+    A dense L is distributive iff its dependency relation D is empty; else
+    the witness is (j, k, x), j D k the first pair and x the first element
+    with k_* <= x, j not <= x and j <= k v x, in index order (README).  A
+    lazy product is distributive iff every factor is; a failing triple of a
+    factor, the other coordinates at their bottoms, fails in the product.
     """
     if isinstance(L, ProductLattice):
         for k, f in enumerate(L.factors):
-            ok, w = is_distributive(f, max_size=max_size)
+            ok, w = is_distributive(f)
             if not ok:
                 bottoms = [g.bottom_i for g in L.factors]
 
@@ -1030,16 +1053,13 @@ def is_distributive(L, max_size=512):
                     return L.labels[product_index(L.sizes, coords)]
                 return False, tuple(lift(x) for x in w)
         return True, None
-    if L.n > max_size:
-        raise BudgetExceeded(f"distributivity check needs |L| <= {max_size}")
-    me, jo = L._meet, L._join
-    for x in range(L.n):
-        lhs = me[x][jo]
-        rhs = jo[me[x][:, None], me[x][None, :]]
-        if not (lhs == rhs).all():
-            y, z = map(int, np.argwhere(lhs != rhs)[0])
-            return False, (L.labels[x], L.labels[y], L.labels[z])
-    return True, None
+    ji, lower, D = _dependency(L)
+    if not D.any():
+        return True, None
+    a, b = np.argwhere(D)[0]
+    j, k, le = ji[a], ji[b], L._leq
+    x = np.flatnonzero(le[lower[b]] & ~le[j] & le[j, L._join[k]])[0]
+    return False, (L.labels[j], L.labels[k], L.labels[x])
 
 
 # --- partial lattices ---
@@ -1226,9 +1246,9 @@ def lattice_to_json(L) -> dict:
 
 
 def lattice_from_json(obj) -> FiniteLattice:
-    """The lattice of a JSON object whose "elements" is an array of strings
-    and whose "covers" is an array of [lower, upper] string pairs; any other
-    shape is a FormatError."""
+    """The lattice of a JSON object whose "elements" is an array of strings,
+    "covers" an array of [lower, upper] string pairs and "name", if given, a
+    string or null; any other shape is a FormatError."""
     if not isinstance(obj, dict) or "elements" not in obj or "covers" not in obj:
         raise FormatError("bad lattice object: it needs \"elements\" and \"covers\"")
     elements, covers = obj["elements"], obj["covers"]
@@ -1238,6 +1258,8 @@ def lattice_from_json(obj) -> FiniteLattice:
             isinstance(c, list) and len(c) == 2 and all(isinstance(e, str) for e in c)
             for c in covers):
         raise FormatError("bad lattice object: \"covers\" is not an array of string pairs")
+    if not isinstance(obj.get("name"), (str, type(None))):
+        raise FormatError("bad lattice object: \"name\" is not a string")
     return validate_lattice(elements, [tuple(c) for c in covers], name=obj.get("name") or None)
 
 
@@ -1260,13 +1282,18 @@ def save_lattice(L, path):
         fh.write("\n")
 
 
+def _dot_string(text) -> str:
+    """text as a quoted DOT string, backslashes and double quotes escaped."""
+    return '"' + str(text).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def lattice_dot(L) -> str:
     """Hasse diagram in DOT: one node per element, one edge per cover,
     elements of equal height share a rank."""
-    lines = [f'digraph "{L.name or "lattice"}" {{',
+    lines = [f'digraph {_dot_string(L.name or "lattice")} {{',
              "  rankdir=BT;", "  node [shape=plaintext];"]
     for i, lab in enumerate(L.labels):
-        lines.append(f'  n{i} [label="{lab}"];')
+        lines.append(f'  n{i} [label={_dot_string(lab)}];')
     by_height = {}
     for i, h in enumerate(L.heights):
         by_height.setdefault(int(h), []).append(i)

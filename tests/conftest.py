@@ -1,8 +1,10 @@
 import contextlib
 import sys
+from unittest import mock
 
 import pytest
 
+from critlat.congruence import JoinIrreducibles
 from critlat.diagrams import chain_diagram_of_partial, directing_diagram
 from critlat.lattice import builtin, validate_lattice
 
@@ -63,3 +65,13 @@ def recursion_limit_above_caller():
     """`with recursion_limit_above_caller(k):` runs its body with the
     recursion limit k frames above the calling test's depth."""
     return _limit_above_caller
+
+
+@pytest.fixture
+def spy_on_j():
+    """`with spy_on_j() as spy:` counts in spy.call_count the J(Con L)
+    built in its body."""
+    def spy():
+        return mock.patch.object(JoinIrreducibles, "__init__", autospec=True,
+                                 side_effect=JoinIrreducibles.__init__)
+    return spy

@@ -145,6 +145,15 @@ class TestOperations:
         _, b, _ = invoke(capsys, "export-dot", "F22")
         assert a == b and a.startswith("digraph")
 
+    def test_export_dot_escapes_name_and_labels(self, tmp_path, capsys):
+        p = tmp_path / "quoted.json"
+        p.write_text(json.dumps({"name": 'a"b\\c', "elements": ["0", 'x"y', "1"],
+                                 "covers": [["0", 'x"y'], ['x"y', "1"]]}))
+        code, out, _ = invoke(capsys, "export-dot", str(p))
+        assert code == 0
+        assert out.startswith('digraph "a\\"b\\\\c" {')
+        assert '  n1 [label="x\\"y"];' in out.splitlines()
+
     def test_chain_diagram_dot(self, capsys):
         code, out, _ = invoke(capsys, "chain-diagram", "M:3", "--dot")
         assert code == 0 and out.count("subgraph cluster_") == 8
@@ -263,6 +272,7 @@ MALFORMED = {
     "elements-an-object": '{"elements": {"a": 1, "b": 2}, "covers": [["a", "b"]]}',
     "cover-a-string": '{"elements": ["a", "b"], "covers": ["ab"]}',
     "elements-not-strings": '{"elements": [0, 1], "covers": [[0, 1]]}',
+    "name-not-a-string": '{"name": ["x"], "elements": ["a"], "covers": []}',
     "not-utf-8": b"\xff\xfe",
 }
 # every subcommand on builtins, for the budget flags at 0 and -1

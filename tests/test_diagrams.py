@@ -56,6 +56,7 @@ from critlat.lattice import (
     quotient,
     spanning_chains,
     subuniverse_closure,
+    validate_lattice,
 )
 from critlat.liftings import dual_diagram, identity_lifting
 
@@ -621,7 +622,6 @@ class TestExtendDiagram:
         # a lawful diagram whose bottom node lattice is relabelled does not
         # restrict to the base diagram
         D, _ = chain_diagram_of_partial(named["M:3"], named["M:3"].labels)
-        from critlat.lattice import validate_lattice
         wrong = validate_lattice(["z", "t"], [("z", "t")])
         lattices, maps = dict(D.lattices), dict(D.maps)
         lattices[EMPTY] = wrong
@@ -757,6 +757,17 @@ class TestSerialization:
         D, _ = chain_diagram_of_partial(named["M:3"], named["M:3"].labels)
         assert export_dot(D) == export_dot(D)
         assert export_dot(D).count("subgraph cluster_") == 8
+
+    def test_dot_escapes_quotes_and_backslashes(self):
+        L = validate_lattice(["0", 'x"y', "z\\w", "1"],
+                             [("0", 'x"y'), ("0", "z\\w"), ('x"y', "1"), ("z\\w", "1")])
+        D, _ = chain_diagram_of_partial(L, L.labels)
+        dot = export_dot(D)
+        assert '[label="x\\"y", shape=plaintext];' in dot
+        assert '[label="z\\\\w", shape=plaintext];' in dot
+        # with the escapes taken out, the quotes on each line pair up
+        assert all(line.replace("\\\\", "").replace('\\"', "").count('"') % 2 == 0
+                   for line in dot.splitlines())
 
     def test_dot_summarizes_giant_nodes(self, named):
         g = glued_diagram(named["M:3"], named["M:3"].labels, builtin("M:3"))

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from critlat import lattice
 from critlat.errors import (
@@ -49,6 +49,7 @@ from oracles import (
     brute_isomorphic,
     brute_subuniverses,
     oracle_embed_partial,
+    oracle_is_distributive,
     oracle_is_homomorphism,
     oracle_tables_from_order,
     oracle_validate,
@@ -699,6 +700,21 @@ class TestSerialization:
         b = lattice_dot(named["N5"])
         assert a == b
         assert a.count("->") == len(named["N5"].covers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_is_distributive_matches_oracle(corpus, data):
+    # D is empty iff L is distributive; a witness fails the law on L's tables
+    factors = data.draw(st.lists(st.sampled_from(corpus), min_size=1, max_size=3))
+    assume(np.prod([K.n for K in factors]) <= 128)
+    L = product(*factors) if len(factors) > 1 else factors[0]
+    ok, witness = is_distributive(L)
+    assert ok == oracle_is_distributive(L)
+    if not ok:
+        x, y, z = map(L.index, witness)
+        me, jo = L._meet, L._join
+        assert me[x, jo[y, z]] != jo[me[x, y], me[x, z]]
 
 
 def test_distributive_flags(named):
