@@ -15,10 +15,9 @@ import os
 import sys
 
 from . import critpoint, diagrams, liftings, variety
-from .congruence import CON_SIZE_BUDGET, con_lattice, is_boolean, is_simple
+from .congruence import con_lattice, is_boolean, is_simple
 from .errors import CritlatError
 from .lattice import (
-    PRODUCT_CAP,
     builtin,
     dual,
     is_isomorphic,
@@ -48,12 +47,6 @@ def _chain_arg(s: str):
     return tuple(s.split(","))
 
 
-def _size_budget(args):
-    """--max-size as a keyword argument when given, so that each library
-    call otherwise keeps its own budget."""
-    return {} if args.max_size is None else {"max_size": args.max_size}
-
-
 def _subset(args, L):
     return args.subset.split(",") if args.subset else list(L.labels)
 
@@ -70,7 +63,7 @@ def cmd_validate(args):
 
 def cmd_con(args):
     L = resolve_lattice(args.lattice)
-    con = con_lattice(L, **_size_budget(args))
+    con = con_lattice(L)
     simple = len(con.J) == 1
     boolean, atoms, _ = is_boolean(con)
     if args.json:
@@ -96,7 +89,7 @@ def cmd_simple(args):
 
 def cmd_si(args):
     K = resolve_lattice(args.lattice)
-    sis = variety.si_quotients(K, **_size_budget(args))
+    sis = variety.si_quotients(K)
     if args.json:
         _emit({"schema": 1, "si_quotients": [s.to_json() for s in sis]})
     else:
@@ -110,8 +103,8 @@ def cmd_si(args):
 def cmd_hs_member(args):
     M = resolve_lattice(args.member)
     L = resolve_lattice(args.lattice)
-    w = variety.hs_member(M, L, max_subuniverses=args.max_subuniverses,
-                          **_size_budget(args))
+    w = variety.hs_member(M, L, max_size=args.max_size,
+                          max_subuniverses=args.max_subuniverses)
     if args.json:
         _emit({"schema": 1,
                      "member": w is not None,
@@ -126,8 +119,8 @@ def cmd_hs_member(args):
 def cmd_var_leq(args):
     K = resolve_lattice(args.k)
     L = resolve_lattice(args.l)
-    holds, cert = variety.var_leq(K, L, max_subuniverses=args.max_subuniverses,
-                                  **_size_budget(args))
+    holds, cert = variety.var_leq(K, L, max_size=args.max_size,
+                                  max_subuniverses=args.max_subuniverses)
     if args.json:
         _emit({"schema": 1, **cert.to_json()})
     else:
@@ -138,8 +131,8 @@ def cmd_var_leq(args):
 def cmd_crit_gate(args):
     K = resolve_lattice(args.k)
     L = resolve_lattice(args.l)
-    verdict = critpoint.crit_gate(K, L, max_subuniverses=args.max_subuniverses,
-                                  **_size_budget(args))
+    verdict = critpoint.crit_gate(K, L, max_size=args.max_size,
+                                  max_subuniverses=args.max_subuniverses)
     if args.json:
         _emit(verdict.to_json())
     else:
@@ -152,8 +145,8 @@ def cmd_crit_gate(args):
 def cmd_conc_report(args):
     K = resolve_lattice(args.k)
     L = resolve_lattice(args.l)
-    rep = critpoint.conc_class_report(K, L, max_subuniverses=args.max_subuniverses,
-                                      **_size_budget(args))
+    rep = critpoint.conc_class_report(K, L, max_size=args.max_size,
+                                      max_subuniverses=args.max_subuniverses)
     if args.json:
         _emit(rep.to_json())
     else:
@@ -291,77 +284,72 @@ def build_parser():
         prog="critlat",
         description="finite lattice congruence computations and the "
                     "critical-point gate")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="accepted and ignored; results never depend on it")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def json_flag(p):
         p.add_argument("--json", action="store_true")
-        p.add_argument("--max-size", type=int, default=None,
-                       help="size budget for Con/SI/HS searches (default: "
-                            f"Con {CON_SIZE_BUDGET}, SI/HS "
-                            f"{variety.HS_SIZE_BUDGET})")
+
+    def hs_flags(p):
+        json_flag(p)
+        p.add_argument("--max-size", type=int, default=variety.HS_SIZE_BUDGET,
+                       help="refuse HS searches in a lattice above this many "
+                            "elements (default: %(default)s)")
         p.add_argument("--max-subuniverses", type=int, default=None,
                        help="abort HS searches closing more generator "
                             "tuples (each generates one subuniverse)")
-        p.add_argument("--cap", type=int, default=None,
-                       help="accepted and ignored; products above "
-                            f"{PRODUCT_CAP} elements are lazy or refused")
 
     p = sub.add_parser("validate", help="validate a lattice file or builtin")
     p.add_argument("lattice")
-    common(p)
+    json_flag(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("con", help="congruence lattice summary")
     p.add_argument("lattice")
-    common(p)
+    json_flag(p)
     p.set_defaults(func=cmd_con)
 
     p = sub.add_parser("simple", help="is the lattice simple")
     p.add_argument("lattice")
-    common(p)
     p.set_defaults(func=cmd_simple)
 
     p = sub.add_parser("si", help="subdirectly irreducible quotients")
     p.add_argument("lattice")
-    common(p)
+    json_flag(p)
     p.set_defaults(func=cmd_si)
 
     p = sub.add_parser("hs-member", help="is M a quotient of a sublattice of L")
     p.add_argument("member")
     p.add_argument("lattice")
-    common(p)
+    hs_flags(p)
     p.set_defaults(func=cmd_hs_member)
 
     p = sub.add_parser("var-leq", help="decide Var K <= Var L")
     p.add_argument("k")
     p.add_argument("l")
-    common(p)
+    hs_flags(p)
     p.set_defaults(func=cmd_var_leq)
 
     p = sub.add_parser("crit-gate",
                        help="crit(Var K, Var L): infinite or at most aleph-2")
     p.add_argument("k")
     p.add_argument("l")
-    common(p)
+    hs_flags(p)
     p.set_defaults(func=cmd_crit_gate)
 
     p = sub.add_parser("conc-report", help="all four variety containments")
     p.add_argument("k")
     p.add_argument("l")
-    common(p)
+    hs_flags(p)
     p.set_defaults(func=cmd_conc_report)
 
     p = sub.add_parser("iso", help="order isomorphism witness")
     p.add_argument("k")
     p.add_argument("l")
-    common(p)
+    json_flag(p)
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("dual", help="emit the dual lattice as JSON")
     p.add_argument("lattice")
-    common(p)
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("chain-diagram", help="chain diagram of a lattice")
@@ -369,7 +357,7 @@ def build_parser():
     p.add_argument("--subset", default=None,
                    help="comma-separated spanning subset (default: all)")
     p.add_argument("--dot", action="store_true")
-    common(p)
+    json_flag(p)
     p.set_defaults(func=cmd_chain_diagram)
 
     p = sub.add_parser("directing-diagram",
@@ -379,7 +367,7 @@ def build_parser():
     p.add_argument("c2")
     p.add_argument("c3")
     p.add_argument("--dot", action="store_true")
-    common(p)
+    json_flag(p)
     p.set_defaults(func=cmd_directing_diagram)
 
     p = sub.add_parser("glued-diagram",
@@ -387,7 +375,6 @@ def build_parser():
     p.add_argument("lattice")
     p.add_argument("generator", help="M:3 or N5")
     p.add_argument("--subset", default=None)
-    common(p)
     p.set_defaults(func=cmd_glued_diagram)
 
     p = sub.add_parser("lift-check", help="verify a lifting bundle")
@@ -396,7 +383,7 @@ def build_parser():
                    help="build and check the identity lifting of this lattice")
     p.add_argument("--dual-of", default=None,
                    help="build and check the dual lifting of this lattice")
-    common(p)
+    json_flag(p)
     p.set_defaults(func=cmd_lift_check)
 
     p = sub.add_parser("extract-embedding",
@@ -405,7 +392,7 @@ def build_parser():
     p.add_argument("--subset", default=None)
     p.add_argument("--dual", action="store_true",
                    help="start from the dual lifting")
-    common(p)
+    json_flag(p)
     p.set_defaults(func=cmd_extract_embedding)
 
     p = sub.add_parser("find-chains",
@@ -413,12 +400,11 @@ def build_parser():
     p.add_argument("lattice")
     p.add_argument("u")
     p.add_argument("v")
-    common(p)
+    json_flag(p)
     p.set_defaults(func=cmd_find_chains)
 
     p = sub.add_parser("export-dot", help="Hasse diagram in DOT")
     p.add_argument("lattice")
-    common(p)
     p.set_defaults(func=cmd_export_dot)
 
     return ap

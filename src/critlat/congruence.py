@@ -29,16 +29,17 @@ from .errors import (
 from .lattice import (FiniteLattice, Homomorphism, _dependency, _same_lattice,
                       _same_or_dual, chain_order)
 
-CON_SIZE_BUDGET = 300
-# bound on |Con L|: con_lattice reads one partition of |L| entries off each
-# member's mask; 2048 is |Con L| for L = bool:11
-CON_COUNT_BUDGET = 2048
+# cells read: J(Con L) builds |J(L)| x |L| tables, con_lattice one
+# partition of |L| entries per congruence
+J_CELL_BUDGET = 300 * 300
+CON_CELL_BUDGET = 300 * 2048
 
 
 def _require_dense(L):
     if not isinstance(L, FiniteLattice):
         raise BudgetExceeded(
-            f"congruence computations need a dense lattice, got {L!r}")
+            f"congruence computations need a dense lattice, got a "
+            f"{type(L).__name__} of {L.n} elements")
 
 
 def _reach(D):
@@ -203,7 +204,7 @@ class JoinIrreducibles:
 
     def __init__(self, L):
         _require_dense(L)
-        ji, lower, D = _dependency(L)
+        ji, lower, D = _dependency(L, J_CELL_BUDGET)
         star = _reach(D)
         # j and k share a class of D*, a member, iff their rows of D* are
         # equal; first lists each member's first j
@@ -327,21 +328,14 @@ class ConLattice:
         return f"<ConLattice of {self.host!r}, {self.n} congruences>"
 
 
-def _check_con_size(L, max_size=CON_SIZE_BUDGET):
-    _require_dense(L)
-    if L.n > max_size:
-        raise BudgetExceeded(f"|L| = {L.n} exceeds the Con budget {max_size}")
-
-
-def con_lattice(L, max_size=CON_SIZE_BUDGET) -> ConLattice:
+def con_lattice(L) -> ConLattice:
     """All congruences of L: the joins of the down-sets of J(Con L).
 
     Down-sets are enumerated breadth first from the empty one, each new one
     adding a member of J whose lower members it holds; all their partitions
-    are then read off at once (JoinIrreducibles.congruences).  Refuses L
-    above max_size elements and Con L above CON_COUNT_BUDGET members.
+    are then read off at once (JoinIrreducibles.congruences).  Refuses when
+    |Con L| * |L| is above CON_CELL_BUDGET, counted as it enumerates.
     """
-    _check_con_size(L, max_size)
     J = JoinIrreducibles(L)
     k = len(J)
     below = [sum(1 << b for b in np.nonzero(J.leq[:, a])[0].tolist() if b != a)
@@ -354,10 +348,10 @@ def con_lattice(L, max_size=CON_SIZE_BUDGET) -> ConLattice:
             if grown == down or below[a] & ~down or grown in found:
                 continue
             found.add(grown)
-            if len(found) > CON_COUNT_BUDGET:
+            if len(found) * L.n > CON_CELL_BUDGET:
                 raise BudgetExceeded(
-                    f"Con of {L!r} has more than {CON_COUNT_BUDGET} congruences: "
-                    f"{len(found)} enumerated from |J(Con L)| = {k}")
+                    f"|Con L| * |L| exceeds the Con budget {CON_CELL_BUDGET} for "
+                    f"{L!r}: {len(found)} congruences enumerated from |J(Con L)| = {k}")
             queue.append(grown)
     masks = np.array([[down >> a & 1 for a in range(k)] for down in queue],
                      dtype=bool).reshape(len(queue), k)
@@ -536,11 +530,9 @@ def atom_steps(J: JoinIrreducibles):
 
 
 def boolean_J(B, J: Optional[JoinIrreducibles] = None) -> JoinIrreducibles:
-    """J(Con B), built within the Con size budget when not given, whose
-    members are then the atoms of Con B.  ConNotBoolean unless Con B is
-    Boolean."""
+    """J(Con B), built when not given, whose members are then the atoms of
+    Con B.  ConNotBoolean unless Con B is Boolean."""
     if J is None:
-        _check_con_size(B)
         J = JoinIrreducibles(B)
     if J.boolean_atoms() is None:
         raise ConNotBoolean(f"Con of {B!r} is not Boolean")

@@ -21,7 +21,6 @@ import numpy as np
 from .congruence import JoinIrreducibles, conc_of_hom
 from .errors import (
     BadChainShapes,
-    BudgetExceeded,
     CritlatError,
     EmptyChainSet,
     FormatError,
@@ -53,7 +52,6 @@ from .lattice import (
 
 Chain = tuple  # tuple of labels, bottom to top
 
-APPLY_CONC_NODE_BUDGET = 200
 DOT_NODE_LIMIT = 2000   # export_dot draws larger nodes as one placeholder
 
 
@@ -626,14 +624,8 @@ def glued_diagram(L, subset, kgen) -> GluedDiagram:
 
 def apply_conc(D: LatticeDiagram) -> SemilatticeDiagram:
     """Nodewise J(Con), edgewise induced maps.  Conc is a functor and D is
-    lawful, so the result obeys the functor laws; they are not checked.
-    Nodes above APPLY_CONC_NODE_BUDGET elements are refused."""
-    J = {}
-    for n in D.poset.elements:
-        if D.lattices[n].n > APPLY_CONC_NODE_BUDGET:
-            raise BudgetExceeded(
-                f"node {n} has {D.lattices[n].n} elements, above the Conc budget")
-        J[n] = JoinIrreducibles(D.lattices[n])
+    lawful, so the result obeys the functor laws; they are not checked."""
+    J = {n: JoinIrreducibles(D.lattices[n]) for n in D.poset.elements}
     maps = {(p, q): conc_of_hom(D.maps[(p, q)], J[p], J[q]) for (p, q) in D.poset.pairs()}
     return SemilatticeDiagram(D.poset, J, maps, of_diagram=D)
 

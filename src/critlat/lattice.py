@@ -1012,15 +1012,19 @@ def chain_order(C):
 
 # --- distributivity ---
 
-def _dependency(L):
+def _dependency(L, max_cells=None):
     """(ji, lower, D) for a dense L: its join-irreducible elements in index
     order, the lower cover k_* of each, and the dependency relation, D[a, b]
     when ji[a] D ji[b]: j != k and some x has k_* <= x, j not <= x and
     j <= k v x.  x can be taken meet-irreducible, so D is the Boolean product
     of the arrow relations j up-arrow x and x down-arrow k (README, "How Con
-    is computed")."""
+    is computed").  Refuses, before that product, when |J(L)| * |L| is above
+    max_cells."""
     ups, downs = _neighbours(L.n, L.covers)
     ji = np.array([j for j, d in enumerate(downs) if len(d) == 1], dtype=np.intp)
+    if max_cells is not None and len(ji) * L.n > max_cells:
+        raise BudgetExceeded(
+            f"|J(L)| * |L| = {len(ji)} * {L.n} exceeds the J(Con L) budget {max_cells}")
     lower = np.array([downs[j][0] for j in ji.tolist()], dtype=np.intp)
     mi = [x for x, u in enumerate(ups) if len(u) == 1]
     le = L._leq

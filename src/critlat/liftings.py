@@ -22,14 +22,12 @@ from .congruence import (
     ConcMap,
     Congruence,
     JoinIrreducibles,
-    _check_con_size,
     _sends_chain,
     atom_steps,
     boolean_J,
     con_lattice,
     conc_of_hom,
     kernel,
-    principal_congruence,
 )
 from .diagrams import (
     EMPTY,
@@ -399,7 +397,6 @@ def retraction_congruence_chain(f: Homomorphism, pi0: Homomorphism,
         comp = pi.compose(f)
         if not (comp.mapping == np.arange(A.n)).all():
             raise HypothesisUnmet("pi is not a retraction of f")
-    _check_con_size(B)
     J = JoinIrreducibles(B)
     atoms = J.boolean_atoms()
     if atoms is None or len(atoms) != 2:
@@ -452,8 +449,8 @@ def retraction_congruence_chain(f: Homomorphism, pi0: Homomorphism,
     v_prime = pi0.apply(x1)
     t1 = B.meet(x1, f.apply(v_prime))
     fu2, fvp = f.apply(u), f.apply(v_prime)
-    s0 = principal_congruence(B, fu2, t1)
-    s1 = principal_congruence(B, t1, fvp)
+    path = [B.index(x) for x in (fu2, t1, fvp)]
+    s0, s1 = J.congruences(J.principal_masks(path[:-1], path[1:]))
     if s0 != beta[0] or s1 != beta[1]:
         raise VerificationFailed((u, v_prime),
                                  "retraction chain postcondition failed")

@@ -65,7 +65,7 @@ class HSWitness:
         }
 
 
-def _si_congruences(K, max_size):
+def _si_congruences(K):
     """(theta, K/theta, projection, monolith) for every congruence theta
     with a subdirectly irreducible quotient, in canonical Con order.
 
@@ -74,8 +74,6 @@ def _si_congruences(K, max_size):
     monolith theta*/theta for the unique upper cover theta*.  Both are read
     off J(Con K); Con K itself is never built.
     """
-    if K.n > max_size:
-        raise BudgetExceeded(f"|K| = {K.n} exceeds the SI budget {max_size}")
     out = []
     for theta, star in JoinIrreducibles(K).meet_irreducibles():
         Q, proj = quotient(K, theta)
@@ -84,24 +82,24 @@ def _si_congruences(K, max_size):
     return out
 
 
-def si_quotients(K, max_size=HS_SIZE_BUDGET):
+def si_quotients(K):
     """All subdirectly irreducible quotients of K, deduplicated up to isomorphism.
 
     Deterministic: congruences are tried in the canonical Con order and the
     first representative of each isomorphism class is kept.
     """
     out = []
-    for theta, Q, _proj, mono in _si_congruences(K, max_size):
+    for theta, Q, _proj, mono in _si_congruences(K):
         if any(is_isomorphic(prev.lattice, Q) is not None for prev in out):
             continue
         out.append(SIQuotient(K, theta, Q, mono))
     return out
 
 
-def subdirect_decomposition(K, max_size=HS_SIZE_BUDGET):
+def subdirect_decomposition(K):
     """Congruences with SI quotient meeting to zero, plus the (undeduplicated)
     embedding of K into the product of the corresponding quotients."""
-    found = _si_congruences(K, max_size)
+    found = _si_congruences(K)
     thetas = [theta for theta, _, _, _ in found]
     quotients = [Q for _, Q, _, _ in found]
     projs = [proj for _, _, proj, _ in found]
@@ -239,7 +237,7 @@ class ContainmentChecks:
 
     def si_quotients(self, K):
         if K not in self._sis:
-            self._sis[K] = tuple(si_quotients(K, max_size=self.max_size))
+            self._sis[K] = tuple(si_quotients(K))
         return self._sis[K]
 
     def hs_member(self, s: SIQuotient, L) -> Optional[HSWitness]:

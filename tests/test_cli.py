@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from critlat.cli import run
+from critlat.cli import build_parser, run
 from critlat.lattice import builtin, lattice_to_json, save_lattice
 
 
@@ -200,9 +201,9 @@ class TestOperations:
         code, out, _ = invoke(capsys, "extract-embedding", "M:3", "--dual")
         assert code == 0 and "dualized: true" in out
 
-    def test_threads_flag_accepted(self, capsys):
-        code, out, _ = invoke(capsys, "--threads", "4", "con", "M:3")
-        assert code == 0 and "simple: true" in out
+    def test_threads_flag_refused(self, capsys):
+        code, out, err = invoke(capsys, "--threads", "4", "con", "M:3")
+        assert code == 2 and out == "" and "Traceback" not in err
 
     def test_hs_member_absent(self, capsys):
         code, out, _ = invoke(capsys, "hs-member", "M:3", "N5")
@@ -230,11 +231,53 @@ class TestBudgetFlags:
         assert code == 2 and "BudgetExceeded" in err
         assert "|J(Con L)| = 40" in err
 
+    @pytest.mark.parametrize("argv, first", [
+        ("con chain:12", "simple: false, |Con| = 4096"),
+        ("con M:299", "simple: true, |Con| = 2"),
+        ("con bool:9", "simple: false, |Con| = 512"),
+        ("find-chains M:299 0 1", "0 < 1"),
+        ("si chain:299", "1 subdirectly irreducible quotient(s)"),
+    ])
+    def test_cell_budgets_answer(self, capsys, argv, first):
+        code, out, _ = invoke(capsys, *argv.split())
+        assert code == 0 and out.splitlines()[0] == first
+
+    def test_j_budget_edge(self, capsys):
+        # 300 * 301 cells are past J_CELL_BUDGET = 300 * 300
+        code, _, err = invoke(capsys, "si", "chain:300")
+        assert code == 2
+        assert err.splitlines()[-1] == ("error: BudgetExceeded: |J(L)| * |L| = 300 * 301 "
+                                        "exceeds the J(Con L) budget 90000")
+
+    @pytest.mark.parametrize("argv", [
+        "con chain:1200", "si chain:1200", "find-chains chain:1200 0 1",
+        "extract-embedding chain:3000 --subset 0,c1,1"])
+    def test_j_budget_refuses_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, _, err = invoke(capsys, *argv.split())
+        assert time.perf_counter() - start < 1
+        assert code == 2 and "J(Con L) budget" in err
+
+    @pytest.mark.parametrize("command", ["con M:3", "si M:3"])
+    def test_max_size_is_only_the_hs_cap(self, capsys, command):
+        code, _, err = invoke(capsys, *command.split(), "--max-size", "400")
+        assert code == 2 and "Traceback" not in err
+
+    def test_chain_12_bundle_replays(self, tmp_path, capsys):
+        from critlat.diagrams import chain_diagram_of_partial
+        from critlat.liftings import identity_lifting, lifting_to_json
+        L = builtin("chain:12")
+        D, _ = chain_diagram_of_partial(L, L.labels)
+        p = tmp_path / "chain12.json"
+        p.write_text(json.dumps(lifting_to_json(identity_lifting(D))))
+        assert invoke(capsys, "lift-check", str(p)) == (0, "valid\n", "")
+
     def test_env_product_cap(self, capsys):
-        # --cap is accepted and ignored
-        code, out, _ = invoke(capsys, "glued-diagram", "M:3", "M:3", "--cap", "100000")
-        assert code == 0 and "factors: 7" in out
-        assert invoke(capsys, "glued-diagram", "M:3", "M:3") == (0, out, "")
+        # there is no --cap: products above PRODUCT_CAP elements are lazy
+        code, _, err = invoke(capsys, "glued-diagram", "M:3", "M:3", "--cap", "100000")
+        assert code == 2 and "Traceback" not in err
+        code, out, err = invoke(capsys, "glued-diagram", "M:3", "M:3")
+        assert code == 0 and "factors: 7" in out and err == ""
 
 
 class TestLongChains:
@@ -282,6 +325,57 @@ BUILTIN_COMMANDS = [
     "dual N5", "chain-diagram N5", "directing-diagram M:3 0,x1,1 0,x2,1 0,x3,1",
     "glued-diagram M:3 M:3", "lift-check --identity N5", "extract-embedding N5",
     "find-chains bool:2 00 11", "export-dot N5"]
+
+
+# the options each subcommand accepts
+HS_FLAGS = {"--json", "--max-size", "--max-subuniverses"}
+FLAGS = {
+    "validate": {"--json"}, "con": {"--json"}, "simple": set(), "si": {"--json"},
+    "hs-member": HS_FLAGS, "var-leq": HS_FLAGS, "crit-gate": HS_FLAGS,
+    "conc-report": HS_FLAGS, "iso": {"--json"}, "dual": set(),
+    "chain-diagram": {"--subset", "--dot", "--json"},
+    "directing-diagram": {"--dot", "--json"}, "glued-diagram": {"--subset"},
+    "lift-check": {"--identity", "--dual-of", "--json"},
+    "extract-embedding": {"--subset", "--dual", "--json"}, "find-chains": {"--json"},
+    "export-dot": set()}
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that notes the name of every attribute read."""
+
+    def __getattribute__(self, name):
+        object.__getattribute__(self, "__dict__").setdefault("_read", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestFlagTable:
+    @staticmethod
+    def subparsers():
+        ap = build_parser()
+        action = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+        return ap, action.choices
+
+    @staticmethod
+    def options(p):
+        """The optional arguments of a parser, --help aside."""
+        return [a for a in p._actions if a.option_strings and a.dest != "help"]
+
+    def test_each_subcommand_accepts_its_flags(self):
+        ap, subs = self.subparsers()
+        assert self.options(ap) == []
+        assert {c.split()[0] for c in BUILTIN_COMMANDS} == set(subs)
+        assert {name: {o for a in self.options(p) for o in a.option_strings}
+                for name, p in subs.items()} == FLAGS
+
+    @pytest.mark.parametrize("command", BUILTIN_COMMANDS)
+    def test_each_flag_is_read(self, capsys, command):
+        ap, subs = self.subparsers()
+        args = ap.parse_args(command.split(), namespace=ReadRecorder())
+        vars(args)["_read"] = set()
+        args.func(args)
+        capsys.readouterr()
+        dests = {a.dest for a in self.options(subs[command.split()[0]])}
+        assert dests <= vars(args)["_read"]
 
 
 class TestInputContract:

@@ -22,7 +22,8 @@ from critlat.congruence import (
     kernel,
     principal_congruence,
 )
-from critlat.errors import ConNotBoolean, HostMismatch, NotACongruence, NotASublattice
+from critlat.errors import (BudgetExceeded, ConNotBoolean, HostMismatch, NotACongruence,
+                            NotASublattice)
 from critlat.lattice import (
     FiniteLattice,
     Homomorphism,
@@ -141,6 +142,15 @@ class TestConLattice:
     def test_invalid_partition_rejected(self, named):
         with pytest.raises(NotACongruence):
             Congruence.from_label_blocks(named["N5"], [["0", "x1"], ["x2"], ["x3"], ["1"]])
+
+    def test_con_budget_counts_cells(self):
+        # |Con L| * |L| is bounded, not |Con L|: 2^15 * 16 cells fit 300 * 2048,
+        # 2^16 * 17 do not, and the enumeration stops at the first congruence
+        # past 614 400 / 17
+        assert con_lattice(builtin("chain:15")).n == 2 ** 15
+        with pytest.raises(BudgetExceeded, match=r"36142 congruences enumerated "
+                                                 r"from \|J\(Con L\)\| = 16$"):
+            con_lattice(builtin("chain:16"))
 
 
 class TestConcOfHom:

@@ -10,6 +10,7 @@ from critlat.congruence import (
     Congruence,
     JoinIrreducibles,
     con_lattice,
+    kernel,
     principal_congruence,
 )
 from critlat.diagrams import (
@@ -17,6 +18,7 @@ from critlat.diagrams import (
     TOP,
     FinitePoset,
     LatticeDiagram,
+    chain_diagram,
     chain_diagram_of_partial,
     directing_diagram,
     law_failures,
@@ -76,6 +78,14 @@ class TestVerify:
 
     def test_dual_lifting_valid(self, named):
         assert verify_lifting(dual_lifting(m3_identity_lifting(named))).ok
+
+    def test_large_boolean_top_node(self):
+        # bool:8 has 256 elements but |J| = 8: J(Con) bounds a node by its cells
+        B = builtin("bool:8")
+        chain = tuple(format((1 << k) - 1, "08b") for k in range(9))
+        lift = identity_lifting(chain_diagram(B, [chain]))
+        assert len(lift.target.J[TOP]) == 8
+        assert verify_lifting(lift).ok
 
     def test_xi_atom_swap_detected(self, named):
         lift = m3_identity_lifting(named)
@@ -417,10 +427,25 @@ class TestRetraction:
         assert (u, v) == ("0", "1")
         assert w.elements[0] == "00" and w.elements[-1] == "11"
         assert w.elements[1] in ("01", "10")
-        from critlat.congruence import kernel
         complements = {kernel(p0).block_of, kernel(p1).block_of}
         assert {t.block_of for t in w.sigma} == complements
         assert w.sigma[0] != w.sigma[1]
+
+    def test_steps_are_read_off_j(self, named, spy_on_j):
+        # the diagonal of M3 in M3 x M3, whose Con is the four-element Boolean
+        # lattice: one J(Con B) gives the retractions' check and both steps
+        M3 = named["M:3"]
+        P = product(M3, M3)
+        diag = Homomorphism(M3, P, np.array(
+            [P.index(f"({x},{x})") for x in M3.labels], dtype=np.int32))
+        p0, p1 = product_projections(P)
+        with spy_on_j() as spy:
+            u, v, w = retraction_congruence_chain(diag, p0, p1)
+        assert spy.call_count == 1
+        assert (u, v, w.elements) == ("0", "x1", ("(0,0)", "(0,x1)", "(x1,x1)"))
+        assert w.sigma == (principal_congruence(P, "(0,0)", "(0,x1)"),
+                           principal_congruence(P, "(0,x1)", "(x1,x1)"))
+        assert w.sigma == (kernel(p0), kernel(p1))
 
     def test_identity_retraction_rejected(self, named):
         two = named["2"]

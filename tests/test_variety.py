@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from critlat.congruence import Congruence, con_lattice
-from critlat.errors import BudgetExceeded, NotSubdirectlyIrreducible
+from critlat.errors import NotSubdirectlyIrreducible
 from critlat.lattice import (
     builtin,
     dual,
@@ -141,13 +141,16 @@ class TestSiQuotients:
             assert s.monolith == conQ.cons[conQ.atoms[0]]
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            si_quotients(builtin("bool:6"))
+        # no size budget of its own: bool:6 has one SI quotient, the 2-element one
+        sis = si_quotients(builtin("bool:6"))
+        assert len(sis) == 1 and sis[0].lattice.n == 2
 
-    def test_long_chain_within_budget_is_fast(self):
-        # Con(chain:31) has 2^31 members; its SI quotients come off J(Con K)
+    @pytest.mark.parametrize("name", ["chain:31", "chain:33"])
+    def test_long_chain_within_budget_is_fast(self, name):
+        # Con(chain:31) has 2^31 members; its SI quotients come off J(Con K),
+        # and K has no size budget of its own
         start = time.perf_counter()
-        sis = si_quotients(builtin("chain:31"))
+        sis = si_quotients(builtin(name))
         assert time.perf_counter() - start < 1.0
         assert len(sis) == 1 and sis[0].lattice.n == 2
 
@@ -214,6 +217,13 @@ class TestVarLeq:
     def test_chains_generate_the_same_variety(self, named):
         assert var_leq(named["chain:3"], named["chain:2"])[0]
         assert var_leq(named["chain:2"], named["chain:3"])[0]
+
+    def test_cube_of_m3(self, named):
+        # |K| = 125 is past the HS budget of 32, which bounds only the lattice
+        # searched in, here M3
+        M3 = named["M:3"]
+        holds, cert = var_leq(product(M3, M3, M3), M3)
+        assert holds and [s.lattice.n for s in cert.si_list] == [5]
 
     def test_reflexive(self, named):
         for name in ("M:3", "N5", "F22", "bool:2", "chain:3"):
