@@ -103,8 +103,7 @@ def cmd_si(args):
 def cmd_hs_member(args):
     M = resolve_lattice(args.member)
     L = resolve_lattice(args.lattice)
-    w = variety.hs_member(M, L, max_size=args.max_size,
-                          max_subuniverses=args.max_subuniverses)
+    w = variety.hs_member(M, L, args.max_subuniverses)
     if args.json:
         _emit({"schema": 1,
                      "member": w is not None,
@@ -119,8 +118,7 @@ def cmd_hs_member(args):
 def cmd_var_leq(args):
     K = resolve_lattice(args.k)
     L = resolve_lattice(args.l)
-    holds, cert = variety.var_leq(K, L, max_size=args.max_size,
-                                  max_subuniverses=args.max_subuniverses)
+    holds, cert = variety.var_leq(K, L, args.max_subuniverses)
     if args.json:
         _emit({"schema": 1, **cert.to_json()})
     else:
@@ -131,8 +129,7 @@ def cmd_var_leq(args):
 def cmd_crit_gate(args):
     K = resolve_lattice(args.k)
     L = resolve_lattice(args.l)
-    verdict = critpoint.crit_gate(K, L, max_size=args.max_size,
-                                  max_subuniverses=args.max_subuniverses)
+    verdict = critpoint.crit_gate(K, L, args.max_subuniverses)
     if args.json:
         _emit(verdict.to_json())
     else:
@@ -145,8 +142,7 @@ def cmd_crit_gate(args):
 def cmd_conc_report(args):
     K = resolve_lattice(args.k)
     L = resolve_lattice(args.l)
-    rep = critpoint.conc_class_report(K, L, max_size=args.max_size,
-                                      max_subuniverses=args.max_subuniverses)
+    rep = critpoint.conc_class_report(K, L, args.max_subuniverses)
     if args.json:
         _emit(rep.to_json())
     else:
@@ -291,12 +287,9 @@ def build_parser():
 
     def hs_flags(p):
         json_flag(p)
-        p.add_argument("--max-size", type=int, default=variety.HS_SIZE_BUDGET,
-                       help="refuse HS searches in a lattice above this many "
-                            "elements (default: %(default)s)")
-        p.add_argument("--max-subuniverses", type=int, default=None,
-                       help="abort HS searches closing more generator "
-                            "tuples (each generates one subuniverse)")
+        p.add_argument("--max-subuniverses", type=int, default=variety.HS_TUPLE_BUDGET,
+                       help="refuse an HS search after it closes this many "
+                            "generator tuples (default: %(default)s)")
 
     p = sub.add_parser("validate", help="validate a lattice file or builtin")
     p.add_argument("lattice")

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .lattice import dual, is_isomorphic
 from .variety import (
-    HS_SIZE_BUDGET,
+    HS_TUPLE_BUDGET,
     ContainmentChecks,
     SIQuotient,
     VarCertificate,
@@ -49,7 +49,7 @@ class CritVerdict:
         return out
 
 
-def crit_gate(K, L, max_size=HS_SIZE_BUDGET, max_subuniverses=None) -> CritVerdict:
+def crit_gate(K, L, max_subuniverses=HS_TUPLE_BUDGET) -> CritVerdict:
     """Classify the critical point between Var K and Var L as infinite or at
     most aleph-two.
 
@@ -59,7 +59,7 @@ def crit_gate(K, L, max_size=HS_SIZE_BUDGET, max_subuniverses=None) -> CritVerdi
     distinct SI quotients fail on the two orientations separately.
     """
     Ld = dual(L)
-    checks = ContainmentChecks(max_size, max_subuniverses)
+    checks = ContainmentChecks(max_subuniverses)
     a, cert_a = checks.var_leq(K, L)
     b, cert_b = checks.var_leq(K, Ld)
     if a or b:
@@ -107,8 +107,7 @@ class ConcReport:
         }
 
 
-def conc_class_report(K, L, max_size=HS_SIZE_BUDGET,
-                      max_subuniverses=None) -> ConcReport:
+def conc_class_report(K, L, max_subuniverses=HS_TUPLE_BUDGET) -> ConcReport:
     """All four variety containments plus the implied relation between the
     compact congruence classes.
 
@@ -117,7 +116,7 @@ def conc_class_report(K, L, max_size=HS_SIZE_BUDGET,
     dualization).
     """
     Ld, Kd = dual(L), dual(K)
-    checks = ContainmentChecks(max_size, max_subuniverses)
+    checks = ContainmentChecks(max_subuniverses)
     a, _ = checks.var_leq(K, L)
     b, _ = checks.var_leq(L, K)
     c, _ = checks.var_leq(K, Ld)

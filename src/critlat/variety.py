@@ -30,7 +30,7 @@ from .lattice import (
     _truncate,
 )
 
-HS_SIZE_BUDGET = 32
+HS_TUPLE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -158,9 +158,10 @@ def _least_functional_tuple(M, L, gens, max_tuples):
             _truncate(f, members, marks.pop())
             cand = chosen.pop() + 1
             continue
+        if closed >= max_tuples:
+            raise BudgetExceeded(f"HS search for {M!r} in {L!r} stopped after {closed} "
+                                 f"generator tuples (budget {max_tuples})")
         closed += 1
-        if max_tuples is not None and closed > max_tuples:
-            raise BudgetExceeded(f"more than {max_tuples} generator tuples")
         mark = len(members)
         if _extend_graph(f, members, cand, gens[len(chosen)], tables):
             marks.append(mark)
@@ -171,8 +172,7 @@ def _least_functional_tuple(M, L, gens, max_tuples):
     return f, members
 
 
-def hs_member(M, L, max_size=HS_SIZE_BUDGET,
-              max_subuniverses=None) -> Optional[HSWitness]:
+def hs_member(M, L, max_subuniverses=HS_TUPLE_BUDGET) -> Optional[HSWitness]:
     """Exhaustive search for M in HS(L): a quotient of a sublattice of L.
 
     If S maps onto M, so does the sublattice generated by preimages of a
@@ -183,8 +183,6 @@ def hs_member(M, L, max_size=HS_SIZE_BUDGET,
     S/theta -> M.  `max_subuniverses` caps the generator tuples closed (each
     generates one subuniverse of L).
     """
-    if L.n > max_size:
-        raise BudgetExceeded(f"|L| = {L.n} exceeds the HS budget {max_size}")
     _require_dense(L)
     if M.n > L.n:
         return None
@@ -229,8 +227,7 @@ class ContainmentChecks:
     remembered by identity; pass the same dual object to every call.
     """
 
-    def __init__(self, max_size=HS_SIZE_BUDGET, max_subuniverses=None):
-        self.max_size = max_size
+    def __init__(self, max_subuniverses=HS_TUPLE_BUDGET):
         self.max_subuniverses = max_subuniverses
         self._sis = {}
         self._hs = {}
@@ -243,8 +240,7 @@ class ContainmentChecks:
     def hs_member(self, s: SIQuotient, L) -> Optional[HSWitness]:
         key = (s.lattice, L)
         if key not in self._hs:
-            self._hs[key] = hs_member(s.lattice, L, max_size=self.max_size,
-                                      max_subuniverses=self.max_subuniverses)
+            self._hs[key] = hs_member(s.lattice, L, self.max_subuniverses)
         return self._hs[key]
 
     def var_leq(self, K, L):
@@ -267,24 +263,22 @@ class ContainmentChecks:
         return None
 
 
-def var_leq(K, L, max_size=HS_SIZE_BUDGET, max_subuniverses=None):
+def var_leq(K, L, max_subuniverses=HS_TUPLE_BUDGET):
     """Decide Var K <= Var L: every SI quotient of K must lie in HS(L).
 
     Returns (bool, VarCertificate).  The reduction is Jonsson's Lemma for
     finitely generated congruence-distributive varieties; see the README for
     the two-line argument.
     """
-    return ContainmentChecks(max_size, max_subuniverses).var_leq(K, L)
+    return ContainmentChecks(max_subuniverses).var_leq(K, L)
 
 
-def find_separating_si(K, L, max_size=HS_SIZE_BUDGET,
-                       max_subuniverses=None) -> Optional[SIQuotient]:
+def find_separating_si(K, L, max_subuniverses=HS_TUPLE_BUDGET) -> Optional[SIQuotient]:
     """An SI quotient of K lying in neither HS(L) nor HS(dual L), if any."""
-    return ContainmentChecks(max_size, max_subuniverses).separating_si(
-        K, L, dual(L))
+    return ContainmentChecks(max_subuniverses).separating_si(K, L, dual(L))
 
 
-def si_pair_classifier(K, L, max_size=HS_SIZE_BUDGET) -> tuple:
+def si_pair_classifier(K, L) -> tuple:
     """Compare two finite SI lattices by the varieties they generate.
 
     Returns (verdict, witness) with verdict one of "Isomorphic",
@@ -297,7 +291,7 @@ def si_pair_classifier(K, L, max_size=HS_SIZE_BUDGET) -> tuple:
         if len(JoinIrreducibles(X).minimal()) != 1:
             raise NotSubdirectlyIrreducible(f"{X!r} is not subdirectly irreducible")
     Ld = dual(L)
-    checks = ContainmentChecks(max_size)
+    checks = ContainmentChecks()
     try:
         a, _ = checks.var_leq(K, L)
         b, _ = checks.var_leq(L, K)

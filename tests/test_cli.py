@@ -211,17 +211,30 @@ class TestOperations:
 
 
 class TestBudgetFlags:
-    def test_max_size_aborts(self, capsys):
-        code, _, err = invoke(capsys, "var-leq", "bool:3", "bool:6")
-        assert code == 2 and "BudgetExceeded" in err
-        code, out, _ = invoke(capsys, "var-leq", "bool:3", "bool:6",
-                              "--max-size", "64")
-        assert code == 0 and out.strip() == "true"
-
     def test_max_subuniverses_aborts(self, capsys):
         code, _, err = invoke(capsys, "hs-member", "M:3", "N5",
                               "--max-subuniverses", "3")
         assert code == 2 and "BudgetExceeded" in err
+
+    def test_hs_budget_counts_tuples_not_elements(self, capsys):
+        # bool:6 has 64 elements; three generator tuples decide it
+        code, out, _ = invoke(capsys, "var-leq", "bool:3", "bool:6")
+        assert code == 0 and out.strip() == "true"
+
+    def test_hs_search_in_a_long_chain_answers(self, capsys):
+        # chain:300 has 301 elements; ruling M3 out closes about 90 000 tuples
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "hs-member", "M:3", "chain:300")
+        assert time.perf_counter() - start < 1
+        assert code == 0 and out.strip() == "absent"
+
+    def test_hs_refusal_names_the_search_and_its_work(self, capsys):
+        code, _, err = invoke(capsys, "hs-member", "N5", "bool:8",
+                              "--max-subuniverses", "10000")
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            "error: BudgetExceeded: HS search for <Lattice N5> in "
+            "<Lattice bool:8> stopped after 10000 generator tuples (budget 10000)")
 
     def test_con_count_budget_refuses_long_chain(self, capsys):
         # Con(chain:40) has 2^40 members; the count budget stops it early
@@ -257,11 +270,6 @@ class TestBudgetFlags:
         code, _, err = invoke(capsys, *argv.split())
         assert time.perf_counter() - start < 1
         assert code == 2 and "J(Con L) budget" in err
-
-    @pytest.mark.parametrize("command", ["con M:3", "si M:3"])
-    def test_max_size_is_only_the_hs_cap(self, capsys, command):
-        code, _, err = invoke(capsys, *command.split(), "--max-size", "400")
-        assert code == 2 and "Traceback" not in err
 
     def test_chain_12_bundle_replays(self, tmp_path, capsys):
         from critlat.diagrams import chain_diagram_of_partial
@@ -318,7 +326,7 @@ MALFORMED = {
     "name-not-a-string": '{"name": ["x"], "elements": ["a"], "covers": []}',
     "not-utf-8": b"\xff\xfe",
 }
-# every subcommand on builtins, for the budget flags at 0 and -1
+# every subcommand on builtins
 BUILTIN_COMMANDS = [
     "validate N5", "con N5", "simple N5", "si N5", "hs-member M:3 N5",
     "var-leq N5 M:3", "crit-gate N5 M:3", "conc-report M:3 N5", "iso N5 N5",
@@ -328,7 +336,7 @@ BUILTIN_COMMANDS = [
 
 
 # the options each subcommand accepts
-HS_FLAGS = {"--json", "--max-size", "--max-subuniverses"}
+HS_FLAGS = {"--json", "--max-subuniverses"}
 FLAGS = {
     "validate": {"--json"}, "con": {"--json"}, "simple": set(), "si": {"--json"},
     "hs-member": HS_FLAGS, "var-leq": HS_FLAGS, "crit-gate": HS_FLAGS,
@@ -450,8 +458,8 @@ class TestInputContract:
         assert code == 2 and error in err
 
     @pytest.mark.parametrize("value", ["0", "-1"])
-    @pytest.mark.parametrize("flag", ["--max-size", "--max-subuniverses", "--cap"])
-    @pytest.mark.parametrize("command", BUILTIN_COMMANDS)
-    def test_budget_flags_at_zero_and_below(self, capsys, command, flag, value):
-        code, _, err = invoke(capsys, *command.split(), flag, value)
+    @pytest.mark.parametrize("command", [c for c in BUILTIN_COMMANDS
+                                         if "--max-subuniverses" in FLAGS[c.split()[0]]])
+    def test_budget_flags_at_zero_and_below(self, capsys, command, value):
+        code, _, err = invoke(capsys, *command.split(), "--max-subuniverses", value)
         assert code in (0, 2, 3) and "Traceback" not in err

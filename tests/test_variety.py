@@ -219,8 +219,7 @@ class TestVarLeq:
         assert var_leq(named["chain:2"], named["chain:3"])[0]
 
     def test_cube_of_m3(self, named):
-        # |K| = 125 is past the HS budget of 32, which bounds only the lattice
-        # searched in, here M3
+        # |K| = 125; the HS searches run in M3, and K's one SI quotient is M3
         M3 = named["M:3"]
         holds, cert = var_leq(product(M3, M3, M3), M3)
         assert holds and [s.lattice.n for s in cert.si_list] == [5]
@@ -279,6 +278,14 @@ class TestSiPairClassifier:
     def test_distinct_classes(self, named):
         assert si_pair_classifier(named["M:3"], named["N5"])[0] == "DistinctConcClasses"
         assert si_pair_classifier(named["M:3"], named["M:4"])[0] == "DistinctConcClasses"
+
+    def test_refused_search_is_indeterminate(self, named):
+        # ruling N5 out of HS(M:299) takes more generator tuples than the budget
+        assert si_pair_classifier(named["N5"], builtin("M:299")) == ("Indeterminate", None)
+
+    def test_large_simple_lattice_is_decided(self, named):
+        # M:40 has 42 elements; N5 is ruled out of HS(M:40) within the budget
+        assert si_pair_classifier(named["N5"], builtin("M:40"))[0] == "DistinctConcClasses"
 
     def test_requires_si_inputs(self, named):
         with pytest.raises(NotSubdirectlyIrreducible):
