@@ -1,8 +1,8 @@
 """CLI outputs pinned byte for byte on a fixed corpus.
 
 `con --json`, `si --json` and `simple` on each lattice of the corpus, and
-`crit-gate --json` and `conc-report --json` on each ordered pair, with their
-exit codes and error lines.  The corpus is the named builtins of the test
+`hs-member`, `var-leq`, `crit-gate` and `conc-report`, with and without
+`--json`, on each ordered pair, with their exit codes and error lines.  The corpus is the named builtins of the test
 fixtures plus the products N5x2 and M3^2, written as lattice files.
 
     PYTHONPATH=src python tests/golden.py
@@ -28,17 +28,22 @@ PRODUCTS = {"N5x2": ("N5", "2"), "M3^2": ("M:3", "M:3")}
 
 
 def cases():
-    """(key, argv) for every pinned call; a product is named by its key and
-    stands for its lattice file."""
+    """(key, argv) for every pinned call, keyed by its argv; a product is
+    named by its key and stands for its lattice file."""
     names = list(BUILTINS) + list(PRODUCTS)
+    argvs = []
     for L in names:
-        yield f"con {L}", ["con", "--json", L]
-        yield f"si {L}", ["si", "--json", L]
-        yield f"simple {L}", ["simple", L]
+        argvs += [["con", "--json", L], ["si", "--json", L], ["simple", L]]
     for K in names:
         for L in names:
-            yield f"crit-gate {K} {L}", ["crit-gate", "--json", K, L]
-            yield f"conc-report {K} {L}", ["conc-report", "--json", K, L]
+            for command in ("hs-member", "var-leq", "crit-gate", "conc-report"):
+                argvs += [[command, "--json", K, L], [command, K, L]]
+    return [(" ".join(argv), argv) for argv in argvs]
+
+
+def lattices_of(argv):
+    """The lattice names an argv is called on, as one string."""
+    return " ".join(a for a in argv[1:] if not a.startswith("--"))
 
 
 def _stored(stdout):
