@@ -26,7 +26,7 @@ from .errors import (
     NotACongruence,
     NotASublattice,
 )
-from .lattice import (FiniteLattice, Homomorphism, _arrows, _dependency, _same_lattice,
+from .lattice import (FiniteLattice, Homomorphism, _dependency, _same_lattice,
                       _same_or_dual, chain_order)
 
 # cells read: J(Con L) builds |J(L)| x |L| tables, con_lattice one
@@ -204,8 +204,8 @@ class JoinIrreducibles:
 
     def __init__(self, L):
         _require_dense(L)
-        ji, lower, up, down = _arrows(L, J_CELL_BUDGET)
-        star = _reach(_dependency(up, down))
+        ji, lower, D = _dependency(L, J_CELL_BUDGET)
+        star = _reach(D)
         # j and k share a class of D*, a member, iff their rows of D* are
         # equal; first lists each member's first j
         firsts = {}
@@ -362,16 +362,13 @@ def con_lattice(L) -> ConLattice:
 
 def is_simple(L) -> bool:
     """Whether Con L = {0, 1} with 0 != 1: L has two or more elements and
-    D* (_dependency) has one class, J(Con L) one member.  Stops early, before
-    forming D, when some j has no D edge in or out: its class is {j}."""
+    D* (_dependency) has one class, J(Con L) one member.  Stops early when
+    some j has no D edge in or out: its class is {j}."""
     _require_dense(L)
-    up, down = _arrows(L)[2:]
-    # j has an edge out iff some x with j up-arrow x has x down-arrow some
-    # k != j, and an edge in likewise with the arrows swapped
-    out, into = ((a & (b.sum(0) - b > 0)).any(1) for a, b in ((up, down), (down, up)))
-    if L.n < 2 or len(up) > 1 and not (out & into).all():
+    D = _dependency(L)[2]
+    if L.n < 2 or len(D) > 1 and not (D.any(axis=0) & D.any(axis=1)).all():
         return False
-    return bool(_reach(_dependency(up, down)).all())
+    return bool(_reach(D).all())
 
 
 class ConcMap:

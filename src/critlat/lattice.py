@@ -1012,12 +1012,14 @@ def chain_order(C):
 
 # --- distributivity ---
 
-def _arrows(L, max_cells=None):
-    """(ji, lower, up, down) for a dense L: its join-irreducible elements in
-    index order, the lower cover k_* of each, and the arrow relations over
-    its meet-irreducible elements x, up[a, x] when ji[a] up-arrow x and
-    down[b, x] when x down-arrow ji[b].  Refuses, before reading them, when
-    |J(L)| * |L| is above max_cells."""
+def _dependency(L, max_cells=None):
+    """(ji, lower, D) for a dense L: its join-irreducible elements in index
+    order, the lower cover k_* of each, and the dependency relation, D[a, b]
+    when ji[a] D ji[b]: j != k and some x has k_* <= x, j not <= x and
+    j <= k v x.  x can be taken meet-irreducible, so D is the Boolean product
+    of the arrow relations j up-arrow x and x down-arrow k (README, "How Con
+    is computed").  Refuses, before that product, when |J(L)| * |L| is above
+    max_cells."""
     ups, downs = _neighbours(L.n, L.covers)
     ji = np.array([j for j, d in enumerate(downs) if len(d) == 1], dtype=np.intp)
     if max_cells is not None and len(ji) * L.n > max_cells:
@@ -1029,18 +1031,10 @@ def _arrows(L, max_cells=None):
     outside = ~le[ji[:, None], mi]
     up = outside & le[ji[:, None], [ups[x][0] for x in mi]]
     down = outside & le[lower[:, None], mi]
-    return ji, lower, up, down
-
-
-def _dependency(up, down):
-    """D[a, b] when ji[a] D ji[b] (_arrows): j != k and some x has k_* <= x,
-    j not <= x and j <= k v x.  x can be taken meet-irreducible, so D is the
-    Boolean product of the arrows j up-arrow x and x down-arrow k (README,
-    "How Con is computed")."""
     # exact: the float32 sums count at most |L| arrows
     D = up.astype(np.float32) @ down.T.astype(np.float32) > 0
     D.flat[::len(D) + 1] = False
-    return D
+    return ji, lower, D
 
 
 def is_distributive(L):
@@ -1063,8 +1057,7 @@ def is_distributive(L):
                     return L.labels[product_index(L.sizes, coords)]
                 return False, tuple(lift(x) for x in w)
         return True, None
-    ji, lower, up, down = _arrows(L)
-    D = _dependency(up, down)
+    ji, lower, D = _dependency(L)
     if not D.any():
         return True, None
     a, b = np.argwhere(D)[0]

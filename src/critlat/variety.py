@@ -111,9 +111,19 @@ def subdirect_decomposition(K):
     return thetas, P, emb
 
 
-def _least_generating_set(M):
+def _tuple_budget(M, L, limit):
+    """One token per generator tuple an HS search for M in L closes, in M
+    while seeking its least generating set and then in L; the call for the
+    token after `limit` refuses the search."""
+    yield from range(limit)
+    raise BudgetExceeded(f"HS search for {M!r} in {L!r} stopped after "
+                         f"{max(limit, 0)} generator tuples (budget {limit})")
+
+
+def _least_generating_set(M, budget):
     """The least generating set of M: smallest size first, then
-    lexicographic on M's element indices.
+    lexicographic on M's element indices.  Each set tried takes a token of
+    `budget` (_tuple_budget).
 
     An element that is neither the join of two elements below it nor the
     meet of two above it is no term in the others, so every generating set
@@ -129,19 +139,21 @@ def _least_generating_set(M):
     tables = (meet.tolist(), join.tolist()) * 2
     for extra in range(len(rest)):
         for chosen in itertools.combinations(rest, extra):
+            next(budget)
             gens = sorted(required + list(chosen))
             if len(_closure(M.n, gens, tables)) == M.n:
                 return gens
     return list(range(M.n))
 
 
-def _least_functional_tuple(M, L, gens, max_tuples):
+def _least_functional_tuple(M, L, gens, budget):
     """The lexicographically least a in L^k whose pairs (a_i, gens_i) close
     to the graph of a map, as (f, members), or None.
 
     Depth-first over prefixes: a prefix whose closure is already
     non-functional is never extended, since closing more pairs keeps the
-    offending pair.  Each closed prefix counts against max_tuples.
+    offending pair.  Each closed prefix takes a token of `budget`
+    (_tuple_budget).
     """
     tables = (L._meet.tolist(), L._join.tolist(),
               M._meet.tolist(), M._join.tolist())
@@ -150,7 +162,6 @@ def _least_functional_tuple(M, L, gens, max_tuples):
     marks = []      # len(members) before each chosen a_i
     chosen = []
     cand = 0
-    closed = 0
     while len(chosen) < len(gens):
         if cand == L.n:
             if not chosen:
@@ -158,10 +169,7 @@ def _least_functional_tuple(M, L, gens, max_tuples):
             _truncate(f, members, marks.pop())
             cand = chosen.pop() + 1
             continue
-        if closed >= max_tuples:
-            raise BudgetExceeded(f"HS search for {M!r} in {L!r} stopped after {closed} "
-                                 f"generator tuples (budget {max_tuples})")
-        closed += 1
+        next(budget)
         mark = len(members)
         if _extend_graph(f, members, cand, gens[len(chosen)], tables):
             marks.append(mark)
@@ -180,14 +188,16 @@ def hs_member(M, L, max_subuniverses=HS_TUPLE_BUDGET) -> Optional[HSWitness]:
     search closes {(a_i, g_i)} in L x M for each a in L^k in lexicographic
     order; the first closure that is the graph of a map S -> M gives the
     witness: S, the kernel theta of the map, and the isomorphism
-    S/theta -> M.  `max_subuniverses` caps the generator tuples closed (each
-    generates one subuniverse of L).
+    S/theta -> M.  `max_subuniverses` caps the generator tuples closed, in M
+    and then in L (_tuple_budget).
     """
     _require_dense(L)
-    if M.n > L.n:
+    # the least elements of the blocks of a chain in S/theta form a chain in
+    # S, so no member of HS(L) is larger or taller than L
+    if M.n > L.n or M.height() > L.height():
         return None
-    found = _least_functional_tuple(M, L, _least_generating_set(M),
-                                    max_subuniverses)
+    budget = _tuple_budget(M, L, max_subuniverses)
+    found = _least_functional_tuple(M, L, _least_generating_set(M, budget), budget)
     if found is None:
         return None
     f, members = found
@@ -273,9 +283,9 @@ def var_leq(K, L, max_subuniverses=HS_TUPLE_BUDGET):
     return ContainmentChecks(max_subuniverses).var_leq(K, L)
 
 
-def find_separating_si(K, L, max_subuniverses=HS_TUPLE_BUDGET) -> Optional[SIQuotient]:
+def find_separating_si(K, L) -> Optional[SIQuotient]:
     """An SI quotient of K lying in neither HS(L) nor HS(dual L), if any."""
-    return ContainmentChecks(max_subuniverses).separating_si(K, L, dual(L))
+    return ContainmentChecks().separating_si(K, L, dual(L))
 
 
 def si_pair_classifier(K, L) -> tuple:

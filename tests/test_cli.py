@@ -236,6 +236,14 @@ class TestBudgetFlags:
             "error: BudgetExceeded: HS search for <Lattice N5> in "
             "<Lattice bool:8> stopped after 10000 generator tuples (budget 10000)")
 
+    def test_hs_budget_counts_the_generating_set_search(self, capsys):
+        # bool:8 needs 5 generators, found only after C(256, 4) closures in M
+        start = time.perf_counter()
+        code, _, err = invoke(capsys, "hs-member", "bool:8", "bool:8",
+                              "--max-subuniverses", "10000")
+        assert time.perf_counter() - start < 5
+        assert code == 2 and "<Lattice bool:8> in <Lattice bool:8> stopped after 10000" in err
+
     def test_con_count_budget_refuses_long_chain(self, capsys):
         # Con(chain:40) has 2^40 members; the count budget stops it early
         start = time.perf_counter()

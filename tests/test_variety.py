@@ -32,6 +32,18 @@ from oracles import (
 )
 
 
+def projective_plane(q):
+    """The subspace lattice of GF(q)^3 for a prime q: 0, the q^2 + q + 1
+    points and as many lines, 1.  Simple and modular."""
+    vecs = [v for v in itertools.product(range(q), repeat=3) if any(v)]
+    pts = sorted({min(tuple(c * x % q for x in v) for c in range(1, q)) for v in vecs})
+    covers = [("0", f"p{p}") for p in pts] + [(f"l{p}", "1") for p in pts]
+    covers += [(f"p{p}", f"l{l}") for p in pts for l in pts
+               if sum(a * b for a, b in zip(p, l)) % q == 0]
+    labels = ["0", *(f"p{p}" for p in pts), *(f"l{p}" for p in pts), "1"]
+    return validate_lattice(labels, covers, name=f"PG(2,{q})")
+
+
 def oracle_hs_member(M, L):
     """Fully independent HS oracle: subsets by filtering, congruences by
     partition filtering, isomorphism by permutations."""
@@ -191,6 +203,12 @@ class TestHsMember:
             mine = hs_member(named[a], named[b]) is not None
             assert mine == oracle_hs_member(named[a], named[b])
 
+    def test_taller_than_l_is_absent_without_search(self, named):
+        # chain:7 has height 7 and bool:3 x chain:3 height 6; searching for
+        # it closes 1 767 488 generator tuples, but budget 0 refuses any
+        L = product(named["bool:3"], named["chain:3"])
+        assert hs_member(builtin("chain:7"), L, max_subuniverses=0) is None
+
     def test_witness_replays(self, named):
         w = hs_member(named["bool:2"], named["F22"])
         assert w is not None
@@ -280,12 +298,14 @@ class TestSiPairClassifier:
         assert si_pair_classifier(named["M:3"], named["M:4"])[0] == "DistinctConcClasses"
 
     def test_refused_search_is_indeterminate(self, named):
-        # ruling N5 out of HS(M:299) takes more generator tuples than the budget
-        assert si_pair_classifier(named["N5"], builtin("M:299")) == ("Indeterminate", None)
+        # PG(2, 7) is modular, so N5 is not in its HS; ruling it out takes
+        # more generator tuples than the budget
+        assert si_pair_classifier(named["N5"], projective_plane(7)) == ("Indeterminate", None)
 
-    def test_large_simple_lattice_is_decided(self, named):
-        # M:40 has 42 elements; N5 is ruled out of HS(M:40) within the budget
-        assert si_pair_classifier(named["N5"], builtin("M:40"))[0] == "DistinctConcClasses"
+    @pytest.mark.parametrize("name", ["M:40", "M:299"])
+    def test_large_simple_lattice_is_decided(self, named, name):
+        # N5 has height 3 and M:n height 2, so N5 is not in HS(M:n)
+        assert si_pair_classifier(named["N5"], builtin(name))[0] == "DistinctConcClasses"
 
     def test_requires_si_inputs(self, named):
         with pytest.raises(NotSubdirectlyIrreducible):
