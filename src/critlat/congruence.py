@@ -99,6 +99,12 @@ class Congruence:
         theta.blocks = tuple(map(tuple, blocks))
         return theta
 
+    def rehost(self, L) -> "Congruence":
+        """This partition on L, a lattice with the host's size and covers."""
+        theta = Congruence.__new__(Congruence)
+        theta.host, theta.blocks, theta.block_of = L, self.blocks, self.block_of
+        return theta
+
     @classmethod
     def from_label_blocks(cls, host, blocks):
         return cls(host, [[host.index(x) for x in b] for b in blocks])
@@ -232,6 +238,19 @@ class JoinIrreducibles:
         self._gen = star[first].T
         self.leq = self._gen[first].T
         self._cover_of = np.argsort(order)[self._cover_of]
+        # read-only: ConcMemo shares them between lattices of one shape
+        for table in (self.leq, self._gen, self._below, self._covers, self._cover_of):
+            table.flags.writeable = False
+
+    def rehost(self, L) -> "JoinIrreducibles":
+        """This J(Con) on L, a lattice with the host's size and covers: the
+        same read-only arrays and pairs, the members rebuilt on L."""
+        J = JoinIrreducibles.__new__(JoinIrreducibles)
+        for name in ("pairs", "leq", "_below", "_gen", "_covers", "_cover_of"):
+            setattr(J, name, getattr(self, name))
+        J.host = L
+        J.cons = tuple(t.rehost(L) for t in self.cons)
+        return J
 
     def __len__(self):
         return len(self.leq)
@@ -371,6 +390,11 @@ def is_simple(L) -> bool:
     return bool(_reach(D).all())
 
 
+def _same_masks(a, b) -> bool:
+    # bool arrays of one shape are equal iff their bytes are
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class ConcMap:
     """A join-preserving map phi: Con S -> Con T held on J(Con S), J(Con T).
 
@@ -385,8 +409,11 @@ class ConcMap:
     def __init__(self, source: JoinIrreducibles, target: JoinIrreducibles, zero, images):
         self.source = source
         self.target = target
-        self.zero = zero
-        self.images = images
+        # bool and read-only: equal_map compares bytes, and ConcMemo shares
+        # them between maps
+        self.zero = np.asarray(zero, dtype=bool)
+        self.images = np.asarray(images, dtype=bool)
+        self.zero.flags.writeable = self.images.flags.writeable = False
         self.join_preserving = True
 
     @classmethod
@@ -463,8 +490,14 @@ class ConcMap:
         return cm
 
     def equal_map(self, other: "ConcMap") -> bool:
-        return (np.array_equal(self.zero, other.zero)
-                and np.array_equal(self.images, other.images))
+        return (_same_masks(self.zero, other.zero)
+                and _same_masks(self.images, other.images))
+
+    def commutes(self, first: "ConcMap", other: "ConcMap", other_first: "ConcMap") -> bool:
+        """Whether self . first = other . other_first, compared on 0 and on
+        each down j with no composite built."""
+        return (_same_masks(self.on_masks(first.zero), other.on_masks(other_first.zero))
+                and _same_masks(self.on_masks(first.images), other.on_masks(other_first.images)))
 
     def __repr__(self):
         return f"<ConcMap {self.source.host!r} -> {self.target.host!r}>"
@@ -478,14 +511,59 @@ def conc_of_hom(f: Homomorphism, j_source: Optional[JoinIrreducibles] = None,
     their duals (HostMismatch otherwise)."""
     JS = JoinIrreducibles(f.source) if j_source is None else j_source
     JT = JoinIrreducibles(f.target) if j_target is None else j_target
-    if not (_same_or_dual(JS.host, f.source) and _same_or_dual(JT.host, f.target)):
-        raise HostMismatch("J(Con) given for another lattice than the map's")
+    _check_j_hosts(f, JS, JT)
     if f.source is f.target and JS is JT \
             and (f.mapping == np.arange(f.source.n)).all():
         return ConcMap.identity(JS)
     pairs = np.array(JS.pairs, dtype=np.intp).reshape(len(JS), 2)
     images = JT.principal_masks(f.mapping[pairs[:, 0]], f.mapping[pairs[:, 1]])
     return ConcMap(JS, JT, np.zeros(len(JT), dtype=bool), images)
+
+
+def _check_j_hosts(f: Homomorphism, JS: JoinIrreducibles, JT: JoinIrreducibles):
+    if not (_same_or_dual(JS.host, f.source) and _same_or_dual(JT.host, f.target)):
+        raise HostMismatch("J(Con) given for another lattice than the map's")
+
+
+def _shape(L: FiniteLattice):
+    """Size and covers: they fix every table of a dense lattice but its labels."""
+    return L.n, tuple(L.covers)
+
+
+class ConcMemo:
+    """J(Con) and Conc for the lattices and maps of one diagram, each
+    computed once per shape; a memo lives for one call.
+
+    J(Con L) reads only L's tables, which its size and covers fix: it is
+    built once per such shape and re-hosted on every other dense lattice of
+    that shape (JoinIrreducibles.rehost).  Conc f reads only J(Con) of its
+    source and target and f's mapping: it is computed once per (source
+    shape, target shape, mapping), and each map gets its own ConcMap over
+    the shared read-only arrays.
+    """
+
+    def __init__(self):
+        self._J, self._conc = {}, {}
+
+    def J(self, L) -> JoinIrreducibles:
+        """J(Con L); a lazy product goes to JoinIrreducibles, which refuses it."""
+        if not isinstance(L, FiniteLattice):
+            return JoinIrreducibles(L)
+        key = _shape(L)
+        J = self._J.get(key)
+        if J is None:
+            J = self._J[key] = JoinIrreducibles(L)
+        return J if J.host is L else J.rehost(L)
+
+    def conc(self, f: Homomorphism, j_source: JoinIrreducibles,
+             j_target: JoinIrreducibles) -> ConcMap:
+        """conc_of_hom(f, j_source, j_target)."""
+        key = (_shape(j_source.host), _shape(j_target.host), f.mapping.tobytes())
+        cm = self._conc.get(key)
+        if cm is None:
+            cm = self._conc[key] = conc_of_hom(f, j_source, j_target)
+        _check_j_hosts(f, j_source, j_target)
+        return ConcMap(j_source, j_target, cm.zero, cm.images)
 
 
 def is_boolean(con: ConLattice):

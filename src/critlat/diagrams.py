@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .congruence import JoinIrreducibles, conc_of_hom
+from .congruence import ConcMemo
 from .errors import (
     BadChainShapes,
     CritlatError,
@@ -623,10 +623,12 @@ def glued_diagram(L, subset, kgen) -> GluedDiagram:
 # --- Conc applied to a diagram ---
 
 def apply_conc(D: LatticeDiagram) -> SemilatticeDiagram:
-    """Nodewise J(Con), edgewise induced maps.  Conc is a functor and D is
-    lawful, so the result obeys the functor laws; they are not checked."""
-    J = {n: JoinIrreducibles(D.lattices[n]) for n in D.poset.elements}
-    maps = {(p, q): conc_of_hom(D.maps[(p, q)], J[p], J[q]) for (p, q) in D.poset.pairs()}
+    """Nodewise J(Con), edgewise induced maps, each computed once per shape
+    (ConcMemo).  Conc is a functor and D is lawful, so the result obeys the
+    functor laws; they are not checked."""
+    memo = ConcMemo()
+    J = {n: memo.J(D.lattices[n]) for n in D.poset.elements}
+    maps = {(p, q): memo.conc(D.maps[(p, q)], J[p], J[q]) for (p, q) in D.poset.pairs()}
     return SemilatticeDiagram(D.poset, J, maps, of_diagram=D)
 
 

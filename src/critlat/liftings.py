@@ -20,13 +20,13 @@ import numpy as np
 
 from .congruence import (
     ConcMap,
+    ConcMemo,
     Congruence,
     JoinIrreducibles,
     _sends_chain,
     atom_steps,
     boolean_J,
     con_lattice,
-    conc_of_hom,
     kernel,
 )
 from .diagrams import (
@@ -153,10 +153,12 @@ def verify_lifting(lift: Lifting) -> LiftingReport:
         failures = [("xi-wrong-shape", p) for p in poset.elements
                     if not _same_or_dual(lift.xi[p].source.host, B.lattices[p])]
     if not failures:
+        memo = ConcMemo()
         for (p, q) in poset.pairs():
-            cf = conc_of_hom(B.maps[(p, q)], lift.xi[p].source, lift.xi[q].source)
+            xp, xq = lift.xi[p], lift.xi[q]
+            cf = memo.conc(B.maps[(p, q)], xp.source, xq.source)
             s = S.maps.get((p, q))
-            if s is None or not lift.xi[q].compose(cf).equal_map(s.compose(lift.xi[p])):
+            if s is None or not xq.commutes(cf, s, xp):
                 failures.append(("naturality", p, q))
     return LiftingReport(not failures, failures[:MAX_LIFTING_FAILURES])
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from critlat.congruence import con_lattice
+from critlat.congruence import JoinIrreducibles, con_lattice, conc_of_hom
 from critlat.diagrams import (
     EMPTY,
     TOP,
@@ -740,6 +740,66 @@ class TestApplyConc:
         g = glued_diagram(named["M:3"], named["M:3"].labels, builtin("M:3"))
         with pytest.raises(BudgetExceeded):
             apply_conc(g.diagram)
+
+    def test_shared_arrays_are_read_only(self, named):
+        D, _ = chain_diagram_of_partial(named["M:3"], named["M:3"].labels)
+        S = apply_conc(D)
+        J, edge = S.J[node_of(C1)], S.maps[(EMPTY, node_of(C1))]
+        # the three 3-element chains share one J(Con), the edges into them one Conc
+        assert S.J[node_of(C2)].leq is J.leq
+        assert S.maps[(EMPTY, node_of(C2))].images is edge.images
+        for table in (J.leq, J._gen, J._below, J._covers, J._cover_of, edge.zero, edge.images):
+            with pytest.raises(ValueError, match="read-only"):
+                table.flat[0] = table.flat[0]
+
+
+def _unshared_conc(D):
+    """apply_conc with nothing shared: a fresh J(Con) per node and
+    conc_of_hom per edge."""
+    J = {n: JoinIrreducibles(D.lattices[n]) for n in D.poset.elements}
+    return J, {(p, q): conc_of_hom(D.maps[(p, q)], J[p], J[q]) for (p, q) in D.poset.pairs()}
+
+
+def _assert_shared_conc_agrees(D):
+    S = apply_conc(D)
+    J, maps = _unshared_conc(D)
+    for n in D.poset.elements:
+        got, want = S.J[n], J[n]
+        assert got.pairs == want.pairs
+        assert np.array_equal(got.leq, want.leq)
+        assert [t.block_of for t in got.cons] == [t.block_of for t in want.cons]
+        assert got.host is D.lattices[n] and all(t.host is D.lattices[n] for t in got.cons)
+        assert [t.label_blocks() for t in got.cons] == [t.label_blocks() for t in want.cons]
+    for (p, q), want in maps.items():
+        got = S.maps[(p, q)]
+        assert got.source is S.J[p] and got.target is S.J[q]
+        assert got.equal_map(want)
+    # one J(Con) per distinct node shape
+    shapes = {(L.n, L.covers) for L in D.lattices.values()}
+    assert len({id(S.J[n].leq) for n in D.poset.elements}) == len(shapes)
+
+
+class TestSharedConc:
+    """apply_conc computes J(Con) once per node shape and Conc once per edge
+    shape; every node and edge must read as the unshared path's."""
+
+    def test_corpus_and_directing_diagrams(self, lawful_diagrams):
+        for D in lawful_diagrams:
+            _assert_shared_conc_agrees(D)
+
+    def test_dual_diagrams(self, lawful_diagrams):
+        for D in lawful_diagrams:
+            _assert_shared_conc_agrees(dual_diagram(D))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_chain_diagrams_of_bounded_sublattices(self, corpus, data):
+        pool = [K for K in corpus if 2 <= K.n <= 6]
+        factors = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2))
+        P = lattice.product(*factors)
+        gens = data.draw(st.sets(st.sampled_from(P.labels), min_size=1, max_size=3))
+        sub, _ = subuniverse_closure(P, gens, include_bounds=True)
+        _assert_shared_conc_agrees(chain_diagram_of_partial(P, sub.labels)[0])
 
 
 class TestSerialization:

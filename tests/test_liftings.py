@@ -10,6 +10,7 @@ from critlat.congruence import (
     Congruence,
     JoinIrreducibles,
     con_lattice,
+    conc_of_hom,
     kernel,
     principal_congruence,
 )
@@ -65,6 +66,15 @@ def swap_two_atoms(lift, node):
     a, b = con_s.atoms
     perm[a], perm[b] = b, a
     lift.xi[node] = ConcMap.from_mapping(con_s, con_t, perm)
+
+
+def unshared_naturality_failures(lift):
+    """The naturality squares of verify_lifting with nothing shared:
+    conc_of_hom per edge and both composites built."""
+    B, S, xi = lift.source, lift.target, lift.xi
+    return [("naturality", p, q) for (p, q) in B.poset.pairs()
+            if not xi[q].compose(conc_of_hom(B.maps[(p, q)], xi[p].source, xi[q].source))
+            .equal_map(S.maps[(p, q)].compose(xi[p]))]
 
 
 def m3_identity_lifting(named):
@@ -130,6 +140,31 @@ class TestVerify:
         lift.target.maps[pq] = ConcMap(JP, JQ, np.zeros(len(JQ), dtype=bool),
                                        np.zeros((len(JP), len(JQ)), dtype=bool))
         assert verify_lifting(lift).failures == [("naturality", *pq)]
+
+    @pytest.mark.parametrize("chain", [C1, C2, C3])
+    def test_shared_conc_hides_no_target_edge(self, named, chain):
+        # the three edges from the bottom node into the 3-element chains have
+        # one Conc, computed once; the one target map made wrong fails alone
+        lift = m3_identity_lifting(named)
+        pq = (EMPTY, node_of(chain))
+        s = lift.target.maps[pq]
+        images = s.images.copy()
+        images[0, 1] = False    # Theta(0, 1) of the bottom now misses the top step
+        lift.target.maps[pq] = ConcMap(s.source, s.target, s.zero, images)
+        assert verify_lifting(lift).failures == [("naturality", *pq)]
+        assert unshared_naturality_failures(lift) == [("naturality", *pq)]
+
+    def test_shared_conc_hides_no_xi(self, named):
+        # xi at one of the three 3-element chain nodes swaps its two atoms:
+        # the squares out of it into the pair nodes fail, and nothing at the
+        # other two nodes of its shape
+        lift = m3_identity_lifting(named)
+        node = node_of(C2)
+        swap_two_atoms(lift, node)
+        failures = verify_lifting(lift).failures
+        assert failures == [("naturality", node, node_of(C1, C2)),
+                            ("naturality", node, node_of(C2, C3))]
+        assert failures == unshared_naturality_failures(lift)
 
     def test_target_edge_deleted_fails_naturality(self, named):
         lift = m3_identity_lifting(named)
