@@ -13,8 +13,6 @@ from .congruence import (
     JoinIrreducibles,
     conc_of_hom,
     con_lattice,
-    congruence_join,
-    congruence_meet,
     is_boolean,
     is_congruence_chain,
     is_congruence_preserving_extension,
@@ -35,7 +33,6 @@ from .diagrams import (
     build_index_posets,
     chain_diagram,
     chain_diagram_of_partial,
-    diagram_isomorphic,
     directing_diagram,
     export_dot,
     extend_diagram,

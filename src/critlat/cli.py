@@ -20,6 +20,7 @@ from .errors import CritlatError
 from .lattice import (
     builtin,
     dual,
+    is_builtin,
     is_isomorphic,
     lattice_dot,
     lattice_to_json,
@@ -27,12 +28,8 @@ from .lattice import (
     load_lattice,
 )
 
-_BUILTIN_PREFIXES = ("chain:", "M:", "bool:")
-_BUILTIN_NAMES = ("2", "N5", "F22")
-
-
 def resolve_lattice(spec: str):
-    if spec in _BUILTIN_NAMES or any(spec.startswith(p) for p in _BUILTIN_PREFIXES):
+    if is_builtin(spec):
         return builtin(spec)
     if os.path.exists(spec):
         return load_lattice(spec)

@@ -125,10 +125,6 @@ class Congruence:
         return all((bo[table] == bo[table[least]]).all()
                    for table in (self.host._meet, self.host._join))
 
-    @property
-    def is_one(self):
-        return len(self.blocks) == 1
-
     def same(self, i, j) -> bool:
         return self.block_of[i] == self.block_of[j]
 
@@ -138,10 +134,17 @@ class Congruence:
         return all(all(obo[i] == obo[b[0]] for i in b) for b in self.blocks)
 
     def join(self, other: "Congruence") -> "Congruence":
-        return congruence_join(self, other)
+        """Join: the union of the two down-sets of J(Con L)."""
+        if not _same_lattice(self.host, other.host):
+            raise HostMismatch("congruences live on different lattices")
+        J = JoinIrreducibles(self.host)
+        return J.congruences(J.mask_of(self.block_of) | J.mask_of(other.block_of))[0]
 
     def meet(self, other: "Congruence") -> "Congruence":
-        return congruence_meet(self, other)
+        """Meet: common refinement (always a congruence)."""
+        if not _same_lattice(self.host, other.host):
+            raise HostMismatch("congruences live on different lattices")
+        return Congruence.from_rep(self.host, list(zip(self.block_of, other.block_of)))
 
     def label_blocks(self):
         return [[self.host.labels[i] for i in b] for b in self.blocks]
@@ -169,24 +172,6 @@ def principal_congruence(L, a, b) -> Congruence:
     """Theta(a, b): the smallest congruence identifying a and b."""
     J = JoinIrreducibles(L)
     return J.congruences(J.principal_masks(L.index(a), L.index(b)))[0]
-
-
-def _check_same_host(t1, t2):
-    if t1.host is not t2.host and not _same_lattice(t1.host, t2.host):
-        raise HostMismatch("congruences live on different lattices")
-
-
-def congruence_join(t1: Congruence, t2: Congruence) -> Congruence:
-    """Join: the union of the two down-sets of J(Con L)."""
-    _check_same_host(t1, t2)
-    J = JoinIrreducibles(t1.host)
-    return J.congruences(J.mask_of(t1.block_of) | J.mask_of(t2.block_of))[0]
-
-
-def congruence_meet(t1: Congruence, t2: Congruence) -> Congruence:
-    """Meet: common refinement (always a congruence)."""
-    _check_same_host(t1, t2)
-    return Congruence.from_rep(t1.host, list(zip(t1.block_of, t2.block_of)))
 
 
 def kernel(f: Homomorphism) -> Congruence:
@@ -457,13 +442,6 @@ class ConcMap:
             return np.zeros(len(a), dtype=bool)
         got = self.on_masks(self.source.principal_masks(a, b))
         return (got == self.target.principal_masks(c, d)).all(axis=-1)
-
-    def sends(self, theta: Congruence, image: Congruence) -> bool:
-        """Whether phi(theta) = image, compared as down-set masks over J(Con
-        T), with no partition built."""
-        return _same_lattice(self.target.host, image.host) and bool(
-            (self.on_masks(self.source.mask_of(theta.block_of))
-             == self.target.mask_of(image.block_of)).all())
 
     @property
     def isomorphism(self) -> bool:

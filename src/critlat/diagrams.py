@@ -11,7 +11,6 @@ any lifting to be direct.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Optional, Sequence
@@ -33,12 +32,10 @@ from .errors import (
 from .lattice import (
     FiniteLattice,
     Homomorphism,
-    _assignments,
     _dot_string,
     _hom_failure,
     _same_lattice,
     _sublattice_from_indices,
-    all_isomorphisms,
     builtin,
     lattice_from_json,
     lattice_to_json,
@@ -505,12 +502,8 @@ def _isotone_surjections(m_src: int, m_tgt: int):
 
 
 def _check_generator(kgen):
-    for nm in ("M:3", "N5"):
-        ref = builtin(nm)
-        if kgen.labels == ref.labels and tuple(kgen.covers) == tuple(ref.covers):
-            return
-    raise BadChainShapes(
-        "the directing generator must be the builtin M:3 or N5 lattice")
+    if not any(_same_lattice(kgen, builtin(nm)) for nm in ("M:3", "N5")):
+        raise BadChainShapes("the directing generator must be the builtin M:3 or N5 lattice")
 
 
 def directing_diagram(kgen, c1, c2, c3, with_t=False):
@@ -630,35 +623,6 @@ def apply_conc(D: LatticeDiagram) -> SemilatticeDiagram:
     J = {n: memo.J(D.lattices[n]) for n in D.poset.elements}
     maps = {(p, q): memo.conc(D.maps[(p, q)], J[p], J[q]) for (p, q) in D.poset.pairs()}
     return SemilatticeDiagram(D.poset, J, maps, of_diagram=D)
-
-
-# --- diagram isomorphism (used to compare extension orders) ---
-
-def diagram_isomorphic(d1: LatticeDiagram, d2: LatticeDiagram) -> bool:
-    """Node-by-node lattice isomorphisms commuting with every transition map."""
-    if d1.poset != d2.poset:
-        return False
-    le, nodes = d1.poset.le, d1.poset.elements
-    options = []
-    for n in nodes:
-        options.append(all_isomorphisms(d1.lattices[n], d2.lattices[n]))
-        if not options[-1]:
-            return False
-
-    def fits(a):
-        # the last node's isomorphism commutes with the earlier nodes' choices
-        n, iso = nodes[len(a) - 1], a[-1]
-        for m, other in zip(nodes, a[:-1]):
-            if le(m, n) and not iso.compose(d1.maps[(m, n)]).equal_map(
-                    d2.maps[(m, n)].compose(other)):
-                return False
-            if le(n, m) and not other.compose(d1.maps[(n, m)]).equal_map(
-                    d2.maps[(n, m)].compose(iso)):
-                return False
-        return True
-
-    return bool(_assignments(len(nodes), lambda k, a: options[k], fits, math.inf,
-                             "diagram isomorphism"))
 
 
 # --- serialization ---

@@ -96,9 +96,6 @@ class _Lattice:
     def top(self) -> str:
         return self.labels[self.top_i]
 
-    def atoms_i(self):
-        return sorted(j for i, j in self.covers if i == self.bottom_i)
-
     def height(self) -> int:
         return int(self.heights[self.top_i])
 
@@ -1117,11 +1114,6 @@ class PartialLattice:
     def bounded(self):
         return self.bottom_i is not None and self.top_i is not None
 
-    def dual(self):
-        return PartialLattice(self.labels, self.joins, self.meets,
-                              bottom_i=self.top_i, top_i=self.bottom_i,
-                              name=f"dual({self.name})" if self.name else None)
-
     @classmethod
     def from_lattice(cls, L, bounded=True):
         meets = {}
@@ -1178,7 +1170,9 @@ def embed_partial(K: PartialLattice, L) -> Optional[dict]:
         for (i, j), k in table.items():
             if i <= j:
                 at[max(i, j, k)].append((i, j, k))
-    # a bounded K sends 0 to 0 and 1 to 1 (0 wins when K has one element)
+    # a bounded K sends 0 to 0 and 1 to 1, so a one-element K needs 0 = 1 in L
+    if K.bounded and K.bottom_i == K.top_i and L.bottom_i != L.top_i:
+        return None
     forced = {K.top_i: [L.top_i], K.bottom_i: [L.bottom_i]} if K.bounded else {}
 
     def fits(a):
@@ -1201,11 +1195,20 @@ def embed_partial(K: PartialLattice, L) -> Optional[dict]:
 _BUILTIN_LEAST_N = {"chain": 1, "M": 3, "bool": 1}
 
 
+def is_builtin(name: str) -> bool:
+    """Whether name is 2, N5, F22 or starts with chain:, M: or bool:, and so
+    is read by builtin and never as a file (builtin may refuse its n)."""
+    kind, colon, _ = name.partition(":")
+    return name in ("2", "N5", "F22") or bool(colon) and kind in _BUILTIN_LEAST_N
+
+
 def builtin(name: str):
     """Builtin lattices by name: 2, chain:n (n>=1), M:n (n>=3), N5, bool:n
     (n>=1), F22.  A malformed or too small n raises FormatError."""
+    if not is_builtin(name):
+        raise FormatError(f"unknown builtin lattice {name!r}")
     kind, colon, arg = name.partition(":")
-    if colon and kind in _BUILTIN_LEAST_N:
+    if colon:
         try:
             n = int(arg)
         except ValueError:
@@ -1214,10 +1217,10 @@ def builtin(name: str):
             raise FormatError(f"{name!r}: {kind}:n needs n >= {_BUILTIN_LEAST_N[kind]}")
     if name == "2":
         return validate_lattice(["0", "1"], [("0", "1")], name="2")
-    if colon and kind == "chain":
+    if kind == "chain":
         labels = ["0"] + [f"c{k}" for k in range(1, n)] + ["1"]
         return validate_lattice(labels, list(zip(labels, labels[1:])), name=name)
-    if colon and kind == "M":
+    if kind == "M":
         labels = ["0"] + [f"x{k}" for k in range(1, n + 1)] + ["1"]
         covers = [("0", f"x{k}") for k in range(1, n + 1)] + \
                  [(f"x{k}", "1") for k in range(1, n + 1)]
@@ -1226,17 +1229,16 @@ def builtin(name: str):
         labels = ["0", "x1", "x2", "x3", "1"]
         covers = [("0", "x1"), ("x1", "x2"), ("x2", "1"), ("0", "x3"), ("x3", "1")]
         return validate_lattice(labels, covers, name="N5")
-    if colon and kind == "bool":
+    if kind == "bool":
         two = builtin("2")
         out = product(*([two] * n)) if n > 1 else two
         out.name = name
         return out
-    if name == "F22":
-        labels = ["0", "x1^x2", "x1", "x2", "x1vx2", "1"]
-        covers = [("0", "x1^x2"), ("x1^x2", "x1"), ("x1^x2", "x2"),
-                  ("x1", "x1vx2"), ("x2", "x1vx2"), ("x1vx2", "1")]
-        return validate_lattice(labels, covers, name="F22")
-    raise FormatError(f"unknown builtin lattice {name!r}")
+    # F22, the one name left
+    labels = ["0", "x1^x2", "x1", "x2", "x1vx2", "1"]
+    covers = [("0", "x1^x2"), ("x1^x2", "x1"), ("x1^x2", "x2"),
+              ("x1", "x1vx2"), ("x2", "x1vx2"), ("x1vx2", "1")]
+    return validate_lattice(labels, covers, name="F22")
 
 
 # --- serialization ---

@@ -253,12 +253,12 @@ class EmbeddingReport:
         }
 
 
-def extract_embedding(lift: Lifting, subset, u=None, v=None, chain_choices=None):
+def extract_embedding(lift: Lifting, subset, u=None, v=None):
     """Build the map h from the spanning subset into the top node of a chain
     diagram lifting, and verify it is an embedding of partial lattices.
 
     h sends 0 and 1 to the images of u and v, and every interior x to the
-    image at the top of the chosen direct congruence chain for {0, x, 1}.
+    image at the top of the first direct congruence chain for {0, x, 1}.
     Verified: injectivity, preservation of all meets/joins defined in the
     subset, coherence of the length-3 chain choices, and the congruence
     condition xi_top(Theta(h x, h y)) = Theta_L(x, y).  A failed check
@@ -286,8 +286,6 @@ def extract_embedding(lift: Lifting, subset, u=None, v=None, chain_choices=None)
         if node not in B.lattices:
             raise CritlatError(f"chain {cx} missing from the diagram")
         found = [w for w in direct_chains_at(lift, node, u, v) if w.direct]
-        if chain_choices and x in chain_choices:
-            found = [w for w in found if w.elements == tuple(chain_choices[x])]
         if not found:
             raise MissingDirectChain(node)
         choices[x] = found[0].elements

@@ -404,11 +404,10 @@ def oracle_partition_join(a, b):
 def oracle_embed_partial(K, L):
     """The first injective map K -> L, in lexicographic order of the image
     sequences, that preserves every defined meet and join, as a label dict;
-    None when there is none.  A bounded K sends its 0 to L's 0 and its 1,
-    when it is not its 0, to L's 1."""
+    None when there is none.  A bounded K sends its 0 to L's 0 and its 1 to
+    L's 1."""
     for img in itertools.permutations(range(L.n), K.n):
-        if K.bounded and (img[K.bottom_i] != L.bottom_i
-                          or (K.top_i != K.bottom_i and img[K.top_i] != L.top_i)):
+        if K.bounded and (img[K.bottom_i] != L.bottom_i or img[K.top_i] != L.top_i):
             continue
         if all(img[k] == L.meet_i(img[i], img[j]) for (i, j), k in K.meets.items()) \
                 and all(img[k] == L.join_i(img[i], img[j]) for (i, j), k in K.joins.items()):

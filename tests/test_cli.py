@@ -39,8 +39,11 @@ class TestBasics:
         assert code == 2 and "NotALattice" in err
 
     def test_unknown_input(self, capsys):
-        code, _, err = invoke(capsys, "validate", "no-such-thing")
-        assert code == 2
+        # N6 is no builtin name, so it is read as a (missing) file
+        for spec in ("no-such-thing", "N6"):
+            code, _, err = invoke(capsys, "validate", spec)
+            assert code == 2
+            assert err == f"error: CritlatError: no such file or builtin lattice: {spec!r}\n"
 
     @pytest.mark.parametrize("name", ["M:x", "bool:1.5", "chain:", "chain:-3", "chain:0",
                                       "M:2", "bool:0"])

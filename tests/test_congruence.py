@@ -11,8 +11,6 @@ from critlat.congruence import (
     JoinIrreducibles,
     con_lattice,
     conc_of_hom,
-    congruence_join,
-    congruence_meet,
     inclusion_hom,
     is_boolean,
     is_congruence_chain,
@@ -85,25 +83,24 @@ class TestJoinMeet:
     def test_neutral(self, named):
         L = named["N5"]
         t = principal_congruence(L, "x1", "x2")
-        assert congruence_join(t, Congruence.zero(L)) == t
-        assert congruence_meet(t, Congruence.one(L)) == t
+        assert t.join(Congruence.zero(L)) == t
+        assert t.meet(Congruence.one(L)) == t
 
     def test_chain_steps_join_to_one(self, named):
         L = named["chain:2"]
         t1 = principal_congruence(L, "0", "c1")
         t2 = principal_congruence(L, "c1", "1")
-        assert congruence_join(t1, t2) == Congruence.one(L)
+        assert t1.join(t2) == Congruence.one(L)
 
     def test_square_atoms_meet_to_zero(self):
         sq = builtin("bool:2")
         t1 = principal_congruence(sq, "00", "01")
         t2 = principal_congruence(sq, "00", "10")
-        assert congruence_meet(t1, t2) == Congruence.zero(sq)
+        assert t1.meet(t2) == Congruence.zero(sq)
 
     def test_host_mismatch(self, named):
         with pytest.raises(HostMismatch):
-            congruence_join(Congruence.zero(named["M:3"]),
-                            Congruence.zero(named["N5"]))
+            Congruence.zero(named["M:3"]).join(Congruence.zero(named["N5"]))
 
 
 def _con_order_lattice(con):
@@ -408,7 +405,7 @@ class TestChainLemmas:
                 for a, b in zip(labels, labels[1:]):
                     step = principal_congruence(L, a, b)
                     assert step.leq(total)          # monotone in the interval
-                    acc = congruence_join(acc, step)
+                    acc = acc.join(step)
                 assert acc == total                  # steps join to the whole
 
     def test_duality_of_congruence_sets(self, corpus):
@@ -426,7 +423,7 @@ class TestQuotientInteraction:
             L = named[name]
             conL = con_lattice(L)
             for theta in conL.cons:
-                if theta.is_one:
+                if len(theta.blocks) == 1:
                     continue
                 Q, proj = quotient(L, theta)
                 cm = conc_of_hom(proj, conL.J)
@@ -448,12 +445,12 @@ def test_principal_congruence_lattice_laws(named, data):
     (a, b), (c, d) = data.draw(pick), data.draw(pick)
     s = principal_congruence(L, a, b)
     t = principal_congruence(L, c, d)
-    join = congruence_join(s, t)
-    meet = congruence_meet(s, t)
+    join = s.join(t)
+    meet = s.meet(t)
     assert s.leq(join) and t.leq(join)
     assert meet.leq(s) and meet.leq(t)
-    assert congruence_join(s, meet) == s      # absorption
-    assert congruence_meet(s, join) == s
+    assert s.join(meet) == s      # absorption
+    assert s.meet(join) == s
     assert join.same(L.index(a), L.index(b)) and join.same(L.index(c), L.index(d))
 
 
@@ -510,8 +507,7 @@ class TestDifferential:
         L = data.draw(st.sampled_from([K for K in small_lattices if K.n <= 5]))
         cons = con_lattice(L).cons
         s, t = data.draw(st.sampled_from(cons)), data.draw(st.sampled_from(cons))
-        assert congruence_join(s, t).block_of == oracle_partition_join(s.block_of,
-                                                                       t.block_of)
+        assert s.join(t).block_of == oracle_partition_join(s.block_of, t.block_of)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -723,9 +719,8 @@ class TestConcMapChecks:
         assert cm.isomorphism == oracle_isomorphism(ws, wt, mapping)
         if cm.join_preserving:
             assert cm.mapping_on(CS, CT).tolist() == list(mapping)
-            # sends compares down-set masks, phi(0) included
             x = data.draw(st.integers(0, CS.n - 1))
-            assert [cm.sends(CS.cons[x], t) for t in CT.cons] == \
+            assert [cm.apply(CS.cons[x]) == t for t in CT.cons] == \
                 [y == mapping[x] for y in range(CT.n)]
 
 

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion."""
+"""Each demo script runs to completion and prints what it printed when its
+output was pinned in tests/demo_output/<demo>.txt."""
 
 import os
 import subprocess
@@ -9,10 +10,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PINNED = ROOT / "tests" / "demo_output"
 
 
 def test_all_demos_found():
     assert len(DEMOS) == 6
+    assert sorted(p.stem for p in PINNED.glob("*.txt")) == [p.stem for p in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
@@ -21,3 +24,4 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert done.stdout == (PINNED / f"{demo.stem}.txt").read_text(encoding="utf-8")

@@ -345,19 +345,6 @@ class TestExtraction:
         assert report.ok
         assert [c[0] for c in report.coherence_checks] == [("0", "x1^x2", "x1", "1")]
 
-    def test_explicit_chain_choice(self, named):
-        lift = m3_identity_lifting(named)
-        h, report = extract_embedding(
-            lift, named["M:3"].labels,
-            chain_choices={"x1": ("0", "x1", "1")})
-        assert report.chain_choices["x1"] == ("0", "x1", "1")
-
-    def test_wrong_chain_choice_fails(self, named):
-        lift = m3_identity_lifting(named)
-        with pytest.raises(MissingDirectChain):
-            extract_embedding(lift, named["M:3"].labels,
-                              chain_choices={"x1": ("0", "x2", "1")})
-
 
 class TestTransportedLifting:
     def test_relabelled_target_extracts_the_inverse_iso(self):
