@@ -9,10 +9,10 @@ Run:  python demos/04_chain_diagrams.py
 """
 
 from critlat import (
+    IndexPoset,
     TOP,
     apply_conc,
     base_diagram,
-    build_index_posets,
     builtin,
     chain_diagram_of_partial,
     con_lattice,
@@ -25,7 +25,7 @@ from critlat import (
 C1, C2, C3 = ("0", "x1", "1"), ("0", "x2", "1"), ("0", "x3", "1")
 
 # The index poset over a chain set: bottom, singletons, admissible pairs, top.
-ip = build_index_posets([C1, C2, C3])
+ip = IndexPoset([C1, C2, C3])
 print("index poset:", [str(n) for n in ip.ic])
 
 # The chain diagram of M3 over its three spanning chains.

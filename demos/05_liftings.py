@@ -10,7 +10,6 @@ Run:  python demos/05_liftings.py
 """
 
 from critlat import (
-    EMPTY,
     Homomorphism,
     builtin,
     chain_diagram_of_partial,
@@ -43,13 +42,11 @@ print("injective:", report.injective,
 # Dualizing the lifting reverses every chain: the original orientation now
 # has no direct chains, and the automatic wrapper dualizes back.
 dl = dual_lifting(lift)
-u = dl.source.lattices[EMPTY].bottom
-v = dl.source.lattices[EMPTY].top
 try:
-    extract_embedding(dl, M3.labels, u, v)
+    extract_embedding(dl, M3.labels)
 except MissingDirectChain as exc:
     print("dual lifting blocks the original orientation:", exc.node)
-h2, report2 = extract_embedding_auto(dl, M3.labels, u, v)
+h2, report2 = extract_embedding_auto(dl, M3.labels)
 print("after dualizing: ok =", report2.ok, ", dualized =", report2.dualized)
 
 # The directing property: once the first two nodes hold direct chains, every

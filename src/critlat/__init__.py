@@ -30,7 +30,6 @@ from .diagrams import (
     SemilatticeDiagram,
     apply_conc,
     base_diagram,
-    build_index_posets,
     chain_diagram,
     chain_diagram_of_partial,
     directing_diagram,

@@ -239,11 +239,7 @@ def cmd_extract_embedding(args):
     lift = liftings.identity_lifting(D)
     if args.dual:
         lift = liftings.dual_lifting(lift)
-        u, v = lift.source.lattices[diagrams.EMPTY].bottom, \
-            lift.source.lattices[diagrams.EMPTY].top
-    else:
-        u = v = None
-    h, rep = liftings.extract_embedding_auto(lift, _subset(args, L), u, v)
+    h, rep = liftings.extract_embedding_auto(lift, _subset(args, L))
     if args.json:
         _emit({"schema": 1, **rep.to_json()})
     else:

@@ -140,10 +140,11 @@ class FinitePoset:
 
 
 class IndexPoset(FinitePoset):
-    """The nested index posets over a chain set: bottom node, singletons,
-    admissible pairs, and a top node above everything.  Below a node other
-    than the top lie the bottom node, the singletons of its chains and the
-    node itself."""
+    """The nested index posets JC/KC/IC over a chain set: bottom node,
+    singletons, admissible pairs, and a top node above everything.  A pair
+    {C, D} is admissible when both chains have length 2 or one contains the
+    other.  Below a node other than the top lie the bottom node, the
+    singletons of its chains and the node itself."""
 
     def __init__(self, chains):
         chains = sorted({tuple(c) for c in chains}, key=_chain_key)
@@ -166,12 +167,6 @@ class IndexPoset(FinitePoset):
         self.jc = tuple(jc)
         self.kc = tuple(kc)
         self.ic = tuple(ic)
-
-
-def build_index_posets(chains) -> IndexPoset:
-    """JC/KC/IC over a set of chains; a pair {C, D} is admissible when both
-    chains have length 2 or one contains the other."""
-    return IndexPoset(chains)
 
 
 def law_failures(poset: FinitePoset, lattices, maps):
@@ -266,7 +261,7 @@ class LatticeDiagram:
 class SemilatticeDiagram:
     """J(Con) of each node, with join-preserving transition maps."""
 
-    def __init__(self, poset, J: dict, maps: dict, of_diagram=None):
+    def __init__(self, poset, J: dict, maps: dict, of_diagram):
         self.poset = poset
         self.J = dict(J)
         self.maps = dict(maps)
@@ -305,7 +300,7 @@ def _jc_lattices(chains, b, t):
 def base_diagram(chains, bounds=None) -> LatticeDiagram:
     """The diagram over JC: bounds at the bottom node, each chain at its
     singleton node, bound-preserving maps upward."""
-    ip = build_index_posets(chains)
+    ip = IndexPoset(chains)
     lattices = _jc_lattices(ip.chains, *_bounds_of(ip.chains, bounds or ("0", "1")))
     e_bot = lattices[EMPTY]
     maps = {(EMPTY, EMPTY): Homomorphism.identity(e_bot)}
@@ -334,7 +329,7 @@ def chain_diagram(L, chains) -> LatticeDiagram:
     sublattices generated by pairs of chains, then L itself, all inclusions.
     A pair node is a chain or is generated by two elements a, b, so it is
     {0, a ^ b, a, b, a v b, 1} and distributive; that is not checked."""
-    ip = build_index_posets(chains)
+    ip = IndexPoset(chains)
     for c in ip.chains:
         _check_spanning_chain(L, c)
     lattices = _jc_lattices(ip.chains, L.bottom, L.top)
@@ -454,7 +449,7 @@ def _extend_one(B: LatticeDiagram, new: Chain) -> LatticeDiagram:
     other node at itself.  {new} holds its chain; an edge out of it first
     collapses the chain onto the bounds b < t (everything below its top to
     b), and the edge into it sends b, t to its bottom and top."""
-    ip = build_index_posets(list(B.poset.chains) + [new])
+    ip = IndexPoset(list(B.poset.chains) + [new])
     e_bot = B.lattices[EMPTY]
     if (new[0], new[-1]) != tuple(e_bot.labels):
         raise BadChainShapes("new chain must share the diagram's extremities")
@@ -524,7 +519,7 @@ def directing_diagram(kgen, c1, c2, c3, with_t=False):
         raise BadChainShapes("c1 and c2 must have length 2")
     if len(c3) != 3 and not (set(c1) <= set(c3) and set(c2) <= set(c3)):
         raise BadChainShapes("c3 must have length 2 or contain c1 and c2")
-    ip = build_index_posets([c1, c2, c3])
+    ip = IndexPoset([c1, c2, c3])
     lattices = dict(base_diagram(ip.chains).lattices)
     lattices[TOP] = kgen
     role = {c1: "x1", c2: "x2", c3: "x3"}

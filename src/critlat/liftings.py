@@ -30,7 +30,6 @@ from .congruence import (
     kernel,
 )
 from .diagrams import (
-    EMPTY,
     TOP,
     IndexPoset,
     LatticeDiagram,
@@ -206,17 +205,15 @@ def find_congruence_chains(B, u, v, J: Optional[JoinIrreducibles] = None):
     return witnesses
 
 
-def direct_chains_at(lift: Lifting, node, u, v):
-    """Congruence chains of the lattice at `node` between the images of u, v,
-    each tagged with its directness for (xi_node, target chain)."""
-    B = lift.source
-    gu = B.maps[(EMPTY, node)].apply(u)
-    gv = B.maps[(EMPTY, node)].apply(v)
+def direct_chains_at(lift: Lifting, node):
+    """Congruence chains of the lattice at `node` between its bounds, each
+    tagged with its directness for (xi_node, target chain).  Every diagram
+    edge keeps bounds, so these are the images of the bottom node's bounds."""
     xi = lift.xi[node]
     C = lift.target.J[node].host
     c_elems = [C.index(c) for c in chain_order(C)]
-    L = B.lattices[node]
-    witnesses = find_congruence_chains(L, gu, gv, J=xi.source)
+    L = lift.source.lattices[node]
+    witnesses = find_congruence_chains(L, L.bottom, L.top, J=xi.source)
     for w in witnesses:
         w.node = node
         w.direct = _sends_chain(xi, [L.index(x) for x in w.elements], C, c_elems)
@@ -232,7 +229,6 @@ class EmbeddingReport:
     operation_checks: list      # (kind, x, y, ok)
     congruence_checks: list     # (x, y, ok)
     coherence_checks: list      # (chain, ok)
-    chain_choices: dict
     dualized: bool = False
 
     @property
@@ -253,11 +249,11 @@ class EmbeddingReport:
         }
 
 
-def extract_embedding(lift: Lifting, subset, u=None, v=None):
+def extract_embedding(lift: Lifting, subset):
     """Build the map h from the spanning subset into the top node of a chain
     diagram lifting, and verify it is an embedding of partial lattices.
 
-    h sends 0 and 1 to the images of u and v, and every interior x to the
+    h sends 0 and 1 to the top node's bounds, and every interior x to the
     image at the top of the first direct congruence chain for {0, x, 1}.
     Verified: injectivity, preservation of all meets/joins defined in the
     subset, coherence of the length-3 chain choices, and the congruence
@@ -270,29 +266,23 @@ def extract_embedding(lift: Lifting, subset, u=None, v=None):
         raise CritlatError("extract_embedding needs a chain-diagram lifting")
     L = lift.target.J[TOP].host
     K = induced_partial_sublattice(L, subset)
-    B_bot = B.lattices[EMPTY]
-    u = u if u is not None else B_bot.bottom
-    v = v if v is not None else B_bot.top
+    B_top = B.lattices[TOP]
     bot, top = L.bottom, L.top
 
     interior = [x for x in K.labels if x not in (bot, top)]
-    h = {bot: B.maps[(EMPTY, TOP)].apply(u),
-         top: B.maps[(EMPTY, TOP)].apply(v)}
+    h = {bot: B_top.bottom, top: B_top.top}
     t_mid = {}
-    choices = {}
     for x in interior:
         cx = (bot, x, top)
         node = node_of(cx)
         if node not in B.lattices:
             raise CritlatError(f"chain {cx} missing from the diagram")
-        found = [w for w in direct_chains_at(lift, node, u, v) if w.direct]
+        found = [w for w in direct_chains_at(lift, node) if w.direct]
         if not found:
             raise MissingDirectChain(node)
-        choices[x] = found[0].elements
         t_mid[x] = found[0].elements[1]
         h[x] = B.maps[(node, TOP)].apply(t_mid[x])
 
-    B_top = B.lattices[TOP]
     injective = len(set(h.values())) == len(h)
 
     op_checks = []
@@ -316,7 +306,7 @@ def extract_embedding(lift: Lifting, subset, u=None, v=None):
         if len(c) != 4 or not set(c) <= set(K.labels):
             continue
         node_d = node_of(c)
-        dws = [w for w in direct_chains_at(lift, node_d, u, v) if w.direct]
+        dws = [w for w in direct_chains_at(lift, node_d) if w.direct]
         if not dws:
             raise MissingDirectChain(node_d)
         dw = dws[0]
@@ -335,8 +325,7 @@ def extract_embedding(lift: Lifting, subset, u=None, v=None):
         L, [L.index(x) for x, _ in pairs], [L.index(y) for _, y in pairs])
     con_checks = [(x, y, bool(ok)) for (x, y), ok in zip(pairs, oks)]
 
-    report = EmbeddingReport(h, injective, op_checks, con_checks,
-                             coherence, choices)
+    report = EmbeddingReport(h, injective, op_checks, con_checks, coherence)
     if not report.ok:
         bad = ([c for c in op_checks if not c[-1]]
                + [c for c in con_checks if not c[-1]]
@@ -346,35 +335,27 @@ def extract_embedding(lift: Lifting, subset, u=None, v=None):
     return h, report
 
 
-def extract_embedding_auto(lift: Lifting, subset, u=None, v=None):
-    """Try the lifting as given, then its dual (with swapped extremities)."""
+def extract_embedding_auto(lift: Lifting, subset):
+    """Try the lifting as given, then its dual."""
     try:
-        return extract_embedding(lift, subset, u, v)
+        return extract_embedding(lift, subset)
     except MissingDirectChain:
         pass
-    dl = dual_lifting(lift)
-    B_bot = dl.source.lattices[EMPTY]
-    u2 = v if v is not None else B_bot.bottom
-    v2 = u if u is not None else B_bot.top
-    h, report = extract_embedding(dl, subset, u2, v2)
+    h, report = extract_embedding(dual_lifting(lift), subset)
     report.dualized = True
     return h, report
 
 
 # --- the directing property on a concrete lifting ---
 
-def check_directing_property(lift: Lifting, c1, c2, c3, u=None, v=None):
+def check_directing_property(lift: Lifting, c1, c2, c3):
     """Verify that every congruence chain at the c3 node is direct, given
     direct chains at the c1 and c2 nodes (raises HypothesisUnmet without
     them).  Returns (True, None) or (False, counterexample ChainWitness)."""
-    B = lift.source
-    B_bot = B.lattices[EMPTY]
-    u = u if u is not None else B_bot.bottom
-    v = v if v is not None else B_bot.top
     for c in (c1, c2):
-        if not any(w.direct for w in direct_chains_at(lift, node_of(tuple(c)), u, v)):
+        if not any(w.direct for w in direct_chains_at(lift, node_of(tuple(c)))):
             raise HypothesisUnmet(f"no direct congruence chain at {node_of(tuple(c))}")
-    bad = next((w for w in direct_chains_at(lift, node_of(tuple(c3)), u, v)
+    bad = next((w for w in direct_chains_at(lift, node_of(tuple(c3)))
                 if not w.direct), None)
     return bad is None, bad
 
@@ -464,8 +445,6 @@ def retraction_congruence_chain(f: Homomorphism, pi0: Homomorphism,
 
 def lifting_to_json(lift: Lifting) -> dict:
     A = lift.target.of_diagram
-    if A is None:
-        raise CritlatError("lifting target does not carry its lattice diagram")
     xi = {}
     for n in lift.source.poset.elements:
         x = lift.xi[n]
@@ -480,7 +459,8 @@ def lifting_to_json(lift: Lifting) -> dict:
 
 def lifting_from_json(obj) -> Lifting:
     """The lifting of a bundle written by lifting_to_json; FormatError when
-    the bundle does not have that shape."""
+    the bundle does not have that shape, as when the xi of a node does not
+    list each congruence of its source exactly once."""
     try:
         src = diagram_from_json(obj["source"])
         tgt = diagram_from_json(obj["target"])
@@ -488,11 +468,15 @@ def lifting_from_json(obj) -> Lifting:
         xi = {}
         for n in src.poset.elements:
             con_s, con_t = con_lattice(src.lattices[n]), con_lattice(tgt.lattices[n])
-            mapping = np.zeros(con_s.n, dtype=np.int32)
-            for sb, tb in obj["xi"][str(n)]:
+            entries = obj["xi"][str(n)]
+            mapping = np.full(con_s.n, -1, dtype=np.int32)
+            for sb, tb in entries:
                 si = con_s.index_of(Congruence.from_label_blocks(src.lattices[n], sb))
                 mapping[si] = con_t.index_of(
                     Congruence.from_label_blocks(tgt.lattices[n], tb))
+            if len(entries) != con_s.n or (mapping < 0).any():
+                raise FormatError(f"bad lifting bundle: xi at {n} does not list "
+                                  "each congruence of its source exactly once")
             xi[n] = ConcMap.from_mapping(con_s, con_t, mapping)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(f"bad lifting bundle: {exc!r}") from None

@@ -454,6 +454,30 @@ class TestInputContract:
         assert code == 2 and "FormatError" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["missing", "repeated", "two-entries"])
+    def test_bundle_whose_xi_does_not_list_each_congruence_once_is_two(
+            self, tmp_path, capsys, kind):
+        # N5's identity lifting with xi at the top node cut short or padded:
+        # an unlisted congruence must not be read as sent to the zero one
+        from critlat.diagrams import chain_diagram_of_partial
+        from critlat.liftings import identity_lifting, lifting_to_json
+        N5 = builtin("N5")
+        D, _ = chain_diagram_of_partial(N5, N5.labels)
+        bundle = lifting_to_json(identity_lifting(D))
+        entries = bundle["xi"]["T"]
+        if kind == "missing":
+            del entries[0]
+        elif kind == "repeated":
+            entries.append(entries[0])
+        else:
+            del entries[2:]
+        p = tmp_path / "bundle.json"
+        p.write_text(json.dumps(bundle))
+        code, _, err = invoke(capsys, "lift-check", str(p))
+        assert code == 2
+        assert err == ("error: FormatError: bad lifting bundle: xi at T does not "
+                       "list each congruence of its source exactly once\n")
+
     def test_lift_check_without_input_is_two(self, capsys):
         code, _, err = invoke(capsys, "lift-check")
         assert code == 2 and "--identity or --dual-of" in err

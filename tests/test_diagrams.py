@@ -10,11 +10,11 @@ from critlat.diagrams import (
     EMPTY,
     TOP,
     FinitePoset,
+    IndexPoset,
     LatticeDiagram,
     admissible_triples,
     apply_conc,
     base_diagram,
-    build_index_posets,
     chain_diagram,
     chain_diagram_of_partial,
     diagram_from_json,
@@ -66,32 +66,32 @@ C1, C2, C3 = ("0", "x1", "1"), ("0", "x2", "1"), ("0", "x3", "1")
 
 class TestIndexPosets:
     def test_three_length2_counts(self):
-        ip = build_index_posets([C1, C2, C3])
+        ip = IndexPoset([C1, C2, C3])
         assert (len(ip.jc), len(ip.kc), len(ip.ic)) == (4, 7, 8)
 
     def test_single_chain_is_a_3_chain(self):
-        ip = build_index_posets([C1])
+        ip = IndexPoset([C1])
         assert [str(n) for n in ip.ic] == ["{}", "{0<x1<1}", "T"]
         assert ip.le(EMPTY, TOP) and ip.le(node_of(C1), TOP)
 
     def test_contained_pair_admissible(self):
         d = ("0", "y1", "y2", "1")
         c = ("0", "y1", "1")
-        ip = build_index_posets([c, d])
+        ip = IndexPoset([c, d])
         assert node_of(c, d) in ip.ic
 
     def test_incomparable_long_pair_not_admissible(self):
         d1 = ("0", "y1", "y2", "1")
         d2 = ("0", "y1", "y3", "1")
-        ip = build_index_posets([d1, d2])
+        ip = IndexPoset([d1, d2])
         assert node_of(d1, d2) not in set(ip.ic)
 
     def test_empty_chain_rejected(self):
         with pytest.raises(EmptyChainSet):
-            build_index_posets([()])
+            IndexPoset([()])
 
     def test_empty_chain_set_allowed(self):
-        ip = build_index_posets([])
+        ip = IndexPoset([])
         assert [str(n) for n in ip.ic] == ["{}", "T"]
 
     @pytest.mark.parametrize("chains", [
@@ -100,7 +100,7 @@ class TestIndexPosets:
         [],
     ])
     def test_pairs_match_brute_force(self, chains):
-        ip = build_index_posets(chains)
+        ip = IndexPoset(chains)
         els = ip.elements
         assert ip.pairs() == [(a, b) for a in els for b in els if ip.le(a, b)]
 
@@ -117,7 +117,7 @@ class TestIndexPosets:
         # with the top above every node
         L = data.draw(st.sampled_from([K for K in corpus if K.n >= 2]))
         pool = spanning_chains(L, (1, 2, 3, 4))
-        ip = build_index_posets(data.draw(st.lists(st.sampled_from(pool), max_size=6)))
+        ip = IndexPoset(data.draw(st.lists(st.sampled_from(pool), max_size=6)))
         for p in ip.ic:
             for q in ip.ic:
                 want = q.is_top or (not p.is_top and set(p.chains) <= set(q.chains))
@@ -231,7 +231,7 @@ class TestGuaranteedByConstruction:
         c, d = ("0", "x3", "1"), ("0", "x1", "x2", "1")
         sub, _ = subuniverse_closure(N5, set(c) | set(d))
         assert sub.n == N5.n and not oracle_is_distributive(sub)
-        ip = build_index_posets(spanning_chains_of_subset(N5, N5.labels))
+        ip = IndexPoset(spanning_chains_of_subset(N5, N5.labels))
         assert {c, d} <= set(ip.chains) and node_of(c, d) not in set(ip.ic)
 
 @functools.lru_cache(maxsize=None)
@@ -589,7 +589,7 @@ class TestExtendDiagram:
         a, b = ("0", "a", "1"), ("0", "b", "1")
         e1 = extend_diagram(dd, [a, b])
         e2 = extend_diagram(extend_diagram(dd, [b]), [a])
-        old_ic = build_index_posets([C1, C2, C3]).ic
+        old_ic = IndexPoset([C1, C2, C3]).ic
         for e in (e1, e2):
             assert e.restrict(old_ic).equal(dd)
             assert e.restrict(e.poset.jc).equal(

@@ -308,13 +308,11 @@ class TestExtraction:
 
     def test_dual_lifting_blocks_then_dualizes(self, named):
         lift = dual_lifting(m3_identity_lifting(named))
-        u = lift.source.lattices[EMPTY].bottom    # "1" in the dual order
-        v = lift.source.lattices[EMPTY].top
-        ws = direct_chains_at(lift, node_of(C1), u, v)
+        ws = direct_chains_at(lift, node_of(C1))
         assert ws and all(not w.direct for w in ws)
         with pytest.raises(MissingDirectChain):
-            extract_embedding(lift, named["M:3"].labels, u, v)
-        h, report = extract_embedding_auto(lift, named["M:3"].labels, u, v)
+            extract_embedding(lift, named["M:3"].labels)
+        h, report = extract_embedding_auto(lift, named["M:3"].labels)
         assert report.dualized and report.ok
         assert h == {x: x for x in named["M:3"].labels}
 
@@ -421,10 +419,8 @@ class TestDirectingProperty:
     def test_hypothesis_unmet_on_dual(self):
         dd = directing_diagram(builtin("M:3"), C1, C2, C3)
         lift = dual_lifting(identity_lifting(dd))
-        u = lift.source.lattices[EMPTY].bottom
-        v = lift.source.lattices[EMPTY].top
         with pytest.raises(HypothesisUnmet):
-            check_directing_property(lift, C1, C2, C3, u, v)
+            check_directing_property(lift, C1, C2, C3)
 
     def test_miswired_xi_detected_somewhere(self):
         dd = directing_diagram(builtin("M:3"), C1, C2, C3)
