@@ -9,7 +9,6 @@ from critlat import (
     dual,
     embed_partial,
     enumerate_subuniverses,
-    induced_partial_sublattice,
     is_isomorphic,
     lattice_dot,
     product,
@@ -45,14 +44,14 @@ print("M3 has", len(enumerate_subuniverses(M3)), "subuniverses")
 # Partial lattices keep only the operations whose value stays inside a
 # chosen subset; they are the right notion for embedding questions.
 cube = builtin("bool:3")
-K = induced_partial_sublattice(cube, ["000", "100", "110", "011", "111"])
+K = PartialLattice(cube, ["000", "100", "110", "011", "111"])
 print("join(100, 011) defined:", K.join_defined("100", "011"),
       "-> ", K.join("100", "011"))
 print("meet(110, 011) defined:", K.meet_defined("110", "011"))
 
 # M3 embeds into M4 but not into N5 (no three pairwise-incomparable elements
 # with the right meets and joins exist there).
-pattern = PartialLattice.from_lattice(M3, bounded=False)
+pattern = PartialLattice(M3, bounded=False)
 print("M3 pattern into M:4:", embed_partial(pattern, builtin("M:4")) is not None)
 print("M3 pattern into N5: ", embed_partial(pattern, N5) is not None)
 

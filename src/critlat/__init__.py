@@ -49,7 +49,6 @@ from .lattice import (
     dual,
     embed_partial,
     enumerate_subuniverses,
-    induced_partial_sublattice,
     is_distributive,
     is_isomorphic,
     lattice_dot,

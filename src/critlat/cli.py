@@ -364,11 +364,12 @@ def build_parser():
     p.set_defaults(func=cmd_glued_diagram)
 
     p = sub.add_parser("lift-check", help="verify a lifting bundle")
-    p.add_argument("bundle", nargs="?", default=None)
-    p.add_argument("--identity", default=None,
-                   help="build and check the identity lifting of this lattice")
-    p.add_argument("--dual-of", default=None,
-                   help="build and check the dual lifting of this lattice")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("bundle", nargs="?", default=None)
+    one.add_argument("--identity", default=None,
+                     help="build and check the identity lifting of this lattice")
+    one.add_argument("--dual-of", default=None,
+                     help="build and check the dual lifting of this lattice")
     json_flag(p)
     p.set_defaults(func=cmd_lift_check)
 

@@ -1066,27 +1066,33 @@ def is_distributive(L):
 # --- partial lattices ---
 
 class PartialLattice:
-    """A set with partially defined meet and join tables.
+    """The partial sublattice that a lattice L induces on a subset: the
+    subset's elements in L's order, with a meet or join defined exactly when
+    its value in L lies in the subset (all of L when subset is None).
 
-    Operations are stored symmetrically; bounds are optional and marked only
-    when the structure is spanning (contains designated 0 and 1).
+    meets and joins map position pairs, in both orders, to positions.  A
+    bounded partial lattice keeps L's 0 and 1 as bottom_i and top_i, so the
+    subset must contain both; bounded=False leaves them unmarked.
     """
 
-    __slots__ = ("labels", "_index", "meets", "joins", "bottom_i", "top_i", "name")
+    __slots__ = ("labels", "_index", "meets", "joins", "bottom_i", "top_i")
 
-    def __init__(self, labels, meets, joins, bottom_i=None, top_i=None, name=None):
-        self.labels = tuple(labels)
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self.meets = dict(meets)
-        self.joins = dict(joins)
-        for table in (self.meets, self.joins):
-            for (i, j), k in list(table.items()):
-                if table.get((j, i), k) != k:
-                    raise CritlatError("partial operation is not symmetric")
-                table[(j, i)] = k
-        self.bottom_i = bottom_i
-        self.top_i = top_i
-        self.name = name
+    def __init__(self, L, subset=None, bounded=True):
+        idxs = range(L.n) if subset is None else sorted({L.index(x) for x in subset})
+        pos = {g: k for k, g in enumerate(idxs)}
+        if bounded and (L.bottom_i not in pos or L.top_i not in pos):
+            raise NotSpanning("subset must contain both bounds")
+        self.labels = tuple(L.labels[i] for i in idxs)
+        self._index = {lab: k for k, lab in enumerate(self.labels)}
+        self.meets, self.joins = {}, {}
+        for a, ia in enumerate(idxs):
+            for b, ib in enumerate(idxs):
+                if (v := pos.get(L.meet_i(ia, ib))) is not None:
+                    self.meets[(a, b)] = v
+                if (v := pos.get(L.join_i(ia, ib))) is not None:
+                    self.joins[(a, b)] = v
+        self.bottom_i = pos[L.bottom_i] if bounded else None
+        self.top_i = pos[L.top_i] if bounded else None
 
     @property
     def n(self):
@@ -1112,44 +1118,10 @@ class PartialLattice:
 
     @property
     def bounded(self):
-        return self.bottom_i is not None and self.top_i is not None
-
-    @classmethod
-    def from_lattice(cls, L, bounded=True):
-        meets = {}
-        joins = {}
-        for i in range(L.n):
-            for j in range(L.n):
-                meets[(i, j)] = L.meet_i(i, j)
-                joins[(i, j)] = L.join_i(i, j)
-        return cls(L.labels, meets, joins,
-                   bottom_i=L.bottom_i if bounded else None,
-                   top_i=L.top_i if bounded else None, name=L.name)
+        return self.bottom_i is not None
 
     def __repr__(self):
-        nm = self.name or f"{self.n} elements"
-        return f"<PartialLattice {nm}>"
-
-
-def induced_partial_sublattice(L, subset) -> PartialLattice:
-    """Partial sublattice on `subset`: an operation is defined exactly when its
-    value computed in L lies in the subset.  Requires 0 and 1 in the subset."""
-    idxs = sorted({L.index(x) for x in subset})
-    if L.bottom_i not in idxs or L.top_i not in idxs:
-        raise NotSpanning("subset must contain both bounds")
-    pos = {g: k for k, g in enumerate(idxs)}
-    meets = {}
-    joins = {}
-    for a, ia in enumerate(idxs):
-        for b, ib in enumerate(idxs):
-            v = L.meet_i(ia, ib)
-            if v in pos:
-                meets[(a, b)] = pos[v]
-            v = L.join_i(ia, ib)
-            if v in pos:
-                joins[(a, b)] = pos[v]
-    return PartialLattice([L.labels[i] for i in idxs], meets, joins,
-                          bottom_i=pos[L.bottom_i], top_i=pos[L.top_i])
+        return f"<PartialLattice {self.n} elements>"
 
 
 def embed_partial(K: PartialLattice, L) -> Optional[dict]:

@@ -49,11 +49,11 @@ from .errors import (
 )
 from .lattice import (
     Homomorphism,
+    PartialLattice,
     _assignments,
     _same_or_dual,
     chain_order,
     dual,
-    induced_partial_sublattice,
 )
 
 CHAIN_SEARCH_BUDGET = 200_000
@@ -265,7 +265,7 @@ def extract_embedding(lift: Lifting, subset):
     if not isinstance(poset, IndexPoset):
         raise CritlatError("extract_embedding needs a chain-diagram lifting")
     L = lift.target.J[TOP].host
-    K = induced_partial_sublattice(L, subset)
+    K = PartialLattice(L, subset)
     B_top = B.lattices[TOP]
     bot, top = L.bottom, L.top
 
@@ -459,11 +459,18 @@ def lifting_to_json(lift: Lifting) -> dict:
 
 def lifting_from_json(obj) -> Lifting:
     """The lifting of a bundle written by lifting_to_json; FormatError when
-    the bundle does not have that shape, as when the xi of a node does not
-    list each congruence of its source exactly once."""
+    the bundle does not have that shape: its "schema" is not the integer 1,
+    an xi key names no source node, or the xi of a node does not list each
+    congruence of its source exactly once."""
     try:
+        schema = obj.get("schema")
+        if type(schema) is not int or schema != 1:
+            raise FormatError("bad lifting bundle: \"schema\" must be 1")
         src = diagram_from_json(obj["source"])
         tgt = diagram_from_json(obj["target"])
+        unknown = sorted(set(obj["xi"]) - {str(n) for n in src.poset.elements})
+        if unknown:
+            raise FormatError(f"bad lifting bundle: xi key {unknown[0]!r} names no node")
         S = apply_conc(tgt)
         xi = {}
         for n in src.poset.elements:

@@ -9,13 +9,22 @@ from pathlib import Path
 import pytest
 
 from critlat.cli import build_parser, run
+from critlat.diagrams import chain_diagram_of_partial
 from critlat.lattice import builtin, lattice_to_json, save_lattice
+from critlat.liftings import identity_lifting, lifting_to_json
 
 
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def identity_bundle(name):
+    """The lifting_to_json bundle of the identity lifting of the chain
+    diagram of the builtin lattice name, over all of its elements."""
+    L = builtin(name)
+    return lifting_to_json(identity_lifting(chain_diagram_of_partial(L, L.labels)[0]))
 
 
 class TestBasics:
@@ -179,20 +188,14 @@ class TestOperations:
         assert code == 0 and out.strip() == "valid"
 
     def test_lift_check_bundle_file(self, tmp_path, capsys):
-        from critlat.diagrams import chain_diagram_of_partial
-        from critlat.liftings import identity_lifting, lifting_to_json
-        D, _ = chain_diagram_of_partial(builtin("N5"), builtin("N5").labels)
         p = tmp_path / "bundle.json"
-        p.write_text(json.dumps(lifting_to_json(identity_lifting(D))))
+        p.write_text(json.dumps(identity_bundle("N5")))
         code, out, _ = invoke(capsys, "lift-check", str(p))
         assert code == 0 and out.strip() == "valid"
 
     def test_lift_check_failing_bundle_is_one(self, tmp_path, capsys):
         # a well-formed bundle whose xi at the top swaps two congruences
-        from critlat.diagrams import chain_diagram_of_partial
-        from critlat.liftings import identity_lifting, lifting_to_json
-        D, _ = chain_diagram_of_partial(builtin("N5"), builtin("N5").labels)
-        bundle = lifting_to_json(identity_lifting(D))
+        bundle = identity_bundle("N5")
         xi = bundle["xi"]["T"]
         xi[1][1], xi[2][1] = xi[2][1], xi[1][1]
         p = tmp_path / "bundle.json"
@@ -283,12 +286,8 @@ class TestBudgetFlags:
         assert code == 2 and "J(Con L) budget" in err
 
     def test_chain_12_bundle_replays(self, tmp_path, capsys):
-        from critlat.diagrams import chain_diagram_of_partial
-        from critlat.liftings import identity_lifting, lifting_to_json
-        L = builtin("chain:12")
-        D, _ = chain_diagram_of_partial(L, L.labels)
         p = tmp_path / "chain12.json"
-        p.write_text(json.dumps(lifting_to_json(identity_lifting(D))))
+        p.write_text(json.dumps(identity_bundle("chain:12")))
         assert invoke(capsys, "lift-check", str(p)) == (0, "valid\n", "")
 
     def test_env_product_cap(self, capsys):
@@ -423,9 +422,8 @@ class TestInputContract:
         # an identity lifting with both posets' order broken the same way:
         # the M:3 chain diagram, or for the cycle a <= b <= a the diagram of
         # two copies of 2 joined by identities, which is transitive
-        from critlat.diagrams import FinitePoset, LatticeDiagram, chain_diagram_of_partial
+        from critlat.diagrams import FinitePoset, LatticeDiagram
         from critlat.lattice import Homomorphism
-        from critlat.liftings import identity_lifting, lifting_to_json
         if kind == "cycle":
             two = builtin("2")
             ident = Homomorphism.identity(two)
@@ -459,11 +457,7 @@ class TestInputContract:
             self, tmp_path, capsys, kind):
         # N5's identity lifting with xi at the top node cut short or padded:
         # an unlisted congruence must not be read as sent to the zero one
-        from critlat.diagrams import chain_diagram_of_partial
-        from critlat.liftings import identity_lifting, lifting_to_json
-        N5 = builtin("N5")
-        D, _ = chain_diagram_of_partial(N5, N5.labels)
-        bundle = lifting_to_json(identity_lifting(D))
+        bundle = identity_bundle("N5")
         entries = bundle["xi"]["T"]
         if kind == "missing":
             del entries[0]
@@ -478,9 +472,41 @@ class TestInputContract:
         assert err == ("error: FormatError: bad lifting bundle: xi at T does not "
                        "list each congruence of its source exactly once\n")
 
+    @pytest.mark.parametrize("kind, error", [
+        ("schema-99", '"schema" must be 1'),
+        ("no-schema", '"schema" must be 1'),
+        ("schema-true", '"schema" must be 1'),
+        ("schema-float", '"schema" must be 1'),
+        ("unknown-xi-key", "xi key 'nonsense' names no node"),
+    ])
+    def test_bundle_with_bad_schema_or_xi_key_is_two(self, tmp_path, capsys, kind, error):
+        # N5's identity bundle with its "schema" changed or dropped, or with
+        # an xi list keyed by a node the source poset does not list
+        bundle = identity_bundle("N5")
+        if kind == "unknown-xi-key":
+            bundle["xi"]["zz"] = bundle["xi"]["nonsense"] = [[1, 2]]
+        elif kind == "no-schema":
+            del bundle["schema"]
+        else:
+            bundle["schema"] = {"schema-99": 99, "schema-true": True, "schema-float": 1.0}[kind]
+        p = tmp_path / "bundle.json"
+        p.write_text(json.dumps(bundle))
+        code, _, err = invoke(capsys, "lift-check", str(p))
+        assert code == 2
+        assert err == f"error: FormatError: bad lifting bundle: {error}\n"
+
     def test_lift_check_without_input_is_two(self, capsys):
         code, _, err = invoke(capsys, "lift-check")
         assert code == 2 and "--identity or --dual-of" in err
+
+    @pytest.mark.parametrize("argv", ["{} --identity M:3", "--identity M:3 --dual-of N5"])
+    def test_lift_check_with_two_inputs_is_two(self, tmp_path, capsys, argv):
+        # a bundle, --identity and --dual-of exclude one another: naming two
+        # is a usage error, not a check of one of them
+        p = tmp_path / "bundle.json"
+        p.write_text(json.dumps(identity_bundle("N5")))
+        code, out, err = invoke(capsys, "lift-check", *argv.format(p).split())
+        assert code == 2 and out == "" and "not allowed with argument" in err
 
     @pytest.mark.parametrize("argv, error", [
         ("chain-diagram M:3 --subset 0,zz,1", "UnknownElement"),

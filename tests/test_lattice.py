@@ -31,7 +31,6 @@ from critlat.lattice import (
     dual,
     embed_partial,
     enumerate_subuniverses,
-    induced_partial_sublattice,
     is_distributive,
     is_isomorphic,
     lattice_dot,
@@ -615,49 +614,49 @@ class TestChains:
 
 
 class TestPartial:
-    def test_total_from_lattice(self, named):
-        K = PartialLattice.from_lattice(named["M:3"])
+    def test_total_of_lattice(self, named):
+        K = PartialLattice(named["M:3"])
         assert K.meet_defined("x1", "x2") and K.bounded
 
     def test_induced_cube_example(self):
         b3 = builtin("bool:3")
-        K = induced_partial_sublattice(b3, ["000", "100", "110", "011", "111"])
+        K = PartialLattice(b3, ["000", "100", "110", "011", "111"])
         assert K.join_defined("100", "011") and K.join("100", "011") == "111"
         assert not K.meet_defined("110", "011")  # value 010 is outside
 
     def test_bounds_only(self, named):
-        K = induced_partial_sublattice(named["M:3"], ["0", "1"])
+        K = PartialLattice(named["M:3"], ["0", "1"])
         assert K.meet_defined("0", "1") and K.join_defined("0", "1")
         assert K.meet_defined("0", "0") and K.join_defined("1", "1")
 
     def test_not_spanning(self, named):
         with pytest.raises(NotSpanning):
-            induced_partial_sublattice(named["M:3"], ["x1", "x2"])
+            PartialLattice(named["M:3"], ["x1", "x2"])
 
 
 class TestEmbedPartial:
     def test_total_into_superlattice(self, named):
-        K = PartialLattice.from_lattice(named["M:3"], bounded=True)
+        K = PartialLattice(named["M:3"], bounded=True)
         found = embed_partial(K, named["M:4"])
         assert found is not None
         assert len(set(found.values())) == 5
 
     def test_m3_pattern_not_in_n5(self, named):
-        K = PartialLattice.from_lattice(named["M:3"], bounded=False)
+        K = PartialLattice(named["M:3"], bounded=False)
         assert embed_partial(K, named["N5"]) is None
 
     def test_too_small_target(self, named):
-        K = PartialLattice.from_lattice(named["2"])
+        K = PartialLattice(named["2"])
         assert embed_partial(K, named["one"]) is None
 
     @pytest.mark.parametrize("target, want", [("2", None), ("one", {"*": "*"})])
     def test_one_element_sends_0_and_1_to_bounds(self, named, target, want):
-        K = PartialLattice.from_lattice(named["one"])
+        K = PartialLattice(named["one"])
         assert embed_partial(K, named[target]) == want
 
     def test_induced_partial_embeds_into_host(self, named):
         b3 = named["bool:3"]
-        K = induced_partial_sublattice(b3, ["000", "100", "110", "011", "111"])
+        K = PartialLattice(b3, ["000", "100", "110", "011", "111"])
         found = embed_partial(K, b3)
         assert found is not None
 
@@ -666,13 +665,24 @@ class TestEmbedPartial:
     def test_agrees_with_oracle(self, small_lattices, data):
         # the partial sublattice induced by a random spanning subset of a
         # corpus lattice, bounded or not, into another corpus lattice: the
-        # same first witness in lexicographic order, or None from both
+        # same first witness in lexicographic order, or None from both.  K's
+        # tables hold exactly the pairs whose meet or join, by the order
+        # oracle, lies in the subset, at that value's position
         S = data.draw(st.sampled_from(small_lattices))
         inner = sorted(set(S.labels) - {S.bottom, S.top})
         extra = data.draw(st.sets(st.sampled_from(inner))) if inner else set()
-        K = induced_partial_sublattice(S, [S.bottom, S.top, *extra])
+        subset = [S.bottom, S.top, *extra]
+        K = PartialLattice(S, subset)
         if data.draw(st.booleans()):
-            K = PartialLattice(K.labels, K.meets, K.joins)
+            K = PartialLattice(S, K.labels, bounded=False)
+        meet, join = oracle_tables_from_order(S.labels, S._leq)[:2]
+        idxs = sorted({S.index(x) for x in subset})
+        assert K.labels == tuple(S.labels[i] for i in idxs)
+        pos = {g: k for k, g in enumerate(idxs)}
+        for got, table in ((K.meets, meet), (K.joins, join)):
+            assert got == {(a, b): pos[table[i, j]]
+                           for a, i in enumerate(idxs) for b, j in enumerate(idxs)
+                           if table[i, j] in pos}
         L = data.draw(st.sampled_from(small_lattices))
         assert embed_partial(K, L) == oracle_embed_partial(K, L)
 
@@ -680,13 +690,13 @@ class TestEmbedPartial:
         # the search keeps its own stack: the 101 elements of chain:100 are
         # placed with the recursion limit only 50 frames above the caller
         L = builtin("chain:100")
-        K = induced_partial_sublattice(L, L.labels)
+        K = PartialLattice(L, L.labels)
         with recursion_limit_above_caller(50):
             found = embed_partial(K, L)
         assert found == {x: x for x in L.labels}
 
     def test_budget_message(self, named):
-        K = PartialLattice.from_lattice(named["M:3"], bounded=False)
+        K = PartialLattice(named["M:3"], bounded=False)
         with mock.patch.object(lattice, "EMBED_NODE_BUDGET", 10):
             with pytest.raises(BudgetExceeded,
                                match="^partial embedding search budget exhausted$"):
