@@ -3,6 +3,8 @@
 Run:  python demos/02_congruences.py
 """
 
+import numpy as np
+
 from critlat import (
     ConcMap,
     builtin,
@@ -47,19 +49,15 @@ for w in find_congruence_chains(sq, "00", "11"):
 
 # Directness compares the step congruences against a reference chain through
 # a fixed isomorphism; swapping the atoms breaks it.  A Conc map is held by
-# its values on 0 and on the join-irreducible congruences; from_mapping reads
-# one from a mapping between the congruence lists.
+# its values on 0 and on the join-irreducible congruences, as down-set masks
+# over J(Con): here 0 goes to 0 and the k-th atom of Con(sq) to the k-th atom
+# of Con(C), whose down-set is row k of conC.J.leq.T.
 consq = con_lattice(sq)
 C = builtin("chain:2")
 conC = con_lattice(C)
-import numpy as np
-mapping = np.zeros(consq.n, dtype=np.int32)
-mapping[consq.bottom_i] = conC.bottom_i
-mapping[consq.top_i] = conC.top_i
-a0, a1 = consq.atoms
-t0, t1 = conC.atoms
-mapping[a0], mapping[a1] = t0, t1
-xi = ConcMap.from_mapping(consq, conC, mapping)
+zero = np.zeros(len(conC.J), dtype=bool)
+images = conC.J.leq.T
+xi = ConcMap(consq.J, conC.J, zero, images)
 print("00 < 01 < 11 direct:", is_direct_congruence_chain(sq, ["00", "01", "11"], xi, C))
 print("00 < 10 < 11 direct:", is_direct_congruence_chain(sq, ["00", "10", "11"], xi, C))
 

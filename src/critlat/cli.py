@@ -69,12 +69,12 @@ def cmd_con(args):
             "simple": simple,
             "size": con.n,
             "boolean": boolean,
-            "atoms": len(con.atoms),
+            "atoms": len(con.J.minimal()),
             "congruences": [t.label_blocks() for t in con.cons],
         })
     else:
         print(f"simple: {str(simple).lower()}, |Con| = {con.n}")
-        print(f"boolean: {str(boolean).lower()}, atoms: {len(con.atoms)}")
+        print(f"boolean: {str(boolean).lower()}, atoms: {len(con.J.minimal())}")
     return 0
 
 

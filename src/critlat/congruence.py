@@ -303,8 +303,7 @@ class ConLattice:
     elements first, then block_of.
     """
 
-    __slots__ = ("host", "J", "masks", "cons", "_by_key",
-                 "bottom_i", "top_i", "atoms")
+    __slots__ = ("host", "J", "masks", "cons")
 
     def __init__(self, J: JoinIrreducibles, masks, cons):
         self.host = J.host
@@ -312,21 +311,10 @@ class ConLattice:
         self.masks = masks
         self.masks.flags.writeable = False
         self.cons = tuple(cons)
-        self._by_key = {t.block_of: k for k, t in enumerate(self.cons)}
-        self.bottom_i = int(np.nonzero(~masks.any(axis=1))[0][0])
-        self.top_i = int(np.nonzero(masks.all(axis=1))[0][0])
-        self.atoms = tuple(int(k) for k in np.nonzero(masks.sum(axis=1) == 1)[0])
 
     @property
     def n(self):
         return len(self.cons)
-
-    def index_of(self, theta: Congruence) -> int:
-        try:
-            return self._by_key[theta.block_of]
-        except KeyError:
-            raise NotACongruence(
-                f"{theta!r} is not a congruence of {self.host!r}") from None
 
     def __repr__(self):
         return f"<ConLattice of {self.host!r}, {self.n} congruences>"
@@ -385,8 +373,8 @@ class ConcMap:
 
     zero is the down-set mask over J(Con T) of phi(0) and images[j] that of
     phi(down j) for each member j of J(Con S); phi(x) is their join over x.
-    join_preserving is False only for a map that from_mapping read from a
-    mapping that does not preserve joins; such a map is no isomorphism.
+    join_preserving is False only for a map that lifting_from_json read from
+    a bundle whose pairs do not preserve joins; such a map is no isomorphism.
     """
 
     __slots__ = ("source", "target", "zero", "images", "join_preserving")
@@ -405,25 +393,6 @@ class ConcMap:
     def identity(cls, J: JoinIrreducibles):
         # row j of J.leq.T is the down-set of the member j
         return cls(J, J, np.zeros(len(J), dtype=bool), J.leq.T)
-
-    @classmethod
-    def from_mapping(cls, con_s: ConLattice, con_t: ConLattice, mapping):
-        """The map sending con_s.cons[k] to con_t.cons[mapping[k]], read off
-        its values on 0 and on each down j."""
-        m = np.asarray(mapping, dtype=np.intp)
-        if m.shape != (con_s.n,) or not ((m >= 0) & (m < con_t.n)).all():
-            raise CritlatError("mapping does not fit the Con lattices")
-        down = np.array([con_s.index_of(t) for t in con_s.J.cons], dtype=np.intp)
-        cm = cls(con_s.J, con_t.J, con_t.masks[m[con_s.bottom_i]],
-                 con_t.masks[m[down]])
-        cm.join_preserving = bool((cm.on_masks(con_s.masks) == con_t.masks[m]).all())
-        return cm
-
-    def mapping_on(self, con_s: ConLattice, con_t: ConLattice):
-        """The index in con_t of phi(c) for each congruence c of con_s."""
-        index = {row.tobytes(): k for k, row in enumerate(con_t.masks)}
-        return np.array([index[row.tobytes()] for row in self.on_masks(con_s.masks)],
-                        dtype=np.int32)
 
     def on_masks(self, masks):
         """phi of down-set masks over J(Con source), one per row."""

@@ -29,12 +29,12 @@ AT_MOST_ALEPH2 = "AtMostAleph2"
 @dataclass
 class CritVerdict:
     verdict: str
-    contain_plain: bool
-    contain_dual: bool
     cert_plain: VarCertificate
     cert_dual: VarCertificate
     separating_si: Optional[SIQuotient]
     justification: str
+    contain_plain = property(lambda self: self.cert_plain.holds)
+    contain_dual = property(lambda self: self.cert_dual.holds)
 
     def to_json(self):
         out = {
@@ -65,13 +65,13 @@ def crit_gate(K, L, max_subuniverses=HS_TUPLE_BUDGET) -> CritVerdict:
     if a or b:
         side = "Var L" if a else "the dual of Var L"
         return CritVerdict(
-            INFINITE, a, b, cert_a, cert_b, None,
+            INFINITE, cert_a, cert_b, None,
             f"Var K is contained in {side}; compact congruence classes "
             "transfer along containment and dualization, so every member's "
             "congruence lattice already occurs over Var L.")
     sep = checks.separating_si(K, L, Ld)
     return CritVerdict(
-        AT_MOST_ALEPH2, a, b, cert_a, cert_b, sep,
+        AT_MOST_ALEPH2, cert_a, cert_b, sep,
         "Var K lies in neither Var L nor its dual; by the dichotomy for "
         "finitely generated lattice varieties the compact congruence classes "
         "separate at cardinality at most aleph-two.")
@@ -83,14 +83,12 @@ class ConcReport:
     l_in_k: bool
     k_in_dual_l: bool
     l_in_dual_k: bool
-    conc_forward: bool       # Conc(Var K) subset of Conc(Var L)
-    conc_backward: bool
     isomorphic: bool
     dually_isomorphic: bool
-
-    @property
-    def conc_equal(self):
-        return self.conc_forward and self.conc_backward
+    # Conc(Var K) is a subset of Conc(Var L), and back
+    conc_forward = property(lambda self: self.k_in_l or self.k_in_dual_l)
+    conc_backward = property(lambda self: self.l_in_k or self.l_in_dual_k)
+    conc_equal = property(lambda self: self.conc_forward and self.conc_backward)
 
     def to_json(self):
         return {
@@ -123,8 +121,6 @@ def conc_class_report(K, L, max_subuniverses=HS_TUPLE_BUDGET) -> ConcReport:
     d, _ = checks.var_leq(L, Kd)
     return ConcReport(
         a, b, c, d,
-        conc_forward=a or c,
-        conc_backward=b or d,
         isomorphic=is_isomorphic(K, L) is not None,
         dually_isomorphic=is_isomorphic(K, Ld) is not None,
     )

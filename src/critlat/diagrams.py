@@ -11,6 +11,7 @@ any lifting to be direct.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Optional, Sequence
@@ -73,7 +74,9 @@ class DiagNode:
     def __str__(self):
         if self.is_top:
             return "T"
-        return "{" + "|".join("<".join(c) for c in self.chains) + "}"
+        # a backslash before each \ < | { } of a label keeps distinct ids apart
+        return "{" + "|".join("<".join(re.sub(r"([\\<|{}])", r"\\\1", x) for x in c)
+                              for c in self.chains) + "}"
 
     def __repr__(self):
         return str(self)
@@ -259,13 +262,14 @@ class LatticeDiagram:
 
 
 class SemilatticeDiagram:
-    """J(Con) of each node, with join-preserving transition maps."""
+    """J(Con) of each node of of_diagram, with join-preserving transition maps."""
 
-    def __init__(self, poset, J: dict, maps: dict, of_diagram):
-        self.poset = poset
+    def __init__(self, J: dict, maps: dict, of_diagram):
         self.J = dict(J)
         self.maps = dict(maps)
         self.of_diagram = of_diagram
+
+    poset = property(lambda self: self.of_diagram.poset)
 
     def __repr__(self):
         return f"<SemilatticeDiagram on {len(self.poset.elements)} nodes>"
@@ -562,7 +566,7 @@ class GluedDiagram:
     diagram: LatticeDiagram
     chains: tuple
     triples: tuple          # admissible (c1, c2, d) role triples
-    factor_count: int       # 1 + number of triples
+    factor_count = property(lambda self: 1 + len(self.triples))   # and the chain diagram
 
 
 def admissible_triples(chains):
@@ -605,7 +609,7 @@ def glued_diagram(L, subset, kgen) -> GluedDiagram:
         dd = directing_diagram(kgen, c1, c2, d)
         factors.append(extend_diagram(dd, chains))
     glued = product_over(ip.jc, factors)
-    return GluedDiagram(glued, tuple(chains), tuple(triples), len(factors))
+    return GluedDiagram(glued, tuple(chains), tuple(triples))
 
 
 # --- Conc applied to a diagram ---
@@ -617,7 +621,7 @@ def apply_conc(D: LatticeDiagram) -> SemilatticeDiagram:
     memo = ConcMemo()
     J = {n: memo.J(D.lattices[n]) for n in D.poset.elements}
     maps = {(p, q): memo.conc(D.maps[(p, q)], J[p], J[q]) for (p, q) in D.poset.pairs()}
-    return SemilatticeDiagram(D.poset, J, maps, of_diagram=D)
+    return SemilatticeDiagram(J, maps, of_diagram=D)
 
 
 # --- serialization ---
@@ -638,8 +642,9 @@ def diagram_to_json(D: LatticeDiagram) -> dict:
 
 def diagram_from_json(obj) -> LatticeDiagram:
     """The diagram written by diagram_to_json; FormatError unless the nodes
-    are distinct and the order pairs, closed under reflexivity, form a
-    partial order on them."""
+    are distinct, the order pairs, closed under reflexivity, form a partial
+    order on them, "lattices" is keyed by the nodes, and "maps" by "p<=q"
+    for order pairs p < q, each map keyed by the elements of p's lattice."""
     nodes = list(obj["poset"]["nodes"])
     le = [(a, b) for a, b in obj["poset"]["leq"]]
     if len(set(nodes)) != len(nodes):
@@ -654,13 +659,18 @@ def diagram_from_json(obj) -> LatticeDiagram:
                 c = a if a in ups[b] else min(ups[b] - up)
                 raise FormatError("the order is not a partial order: "
                                   f"{nodes[a]} <= {nodes[b]} <= {nodes[c]}")
+    if set(obj["lattices"]) != set(nodes):
+        raise FormatError("the lattices are not keyed by exactly the poset's nodes")
     lattices = {n: lattice_from_json(obj["lattices"][n]) for n in nodes}
-    maps = {}
-    for n in nodes:
-        maps[(n, n)] = Homomorphism.identity(lattices[n])
+    maps = {(n, n): Homomorphism.identity(lattices[n]) for n in nodes}
+    edges = {f"{p}<={q}": (p, q) for (p, q) in poset.pairs() if p != q}
     for key, mp in obj["maps"].items():
-        a, b = key.split("<=")
+        if key not in edges:
+            raise FormatError(f"the map key {key!r} names no order pair p < q")
+        a, b = edges[key]
         src, tgt = lattices[a], lattices[b]
+        if set(mp) != set(src.labels):
+            raise FormatError(f"the map {key!r} does not map exactly the elements of {a}")
         # the constructor below checks the laws of these maps
         maps[(a, b)] = Homomorphism._trusted(src, tgt, [tgt.index(mp[x]) for x in src.labels])
     return LatticeDiagram(poset, lattices, maps)

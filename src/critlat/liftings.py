@@ -444,24 +444,48 @@ def retraction_congruence_chain(f: Homomorphism, pi0: Homomorphism,
 # --- serialization ---
 
 def lifting_to_json(lift: Lifting) -> dict:
-    A = lift.target.of_diagram
+    """The bundle of a lifting: per node, the label partitions of theta and
+    xi(theta) for each congruence theta of the source, in the canonical
+    order of Con.  Con is built for the source nodes only."""
     xi = {}
     for n in lift.source.poset.elements:
-        x = lift.xi[n]
-        con_s, con_t = con_lattice(lift.source.lattices[n]), con_lattice(x.target.host)
-        xi[str(n)] = [[con_s.cons[k].label_blocks(), con_t.cons[t].label_blocks()]
-                      for k, t in enumerate(x.mapping_on(con_s, con_t).tolist())]
+        x, con = lift.xi[n], con_lattice(lift.source.lattices[n])
+        images = x.target.congruences(x.on_masks(con.masks))
+        xi[str(n)] = [[s.label_blocks(), t.label_blocks()] for s, t in zip(con.cons, images)]
     return {"schema": 1,
             "source": diagram_to_json(lift.source),
-            "target": diagram_to_json(A),
+            "target": diagram_to_json(lift.target.of_diagram),
             "xi": xi}
+
+
+def _xi_from_pairs(JS: JoinIrreducibles, JT: JoinIrreducibles, entries, node) -> ConcMap:
+    """xi at node from its listed (source, target) partition pairs, each read
+    as two down-set masks over JS and JT.  They list each congruence once iff
+    the source masks are distinct, hold the empty one, and hold m | down j
+    for each listed m and member j: every down-set is reached from the empty
+    one by adding down j's.  xi is given by the pairs at 0 and at each down
+    j, and preserves joins iff every other pair agrees."""
+    pairs = [(JS.mask_of(Congruence.from_label_blocks(JS.host, sb).block_of),
+              JT.mask_of(Congruence.from_label_blocks(JT.host, tb).block_of))
+             for sb, tb in entries]
+    source = np.array([s for s, _ in pairs], dtype=bool).reshape(len(pairs), len(JS))
+    target = np.array([t for _, t in pairs], dtype=bool)
+    at, zero, downs = {m.tobytes(): i for i, m in enumerate(source)}, bytes(len(JS)), JS.leq.T
+    if len(at) != len(pairs) or zero not in at \
+            or not all(row.tobytes() in at for m in source for row in m | downs):
+        raise FormatError(f"bad lifting bundle: xi at {node} does not list "
+                          "each congruence of its source exactly once")
+    cm = ConcMap(JS, JT, target[at[zero]], target[[at[d.tobytes()] for d in downs]])
+    cm.join_preserving = bool((cm.on_masks(source) == target).all())
+    return cm
 
 
 def lifting_from_json(obj) -> Lifting:
     """The lifting of a bundle written by lifting_to_json; FormatError when
     the bundle does not have that shape: its "schema" is not the integer 1,
     an xi key names no source node, or the xi of a node does not list each
-    congruence of its source exactly once."""
+    congruence of its source exactly once.  No Con is built: each xi is
+    read on J(Con) of its node's source and target (_xi_from_pairs)."""
     try:
         schema = obj.get("schema")
         if type(schema) is not int or schema != 1:
@@ -472,19 +496,11 @@ def lifting_from_json(obj) -> Lifting:
         if unknown:
             raise FormatError(f"bad lifting bundle: xi key {unknown[0]!r} names no node")
         S = apply_conc(tgt)
+        memo = ConcMemo()
         xi = {}
         for n in src.poset.elements:
-            con_s, con_t = con_lattice(src.lattices[n]), con_lattice(tgt.lattices[n])
-            entries = obj["xi"][str(n)]
-            mapping = np.full(con_s.n, -1, dtype=np.int32)
-            for sb, tb in entries:
-                si = con_s.index_of(Congruence.from_label_blocks(src.lattices[n], sb))
-                mapping[si] = con_t.index_of(
-                    Congruence.from_label_blocks(tgt.lattices[n], tb))
-            if len(entries) != con_s.n or (mapping < 0).any():
-                raise FormatError(f"bad lifting bundle: xi at {n} does not list "
-                                  "each congruence of its source exactly once")
-            xi[n] = ConcMap.from_mapping(con_s, con_t, mapping)
+            JS, JT = memo.J(src.lattices[n]), S.J[n]
+            xi[n] = _xi_from_pairs(JS, JT, obj["xi"][str(n)], n)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(f"bad lifting bundle: {exc!r}") from None
     return Lifting(src, S, xi)

@@ -36,7 +36,6 @@ HS_TUPLE_BUDGET = 1_000_000
 @dataclass(frozen=True)
 class SIQuotient:
     """A subdirectly irreducible quotient K/theta with its monolith."""
-    parent: object
     theta: Congruence
     lattice: object
     monolith: Congruence
@@ -92,7 +91,7 @@ def si_quotients(K):
     for theta, Q, _proj, mono in _si_congruences(K):
         if any(is_isomorphic(prev.lattice, Q) is not None for prev in out):
             continue
-        out.append(SIQuotient(K, theta, Q, mono))
+        out.append(SIQuotient(theta, Q, mono))
     return out
 
 

@@ -13,10 +13,16 @@ without `--dual`/`--json`; `chain-diagram` plain, `--json` and `--dot`;
 diagrams; `glued-diagram`; and `lift-check` on the identity-lifting bundles of
 M3 and N5 (BUNDLES), written as files next to the products.
 
+The bundle writer is pinned by its text (bundle_texts): lifting_to_json of
+the identity and dual liftings of the chain diagram of each of
+LIFTING_BUILTINS, and of the identity liftings of the M3 and N5 directing
+diagrams over TRIPLE.
+
     PYTHONPATH=src python tests/golden.py
 
 rewrites golden_cli.json from the current code; test_golden.py compares the
-current code against that file.  A JSON output is stored parsed, and stands
+current code against that file.  A bundle text is stored under its
+bundle_texts key, as a string.  A JSON output is stored parsed, and stands
 for the text the CLI prints of it (`expected_stdout`).
 """
 
@@ -27,9 +33,9 @@ import sys
 from pathlib import Path
 
 from critlat.cli import run
-from critlat.diagrams import chain_diagram_of_partial
+from critlat.diagrams import chain_diagram_of_partial, directing_diagram
 from critlat.lattice import builtin, product, save_lattice
-from critlat.liftings import identity_lifting, lifting_to_json
+from critlat.liftings import dual_lifting, identity_lifting, lifting_to_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 BUILTINS = ("2", "M:3", "M:4", "M:5", "N5", "bool:2", "bool:3", "F22",
@@ -69,6 +75,25 @@ def cases():
     return [(" ".join(argv), argv) for argv in argvs]
 
 
+def bundle_texts():
+    """{key: text} of each pinned lifting bundle: "lifting_to_json <flag>
+    <lattice>", the flag --identity or --dual-of for the chain diagram over
+    all of the lattice's elements and --directing for the directing diagram
+    over TRIPLE; the text is json.dumps of the bundle, its keys in the order
+    lifting_to_json writes them."""
+    lifts = {}
+    for name in LIFTING_BUILTINS:
+        L = builtin(name)
+        lift = identity_lifting(chain_diagram_of_partial(L, list(L.labels))[0])
+        lifts[f"--identity {name}"] = lift
+        lifts[f"--dual-of {name}"] = dual_lifting(lift)
+    for gen in ("M:3", "N5"):
+        chains = [tuple(c.split(",")) for c in TRIPLE]
+        lifts[f"--directing {gen}"] = identity_lifting(directing_diagram(builtin(gen), *chains))
+    return {f"lifting_to_json {key}": json.dumps(lifting_to_json(lift))
+            for key, lift in lifts.items()}
+
+
 def lattices_of(argv):
     """The lattice names an argv is called on, as one string."""
     return " ".join(a for a in argv[1:] if not a.startswith("--"))
@@ -90,9 +115,10 @@ def expected_stdout(stored):
     return json.dumps(stored, indent=2, sort_keys=True) + "\n"
 
 
-def outputs(workdir):
+def outputs(workdir, texts):
     """{key: [exit code, stdout, stderr]} of every case, the products and
-    bundles saved under workdir, each stdout as stored (_stored)."""
+    bundles saved under workdir, each stdout as stored (_stored); texts is
+    bundle_texts()."""
     files = {}
     for key, factors in PRODUCTS.items():
         files[key] = str(Path(workdir) / f"{key}.json")
@@ -100,10 +126,8 @@ def outputs(workdir):
         L.name = key
         save_lattice(L, files[key])
     for key, name in BUNDLES.items():
-        L = builtin(name)
-        D, _ = chain_diagram_of_partial(L, list(L.labels))
         files[key] = str(Path(workdir) / f"{key}.json")
-        Path(files[key]).write_text(json.dumps(lifting_to_json(identity_lifting(D))))
+        Path(files[key]).write_text(texts[f"lifting_to_json --identity {name}"])
     out = {}
     for key, argv in cases():
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -116,7 +140,8 @@ def outputs(workdir):
 if __name__ == "__main__":
     import tempfile
 
+    texts = bundle_texts()
     with tempfile.TemporaryDirectory() as tmp:
-        got = outputs(tmp)
+        got = {**outputs(tmp, texts), **texts}
     GOLDEN.write_text(json.dumps(got, sort_keys=True, separators=(",", ":")) + "\n")
     print(f"{len(got)} outputs written to {GOLDEN}", file=sys.stderr)

@@ -5,6 +5,7 @@ Expected values marked as derived were computed with the independent oracles
 in oracles.py (partition filtering, subset filtering, permutation search).
 """
 
+import json
 import time
 
 import numpy as np
@@ -34,7 +35,6 @@ from critlat.lattice import (
     validate_lattice,
 )
 from critlat.liftings import (
-    Lifting,
     check_directing_property,
     direct_chains_at,
     dual_lifting,
@@ -42,6 +42,8 @@ from critlat.liftings import (
     extract_embedding_auto,
     find_congruence_chains,
     identity_lifting,
+    lifting_from_json,
+    lifting_to_json,
     retraction_congruence_chain,
     verify_lifting,
 )
@@ -224,20 +226,22 @@ def _edge_corruptions(D):
 
 
 def _xi_corruptions(lift):
+    """The lifting read back from its bundle with xi at one node changed to
+    xi . s, per node whose Con has two atoms or more: s swaps the first two
+    atoms of Con and fixes every other congruence, so the listed targets of
+    those two atoms trade places."""
+    bundle = lifting_to_json(lift)
     out = []
     for node in lift.source.poset.elements:
-        x = lift.xi[node]
-        con_s = con_lattice(lift.source.lattices[node])
-        con_t = con_lattice(x.target.host)
-        if len(con_s.atoms) < 2:
+        masks = con_lattice(lift.source.lattices[node]).masks
+        atoms = np.flatnonzero(masks.sum(axis=1) == 1)
+        if len(atoms) < 2:
             continue
-        perm = np.arange(con_s.n)
-        a, b = con_s.atoms[:2]
-        perm[a], perm[b] = b, a
-        xi = dict(lift.xi)
-        xi[node] = ConcMap.from_mapping(con_s, con_t, x.mapping_on(con_s, con_t)[perm])
-        out.append((f"xi swap at {node}",
-                    Lifting(lift.source, lift.target, xi)))
+        a, b = atoms[:2]
+        bad = json.loads(json.dumps(bundle))
+        entries = bad["xi"][str(node)]
+        entries[a][1], entries[b][1] = entries[b][1], entries[a][1]
+        out.append((f"xi swap at {node}", lifting_from_json(bad)))
     return out
 
 

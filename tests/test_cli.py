@@ -10,7 +10,7 @@ import pytest
 
 from critlat.cli import build_parser, run
 from critlat.diagrams import chain_diagram_of_partial
-from critlat.lattice import builtin, lattice_to_json, save_lattice
+from critlat.lattice import builtin, lattice_to_json, save_lattice, validate_lattice
 from critlat.liftings import identity_lifting, lifting_to_json
 
 
@@ -451,6 +451,45 @@ class TestInputContract:
         code, _, err = invoke(capsys, "lift-check", str(p))
         assert code == 2 and "FormatError" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind, error", [
+        ("extra-lattice", "the lattices are not keyed by exactly the poset's nodes"),
+        ("map-off-the-order", "the map key '{0<x1<1}<={0<x3<1}' names no order pair p < q"),
+        ("map-of-no-element", "the map '{}<=T' does not map exactly the elements of {}"),
+    ])
+    def test_bundle_with_a_key_it_does_not_read_is_two(self, tmp_path, capsys, kind, error):
+        # N5's identity bundle with, on both sides, a lattice keyed by no
+        # node, a map between two nodes that are not ordered, or a map entry
+        # keyed by a label that is not an element of the map's source
+        bundle = identity_bundle("N5")
+        for side in (bundle["source"], bundle["target"]):
+            if kind == "extra-lattice":
+                side["lattices"]["zz"] = side["lattices"]["{}"]
+            elif kind == "map-off-the-order":
+                side["maps"]["{0<x1<1}<={0<x3<1}"] = {"0": "0", "x1": "x3", "1": "1"}
+            else:
+                side["maps"]["{}<=T"]["zz"] = "0"
+        p = tmp_path / "bundle.json"
+        p.write_text(json.dumps(bundle))
+        code, _, err = invoke(capsys, "lift-check", str(p))
+        assert code == 2
+        assert err == f"error: FormatError: {error}\n"
+
+    @pytest.mark.parametrize("elements, covers", [
+        # the chains 0 < a < b < 1 and 0 < a<b < 1 once shared the id {0<a<b<1}
+        (["0", "a", "b", "a<b", "1"],
+         [("0", "a"), ("a", "b"), ("b", "1"), ("0", "a<b"), ("a<b", "1")]),
+        # the id {0<a<=b<1} once made a map key split in three
+        (["0", "a<=b", "1"], [("0", "a<=b"), ("a<=b", "1")]),
+    ], ids=["shared-id", "split-key"])
+    def test_labels_with_id_syntax_keep_node_ids_distinct(self, tmp_path, capsys,
+                                                          elements, covers):
+        L = validate_lattice(elements, covers)
+        D, _ = chain_diagram_of_partial(L, L.labels)
+        assert len({str(n) for n in D.poset.elements}) == len(D.poset.elements)
+        p = tmp_path / "bundle.json"
+        p.write_text(json.dumps(lifting_to_json(identity_lifting(D))))
+        assert invoke(capsys, "lift-check", str(p)) == (0, "valid\n", "")
 
     @pytest.mark.parametrize("kind", ["missing", "repeated", "two-entries"])
     def test_bundle_whose_xi_does_not_list_each_congruence_once_is_two(

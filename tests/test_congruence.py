@@ -28,12 +28,14 @@ from critlat.lattice import (
     builtin,
     dual,
     is_distributive,
+    lattice_to_json,
     product,
     product_projections,
     quotient,
     subuniverse_closure,
     validate_lattice,
 )
+from critlat.liftings import lifting_from_json
 
 from oracles import (
     all_partitions,
@@ -103,6 +105,16 @@ class TestJoinMeet:
             Congruence.zero(named["M:3"]).join(Congruence.zero(named["N5"]))
 
 
+def _atoms(con):
+    """The atoms of Con: the congruences whose down-set in J holds one member."""
+    return [t for t, m in zip(con.cons, con.masks) if m.sum() == 1]
+
+
+def _images(cm, con):
+    """phi(theta) for each congruence theta of con, read off its mask."""
+    return cm.target.congruences(cm.on_masks(con.masks))
+
+
 def _con_order_lattice(con):
     """Con L as a dense lattice on c0..c{m-1}: masks[a] is a subset of
     masks[b] iff no member of J is in a but not in b."""
@@ -155,7 +167,7 @@ class TestConcOfHom:
         L = named["N5"]
         cm = conc_of_hom(Homomorphism.identity(L))
         con = con_lattice(L)
-        assert (cm.mapping_on(con, con) == np.arange(con.n)).all()
+        assert _images(cm, con) == list(con.cons)
 
     def test_two_into_chain(self, named):
         two, c2 = named["2"], named["chain:2"]
@@ -168,9 +180,7 @@ class TestConcOfHom:
         sub, _ = subuniverse_closure(sq, ["00", "01", "11"])
         cm = conc_of_hom(inclusion_hom(sub, sq))
         consub, consq = con_lattice(sub), con_lattice(sq)
-        mapping = cm.mapping_on(consub, consq)
-        images = {int(mapping[a]) for a in consub.atoms}
-        assert images == set(consq.atoms)
+        assert {cm.apply(t) for t in _atoms(consub)} == set(_atoms(consq))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -264,12 +274,10 @@ class TestCongruenceChains:
         assert is_direct_congruence_chain(c2, ["0", "c1", "1"], xi, c2)
 
     def test_swapped_xi_not_direct(self, named):
+        # J(Con chain:2) is its two atoms: the swap permutes the rows of images
         c2 = named["chain:2"]
-        con = con_lattice(c2)
-        perm = np.arange(con.n)
-        a, b = con.atoms
-        perm[a], perm[b] = b, a
-        xi = ConcMap.from_mapping(con, con, perm)
+        J = JoinIrreducibles(c2)
+        xi = ConcMap(J, J, np.zeros(2, dtype=bool), J.leq.T[[1, 0]])
         assert xi.isomorphism
         assert not is_direct_congruence_chain(c2, ["0", "c1", "1"], xi, c2)
 
@@ -283,21 +291,16 @@ class TestCongruenceChains:
 
     def test_length_two_direct_or_dually_direct(self):
         # for any iso xi, a 3-element congruence chain matches one orientation
+        # J(Con sq) and J(Con C) are their two atoms: xi sends 0 to 0 and
+        # the atoms of Con sq onto those of Con C, in order or swapped
         sq = builtin("bool:2")
-        consq = con_lattice(sq)
+        Jsq = JoinIrreducibles(sq)
         dsq = dual(sq)
         C = builtin("chain:2")
-        conC = con_lattice(C)
+        JC = JoinIrreducibles(C)
         for perm_atoms in (False, True):
-            mapping = np.zeros(consq.n, dtype=np.int32)
-            a0, a1 = consq.atoms
-            t0, t1 = conC.atoms
-            if perm_atoms:
-                a0, a1 = a1, a0
-            mapping[consq.bottom_i] = conC.bottom_i
-            mapping[consq.top_i] = conC.top_i
-            mapping[a0], mapping[a1] = t0, t1
-            xi = ConcMap.from_mapping(consq, conC, mapping)
+            images = JC.leq.T[[1, 0]] if perm_atoms else JC.leq.T
+            xi = ConcMap(Jsq, JC, np.zeros(2, dtype=bool), images)
             # J(Con dual sq) is J(Con sq), so xi serves the dual unchanged
             xi_dual = xi
             for chain in (["00", "01", "11"], ["00", "10", "11"]):
@@ -462,8 +465,10 @@ def _assert_con_matches_oracle(L):
     index = {row.tobytes(): k for k, row in enumerate(M)}
     assert [[index[r.tobytes()] for r in row & M] for row in M] == want["meet"]
     assert [[index[r.tobytes()] for r in row | M] for row in M] == want["join"]
-    assert list(con.atoms) == want["atoms"]
-    assert (con.bottom_i, con.top_i) == (want["bottom"], want["top"])
+    # the atoms hold one member of J, the bounds none and all
+    assert np.flatnonzero(M.sum(axis=1) == 1).tolist() == want["atoms"]
+    assert (index[bytes(len(con.J))], index[b"\x01" * len(con.J)]) == \
+        (want["bottom"], want["top"])
     m = len(want["cons"])
     complemented = [any(want["meet"][x][y] == want["bottom"]
                         and want["join"][x][y] == want["top"] for y in range(m))
@@ -519,13 +524,13 @@ class TestDifferential:
         for pr in product_projections(P):
             conF = con_lattice(pr.target)
             cm = conc_of_hom(pr, conP.J, conF.J)
-            assert cm.mapping_on(conP, conF).tolist() == \
-                oracle_conc_of_hom(pr, wantP, oracle_con(pr.target))
+            wantF = oracle_con(pr.target)
+            assert _mapping(cm, conP, wantF) == oracle_conc_of_hom(pr, wantP, wantF)
         gens = data.draw(st.lists(st.sampled_from(P.labels), min_size=1, max_size=3))
         S, incl = subuniverse_closure(P, gens)
         conS = con_lattice(S)
         cm = conc_of_hom(incl, conS.J, conP.J)
-        assert cm.mapping_on(conS, conP).tolist() == oracle_conc_of_hom(incl, oracle_con(S), wantP)
+        assert _mapping(cm, conS, wantP) == oracle_conc_of_hom(incl, oracle_con(S), wantP)
         for pr in product_projections(P):
             _assert_composite_agrees(incl, pr)
 
@@ -591,16 +596,29 @@ def _oracle(L):
     return _ORACLE[id(L)][1:]
 
 
+def _mapping(cm, cs, wt):
+    """For each congruence of cs, the index among the oracle's congruences
+    wt of its image under cm, read off the image's partition."""
+    index = {bo: k for k, bo in enumerate(wt["cons"])}
+    return [index[t.block_of] for t in _images(cm, cs)]
+
+
 def _assert_conc_agrees(f):
     """conc_of_hom(f), held on J, against the Con-level oracle: its mapping,
     isomorphism, separates_zero and equal_map.  Returns (map, mapping)."""
     (cs, ws), (ct, wt) = _oracle(f.source), _oracle(f.target)
     cm = conc_of_hom(f, cs.J, ct.J)
-    m = cm.mapping_on(cs, ct).tolist()
+    m = _mapping(cm, cs, wt)
     assert m == oracle_conc_of_hom(f, ws, wt)
-    # the constant maps: phi(0) = 0 everywhere, and phi(0) = 1
-    for other in (m, [wt["bottom"]] * cs.n, [wt["top"]] * cs.n):
-        om = cm if other is m else ConcMap.from_mapping(cs, ct, other)
+    # the constant maps: everything to 0 (all masks empty), and everything
+    # to 1 (all masks full)
+    def constant(full):
+        return ConcMap(cs.J, ct.J, np.full(len(ct.J), full),
+                       np.full((len(cs.J), len(ct.J)), full))
+
+    for om, other in ((cm, m), (constant(False), [wt["bottom"]] * cs.n),
+                      (constant(True), [wt["top"]] * cs.n)):
+        assert _mapping(om, cs, wt) == other
         assert cm.equal_map(om) == (other == m)
         assert om.isomorphism == oracle_isomorphism(ws, wt, other)
         to_zero = [k for k in range(cs.n) if other[k] == wt["bottom"]]
@@ -614,9 +632,9 @@ def _assert_composite_agrees(f, g, known=None):
     known = known or {}
     cf, mf = known.get(id(f)) or _assert_conc_agrees(f)
     cg, mg = known.get(id(g)) or _assert_conc_agrees(g)
-    (ca, _), (cc, _) = _oracle(f.source), _oracle(g.target)
+    (ca, _), (cc, wc) = _oracle(f.source), _oracle(g.target)
     both = cg.compose(cf)
-    assert both.mapping_on(ca, cc).tolist() == [mg[k] for k in mf]
+    assert _mapping(both, ca, wc) == [mg[k] for k in mf]
     assert both.equal_map(conc_of_hom(g.compose(f), ca.J, cc.J))
 
 
@@ -664,9 +682,22 @@ def con_pairs():
     return {}
 
 
+def _read_xi(CS, CT, mapping):
+    """The xi that lifting_from_json reads from a bundle of one node, the
+    lattice of CS in the source and that of CT in the target, listing
+    (CS.cons[k], CT.cons[mapping[k]]) for each k."""
+    def diagram(L):
+        return {"poset": {"nodes": ["n"], "leq": []},
+                "lattices": {"n": lattice_to_json(L)}, "maps": {}}
+
+    pairs = [[s.label_blocks(), CT.cons[y].label_blocks()] for s, y in zip(CS.cons, mapping)]
+    return lifting_from_json({"schema": 1, "source": diagram(CS.host),
+                              "target": diagram(CT.host), "xi": {"n": pairs}}).xi["n"]
+
+
 class TestConcMapChecks:
-    """ConcMap.from_mapping's join check on J(Con L) against the m^2
-    join-table oracle."""
+    """The join check of a Conc map read from a bundle, done on J(Con L),
+    against the m^2 join-table oracle."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -714,11 +745,11 @@ class TestConcMapChecks:
                 x = data.draw(st.integers(0, CS.n - 1))
                 mapping[x] = data.draw(st.integers(0, CT.n - 1).filter(
                     lambda y: y != mapping[x]))
-        cm = ConcMap.from_mapping(CS, CT, mapping)
+        cm = _read_xi(CS, CT, mapping)
         assert cm.join_preserving == oracle_join_preserving(ws, wt, mapping)
         assert cm.isomorphism == oracle_isomorphism(ws, wt, mapping)
         if cm.join_preserving:
-            assert cm.mapping_on(CS, CT).tolist() == list(mapping)
+            assert _mapping(cm, CS, wt) == list(mapping)
             x = data.draw(st.integers(0, CS.n - 1))
             assert [cm.apply(CS.cons[x]) == t for t in CT.cons] == \
                 [y == mapping[x] for y in range(CT.n)]

@@ -1,11 +1,13 @@
-"""The CLI prints exactly what golden_cli.json pins (see golden.py)."""
+"""The CLI prints, and lifting_to_json writes, exactly what golden_cli.json
+pins (see golden.py)."""
 
 import json
 
 import pytest
 
-from golden import GOLDEN, cases, expected_stdout, lattices_of, outputs
+from golden import GOLDEN, bundle_texts, cases, expected_stdout, lattices_of, outputs
 
+TEXTS = bundle_texts()
 GROUPS = {}
 for _key, _argv in cases():
     GROUPS.setdefault(lattices_of(_argv), []).append(_key)
@@ -18,11 +20,11 @@ def want():
 
 @pytest.fixture(scope="module")
 def got(tmp_path_factory):
-    return outputs(tmp_path_factory.mktemp("golden"))
+    return outputs(tmp_path_factory.mktemp("golden"), TEXTS)
 
 
 def test_golden_file_pins_every_case(want):
-    assert sorted(want) == sorted(key for key, _ in cases())
+    assert sorted(want) == sorted([key for key, _ in cases()] + list(TEXTS))
 
 
 # one test per lattice and per ordered pair, so that a change names each
@@ -34,3 +36,8 @@ def test_cli_outputs_match_the_golden_file(want, got, lattices):
         assert got[key][0] == code, key
         assert expected_stdout(got[key][1]) == expected_stdout(stdout), key
         assert got[key][2] == stderr, key
+
+
+@pytest.mark.parametrize("key", sorted(TEXTS))
+def test_bundle_text_matches_the_golden_file(want, key):
+    assert TEXTS[key] == want[key]

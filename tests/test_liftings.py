@@ -53,19 +53,14 @@ from oracles import oracle_congruence_chains
 C1, C2, C3 = ("0", "x1", "1"), ("0", "x2", "1"), ("0", "x3", "1")
 
 
-def con_pair(lift, node):
-    """Con of the source and of the target lattice of a lifting at node."""
-    return (con_lattice(lift.source.lattices[node]),
-            con_lattice(lift.xi[node].target.host))
-
-
 def swap_two_atoms(lift, node):
-    """Replace xi at node by the identity on Con with two atoms swapped."""
-    con_s, con_t = con_pair(lift, node)
-    perm = np.arange(con_s.n)
-    a, b = con_s.atoms
-    perm[a], perm[b] = b, a
-    lift.xi[node] = ConcMap.from_mapping(con_s, con_t, perm)
+    """Replace xi at node, an identity, by the one with the two atoms of Con
+    swapped: the rows of images of the two minimal members of J trade places."""
+    x = lift.xi[node]
+    a, b = x.source.minimal()
+    images = x.images.copy()
+    images[[a, b]] = images[[b, a]]
+    lift.xi[node] = ConcMap(x.source, x.target, x.zero, images)
 
 
 def unshared_naturality_failures(lift):
@@ -108,9 +103,10 @@ class TestVerify:
     def test_xi_non_iso_detected(self, named):
         lift = m3_identity_lifting(named)
         node = node_of(C1)
-        con_s, con_t = con_pair(lift, node)
-        collapse = np.zeros(con_s.n, dtype=np.int32)
-        lift.xi[node] = ConcMap.from_mapping(con_s, con_t, collapse)
+        # everything to 0: all masks empty
+        x = lift.xi[node]
+        lift.xi[node] = ConcMap(x.source, x.target, np.zeros_like(x.zero),
+                                np.zeros_like(x.images))
         rep = verify_lifting(lift)
         assert not rep.ok
         assert any(f[0] in ("xi-not-iso",) for f in rep.failures)

@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from critlat.congruence import Congruence, con_lattice
+from critlat.congruence import Congruence, JoinIrreducibles, con_lattice
 from critlat.errors import NotSubdirectlyIrreducible
 from critlat.lattice import (
     builtin,
@@ -107,13 +107,13 @@ class TestDifferential:
         for K in corpus:
             conK = con_lattice(K)
             expected = [t for t in conK.cons
-                        if len(con_lattice(quotient(K, t)[0]).atoms) == 1]
+                        if len(JoinIrreducibles(quotient(K, t)[0]).minimal()) == 1]
             thetas, _, _ = subdirect_decomposition(K)
             assert thetas == expected
             for s in si_quotients(K):
                 assert s.theta in expected
-                conQ = con_lattice(s.lattice)
-                assert s.monolith == conQ.cons[conQ.atoms[0]]
+                JQ = JoinIrreducibles(s.lattice)
+                assert s.monolith == JQ.cons[JQ.minimal()[0]]
 
     def test_si_json_matches_oracle_on_corpus(self, corpus):
         for K in corpus:
@@ -148,9 +148,9 @@ class TestSiQuotients:
 
     def test_monolith_is_least_nonzero(self, named):
         for s in si_quotients(named["N5"]):
-            conQ = con_lattice(s.lattice)
-            assert len(conQ.atoms) == 1
-            assert s.monolith == conQ.cons[conQ.atoms[0]]
+            JQ = JoinIrreducibles(s.lattice)
+            assert len(JQ.minimal()) == 1
+            assert s.monolith == JQ.cons[JQ.minimal()[0]]
 
     def test_budget(self):
         # no size budget of its own: bool:6 has one SI quotient, the 2-element one
