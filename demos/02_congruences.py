@@ -32,7 +32,7 @@ print("M3 simple:", is_simple(builtin("M:3")))
 # The pentagon has exactly five congruences; its Con lattice is not Boolean.
 N5 = builtin("N5")
 conN5 = con_lattice(N5)
-print("Con(N5):", conN5.n, "congruences, boolean:", is_boolean(conN5)[0])
+print("Con(N5):", conN5.n, "congruences, boolean:", is_boolean(conN5))
 for t in conN5.cons:
     print("   ", t.label_blocks())
 

@@ -62,7 +62,7 @@ def cmd_con(args):
     L = resolve_lattice(args.lattice)
     con = con_lattice(L)
     simple = len(con.J) == 1
-    boolean, atoms, _ = is_boolean(con)
+    boolean = is_boolean(con)
     if args.json:
         _emit({
             "schema": 1,

@@ -13,6 +13,7 @@ off such a mask (JoinIrreducibles.congruences).
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 import numpy as np
@@ -59,13 +60,18 @@ def _reach(D):
 
 class Congruence:
     """A partition of a lattice compatible with meet and join.  The
-    constructor and from_label_blocks check that it is one; from_rep trusts
-    it, so quotient() never checks again."""
+    constructor (its blocks of int element indices of the host, bools
+    refused) and from_label_blocks check that it is one; from_rep trusts it,
+    so quotient() never checks again."""
 
     __slots__ = ("host", "blocks", "block_of")
 
     def __init__(self, host, blocks):
         self.host = host
+        blocks = [tuple(b) for b in blocks]
+        for i in itertools.chain(*blocks):
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < host.n:
+                raise NotACongruence(f"{i!r} is not the index of an element of {host!r}")
         self.blocks = tuple(tuple(sorted(b)) for b in blocks)
         if not all(self.blocks):
             raise NotACongruence("a block is empty")
@@ -303,10 +309,9 @@ class ConLattice:
     elements first, then block_of.
     """
 
-    __slots__ = ("host", "J", "masks", "cons")
+    __slots__ = ("J", "masks", "cons")
 
     def __init__(self, J: JoinIrreducibles, masks, cons):
-        self.host = J.host
         self.J = J
         self.masks = masks
         self.masks.flags.writeable = False
@@ -317,7 +322,7 @@ class ConLattice:
         return len(self.cons)
 
     def __repr__(self):
-        return f"<ConLattice of {self.host!r}, {self.n} congruences>"
+        return f"<ConLattice of {self.J.host!r}, {self.n} congruences>"
 
 
 def con_lattice(L) -> ConLattice:
@@ -513,21 +518,9 @@ class ConcMemo:
         return ConcMap(j_source, j_target, cm.zero, cm.images)
 
 
-def is_boolean(con: ConLattice):
-    """Boolean test with a witness on failure, the flag read off J(Con L).
-
-    Returns (flag, atoms, witness); atoms are Congruence objects.  The
-    witness is ("not complemented", theta) for the first theta in canonical
-    order without a complement: a down-set of J whose complement is not a
-    down-set.
-    """
-    atoms = con.J.boolean_atoms()
-    if atoms is not None:
-        return True, list(atoms), None
-    # the complement of a down-set is a down-set iff nothing above it is outside it
-    above = con.masks @ con.J.leq
-    first = int(np.argmax((above & ~con.masks).any(axis=1)))
-    return False, None, ("not complemented", con.cons[first])
+def is_boolean(con: ConLattice) -> bool:
+    """Whether Con L is Boolean, read off J(Con L): iff J is an antichain."""
+    return con.J.boolean_atoms() is not None
 
 
 def _chain_indices(L, chain_labels):

@@ -28,13 +28,27 @@ AT_MOST_ALEPH2 = "AtMostAleph2"
 
 @dataclass
 class CritVerdict:
-    verdict: str
+    """The crit-gate decision, read off its two containment certificates."""
     cert_plain: VarCertificate
     cert_dual: VarCertificate
     separating_si: Optional[SIQuotient]
-    justification: str
     contain_plain = property(lambda self: self.cert_plain.holds)
     contain_dual = property(lambda self: self.cert_dual.holds)
+
+    @property
+    def verdict(self):
+        return INFINITE if self.contain_plain or self.contain_dual else AT_MOST_ALEPH2
+
+    @property
+    def justification(self):
+        if self.verdict == AT_MOST_ALEPH2:
+            return ("Var K lies in neither Var L nor its dual; by the dichotomy for "
+                    "finitely generated lattice varieties the compact congruence classes "
+                    "separate at cardinality at most aleph-two.")
+        side = "Var L" if self.contain_plain else "the dual of Var L"
+        return (f"Var K is contained in {side}; compact congruence classes "
+                "transfer along containment and dualization, so every member's "
+                "congruence lattice already occurs over Var L.")
 
     def to_json(self):
         out = {
@@ -62,19 +76,7 @@ def crit_gate(K, L, max_subuniverses=HS_TUPLE_BUDGET) -> CritVerdict:
     checks = ContainmentChecks(max_subuniverses)
     a, cert_a = checks.var_leq(K, L)
     b, cert_b = checks.var_leq(K, Ld)
-    if a or b:
-        side = "Var L" if a else "the dual of Var L"
-        return CritVerdict(
-            INFINITE, cert_a, cert_b, None,
-            f"Var K is contained in {side}; compact congruence classes "
-            "transfer along containment and dualization, so every member's "
-            "congruence lattice already occurs over Var L.")
-    sep = checks.separating_si(K, L, Ld)
-    return CritVerdict(
-        AT_MOST_ALEPH2, cert_a, cert_b, sep,
-        "Var K lies in neither Var L nor its dual; by the dichotomy for "
-        "finitely generated lattice varieties the compact congruence classes "
-        "separate at cardinality at most aleph-two.")
+    return CritVerdict(cert_a, cert_b, None if a or b else checks.separating_si(K, L, Ld))
 
 
 @dataclass

@@ -565,7 +565,8 @@ def directing_diagram(kgen, c1, c2, c3, with_t=False):
 class GluedDiagram:
     diagram: LatticeDiagram
     chains: tuple
-    triples: tuple          # admissible (c1, c2, d) role triples
+    # the admissible (c1, c2, d) role triples, one directing factor each
+    triples = property(lambda self: tuple(admissible_triples(self.chains)))
     factor_count = property(lambda self: 1 + len(self.triples))   # and the chain diagram
 
 
@@ -604,12 +605,11 @@ def glued_diagram(L, subset, kgen) -> GluedDiagram:
     base = chain_diagram(L, chains)
     ip = base.poset
     factors = [base]
-    triples = admissible_triples(chains)
-    for (c1, c2, d) in triples:
+    for (c1, c2, d) in admissible_triples(chains):
         dd = directing_diagram(kgen, c1, c2, d)
         factors.append(extend_diagram(dd, chains))
     glued = product_over(ip.jc, factors)
-    return GluedDiagram(glued, tuple(chains), tuple(triples))
+    return GluedDiagram(glued, tuple(chains))
 
 
 # --- Conc applied to a diagram ---

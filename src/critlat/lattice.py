@@ -1,11 +1,13 @@
 """Finite lattices, partial lattices, and lattice homomorphisms.
 
-Lattices are immutable once built.  Elements are opaque string labels; the
-canonical element order is the input order.  Order, meet and join tables are
-derived eagerly at construction for ordinary ("dense") lattices, since every
-downstream search hits meet/join in inner loops.  Large direct products built
-internally by the diagram machinery use a lazy componentwise representation
-(ProductLattice) with the same read interface.
+Lattices are immutable once built, and a dense one is built complete by
+one constructor, FiniteLattice(labels, leq, meet, join, ...), which trusts
+its tables; validate_lattice is the checked entry.  Elements are opaque
+string labels; the canonical element order is the input order.  Order, meet
+and join tables are derived eagerly at construction for ordinary ("dense")
+lattices, since every downstream search hits meet/join in inner loops.  Large
+direct products built internally by the diagram machinery use a lazy
+componentwise representation (ProductLattice) with the same read interface.
 """
 
 from __future__ import annotations
@@ -113,35 +115,28 @@ class FiniteLattice(_Lattice):
     )
     _kind = "Lattice"
 
-    def __init__(self, name, labels, leq, meet, join, covers, bottom_i, top_i, heights):
-        self.name = name
-        self.labels = labels
-        self._index = {lab: i for i, lab in enumerate(labels)}
-        self._leq = leq
-        self._meet = meet
-        self._join = join
-        self.covers = covers
-        self.bottom_i = bottom_i
-        self.top_i = top_i
-        self.heights = heights
-        self._signature = None
-        self.factors = None  # set when built as a direct product
-
     # --- construction ---
 
-    @classmethod
-    def _from_tables(cls, labels, leq, meet, join, name=None, covers=None, ext=None):
-        """Build from order, meet and join tables known to be a lattice's;
-        bounds and heights are derived, and the sorted covers too unless
-        given.  A linear extension ext (a list) spares a topological sort."""
+    def __init__(self, labels, leq, meet, join, name=None, covers=None, ext=None, factors=None):
+        """The lattice of order, meet and join tables known to be a
+        lattice's; nothing is checked.  Bounds and heights are derived, and
+        the sorted covers too unless given.  A linear extension ext (a list)
+        spares a topological sort; factors are those of a direct product."""
         for table in (leq, meet, join):
             table.flags.writeable = False
         if covers is None:
             covers, ext = _covers_of_order(leq)
-        heights = _heights_from_covers(len(labels), covers, ext)
+        self.name = name
+        self.labels = tuple(labels)
+        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        self._leq, self._meet, self._join = leq, meet, join
+        self.covers = covers
+        self.heights = _heights_from_covers(len(self.labels), covers, ext)
         # 0 is the one element of height 0, and 1 is higher than all others
-        return cls(name, tuple(labels), leq, meet, join, covers,
-                   int(heights.argmin()), int(heights.argmax()), heights)
+        self.bottom_i = int(self.heights.argmin())
+        self.top_i = int(self.heights.argmax())
+        self._signature = None
+        self.factors = factors
 
     @classmethod
     def _from_order(cls, labels, leq, name=None):
@@ -165,7 +160,7 @@ class FiniteLattice(_Lattice):
         # one maximal and one minimal element: a top and a bottom
         if list(map(len, ups)).count(0) == 1 == list(map(len, downs)).count(0) \
                 and not _breaks(leq, join, ups).any():
-            return cls._from_tables(labels, leq, meet, join, name, covers, ext)
+            return cls(labels, leq, meet, join, name, covers, ext)
         raise _first_failure(labels, leq, join, meet, ups, downs)
 
     # --- table reads ---
@@ -487,8 +482,8 @@ def dual(L):
         return ProductLattice([dual(f) for f in L.factors],
                               name=f"dual({L.name})" if L.name else None)
     name = f"dual({L.name})" if L.name else None
-    return FiniteLattice._from_tables(L.labels, np.ascontiguousarray(L._leq.T), L._join, L._meet,
-                                      name=name, covers=tuple(sorted((j, i) for i, j in L.covers)))
+    return FiniteLattice(L.labels, np.ascontiguousarray(L._leq.T), L._join, L._meet,
+                         name=name, covers=tuple(sorted((j, i) for i, j in L.covers)))
 
 
 def _product_covers(factors):
@@ -546,16 +541,18 @@ def product(*lattices, allow_lazy=False):
         raise CritlatError("product of zero lattices")
     if len(lattices) == 1:
         return lattices[0]
-    total = math.prod(f.n for f in lattices)
-    name = "x".join(f.name or "?" for f in lattices)
+    return _product(lattices, "x".join(f.name or "?" for f in lattices), allow_lazy)
+
+
+def _product(factors, name, allow_lazy=False):
+    """The product of two or more factors, named name (see product)."""
+    total = math.prod(f.n for f in factors)
     if total > PRODUCT_CAP:
         if not allow_lazy:
             raise SizeCapExceeded(f"product has {total} elements, cap is {PRODUCT_CAP}")
-        return ProductLattice(lattices, name=name)
-    L = FiniteLattice._from_tables(_product_labels(lattices), *_product_tables(lattices),
-                                   name=name, covers=_product_covers(lattices))
-    L.factors = tuple(lattices)
-    return L
+        return ProductLattice(factors, name=name)
+    return FiniteLattice(_product_labels(factors), *_product_tables(factors), name=name,
+                         covers=_product_covers(factors), factors=tuple(factors))
 
 
 def product_projections(P):
@@ -805,7 +802,7 @@ def _sublattice_from_indices(L, indices):
     meet, join = pos[L._meet[grid]], pos[L._join[grid]]
     if (meet < 0).any() or (join < 0).any():
         raise NotASublattice("index set is not closed under meet and join")
-    sub = FiniteLattice._from_tables([L.labels[i] for i in indices], L._leq[grid], meet, join)
+    sub = FiniteLattice([L.labels[i] for i in indices], L._leq[grid], meet, join)
     return sub, Homomorphism._trusted(sub, L, idx)
 
 
@@ -855,8 +852,8 @@ def quotient(L, theta):
     meet, join = block_of[L._meet[grid]], block_of[L._join[grid]]
     name = f"{L.name}/theta" if L.name else None
     # [a] <= [b] iff [a] v [b] = [b]
-    Q = FiniteLattice._from_tables([L.labels[r] for r in reps], join == np.arange(len(reps)),
-                                   meet, join, name=name)
+    Q = FiniteLattice([L.labels[r] for r in reps], join == np.arange(len(reps)),
+                      meet, join, name=name)
     return Q, Homomorphism._trusted(L, Q, block_of)
 
 
@@ -1187,8 +1184,8 @@ def builtin(name: str):
             raise FormatError(f"{name!r}: n must be an integer") from None
         if n < _BUILTIN_LEAST_N[kind]:
             raise FormatError(f"{name!r}: {kind}:n needs n >= {_BUILTIN_LEAST_N[kind]}")
-    if name == "2":
-        return validate_lattice(["0", "1"], [("0", "1")], name="2")
+    if name == "2" or kind == "bool" and n == 1:
+        return validate_lattice(["0", "1"], [("0", "1")], name=name)
     if kind == "chain":
         labels = ["0"] + [f"c{k}" for k in range(1, n)] + ["1"]
         return validate_lattice(labels, list(zip(labels, labels[1:])), name=name)
@@ -1202,10 +1199,7 @@ def builtin(name: str):
         covers = [("0", "x1"), ("x1", "x2"), ("x2", "1"), ("0", "x3"), ("x3", "1")]
         return validate_lattice(labels, covers, name="N5")
     if kind == "bool":
-        two = builtin("2")
-        out = product(*([two] * n)) if n > 1 else two
-        out.name = name
-        return out
+        return _product([builtin("2")] * n, name)
     # F22, the one name left
     labels = ["0", "x1^x2", "x1", "x2", "x1vx2", "1"]
     covers = [("0", "x1^x2"), ("x1^x2", "x1"), ("x1^x2", "x2"),

@@ -13,7 +13,7 @@ generating partial lattice into the top node.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -85,8 +85,8 @@ class ChainWitness:
 
 @dataclass
 class LiftingReport:
-    ok: bool
-    failures: list = field(default_factory=list)
+    failures: list
+    ok = property(lambda self: not self.failures)
 
     @property
     def first_failure(self):
@@ -159,7 +159,7 @@ def verify_lifting(lift: Lifting) -> LiftingReport:
             s = S.maps.get((p, q))
             if s is None or not xq.commutes(cf, s, xp):
                 failures.append(("naturality", p, q))
-    return LiftingReport(not failures, failures[:MAX_LIFTING_FAILURES])
+    return LiftingReport(failures[:MAX_LIFTING_FAILURES])
 
 
 # --- congruence chains inside a lifting ---
@@ -213,11 +213,9 @@ def direct_chains_at(lift: Lifting, node):
     C = lift.target.J[node].host
     c_elems = [C.index(c) for c in chain_order(C)]
     L = lift.source.lattices[node]
-    witnesses = find_congruence_chains(L, L.bottom, L.top, J=xi.source)
-    for w in witnesses:
-        w.node = node
-        w.direct = _sends_chain(xi, [L.index(x) for x in w.elements], C, c_elems)
-    return witnesses
+    return [ChainWitness(node, w.elements, w.sigma,
+                         _sends_chain(xi, [L.index(x) for x in w.elements], C, c_elems))
+            for w in find_congruence_chains(L, L.bottom, L.top, J=xi.source)]
 
 
 # --- the embedding extracted from a good lifting ---
@@ -225,11 +223,11 @@ def direct_chains_at(lift: Lifting, node):
 @dataclass
 class EmbeddingReport:
     mapping: dict
-    injective: bool
     operation_checks: list      # (kind, x, y, ok)
     congruence_checks: list     # (x, y, ok)
     coherence_checks: list      # (chain, ok)
     dualized: bool = False
+    injective = property(lambda self: len(set(self.mapping.values())) == len(self.mapping))
 
     @property
     def ok(self):
@@ -283,8 +281,6 @@ def extract_embedding(lift: Lifting, subset):
         t_mid[x] = found[0].elements[1]
         h[x] = B.maps[(node, TOP)].apply(t_mid[x])
 
-    injective = len(set(h.values())) == len(h)
-
     op_checks = []
     for i, x in enumerate(K.labels):
         for y in K.labels[i:]:
@@ -325,7 +321,7 @@ def extract_embedding(lift: Lifting, subset):
         L, [L.index(x) for x, _ in pairs], [L.index(y) for _, y in pairs])
     con_checks = [(x, y, bool(ok)) for (x, y), ok in zip(pairs, oks)]
 
-    report = EmbeddingReport(h, injective, op_checks, con_checks, coherence)
+    report = EmbeddingReport(h, op_checks, con_checks, coherence)
     if not report.ok:
         bad = ([c for c in op_checks if not c[-1]]
                + [c for c in con_checks if not c[-1]]
@@ -342,8 +338,7 @@ def extract_embedding_auto(lift: Lifting, subset):
     except MissingDirectChain:
         pass
     h, report = extract_embedding(dual_lifting(lift), subset)
-    report.dualized = True
-    return h, report
+    return h, replace(report, dualized=True)
 
 
 # --- the directing property on a concrete lifting ---

@@ -210,11 +210,12 @@ def hs_member(M, L, max_subuniverses=HS_TUPLE_BUDGET) -> Optional[HSWitness]:
 
 @dataclass(frozen=True)
 class VarCertificate:
-    """Evidence for a Var K <= Var L decision."""
-    holds: bool
+    """Evidence for a Var K <= Var L decision: it holds iff no SI quotient
+    of K fails."""
     si_list: tuple
     witnesses: tuple  # HSWitness per SI quotient when holds
     failing_si: Optional[SIQuotient]
+    holds = property(lambda self: self.failing_si is None)
 
     def to_json(self):
         out = {"holds": self.holds,
@@ -260,9 +261,9 @@ class ContainmentChecks:
         for s in sis:
             w = self.hs_member(s, L)
             if w is None:
-                return False, VarCertificate(False, sis, (), s)
+                return False, VarCertificate(sis, (), s)
             witnesses.append(w)
-        return True, VarCertificate(True, sis, tuple(witnesses), None)
+        return True, VarCertificate(sis, tuple(witnesses), None)
 
     def separating_si(self, K, L, Ld) -> Optional[SIQuotient]:
         """The first SI quotient of K in neither HS(L) nor HS(Ld)."""

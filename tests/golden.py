@@ -4,7 +4,8 @@
 `hs-member`, `var-leq`, `crit-gate` and `conc-report`, with and without
 `--json`, on each ordered pair, with their exit codes and error lines.  The
 corpus is the named builtins of the test fixtures plus the products N5x2 and
-M3^2, written as lattice files.
+M3^2 and the lattice L6 with its dual L6d, written as lattice files.  Var L6
+is not self-dual, so its pairs pin crit-gate's dual branch.
 
 The lifting side is pinned on a smaller corpus (LIFTING_BUILTINS):
 `extract-embedding` and `lift-check --identity`/`--dual-of`, each with and
@@ -34,22 +35,25 @@ from pathlib import Path
 
 from critlat.cli import run
 from critlat.diagrams import chain_diagram_of_partial, directing_diagram
-from critlat.lattice import builtin, product, save_lattice
+from critlat.lattice import builtin, dual, product, save_lattice, validate_lattice
 from critlat.liftings import dual_lifting, identity_lifting, lifting_to_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 BUILTINS = ("2", "M:3", "M:4", "M:5", "N5", "bool:2", "bool:3", "F22",
             "chain:1", "chain:2", "chain:3", "chain:4", "chain:5")
 PRODUCTS = {"N5x2": ("N5", "2"), "M3^2": ("M:3", "M:3")}
+# 0 < a, b, c; a, b < ab < 1; c < 1
+L6 = (("0", "a", "b", "c", "ab", "1"),
+      (("0", "a"), ("0", "b"), ("0", "c"), ("a", "ab"), ("b", "ab"), ("ab", "1"), ("c", "1")))
 LIFTING_BUILTINS = ("2", "chain:3", "M:3", "N5", "F22", "bool:2")
 BUNDLES = {"M3-lifting": "M:3", "N5-lifting": "N5"}
 TRIPLE = ("0,x1,1", "0,x2,1", "0,x3,1")
 
 
 def cases():
-    """(key, argv) for every pinned call, keyed by its argv; a product or
-    bundle is named by its key and stands for its file."""
-    names = list(BUILTINS) + list(PRODUCTS)
+    """(key, argv) for every pinned call, keyed by its argv; a file lattice
+    (file_lattices) or bundle is named by its key and stands for its file."""
+    names = list(BUILTINS) + list(PRODUCTS) + ["L6", "L6d"]
     argvs = []
     for L in names:
         argvs += [["con", "--json", L], ["si", "--json", L], ["simple", L]]
@@ -115,15 +119,26 @@ def expected_stdout(stored):
     return json.dumps(stored, indent=2, sort_keys=True) + "\n"
 
 
-def outputs(workdir, texts):
-    """{key: [exit code, stdout, stderr]} of every case, the products and
-    bundles saved under workdir, each stdout as stored (_stored); texts is
-    bundle_texts()."""
-    files = {}
+def file_lattices():
+    """{key: lattice} of the corpus lattices written as files: the products,
+    each named by its key, L6 and its dual L6d."""
+    out = {}
     for key, factors in PRODUCTS.items():
+        P = product(*map(builtin, factors))
+        out[key] = validate_lattice(P.labels, [(P.labels[i], P.labels[j]) for i, j in P.covers],
+                                    name=key)
+    out["L6"] = validate_lattice(*L6, name="L6")
+    out["L6d"] = dual(out["L6"])
+    return out
+
+
+def outputs(workdir, texts):
+    """{key: [exit code, stdout, stderr]} of every case, the file lattices
+    and bundles saved under workdir, each stdout as stored (_stored); texts
+    is bundle_texts()."""
+    files = {}
+    for key, L in file_lattices().items():
         files[key] = str(Path(workdir) / f"{key}.json")
-        L = product(*map(builtin, factors))
-        L.name = key
         save_lattice(L, files[key])
     for key, name in BUNDLES.items():
         files[key] = str(Path(workdir) / f"{key}.json")

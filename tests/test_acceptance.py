@@ -85,8 +85,7 @@ def test_criterion_2_known_congruence_values():
     ok = ok and len(brute_congruences(builtin("M:3"))) == 2
     for n in range(1, 6):
         con = con_lattice(builtin(f"chain:{n}"))
-        boolean, atoms, _ = is_boolean(con)
-        ok = ok and boolean and len(atoms) == n and con.n == 2 ** n
+        ok = ok and is_boolean(con) and len(con.J.boolean_atoms()) == n and con.n == 2 ** n
         ok = ok and len(brute_congruences(builtin(f"chain:{n}"))) == 2 ** n
     ok = ok and con_lattice(builtin("N5")).n == 5
     ok = ok and len(brute_congruences(builtin("N5"))) == 5

@@ -131,8 +131,7 @@ class TestConLattice:
     def test_chain_con_is_boolean(self, named):
         for n in (1, 2, 3, 4, 5):
             con = con_lattice(named[f"chain:{n}"])
-            ok, atoms, _ = is_boolean(con)
-            assert ok and len(atoms) == n and con.n == 2 ** n
+            assert is_boolean(con) and len(con.J.boolean_atoms()) == n and con.n == 2 ** n
 
     def test_m3_simple(self, named):
         assert con_lattice(named["M:3"]).n == 2
@@ -151,6 +150,17 @@ class TestConLattice:
     def test_invalid_partition_rejected(self, named):
         with pytest.raises(NotACongruence):
             Congruence.from_label_blocks(named["N5"], [["0", "x1"], ["x2"], ["x3"], ["1"]])
+
+    @pytest.mark.parametrize("blocks", [
+        [[0], [1], [2], [3], [-1]],         # -1 is not read as the last element
+        [[0, 1, 2, 3, -1]],
+        [[0, 1], [2], [3], [7]],            # past the host
+        [[0.0], [1], [2], [3], [4]],
+        [[True], [False], [2], [3], [4]],   # bools are not read as 1 and 0
+    ])
+    def test_block_indices_are_checked(self, named, blocks):
+        with pytest.raises(NotACongruence, match="is not the index of an element"):
+            Congruence(named["N5"], blocks)
 
     def test_con_budget_counts_cells(self):
         # |Con L| * |L| is bounded, not |Con L|: 2^15 * 16 cells fit 300 * 2048,
@@ -235,18 +245,17 @@ class TestKernel:
 
 class TestBoolean:
     def test_chain3(self, named):
-        ok, atoms, _ = is_boolean(con_lattice(named["chain:3"]))
-        assert ok and len(atoms) == 3
+        con = con_lattice(named["chain:3"])
+        assert is_boolean(con) and len(con.J.boolean_atoms()) == 3
 
     def test_n5_not_boolean(self, named):
         con = con_lattice(named["N5"])
         assert con.n == 5
-        ok, _, witness = is_boolean(con)
-        assert not ok and witness is not None
+        assert not is_boolean(con)
 
     def test_m3(self, named):
-        ok, atoms, _ = is_boolean(con_lattice(named["M:3"]))
-        assert ok and len(atoms) == 1
+        con = con_lattice(named["M:3"])
+        assert is_boolean(con) and len(con.J.boolean_atoms()) == 1
 
 
 class TestCongruenceChains:
@@ -322,7 +331,7 @@ class TestCpe:
             if B.n < 2 or B.n > 5:
                 continue
             con = con_lattice(B)
-            if not is_boolean(con)[0]:
+            if not is_boolean(con):
                 continue
             J = con.J
             for r in range(2, B.n + 1):
@@ -473,12 +482,11 @@ def _assert_con_matches_oracle(L):
     complemented = [any(want["meet"][x][y] == want["bottom"]
                         and want["join"][x][y] == want["top"] for y in range(m))
                     for x in range(m)]
-    ok, atoms, witness = is_boolean(con)
+    ok = is_boolean(con)
     assert ok == all(complemented)
     if ok:
-        assert [t.block_of for t in atoms] == [want["cons"][a] for a in want["atoms"]]
-    else:
-        assert witness == ("not complemented", con.cons[complemented.index(False)])
+        assert [t.block_of for t in con.J.boolean_atoms()] == \
+            [want["cons"][a] for a in want["atoms"]]
     assert is_simple(L) == (m == 2)
     assert (len(JoinIrreducibles(L).minimal()) == 1) == (len(want["atoms"]) == 1)
     return con, want
@@ -691,8 +699,8 @@ def _read_xi(CS, CT, mapping):
                 "lattices": {"n": lattice_to_json(L)}, "maps": {}}
 
     pairs = [[s.label_blocks(), CT.cons[y].label_blocks()] for s, y in zip(CS.cons, mapping)]
-    return lifting_from_json({"schema": 1, "source": diagram(CS.host),
-                              "target": diagram(CT.host), "xi": {"n": pairs}}).xi["n"]
+    return lifting_from_json({"schema": 1, "source": diagram(CS.J.host),
+                              "target": diagram(CT.J.host), "xi": {"n": pairs}}).xi["n"]
 
 
 class TestConcMapChecks:
