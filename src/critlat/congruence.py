@@ -27,7 +27,7 @@ from .errors import (
     NotACongruence,
     NotASublattice,
 )
-from .lattice import (FiniteLattice, Homomorphism, _dependency, _same_lattice,
+from .lattice import (FiniteLattice, Homomorphism, _dependency, _dependency_ends, _same_lattice,
                       _same_or_dual, chain_order)
 
 # cells read: J(Con L) builds |J(L)| x |L| tables, con_lattice one
@@ -360,12 +360,13 @@ def con_lattice(L) -> ConLattice:
 def is_simple(L) -> bool:
     """Whether Con L = {0, 1} with 0 != 1: L has two or more elements and
     D* (_dependency) has one class, J(Con L) one member.  Stops early when
-    some j has no D edge in or out: its class is {j}."""
+    some j has no D edge in or out: its class is {j}; that is read off the
+    arrow relations (_dependency_ends), before D is formed."""
     _require_dense(L)
-    D = _dependency(L)[2]
-    if L.n < 2 or len(D) > 1 and not (D.any(axis=0) & D.any(axis=1)).all():
+    out, into = _dependency_ends(L)
+    if L.n < 2 or len(out) > 1 and not (out & into).all():
         return False
-    return bool(_reach(D).all())
+    return bool(_reach(_dependency(L)[2]).all())
 
 
 def _same_masks(a, b) -> bool:

@@ -1006,14 +1006,12 @@ def chain_order(C):
 
 # --- distributivity ---
 
-def _dependency(L, max_cells=None):
-    """(ji, lower, D) for a dense L: its join-irreducible elements in index
-    order, the lower cover k_* of each, and the dependency relation, D[a, b]
-    when ji[a] D ji[b]: j != k and some x has k_* <= x, j not <= x and
-    j <= k v x.  x can be taken meet-irreducible, so D is the Boolean product
-    of the arrow relations j up-arrow x and x down-arrow k (README, "How Con
-    is computed").  Refuses, before that product, when |J(L)| * |L| is above
-    max_cells."""
+def _arrows(L, max_cells=None):
+    """(ji, lower, up, down) for a dense L: its join-irreducible elements in
+    index order, the lower cover k_* of each, and the arrow relations over
+    its meet-irreducible elements x, up[a, x] when ji[a] up-arrow x (j not
+    <= x, j <= x*) and down[b, x] when x down-arrow ji[b] (k_* <= x, k not
+    <= x).  Refuses when |J(L)| * |L| is above max_cells."""
     ups, downs = _neighbours(L.n, L.covers)
     ji = np.array([j for j, d in enumerate(downs) if len(d) == 1], dtype=np.intp)
     if max_cells is not None and len(ji) * L.n > max_cells:
@@ -1021,14 +1019,55 @@ def _dependency(L, max_cells=None):
             f"|J(L)| * |L| = {len(ji)} * {L.n} exceeds the J(Con L) budget {max_cells}")
     lower = np.array([downs[j][0] for j in ji.tolist()], dtype=np.intp)
     mi = [x for x, u in enumerate(ups) if len(u) == 1]
-    le = L._leq
-    outside = ~le[ji[:, None], mi]
-    up = outside & le[ji[:, None], [ups[x][0] for x in mi]]
-    down = outside & le[lower[:, None], mi]
+    # whole rows first: gathering rows, then columns, is the fast order
+    rows = L._leq[ji]
+    outside = ~rows[:, mi]
+    up = outside & rows[:, [ups[x][0] for x in mi]]
+    down = outside & L._leq[lower][:, mi]
+    return ji, lower, up, down
+
+
+def _dependency(L, max_cells=None):
+    """(ji, lower, D) for a dense L (_arrows), D[a, b] when ji[a] D ji[b]:
+    j != k and some x has k_* <= x, j not <= x and j <= k v x.  x can be
+    taken meet-irreducible, so D is the Boolean product of the arrow
+    relations j up-arrow x and x down-arrow k (README, "How Con is
+    computed").  Refuses, before that product, when |J(L)| * |L| is above
+    max_cells."""
+    ji, lower, up, down = _arrows(L, max_cells)
     # exact: the float32 sums count at most |L| arrows
     D = up.astype(np.float32) @ down.T.astype(np.float32) > 0
     D.flat[::len(D) + 1] = False
     return ji, lower, D
+
+
+def _dependency_ends(L):
+    """(out, into) for a dense L: which rows and which columns of D
+    (_dependency) hold an edge, without forming D.  j D k for some k != j
+    iff j up-arrow x for some x with a down-arrow to a k other than j, that
+    is more down-arrows than j's own; columns dually."""
+    up, down = _arrows(L)[2:]
+    out = (up & (down.sum(axis=0) > down)).any(axis=1)
+    into = (down & (up.sum(axis=0) > up)).any(axis=1)
+    return out, into
+
+
+def _is_modular(L):
+    """Whether x <= z implies x v (y ^ z) = (x v y) ^ z throughout a dense L.
+
+    A lattice of finite length is modular iff its height function is a
+    valuation, h(x) + h(y) = h(x ^ y) + h(x v y) (Birkhoff, Lattice Theory,
+    ch. X: a strictly monotone valuation forces the modular law, and a
+    modular lattice is graded by h).  Read in row chunks of at most about
+    _SEARCH_CHUNK bytes, stopping at the first failing chunk.
+    """
+    h = L.heights
+    step = max(1, _SEARCH_CHUNK // (16 * L.n))  # four int32 temporaries per cell
+    for lo in range(0, L.n, step):
+        rows = slice(lo, lo + step)
+        if (h[rows, None] + h != h[L._meet[rows]] + h[L._join[rows]]).any():
+            return False
+    return True
 
 
 def is_distributive(L):

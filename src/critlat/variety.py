@@ -25,7 +25,10 @@ from .lattice import (
     product_index,
     quotient,
     _closure,
+    _dependency_ends,
     _extend_graph,
+    _is_modular,
+    _neighbours,
     _sublattice_from_indices,
     _truncate,
 )
@@ -119,23 +122,27 @@ def _tuple_budget(M, L, limit):
                          f"{max(limit, 0)} generator tuples (budget {limit})")
 
 
+def _required_generators(M):
+    """The elements of M that are neither the join of two elements below
+    them nor the meet of two above them, so no term in the others: those
+    with at most one lower and at most one upper cover.  Two lower covers
+    join to x; below a single lower cover everything joins below it."""
+    ups, downs = _neighbours(M.n, M.covers)
+    return [x for x in range(M.n) if len(ups[x]) < 2 and len(downs[x]) < 2]
+
+
 def _least_generating_set(M, budget):
     """The least generating set of M: smallest size first, then
     lexicographic on M's element indices.  Each set tried takes a token of
     `budget` (_tuple_budget).
 
-    An element that is neither the join of two elements below it nor the
-    meet of two above it is no term in the others, so every generating set
-    holds it; only the remaining elements are chosen from.  Adding the same
-    fixed set to every choice keeps the lexicographic order of the choices.
+    Every generating set holds _required_generators(M); only the remaining
+    elements are chosen from.  Adding the same fixed set to every choice
+    keeps the lexicographic order of the choices.
     """
-    lt = M._leq & ~np.eye(M.n, dtype=bool)
-    meet, join = M._meet, M._join
-    required = [x for x in range(M.n)
-                if not (join[np.ix_(lt[:, x], lt[:, x])] == x).any()
-                and not (meet[np.ix_(lt[x], lt[x])] == x).any()]
+    required = _required_generators(M)
     rest = [x for x in range(M.n) if x not in required]
-    tables = (meet.tolist(), join.tolist()) * 2
+    tables = (M._meet.tolist(), M._join.tolist()) * 2
     for extra in range(len(rest)):
         for chosen in itertools.combinations(rest, extra):
             next(budget)
@@ -179,6 +186,16 @@ def _least_functional_tuple(M, L, gens, budget):
     return f, members
 
 
+def _law_excludes(M, L):
+    """Whether L satisfies the modular or the distributive law and M fails
+    it.  H and S preserve identities, so then M is not in HS(L)."""
+    if M.n < 5:     # M3 and N5 are the smallest lattices that fail a law
+        return False
+    if not _is_modular(M):
+        return _is_modular(L)
+    return bool(_dependency_ends(M)[0].any() and not _dependency_ends(L)[0].any())
+
+
 def hs_member(M, L, max_subuniverses=HS_TUPLE_BUDGET) -> Optional[HSWitness]:
     """Exhaustive search for M in HS(L): a quotient of a sublattice of L.
 
@@ -188,12 +205,13 @@ def hs_member(M, L, max_subuniverses=HS_TUPLE_BUDGET) -> Optional[HSWitness]:
     order; the first closure that is the graph of a map S -> M gives the
     witness: S, the kernel theta of the map, and the isomorphism
     S/theta -> M.  `max_subuniverses` caps the generator tuples closed, in M
-    and then in L (_tuple_budget).
+    and then in L (_tuple_budget).  No search runs when L is too small or
+    too short for M, or satisfies a law that M fails (_law_excludes).
     """
     _require_dense(L)
     # the least elements of the blocks of a chain in S/theta form a chain in
     # S, so no member of HS(L) is larger or taller than L
-    if M.n > L.n or M.height() > L.height():
+    if M.n > L.n or M.height() > L.height() or _law_excludes(M, L):
         return None
     budget = _tuple_budget(M, L, max_subuniverses)
     found = _least_functional_tuple(M, L, _least_generating_set(M, budget), budget)

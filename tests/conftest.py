@@ -31,6 +31,12 @@ def small_lattices():
 
 
 @pytest.fixture(scope="session")
+def lattices_to_7(small_lattices):
+    """Every lattice with at most 7 elements, up to isomorphism."""
+    return small_lattices + enumerate_all_lattices(7)
+
+
+@pytest.fixture(scope="session")
 def corpus(named, small_lattices):
     return list(named.values()) + small_lattices
 

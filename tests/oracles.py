@@ -93,6 +93,22 @@ def brute_subuniverses(L):
     return out
 
 
+def oracle_least_generating_set(M):
+    """The first generating set of M, smallest size first, then
+    lexicographic: every subset closed by meets and joins until nothing
+    changes."""
+    for r in range(M.n + 1):
+        for gens in itertools.combinations(range(M.n), r):
+            sub = set(gens)
+            while True:
+                grown = sub | {f(i, j) for f in (M.meet_i, M.join_i) for i in sub for j in sub}
+                if grown == sub:
+                    break
+                sub = grown
+            if len(sub) == M.n:
+                return list(gens)
+
+
 def brute_isomorphic(K, L):
     """Order isomorphism by trying every permutation (small sizes only)."""
     if K.n != L.n:
@@ -221,6 +237,18 @@ def oracle_is_distributive(L):
     meet, join, *_ = oracle_tables_from_order(L.labels, leq)
     x = np.arange(n)[:, None, None]
     return bool((meet[x, join[None]] == join[meet[:, :, None], meet[:, None, :]]).all())
+
+
+def oracle_is_modular(L):
+    """Whether x <= z implies x v (y ^ z) = (x v y) ^ z for every triple,
+    on the tables oracle_tables_from_order rebuilds from L's order."""
+    n = L.n
+    leq = np.array([[L.leq_i(i, j) for j in range(n)] for i in range(n)])
+    meet, join, *_ = oracle_tables_from_order(L.labels, leq)
+    x, y, z = np.arange(n)[:, None, None], np.arange(n)[None, :, None], np.arange(n)
+    law = join[x, meet[y, z]] == meet[join[x, y], z]
+    return bool((law | ~leq[:, None, :]).all())
+
 
 def oracle_validate(labels, covers):
     """The former validate_lattice on distinct labels and known cover ends:

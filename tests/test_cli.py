@@ -235,12 +235,19 @@ class TestBudgetFlags:
         assert code == 0 and out.strip() == "absent"
 
     def test_hs_refusal_names_the_search_and_its_work(self, capsys):
-        code, _, err = invoke(capsys, "hs-member", "N5", "bool:8",
+        code, _, err = invoke(capsys, "hs-member", "bool:3", "chain:300",
                               "--max-subuniverses", "10000")
         assert code == 2
         assert err.splitlines()[-1] == (
-            "error: BudgetExceeded: HS search for <Lattice N5> in "
-            "<Lattice bool:8> stopped after 10000 generator tuples (budget 10000)")
+            "error: BudgetExceeded: HS search for <Lattice bool:3> in "
+            "<Lattice chain:300> stopped after 10000 generator tuples (budget 10000)")
+
+    def test_law_check_answers_before_the_budget(self, capsys):
+        # bool:8 is distributive and N5 is not: absent without a search
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "hs-member", "N5", "bool:8")
+        assert time.perf_counter() - start < 1
+        assert code == 0 and out.strip() == "absent"
 
     def test_hs_budget_counts_the_generating_set_search(self, capsys):
         # bool:8 needs 5 generators, found only after C(256, 4) closures in M

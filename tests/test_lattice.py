@@ -43,6 +43,9 @@ from critlat.lattice import (
     spanning_chains,
     subuniverse_closure,
     validate_lattice,
+    _dependency,
+    _dependency_ends,
+    _is_modular,
 )
 
 from oracles import (
@@ -51,6 +54,7 @@ from oracles import (
     oracle_embed_partial,
     oracle_is_distributive,
     oracle_is_homomorphism,
+    oracle_is_modular,
     oracle_tables_from_order,
     oracle_validate,
 )
@@ -729,6 +733,40 @@ def test_is_distributive_matches_oracle(corpus, data):
         x, y, z = map(L.index, witness)
         me, jo = L._meet, L._join
         assert me[x, jo[y, z]] != jo[me[x, y], me[x, z]]
+
+
+def _check_law_tests(L):
+    # the heights test is the modular law; the ends of D are its rows and
+    # columns with an edge
+    assert _is_modular(L) == oracle_is_modular(L), L
+    D = _dependency(L)[2]
+    out, into = _dependency_ends(L)
+    assert out.tolist() == D.any(axis=1).tolist()
+    assert into.tolist() == D.any(axis=0).tolist()
+
+
+def test_law_tests_match_oracles_to_seven_elements(lattices_to_7):
+    assert len(lattices_to_7) == 78
+    for L in lattices_to_7:
+        _check_law_tests(L)
+    # modular lattices of 1 to 7 elements: 1, 1, 1, 2, 4, 8, 16 (OEIS A006981)
+    assert sum(map(_is_modular, lattices_to_7)) == 33
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_law_tests_match_oracles_on_products(corpus, data):
+    factors = data.draw(st.lists(st.sampled_from(corpus), min_size=2, max_size=3))
+    assume(np.prod([K.n for K in factors]) <= 128)
+    chunk = data.draw(st.sampled_from([1, 200, lattice._SEARCH_CHUNK]))
+    with mock.patch.object(lattice, "_SEARCH_CHUNK", chunk):
+        _check_law_tests(product(*factors))
+
+
+def test_modular_examples(named):
+    assert all(_is_modular(named[x]) for x in ("M:3", "M:5", "bool:3", "F22", "chain:5"))
+    assert not _is_modular(named["N5"])
+    assert _is_modular(builtin("chain:1000")) and not _is_modular(product(named["N5"], named["2"]))
 
 
 def test_distributive_flags(named):

@@ -1,8 +1,9 @@
 import itertools
 import time
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from critlat.congruence import Congruence, JoinIrreducibles, con_lattice
 from critlat.errors import NotSubdirectlyIrreducible
@@ -13,8 +14,14 @@ from critlat.lattice import (
     product,
     quotient,
     validate_lattice,
+    _is_modular,
 )
 from critlat.variety import (
+    _law_excludes,
+    _least_functional_tuple,
+    _least_generating_set,
+    _required_generators,
+    _tuple_budget,
     find_separating_si,
     hs_member,
     si_pair_classifier,
@@ -28,6 +35,7 @@ from oracles import (
     brute_isomorphic,
     brute_subuniverses,
     enumerate_all_lattices,
+    oracle_least_generating_set,
     oracle_si_quotients_json,
 )
 
@@ -209,6 +217,17 @@ class TestHsMember:
         L = product(named["bool:3"], named["chain:3"])
         assert hs_member(builtin("chain:7"), L, max_subuniverses=0) is None
 
+    @pytest.mark.parametrize("m, l", [("N5", "M:3^3"), ("N5", "bool:8"), ("M:3", "bool:8"),
+                                      ("M:3", "chain:1000")])
+    def test_law_decides_absent_without_search(self, named, m, l):
+        # bool:8 and chain:1000 are distributive, M3^3 is modular; budget 0
+        # refuses any search
+        L = product(*[named["M:3"]] * 3) if l == "M:3^3" else builtin(l)
+        start = time.perf_counter()
+        assert hs_member(named[m], L) is None
+        assert time.perf_counter() - start < 1.0
+        assert hs_member(named[m], L, max_subuniverses=0) is None
+
     def test_witness_replays(self, named):
         w = hs_member(named["bool:2"], named["F22"])
         assert w is not None
@@ -218,6 +237,51 @@ class TestHsMember:
         from critlat.lattice import quotient
         Q, _ = quotient(S, w.theta)
         assert w.iso.source.n == Q.n and w.iso.injective and w.iso.surjective
+
+
+def search_without_laws(M, L):
+    """hs_member's search alone, with a budget no test here reaches."""
+    budget = _tuple_budget(M, L, 10 ** 9)
+    return _least_functional_tuple(M, L, _least_generating_set(M, budget), budget)
+
+
+class TestLawCheck:
+    def test_required_generators_as_first_defined(self, lattices_to_7):
+        # the elements that are neither the join of two below nor the meet
+        # of two above, read off M's tables
+        for M in lattices_to_7:
+            lt = M._leq & ~np.eye(M.n, dtype=bool)
+            old = [x for x in range(M.n)
+                   if not (M._join[np.ix_(lt[:, x], lt[:, x])] == x).any()
+                   and not (M._meet[np.ix_(lt[x], lt[x])] == x).any()]
+            assert _required_generators(M) == old, M
+
+    def test_least_generating_set_matches_oracle(self, lattices_to_7):
+        for M in lattices_to_7:
+            budget = _tuple_budget(M, M, 10 ** 9)
+            assert _least_generating_set(M, budget) == oracle_least_generating_set(M), M
+
+    def test_ruled_out_pairs_have_no_witness(self, lattices_to_7):
+        ruled_out = 0
+        for L in lattices_to_7:
+            for M in lattices_to_7:
+                if M.n <= L.n and M.height() <= L.height() and _law_excludes(M, L):
+                    ruled_out += 1
+                    assert search_without_laws(M, L) is None, (M, L)
+        assert ruled_out > 100
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_ruled_out_pairs_have_no_witness_in_products(self, small_lattices, data):
+        # products of modular lattices are modular, and distributive when
+        # every factor is
+        pool = [K for K in small_lattices if K.n <= 5 and _is_modular(K)]
+        factors = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=3))
+        assume(np.prod([K.n for K in factors]) <= 64)
+        L = product(*factors)
+        M = data.draw(st.sampled_from([K for K in small_lattices if K.n >= 5]))
+        if M.n <= L.n and M.height() <= L.height() and _law_excludes(M, L):
+            assert search_without_laws(M, L) is None, (M, L)
 
 
 class TestVarLeq:
@@ -298,9 +362,13 @@ class TestSiPairClassifier:
         assert si_pair_classifier(named["M:3"], named["M:4"])[0] == "DistinctConcClasses"
 
     def test_refused_search_is_indeterminate(self, named):
-        # PG(2, 7) is modular, so N5 is not in its HS; ruling it out takes
-        # more generator tuples than the budget
-        assert si_pair_classifier(named["N5"], projective_plane(7)) == ("Indeterminate", None)
+        # M:9 is modular like PG(2, 7), so no law rules it out, and ruling
+        # it out by search takes more generator tuples than the budget
+        assert si_pair_classifier(builtin("M:9"), projective_plane(7)) == ("Indeterminate", None)
+
+    def test_modular_law_decides_without_search(self, named):
+        # PG(2, 7) is modular and N5 is not, so N5 is not in its HS
+        assert si_pair_classifier(named["N5"], projective_plane(7))[0] == "DistinctConcClasses"
 
     @pytest.mark.parametrize("name", ["M:40", "M:299"])
     def test_large_simple_lattice_is_decided(self, named, name):
