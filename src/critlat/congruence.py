@@ -485,7 +485,10 @@ def _shape(L: FiniteLattice):
 
 class ConcMemo:
     """J(Con) and Conc for the lattices and maps of one diagram, each
-    computed once per shape; a memo lives for one call.
+    computed once per shape.  A LatticeDiagram holds one for its lifetime
+    (it cannot change once built, and the keys are content, not identity):
+    apply_conc, the Conc of the source edges in verify_lifting and the
+    source J(Con) of a read lifting bundle share it.
 
     J(Con L) reads only L's tables, which its size and covers fix: it is
     built once per such shape and re-hosted on every other dense lattice of

@@ -12,16 +12,17 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .congruence import ConcMemo
+from .congruence import ConcMemo, _shape
 from .errors import (
     BadChainShapes,
     CritlatError,
+    DuplicateLabel,
     EmptyChainSet,
     FormatError,
     NotLowerSubset,
@@ -37,7 +38,6 @@ from .lattice import (
     _hom_failure,
     _same_lattice,
     _sublattice_from_indices,
-    builtin,
     lattice_from_json,
     lattice_to_json,
     product,
@@ -45,7 +45,6 @@ from .lattice import (
     product_index,
     spanning_chains,
     subuniverse_closure,
-    validate_lattice,
 )
 
 Chain = tuple  # tuple of labels, bottom to top
@@ -59,8 +58,20 @@ def _chain_key(c: Chain):
 
 @dataclass(frozen=True)
 class DiagNode:
-    """A node of an index poset: a set of chains, or the top marker (None)."""
+    """A node of an index poset: a set of chains, or the top marker (None).
+    Its hash is taken once, when it is built."""
     chains: Optional[tuple]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.chains,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through the constructor: a str hash is per process
+        return DiagNode, (self.chains,)
 
     @property
     def is_top(self):
@@ -179,35 +190,65 @@ def law_failures(poset: FinitePoset, lattices, maps):
     ("edge-not-hom", p, q) and ("edge-not-bounded", p, q) (not asked of
     identity edges that passed), then ("commutativity", p, q, r) per triangle
     p < q < r whose three edges exist.  The poset's order must be
-    transitive; edges are looked up once, by position."""
+    transitive; edges are looked up once, by position.  An edge's laws are
+    decided once per distinct (source shape, target shape, mapping), shape
+    being (|L|, covers), and a triangle once per distinct triple of
+    mappings; an edge with a lazy product at either end is decided on its
+    own, with no covers built for a key."""
     els = poset.elements
-    # out[a][b]: the map from node a to node b above it, or None
-    out = [{b: maps.get((p, els[b])) for b in up}
-           for p, up in zip(els, poset._up_sets())]
+    shape_ids, mapping_ids = {}, {}
+
+    def shape_id(L):
+        # None for a lazy product
+        return shape_ids.setdefault(_shape(L), len(shape_ids)) \
+            if isinstance(L, FiniteLattice) else None
+
+    def edge(p, q):
+        # the map p -> q and the id of its mapping, or None
+        f = maps.get((p, q))
+        return None if f is None else (f, mapping_ids.setdefault(f.mapping.tobytes(),
+                                                                 len(mapping_ids)))
+
+    # out[a][b]: the edge from node a to node b above it
+    out = [{b: edge(p, els[b]) for b in up} for p, up in zip(els, poset._up_sets())]
     identities = set()
     for a, p in enumerate(els):
-        f = out[a].get(a)
-        if f is not None and np.array_equal(f.mapping, np.arange(lattices[p].n)):
+        e = out[a].get(a)
+        if e is not None and np.array_equal(e[0].mapping, np.arange(lattices[p].n)):
             identities.add(a)
         else:
             yield ("identity-edge", p)
+    laws = {}   # edge key -> (homomorphism?, bounded?)
     for a, p in enumerate(els):
-        for b, f in out[a].items():
-            if f is None:
+        for b, e in out[a].items():
+            if e is None:
                 yield ("missing-edge", p, els[b])
             elif not (a == b and a in identities):
-                if _hom_failure(f.source, f.target, f.mapping) is not None:
+                f, m = e
+                key = (shape_id(f.source), shape_id(f.target), m)
+                ok = laws.get(key)
+                if ok is None:
+                    ok = (_hom_failure(f.source, f.target, f.mapping) is None,
+                          f.preserves_bounds)
+                    if None not in key:
+                        laws[key] = ok
+                if not ok[0]:
                     yield ("edge-not-hom", p, els[b])
-                if not f.preserves_bounds:
+                if not ok[1]:
                     yield ("edge-not-bounded", p, els[b])
+    commutes = {}   # (f, g, h) mapping ids -> h == g . f
     for a, p in enumerate(els):
-        for b, f in out[a].items():
-            if b == a or f is None:
+        for b, e in out[a].items():
+            if b == a or e is None:
                 continue
             for c, g in out[b].items():
                 h = out[a].get(c)
-                if c != b and g is not None and h is not None \
-                        and not np.array_equal(h.mapping, g.mapping[f.mapping]):
+                if c == b or g is None or h is None:
+                    continue
+                key = (e[1], g[1], h[1])
+                if key not in commutes:
+                    commutes[key] = np.array_equal(h[0].mapping, g[0].mapping[e[0].mapping])
+                if not commutes[key]:
                     yield ("commutativity", p, els[b], els[c])
 
 
@@ -217,12 +258,14 @@ class LatticeDiagram:
 
     The constructor raises on a missing node lattice, an edge with the wrong
     source or target, or the first failure of law_failures().  lattices and
-    maps are read-only views, so a diagram stays lawful once built."""
+    maps are read-only views, so a diagram stays lawful once built, and its
+    memo (a ConcMemo) holds J(Con) and Conc of its shapes for its lifetime."""
 
     def __init__(self, poset: FinitePoset, lattices: dict, maps: dict):
         self.poset = poset
         self.lattices = MappingProxyType(dict(lattices))
         self.maps = MappingProxyType(dict(maps))
+        self.memo = ConcMemo()
         for p in poset.elements:
             if p not in self.lattices:
                 raise CritlatError(f"missing lattice at node {p}")
@@ -243,6 +286,7 @@ class LatticeDiagram:
         D = cls.__new__(cls)
         D.poset = poset
         D.lattices, D.maps = MappingProxyType(dict(lattices)), MappingProxyType(dict(maps))
+        D.memo = ConcMemo()
         return D
 
     def restrict(self, nodes) -> "LatticeDiagram":
@@ -278,8 +322,16 @@ class SemilatticeDiagram:
 # --- E(C): the base diagram ---
 
 def _chain_lattice(chain: Chain) -> FiniteLattice:
-    return validate_lattice(chain, list(zip(chain, chain[1:])),
-                            name="<".join(chain))
+    """The chain of these labels, bottom to top, from its own tables: its
+    order is the index order, its meet the min and its join the max."""
+    if len(set(chain)) < len(chain):
+        dup = next(x for k, x in enumerate(chain) if x in chain[:k])
+        raise DuplicateLabel(f"duplicate label {dup!r}")
+    n = len(chain)
+    ks = np.arange(n, dtype=np.int32)
+    return FiniteLattice(chain, ks[:, None] <= ks, np.minimum.outer(ks, ks),
+                         np.maximum.outer(ks, ks), name="<".join(chain),
+                         covers=tuple(zip(range(n), range(1, n))), ext=list(range(n)))
 
 
 def _bounds_of(chains, default):
@@ -295,7 +347,7 @@ def _bounds_of(chains, default):
 def _jc_lattices(chains, b, t):
     """The lattices at the JC nodes: b < t at the bottom node, each chain at
     its singleton node."""
-    lattices = {EMPTY: validate_lattice([b, t], [(b, t)], name=f"{b}<{t}")}
+    lattices = {EMPTY: _chain_lattice((b, t))}
     for c in chains:
         lattices[node_of(c)] = _chain_lattice(c)
     return lattices
@@ -500,8 +552,14 @@ def _isotone_surjections(m_src: int, m_tgt: int):
     return out
 
 
+# the labels of builtin("M:3") and builtin("N5"), and the covers of each
+_GENERATOR_LABELS = ("0", "x1", "x2", "x3", "1")
+_GENERATOR_COVERS = {((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)),
+                     ((0, 1), (0, 3), (1, 2), (2, 4), (3, 4))}
+
+
 def _check_generator(kgen):
-    if not any(_same_lattice(kgen, builtin(nm)) for nm in ("M:3", "N5")):
+    if kgen.labels != _GENERATOR_LABELS or tuple(kgen.covers) not in _GENERATOR_COVERS:
         raise BadChainShapes("the directing generator must be the builtin M:3 or N5 lattice")
 
 
@@ -616,9 +674,9 @@ def glued_diagram(L, subset, kgen) -> GluedDiagram:
 
 def apply_conc(D: LatticeDiagram) -> SemilatticeDiagram:
     """Nodewise J(Con), edgewise induced maps, each computed once per shape
-    (ConcMemo).  Conc is a functor and D is lawful, so the result obeys the
-    functor laws; they are not checked."""
-    memo = ConcMemo()
+    (the diagram's memo).  Conc is a functor and D is lawful, so the result
+    obeys the functor laws; they are not checked."""
+    memo = D.memo
     J = {n: memo.J(D.lattices[n]) for n in D.poset.elements}
     maps = {(p, q): memo.conc(D.maps[(p, q)], J[p], J[q]) for (p, q) in D.poset.pairs()}
     return SemilatticeDiagram(J, maps, of_diagram=D)

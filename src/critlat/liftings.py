@@ -20,7 +20,6 @@ import numpy as np
 
 from .congruence import (
     ConcMap,
-    ConcMemo,
     Congruence,
     JoinIrreducibles,
     _sends_chain,
@@ -152,10 +151,9 @@ def verify_lifting(lift: Lifting) -> LiftingReport:
         failures = [("xi-wrong-shape", p) for p in poset.elements
                     if not _same_or_dual(lift.xi[p].source.host, B.lattices[p])]
     if not failures:
-        memo = ConcMemo()
         for (p, q) in poset.pairs():
             xp, xq = lift.xi[p], lift.xi[q]
-            cf = memo.conc(B.maps[(p, q)], xp.source, xq.source)
+            cf = B.memo.conc(B.maps[(p, q)], xp.source, xq.source)
             s = S.maps.get((p, q))
             if s is None or not xq.commutes(cf, s, xp):
                 failures.append(("naturality", p, q))
@@ -491,10 +489,9 @@ def lifting_from_json(obj) -> Lifting:
         if unknown:
             raise FormatError(f"bad lifting bundle: xi key {unknown[0]!r} names no node")
         S = apply_conc(tgt)
-        memo = ConcMemo()
         xi = {}
         for n in src.poset.elements:
-            JS, JT = memo.J(src.lattices[n]), S.J[n]
+            JS, JT = src.memo.J(src.lattices[n]), S.J[n]
             xi[n] = _xi_from_pairs(JS, JT, obj["xi"][str(n)], n)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(f"bad lifting bundle: {exc!r}") from None

@@ -1,4 +1,5 @@
 import functools
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,9 @@ from critlat.diagrams import (
     FinitePoset,
     IndexPoset,
     LatticeDiagram,
+    _GENERATOR_COVERS,
+    _GENERATOR_LABELS,
+    _chain_lattice,
     admissible_triples,
     apply_conc,
     base_diagram,
@@ -32,6 +36,7 @@ from critlat.errors import (
     BadChainShapes,
     BudgetExceeded,
     CritlatError,
+    DuplicateLabel,
     EmptyChainSet,
     NotLowerSubset,
     NotSpanning,
@@ -40,7 +45,7 @@ from critlat.errors import (
     TooFewElements,
     UnknownElement,
 )
-from critlat import lattice
+from critlat import diagrams, lattice
 from critlat.lattice import (
     Homomorphism,
     _hom_failure,
@@ -122,6 +127,71 @@ class TestIndexPosets:
             for q in ip.ic:
                 want = q.is_top or (not p.is_top and set(p.chains) <= set(q.chains))
                 assert ip.le(p, q) == want
+
+
+class TestDiagNode:
+    """Nodes are values: equal chains give equal nodes and hashes whichever
+    IndexPoset built them; a node cannot change; its id is its str."""
+
+    CHAINS = [C1, C2, ("0", "x1", "x2", "1"), C3]
+
+    def test_equal_chains_give_equal_nodes(self):
+        first, second = IndexPoset(self.CHAINS).ic, IndexPoset(self.CHAINS[::-1]).ic
+        assert first == second
+        for a, b in zip(first, second):
+            assert a is not b or a in (EMPTY, TOP)
+            assert a == b and hash(a) == hash(b)
+            # the hash the dataclass would derive, so set orders are unchanged
+            assert hash(a) == hash((a.chains,))
+        assert set(first) == set(second) and len(set(first + second)) == len(first)
+        table = {n: k for k, n in enumerate(first)}
+        assert [table[n] for n in second] == list(range(len(second)))
+        assert node_of(C1, C2) != node_of(C1, C3) and node_of(C1) != EMPTY != TOP
+
+    def test_nodes_are_frozen(self):
+        n = node_of(C1)
+        for name, value in (("chains", (C2,)), ("_hash", 0)):
+            with pytest.raises(AttributeError):
+                setattr(n, name, value)
+        assert n == node_of(C1) and hash(n) == hash(node_of(C1))
+
+    def test_ids_are_unchanged(self):
+        ip = IndexPoset(self.CHAINS)
+        assert [str(n) for n in ip.ic] == [
+            "{}", "{0<x1<1}", "{0<x2<1}", "{0<x3<1}", "{0<x1<x2<1}", "{0<x1<1|0<x2<1}",
+            "{0<x1<1|0<x3<1}", "{0<x1<1|0<x1<x2<1}", "{0<x2<1|0<x3<1}",
+            "{0<x2<1|0<x1<x2<1}", "T"]
+        assert [repr(n) for n in ip.ic] == [str(n) for n in ip.ic]
+        assert str(node_of(("a<b", "c|d", "{e}", "\\"))) == "{a\\<b<c\\|d<\\{e\\}<\\\\}"
+        D, _ = chain_diagram_of_partial(builtin("M:3"), builtin("M:3").labels)
+        assert diagram_to_json(D)["poset"]["nodes"] == [str(n) for n in D.poset.elements]
+
+    def test_pickle_rebuilds_the_node(self):
+        for n in IndexPoset(self.CHAINS).ic:
+            back = pickle.loads(pickle.dumps(n))
+            assert back == n and hash(back) == hash(n)
+
+
+class TestChainLattice:
+    @pytest.mark.parametrize("chain", [("a",), ("0", "1"), C1, ("0", "x1", "x2", "1"),
+                                       tuple("abcdefgh")])
+    def test_tables_are_the_checked_ones(self, chain):
+        got = _chain_lattice(chain)
+        want = validate_lattice(chain, list(zip(chain, chain[1:])), name="<".join(chain))
+        assert (got.labels, got.covers, got.name) == (want.labels, want.covers, want.name)
+        assert (got.bottom_i, got.top_i) == (want.bottom_i, want.top_i)
+        for a, b in ((got._leq, want._leq), (got._meet, want._meet), (got._join, want._join),
+                     (got.heights, want.heights)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert not a.flags.writeable or a is got.heights
+
+    def test_repeated_label_raises(self):
+        with pytest.raises(DuplicateLabel, match="^duplicate label 'a'$"):
+            _chain_lattice(("0", "a", "b", "a", "1"))
+        with pytest.raises(DuplicateLabel, match="^duplicate label 'a'$"):
+            base_diagram([("0", "a", "a", "1")])
+        with pytest.raises(DuplicateLabel, match="^duplicate label '0'$"):
+            base_diagram([("0",)])
 
 
 class TestBaseDiagram:
@@ -522,6 +592,99 @@ class TestLawWalk:
         assert {(p, q, r) for q in els if p != q != r and le(p, q) and le(q, r)} <= set(want)
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edge_and_triangle_verdicts_match_the_oracles(self, lawful_diagrams, seed):
+        # per diagram, a random mapping on one random edge, then on one edge
+        # whose key (source shape, target shape, mapping) another edge
+        # shares, then the same random mapping on every edge of that key:
+        # a key decided once must still give each edge its own map's verdict
+        rng = np.random.default_rng(seed)
+
+        def key(f):
+            return f.source.n, f.source.covers, f.target.n, f.target.covers, f.mapping.tobytes()
+
+        for D in lawful_diagrams:
+            groups = {}
+            for pq, f in D.maps.items():
+                groups.setdefault(key(f), []).append(pq)
+            twins = [g for g in groups.values() if len(g) > 1]
+            pairs = D.poset.pairs()
+            trials = [[pairs[rng.integers(len(pairs))]]]
+            if twins:
+                group = twins[rng.integers(len(twins))]
+                trials += [[group[rng.integers(len(group))]], group]
+            for changed in trials:
+                f = D.maps[changed[0]]
+                m = rng.integers(0, f.target.n, f.source.n)
+                maps = dict(D.maps)
+                for pq in changed:
+                    maps[pq] = Homomorphism._trusted(f.source, f.target, m)
+                _assert_laws_match_oracles(D.poset, D.lattices, maps)
+
+    @pytest.mark.parametrize("order", [["k", "m", "n"], ["k", "n", "m"]])
+    def test_one_mapping_into_m3_and_into_n5(self, order):
+        # 0 < c1 < c2 < 1 sent to the indices of 0, x1, x2, 1: a chain in
+        # N5, where x1 < x2, and not in M3; the two targets have five
+        # elements each, so only their shapes tell the keys apart
+        lattices = {"k": builtin("chain:3"), "m": builtin("M:3"), "n": builtin("N5")}
+        maps = {(x, x): Homomorphism.identity(L) for x, L in lattices.items()}
+        for x in "mn":
+            maps[("k", x)] = Homomorphism._trusted(lattices["k"], lattices[x], [0, 1, 2, 4])
+        poset = FinitePoset(order, [("k", "m"), ("k", "n")])
+        assert list(law_failures(poset, lattices, maps)) == [("edge-not-hom", "k", "m")]
+        _assert_laws_match_oracles(poset, lattices, maps)
+
+    @pytest.mark.parametrize("order", [["p", "q", "a"], ["q", "p", "a"]])
+    def test_lazy_ends_are_decided_per_edge(self, order):
+        # chain:3 x 2 and 2 x chain:3 have eight elements each and no covers
+        # built for a key: i -> i // 2 is the projection out of the first
+        # and no homomorphism out of the second, and 0, 1, 2, 3 -> 0, 3, 5, 7
+        # the embedding k -> (k, k > 0) into the first and not into the second
+        A, B = builtin("chain:3"), builtin("2")
+        lattices = {"p": ProductLattice([A, B]), "q": ProductLattice([B, A]), "a": A}
+
+        def walk(edges):
+            maps = {(x, x): Homomorphism.identity(L) for x, L in lattices.items()}
+            maps.update({(x, y): Homomorphism._trusted(lattices[x], lattices[y], m)
+                         for x, y, m in edges})
+            poset = FinitePoset(order, [(x, y) for x, y, _ in edges])
+            return list(law_failures(poset, lattices, maps))
+
+        out_of, into = np.arange(8) // 2, [0, 3, 5, 7]
+        assert walk([("p", "a", out_of), ("q", "a", out_of)]) == [("edge-not-hom", "q", "a")]
+        assert walk([("a", "p", into), ("a", "q", into)]) == [("edge-not-hom", "a", "q")]
+
+    def test_each_edge_key_is_decided_once(self, lawful_diagrams):
+        for D in lawful_diagrams:
+            keys = {(f.source.n, f.source.covers, f.target.n, f.target.covers,
+                     f.mapping.tobytes()) for (p, q), f in D.maps.items() if p != q}
+            with mock.patch.object(diagrams, "_hom_failure", side_effect=_hom_failure) as spy:
+                assert list(law_failures(D.poset, D.lattices, D.maps)) == []
+            assert spy.call_count == len(keys) < len(D.maps)
+
+
+def _assert_laws_match_oracles(poset, lattices, maps):
+    """The edge and triangle failures of the law walk are the maps the
+    oracle rejects and the triangles that do not compose, each once."""
+    failures = list(law_failures(poset, lattices, maps))
+    assert len(failures) == len(set(failures))
+    els, le = poset.elements, poset.le
+
+    def found(kind):
+        return {t[1:] for t in failures if t[0] == kind}
+
+    def commutes(a, b, c):
+        first, then = maps[(a, b)].mapping.tolist(), maps[(b, c)].mapping.tolist()
+        return maps[(a, c)].mapping.tolist() == [then[x] for x in first]
+
+    pairs = poset.pairs()
+    assert found("edge-not-hom") == {pq for pq in pairs if not oracle_is_homomorphism(maps[pq])}
+    assert found("edge-not-bounded") == {pq for pq in pairs if not maps[pq].preserves_bounds}
+    assert found("commutativity") == {(a, b, c) for a in els for b in els for c in els
+                                      if a != b != c and le(a, b) and le(b, c)
+                                      and not commutes(a, b, c)}
+
+
 @functools.lru_cache(maxsize=None)
 def _directing_pool():
     """The directing diagrams of M:3 and N5 over every admissible triple."""
@@ -654,6 +817,23 @@ class TestDirectingDiagram:
             directing_diagram(builtin("M:3"), C1, C2, ("0", "y1", "y2", "1"))
         with pytest.raises(BadChainShapes):
             directing_diagram(builtin("F22"), C1, C2, C3)
+
+    def test_generator_is_read_off_its_labels_and_covers(self):
+        for nm in ("M:3", "N5"):
+            assert builtin(nm).labels == _GENERATOR_LABELS
+        assert _GENERATOR_COVERS == {builtin(nm).covers for nm in ("M:3", "N5")}
+        m3 = builtin("M:3")
+        # M3 given its covers in another order is M3; a relabelled M3, the
+        # dual of N5 and other five-element lattices are not generators
+        again = validate_lattice(m3.labels, [(m3.labels[i], m3.labels[j])
+                                             for i, j in m3.covers[::-1]])
+        directing_diagram(again, C1, C2, C3)
+        relabelled = validate_lattice(["0", "a", "b", "c", "1"],
+                                      [("0", x) for x in "abc"] + [(x, "1") for x in "abc"])
+        for kgen in (relabelled, lattice.dual(builtin("N5")), builtin("chain:4"),
+                     builtin("M:4")):
+            with pytest.raises(BadChainShapes, match="must be the builtin M:3 or N5"):
+                directing_diagram(kgen, C1, C2, C3)
 
 
 class TestGluedDiagram:

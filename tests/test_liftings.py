@@ -19,6 +19,7 @@ from critlat.diagrams import (
     TOP,
     FinitePoset,
     LatticeDiagram,
+    apply_conc,
     chain_diagram,
     chain_diagram_of_partial,
     directing_diagram,
@@ -214,6 +215,85 @@ class TestVerify:
         # the xi of a lifting pass to its dual unchanged
         lift = identity_lifting(diagram(builtin("N5")))
         assert verify_lifting(dual_lifting(lift)).ok
+
+
+class TestDiagramMemo:
+    """apply_conc, verify_lifting and lifting_from_json share the diagram's
+    memo; a target made wrong after the memo is filled still fails."""
+
+    @staticmethod
+    def two_node_diagram(mapping):
+        # chain:3 at both ends of a < b, the edge sending it by `mapping`
+        C = builtin("chain:3")
+        poset = FinitePoset(["a", "b"], [("a", "b")])
+        ident = Homomorphism.identity(C)
+        return LatticeDiagram(poset, {"a": C, "b": C},
+                              {("a", "a"): ident, ("b", "b"): ident,
+                               ("a", "b"): Homomorphism._trusted(C, C, mapping)})
+
+    def test_target_edge_from_another_diagram_fails(self):
+        # the same shapes and another bounded map: c1 goes down to 0, so
+        # Conc of it kills the atom Theta(0, c1)
+        D, E = self.two_node_diagram([0, 1, 2, 3]), self.two_node_diagram([0, 0, 2, 3])
+        apply_conc(D)
+        lift = identity_lifting(D)
+        assert verify_lifting(lift).ok
+        lift.target.maps[("a", "b")] = apply_conc(E).maps[("a", "b")]
+        assert verify_lifting(lift).failures == [("naturality", "a", "b")]
+        # and the other way round, with E's memo filled first
+        lift = identity_lifting(E)
+        lift.target.maps[("a", "b")] = apply_conc(D).maps[("a", "b")]
+        assert verify_lifting(lift).failures == [("naturality", "a", "b")]
+
+    @pytest.mark.parametrize("chain", [C1, C2])
+    def test_tampered_target_edge_after_apply_conc_fails(self, named, chain):
+        D, _ = chain_diagram_of_partial(named["M:3"], named["M:3"].labels)
+        first = apply_conc(D)
+        lift = identity_lifting(D)
+        for pq in ((EMPTY, node_of(chain)), (node_of(chain), TOP)):
+            s = lift.target.maps[pq]
+            images = s.images.copy()
+            images[0] = ~images[0]
+            lift.target.maps[pq] = ConcMap(s.source, s.target, s.zero, images)
+            assert verify_lifting(lift).failures == [("naturality", *pq)]
+            assert unshared_naturality_failures(lift) == [("naturality", *pq)]
+            lift.target.maps[pq] = s
+        assert verify_lifting(lift).ok
+        # the memo gave the tampered copies nothing of theirs
+        assert all(first.maps[pq].equal_map(f) for pq, f in apply_conc(D).maps.items())
+
+    def test_repeated_apply_conc_and_dual_lifting(self, lawful_diagrams):
+        for D in lawful_diagrams:
+            S, T = apply_conc(D), apply_conc(D)
+            assert all(S.maps[pq].equal_map(T.maps[pq]) for pq in D.poset.pairs())
+            assert all(np.array_equal(S.J[n].leq, T.J[n].leq) for n in D.poset.elements)
+            lift = identity_lifting(D)
+            assert verify_lifting(lift).ok
+            assert verify_lifting(dual_lifting(lift)).ok
+
+    def test_verify_after_apply_conc_computes_no_conc(self, named):
+        D, _ = chain_diagram_of_partial(named["N5"], named["N5"].labels)
+        lift = identity_lifting(D)
+        with mock.patch("critlat.congruence.conc_of_hom", side_effect=conc_of_hom) as spy:
+            assert verify_lifting(lift).ok
+            assert spy.call_count == 0
+            # the dual diagram has a memo of its own
+            assert verify_lifting(dual_lifting(lift)).ok
+            assert spy.call_count > 0
+
+    def test_bundle_reads_source_j_once_per_shape(self, named, spy_on_j):
+        lift = m3_identity_lifting(named)
+        obj = lifting_to_json(lift)
+        shapes = {(L.n, L.covers) for L in lift.source.lattices.values()}
+        with spy_on_j() as spy:
+            back = lifting_from_json(obj)
+        # one J(Con) per shape for the target's apply_conc, one per shape
+        # for the source, which stay in the source diagram's memo
+        assert spy.call_count == 2 * len(shapes)
+        with spy_on_j() as spy:
+            assert verify_lifting(identity_lifting(back.source)).ok
+        assert spy.call_count == 0
+        assert verify_lifting(back).ok
 
 
 class TestFindChains:
