@@ -20,8 +20,9 @@ from critlat import (
     subuniverse_closure,
 )
 
-# The smallest congruence identifying two elements is computed by a
-# union-find closure under one-sided meets and joins.
+# The smallest congruence identifying two elements is read off J(Con L), the
+# join-irreducible congruences, with no closure: its down-set is the join of
+# the Theta(j_*, j) with j <= a v b and j not <= a ^ b.
 c2 = builtin("chain:2")
 theta = principal_congruence(c2, "0", "c1")
 print("Theta(0, c1) on the 3-chain:", theta.label_blocks())

@@ -27,20 +27,13 @@ from .errors import (
     NotACongruence,
     NotASublattice,
 )
-from .lattice import (FiniteLattice, Homomorphism, _dependency, _dependency_ends, _same_lattice,
-                      _same_or_dual, chain_order)
+from .lattice import (FiniteLattice, Homomorphism, _dependency, _dependency_ends, _require_dense,
+                      _same_lattice, _same_or_dual, chain_order)
 
 # cells read: J(Con L) builds |J(L)| x |L| tables, con_lattice one
 # partition of |L| entries per congruence
 J_CELL_BUDGET = 300 * 300
 CON_CELL_BUDGET = 300 * 2048
-
-
-def _require_dense(L):
-    if not isinstance(L, FiniteLattice):
-        raise BudgetExceeded(
-            f"congruence computations need a dense lattice, got a "
-            f"{type(L).__name__} of {L.n} elements")
 
 
 def _reach(D):
@@ -91,8 +84,8 @@ class Congruence:
     @classmethod
     def from_rep(cls, host, rep):
         """The partition into the classes of rep (any class ids), trusted to
-        be a congruence: for partitions the library computed (kernels,
-        meets of congruences and partitions read off masks over J(Con))."""
+        be a congruence: for partitions the library computed (kernels
+        and partitions read off masks over J(Con))."""
         # class ids renumbered by first occurrence: the canonical block_of
         seen = {}
         ids = tuple(seen.setdefault(c, len(seen))
@@ -124,33 +117,12 @@ class Congruence:
         return cls.from_rep(host, [0] * host.n)
 
     def is_valid(self) -> bool:
-        _require_dense(self.host)
+        _require_dense(self.host, "congruence computations need")
         bo = np.array(self.block_of)
         # each element's row must agree, modulo self, with its block's least element's
         least = np.array([self.blocks[k][0] for k in self.block_of])
         return all((bo[table] == bo[table[least]]).all()
                    for table in (self.host._meet, self.host._join))
-
-    def same(self, i, j) -> bool:
-        return self.block_of[i] == self.block_of[j]
-
-    def leq(self, other: "Congruence") -> bool:
-        """Refinement order: every block of self lies inside a block of other."""
-        obo = other.block_of
-        return all(all(obo[i] == obo[b[0]] for i in b) for b in self.blocks)
-
-    def join(self, other: "Congruence") -> "Congruence":
-        """Join: the union of the two down-sets of J(Con L)."""
-        if not _same_lattice(self.host, other.host):
-            raise HostMismatch("congruences live on different lattices")
-        J = JoinIrreducibles(self.host)
-        return J.congruences(J.mask_of(self.block_of) | J.mask_of(other.block_of))[0]
-
-    def meet(self, other: "Congruence") -> "Congruence":
-        """Meet: common refinement (always a congruence)."""
-        if not _same_lattice(self.host, other.host):
-            raise HostMismatch("congruences live on different lattices")
-        return Congruence.from_rep(self.host, list(zip(self.block_of, other.block_of)))
 
     def label_blocks(self):
         return [[self.host.labels[i] for i in b] for b in self.blocks]
@@ -200,7 +172,7 @@ class JoinIrreducibles:
     __slots__ = ("host", "cons", "pairs", "leq", "_below", "_gen", "_covers", "_cover_of")
 
     def __init__(self, L):
-        _require_dense(L)
+        _require_dense(L, "congruence computations need")
         ji, lower, D = _dependency(L, J_CELL_BUDGET)
         star = _reach(D)
         # j and k share a class of D*, a member, iff their rows of D* are
@@ -362,7 +334,7 @@ def is_simple(L) -> bool:
     D* (_dependency) has one class, J(Con L) one member.  Stops early when
     some j has no D edge in or out: its class is {j}; that is read off the
     arrow relations (_dependency_ends), before D is formed."""
-    _require_dense(L)
+    _require_dense(L, "congruence computations need")
     out, into = _dependency_ends(L)
     if L.n < 2 or len(out) > 1 and not (out & into).all():
         return False
@@ -404,10 +376,6 @@ class ConcMap:
         """phi of down-set masks over J(Con source), one per row."""
         return self.zero | (masks @ self.images)
 
-    def apply(self, theta: Congruence) -> Congruence:
-        image = self.on_masks(self.source.mask_of(theta.block_of))
-        return self.target.congruences(image)[0]
-
     def sends_principal(self, a, b, C, c, d):
         """For each k, whether phi(Theta(a_k, b_k)) = Theta_C(c_k, d_k), as a
         bool array, with no partition built.  a, b index the elements of the
@@ -429,11 +397,6 @@ class ConcMap:
         pi = np.array([downs.get(row.tobytes(), -1) for row in self.images], dtype=np.intp)
         return (len(set(pi.tolist()) - {-1}) == len(pi)
                 and bool((self.target.leq[np.ix_(pi, pi)] == self.source.leq).all()))
-
-    @property
-    def separates_zero(self) -> bool:
-        """Only 0 goes to 0: phi(0) = 0 and no phi(down j) is 0."""
-        return not self.zero.any() and bool(self.images.any(axis=1).all())
 
     def compose(self, first: "ConcMap") -> "ConcMap":
         """self after first."""
@@ -502,9 +465,8 @@ class ConcMemo:
         self._J, self._conc = {}, {}
 
     def J(self, L) -> JoinIrreducibles:
-        """J(Con L); a lazy product goes to JoinIrreducibles, which refuses it."""
-        if not isinstance(L, FiniteLattice):
-            return JoinIrreducibles(L)
+        """J(Con L), built once per shape; a lazy product is refused."""
+        _require_dense(L, "congruence computations need")
         key = _shape(L)
         J = self._J.get(key)
         if J is None:

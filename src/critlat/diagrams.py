@@ -36,6 +36,7 @@ from .lattice import (
     Homomorphism,
     _dot_string,
     _hom_failure,
+    _require_dense,
     _same_lattice,
     _sublattice_from_indices,
     lattice_from_json,
@@ -405,7 +406,9 @@ def chain_diagram(L, chains) -> LatticeDiagram:
 
 def spanning_chains_of_subset(L, subset):
     """Spanning chains of length 2 or 3 with all elements inside `subset`;
-    UnknownElement names a label that is not in L."""
+    UnknownElement names a label that is not in L.  A lazy product is
+    refused: listing its chains is a search over all of its elements."""
+    _require_dense(L, "chain diagrams need")
     members = sorted({L.index(x) for x in subset})
     if L.bottom_i not in members or L.top_i not in members:
         raise NotSpanning("subset must contain both bounds")
@@ -453,7 +456,7 @@ def product_over(j_nodes, diagrams: Sequence[LatticeDiagram]) -> LatticeDiagram:
         if n in jset:
             lattices[n] = first.lattices[n]
         else:
-            lattices[n] = product(*[d.lattices[n] for d in diagrams], allow_lazy=True)
+            lattices[n] = product(*[d.lattices[n] for d in diagrams])
             sizes[n] = [d.lattices[n].n for d in diagrams]
 
     def coords(n):

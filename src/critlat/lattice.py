@@ -33,7 +33,7 @@ from .errors import (
     UnknownElement,
 )
 
-PRODUCT_CAP = 4096  # largest product with dense tables; larger ones are lazy or refused
+PRODUCT_CAP = 4096  # largest product with dense tables; larger ones are lazy
 SUBUNIVERSE_SIZE_BOUND = 10
 EMBED_NODE_BUDGET = 2_000_000
 ISO_SEARCH_BUDGET = 5_000_000
@@ -504,6 +504,15 @@ def _product_covers(factors):
     return tuple(zip(lo[order].tolist(), hi[order].tolist()))
 
 
+def _require_dense(L, need):
+    """BudgetExceeded unless L is a FiniteLattice, the message opening with
+    need ("quotient needs"): each entry that reads the dense tables calls
+    this before it does, since a lazy product has none."""
+    if not isinstance(L, FiniteLattice):
+        raise BudgetExceeded(f"{need} a dense lattice, got a {type(L).__name__} "
+                             f"of {L.n} elements")
+
+
 def _tables(L):
     """(leq, meet, join) of L; a lazy product's are built from its factors'."""
     if isinstance(L, ProductLattice):
@@ -529,27 +538,24 @@ def _product_tables(factors):
               for s, t in zip(first[1:], second[1:])))
 
 
-def product(*lattices, allow_lazy=False):
+def product(*lattices):
     """Direct product with componentwise operations.
 
-    The result carries dense tables up to PRODUCT_CAP elements; a larger
-    product is a lazy ProductLattice with allow_lazy, and raises
-    SizeCapExceeded without it.  Use product_projections() to get the
-    canonical projections as Homomorphisms.
+    The result carries dense tables up to PRODUCT_CAP elements and is a
+    lazy ProductLattice above (SizeCapExceeded above the lazy limit).  Use
+    product_projections() to get the canonical projections as
+    Homomorphisms.
     """
     if not lattices:
         raise CritlatError("product of zero lattices")
     if len(lattices) == 1:
         return lattices[0]
-    return _product(lattices, "x".join(f.name or "?" for f in lattices), allow_lazy)
+    return _product(lattices, "x".join(f.name or "?" for f in lattices))
 
 
-def _product(factors, name, allow_lazy=False):
+def _product(factors, name):
     """The product of two or more factors, named name (see product)."""
-    total = math.prod(f.n for f in factors)
-    if total > PRODUCT_CAP:
-        if not allow_lazy:
-            raise SizeCapExceeded(f"product has {total} elements, cap is {PRODUCT_CAP}")
+    if math.prod(f.n for f in factors) > PRODUCT_CAP:
         return ProductLattice(factors, name=name)
     return FiniteLattice(_product_labels(factors), *_product_tables(factors), name=name,
                          covers=_product_covers(factors), factors=tuple(factors))
@@ -735,6 +741,7 @@ def subuniverse_closure(L, subset, include_bounds=False):
     ambient element order.  With include_bounds, 0 and 1 are adjoined to the
     generating set first (bounded-sublattice closure).
     """
+    _require_dense(L, "subuniverse closure needs")
     idxs = {L.index(x) for x in subset}
     if not idxs:
         raise CritlatError("cannot close an empty subset")
@@ -812,6 +819,7 @@ def enumerate_subuniverses(L):
     Deterministic order: by (size, index tuple).  Each found subuniverse is
     extended by every element outside it, one closure each.
     """
+    _require_dense(L, "subuniverse enumeration needs")
     if L.n > SUBUNIVERSE_SIZE_BOUND:
         raise BudgetExceeded(f"|L| = {L.n} exceeds the subuniverse enumeration "
                              f"bound {SUBUNIVERSE_SIZE_BOUND}")
@@ -844,6 +852,7 @@ def quotient(L, theta):
     element's label.  theta is not checked again: a Congruence is checked
     where it is made, or comes from the library's trusted Congruence.from_rep.
     """
+    _require_dense(L, "quotient needs")
     if theta.host is not L and not _same_lattice(theta.host, L):
         raise HostMismatch("congruence belongs to a different lattice")
     reps = [b[0] for b in theta.blocks]
@@ -907,8 +916,7 @@ def _iso_backtrack(K, L, find_all=False):
     if K.n != L.n:
         return []
     for M in (K, L):
-        if not isinstance(M, FiniteLattice):
-            raise BudgetExceeded(f"isomorphism search needs a dense lattice, got {M!r}")
+        _require_dense(M, "isomorphism search needs")
     sigK = K.iso_signature()
     sigL = L.iso_signature()
     if sorted(sigK) != sorted(sigL):

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .congruence import Congruence, JoinIrreducibles, _require_dense
+from .congruence import Congruence, JoinIrreducibles
 from .errors import BudgetExceeded, NotSubdirectlyIrreducible
 from .lattice import (
     Homomorphism,
@@ -29,6 +29,7 @@ from .lattice import (
     _extend_graph,
     _is_modular,
     _neighbours,
+    _require_dense,
     _sublattice_from_indices,
     _truncate,
 )
@@ -107,7 +108,7 @@ def subdirect_decomposition(K):
     projs = [proj for _, _, proj, _ in found]
     if not quotients:
         return thetas, None, None
-    P = product(*quotients, allow_lazy=True)
+    P = product(*quotients)
     mapping = product_index([Q.n for Q in quotients], [p.mapping for p in projs])
     emb = Homomorphism(K, P, mapping)
     return thetas, P, emb
@@ -206,12 +207,16 @@ def hs_member(M, L, max_subuniverses=HS_TUPLE_BUDGET) -> Optional[HSWitness]:
     witness: S, the kernel theta of the map, and the isomorphism
     S/theta -> M.  `max_subuniverses` caps the generator tuples closed, in M
     and then in L (_tuple_budget).  No search runs when L is too small or
-    too short for M, or satisfies a law that M fails (_law_excludes).
+    too short for M, or satisfies a law that M fails (_law_excludes).  A
+    lazy product is refused as L, and as M when it fits in L.
     """
-    _require_dense(L)
+    _require_dense(L, "HS search needs")
     # the least elements of the blocks of a chain in S/theta form a chain in
     # S, so no member of HS(L) is larger or taller than L
-    if M.n > L.n or M.height() > L.height() or _law_excludes(M, L):
+    if M.n > L.n or M.height() > L.height():
+        return None
+    _require_dense(M, "HS search needs")
+    if _law_excludes(M, L):
         return None
     budget = _tuple_budget(M, L, max_subuniverses)
     found = _least_functional_tuple(M, L, _least_generating_set(M, budget), budget)

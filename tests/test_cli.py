@@ -320,6 +320,47 @@ class TestLongChains:
         assert time.perf_counter() - start < 10
 
 
+# every subcommand with the lazy product bool:13 (8192 elements, past
+# PRODUCT_CAP) in each lattice position, and its exit code: the order, the
+# dual and the drawing are answered, a member or an isomorph larger than
+# the other lattice is absent, and everything else is refused
+LAZY = "bool:13"
+LAZY_COMMANDS = {
+    "validate {}": 0, "con {}": 2, "simple {}": 2, "si {}": 2, "hs-member {} M:3": 0,
+    "hs-member M:3 {}": 2, "hs-member {} {}": 2, "var-leq {} M:3": 2, "var-leq M:3 {}": 2,
+    "crit-gate {} M:3": 2, "crit-gate M:3 {}": 2, "conc-report {} M:3": 2,
+    "conc-report M:3 {}": 2, "iso {} M:3": 0, "iso M:3 {}": 0, "iso {} {}": 2, "dual {}": 0,
+    "chain-diagram {}": 2, "directing-diagram {} 0,x1,1 0,x2,1 0,x3,1": 2,
+    "glued-diagram {} M:3": 2, "glued-diagram M:3 {}": 2, "lift-check --identity {}": 2,
+    "lift-check --dual-of {}": 2, "extract-embedding {}": 2,
+    "find-chains {} 0000000000000 1111111111111": 2, "export-dot {}": 0}
+
+
+class TestLazyProducts:
+    """A builtin past PRODUCT_CAP is a lazy product: every command on it
+    answers or refuses within seconds, with no traceback."""
+
+    def test_every_subcommand_is_swept(self):
+        _, subs = TestFlagTable.subparsers()
+        assert {c.split()[0] for c in LAZY_COMMANDS} == set(subs)
+
+    @pytest.mark.parametrize("command", sorted(LAZY_COMMANDS))
+    def test_exit_code_within_seconds(self, capsys, command):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *command.format(LAZY, LAZY).split())
+        assert time.perf_counter() - start < 10
+        assert code == LAZY_COMMANDS[command] and "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ") and out == ""
+        elif command.startswith(("hs-member", "iso")):
+            assert out == ("absent\n" if command.startswith("hs-member") else "none\n")
+
+    def test_past_the_lazy_limit_is_two(self, capsys):
+        code, _, err = invoke(capsys, "validate", "bool:19")
+        assert code == 2
+        assert err == "error: SizeCapExceeded: product of size 524288 exceeds the lazy limit\n"
+
+
 # every subcommand that reads a file, with {} where the file goes
 FILE_COMMANDS = [
     "validate {}", "con {}", "simple {}", "si {}", "hs-member {} M:3",

@@ -262,6 +262,11 @@ class TestChainDiagram:
         L = builtin("chain:1200")
         assert spanning_chains_of_subset(L, ["0", "c600", "1"]) == [("0", "c600", "1")]
 
+    def test_lazy_product_refused(self):
+        P = ProductLattice([builtin("M:3"), builtin("2")])
+        with pytest.raises(BudgetExceeded, match="^chain diagrams need a dense lattice"):
+            chain_diagram_of_partial(P, P.labels)
+
 
 
 class TestGuaranteedByConstruction:
@@ -871,6 +876,11 @@ class TestGluedDiagram:
         with pytest.raises(UnknownElement):
             glued_diagram(named["M:3"], ["0", "a", "b", "c", "1"], builtin("M:3"))
 
+    def test_lazy_product_refused(self):
+        P = ProductLattice([builtin("M:3"), builtin("2")])
+        with pytest.raises(BudgetExceeded, match="^chain diagrams need a dense lattice"):
+            glued_diagram(P, P.labels, builtin("M:3"))
+
     def test_admissible_triples_chain3(self, named):
         chains = [("0", "c1", "1"), ("0", "c2", "1"), ("0", "c1", "c2", "1")]
         triples = admissible_triples(chains)
@@ -896,8 +906,10 @@ class TestApplyConc:
     def test_inclusion_edges_separate_zero(self, named):
         D, _ = chain_diagram_of_partial(named["M:3"], named["M:3"].labels)
         S = apply_conc(D)
+        # only 0 goes to 0: phi(0) is empty and no phi(down j) is
         for (p, q) in D.poset.pairs():
-            assert S.maps[(p, q)].separates_zero
+            cm = S.maps[(p, q)]
+            assert not cm.zero.any() and cm.images.any(axis=1).all()
 
     def test_budget(self, named):
         g = glued_diagram(named["M:3"], named["M:3"].labels, builtin("M:3"))

@@ -14,6 +14,7 @@ from critlat.errors import (
     CycleDetected,
     DuplicateLabel,
     FormatError,
+    HostMismatch,
     NotALattice,
     NotASublattice,
     NotSpanning,
@@ -328,10 +329,38 @@ class TestProduct:
     def test_cardinality(self):
         assert product(builtin("M:3"), builtin("N5")).n == 25
 
-    def test_size_cap(self):
-        M3 = builtin("M:3")
-        with pytest.raises(SizeCapExceeded):
-            product(*([M3] * 7))
+    def test_above_the_cap_is_lazy(self):
+        # 5 * 5 * 4 * 6 * 2 * 2 * 2 = 4800 elements, past PRODUCT_CAP = 4096
+        fs = [builtin(nm) for nm in ("M:3", "N5", "chain:3", "M:4", "2", "2", "2")]
+        P = product(*fs)
+        assert isinstance(P, ProductLattice) and P.n == 4800 > lattice.PRODUCT_CAP
+        combos = itertools.product(*[f.labels for f in fs])
+        assert P.labels == tuple("(" + ",".join(c) + ")" for c in combos)
+        coords = np.array(lattice.product_coords(P.sizes, np.arange(P.n))).T
+        # a cover raises one coordinate by a cover of its factor, and every
+        # such step is a cover
+        want = set()
+        for i, c in enumerate(coords.tolist()):
+            for k, f in enumerate(fs):
+                for a, b in f.covers:
+                    if c[k] == a:
+                        up = c[:k] + [b] + c[k + 1:]
+                        want.add((i, int(lattice.product_index(P.sizes, up))))
+        assert sorted(want) == list(P.covers)
+        assert P.heights.tolist() == [sum(int(f.heights[x]) for f, x in zip(fs, c))
+                                      for c in coords.tolist()]
+        assert P.height() == sum(f.height() for f in fs)
+        assert not is_distributive(P)[0] and not is_distributive(fs[1])[0]
+        chains = product(*[builtin(nm) for nm in ("chain:4", "chain:5", "chain:6", "chain:7",
+                                                  "chain:8")])
+        assert isinstance(chains, ProductLattice) and is_distributive(chains) == (True, None)
+
+    def test_lazy_limit(self):
+        # bool:18, 262 144 elements, is lazy; bool:19 (524 288) is past
+        # the 500 000 of the lazy limit
+        assert isinstance(builtin("bool:18"), ProductLattice)
+        with pytest.raises(SizeCapExceeded, match="exceeds the lazy limit"):
+            builtin("bool:19")
 
     def test_projections_are_surjective_bounded(self, named):
         P = product(named["M:3"], named["chain:2"])
@@ -466,6 +495,17 @@ class TestSubuniverses:
         with pytest.raises(BudgetExceeded):
             enumerate_subuniverses(product(builtin("M:3"), builtin("chain:2")))
 
+    def test_closure_refuses_a_lazy_product(self):
+        P = ProductLattice([builtin("M:3"), builtin("2")])
+        with pytest.raises(BudgetExceeded, match="^subuniverse closure needs a dense lattice"):
+            subuniverse_closure(P, P.labels[:2])
+
+    def test_enumeration_refuses_a_lazy_product(self):
+        # 10 elements: within the enumeration bound
+        P = ProductLattice([builtin("M:3"), builtin("2")])
+        with pytest.raises(BudgetExceeded, match="^subuniverse enumeration needs a dense lattice"):
+            enumerate_subuniverses(P)
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_closure_operator_laws(self, named, data):
@@ -503,6 +543,17 @@ class TestQuotient:
         Q, proj = quotient(N5, theta)
         assert is_isomorphic(Q, builtin("bool:2")) is not None
         assert proj.surjective and proj.preserves_bounds
+
+    def test_host_mismatch(self, named):
+        from critlat.congruence import Congruence
+        with pytest.raises(HostMismatch):
+            quotient(named["M:3"], Congruence.zero(named["N5"]))
+
+    def test_lazy_product_refused(self):
+        from critlat.congruence import Congruence
+        P = ProductLattice([builtin("M:3"), builtin("2")])
+        with pytest.raises(BudgetExceeded, match="^quotient needs a dense lattice"):
+            quotient(P, Congruence.zero(P))
 
 
 class TestIsomorphism:

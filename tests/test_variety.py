@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from critlat.congruence import Congruence, JoinIrreducibles, con_lattice
-from critlat.errors import NotSubdirectlyIrreducible
+from critlat.errors import BudgetExceeded, NotSubdirectlyIrreducible
 from critlat.lattice import (
+    ProductLattice,
     builtin,
     dual,
     is_isomorphic,
@@ -182,10 +183,9 @@ class TestSubdirectDecomposition:
         K = named[name]
         thetas, P, emb = subdirect_decomposition(K)
         assert emb is not None and emb.injective
-        meet = Congruence.one(K)
-        for t in thetas:
-            meet = meet.meet(t)
-        assert meet == Congruence.zero(K)
+        # the thetas meet to zero: no two elements share a class of all
+        classes = list(zip(*(t.block_of for t in thetas)))
+        assert len(set(classes)) == K.n
 
 
 class TestHsMember:
@@ -210,6 +210,15 @@ class TestHsMember:
         for a, b in pairs:
             mine = hs_member(named[a], named[b]) is not None
             assert mine == oracle_hs_member(named[a], named[b])
+
+    def test_lazy_member_that_fits_is_refused(self):
+        # M3 x 2 (10 elements, height 3) fits in bool:4 (16, height 4); a
+        # lazy member too large or too tall for L stays absent
+        M = ProductLattice([builtin("M:3"), builtin("2")])
+        with pytest.raises(BudgetExceeded, match="^HS search needs a dense lattice"):
+            hs_member(M, builtin("bool:4"))
+        assert hs_member(M, builtin("M:4")) is None
+        assert hs_member(builtin("bool:13"), builtin("M:3")) is None
 
     def test_taller_than_l_is_absent_without_search(self, named):
         # chain:7 has height 7 and bool:3 x chain:3 height 6; searching for
