@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .congruence import ConcMemo, _shape
+from .congruence import ConcMemo
 from .errors import (
     BadChainShapes,
     CritlatError,
@@ -191,65 +191,35 @@ def law_failures(poset: FinitePoset, lattices, maps):
     ("edge-not-hom", p, q) and ("edge-not-bounded", p, q) (not asked of
     identity edges that passed), then ("commutativity", p, q, r) per triangle
     p < q < r whose three edges exist.  The poset's order must be
-    transitive; edges are looked up once, by position.  An edge's laws are
-    decided once per distinct (source shape, target shape, mapping), shape
-    being (|L|, covers), and a triangle once per distinct triple of
-    mappings; an edge with a lazy product at either end is decided on its
-    own, with no covers built for a key."""
+    transitive; edges are looked up once, by position."""
     els = poset.elements
-    shape_ids, mapping_ids = {}, {}
-
-    def shape_id(L):
-        # None for a lazy product
-        return shape_ids.setdefault(_shape(L), len(shape_ids)) \
-            if isinstance(L, FiniteLattice) else None
-
-    def edge(p, q):
-        # the map p -> q and the id of its mapping, or None
-        f = maps.get((p, q))
-        return None if f is None else (f, mapping_ids.setdefault(f.mapping.tobytes(),
-                                                                 len(mapping_ids)))
-
-    # out[a][b]: the edge from node a to node b above it
-    out = [{b: edge(p, els[b]) for b in up} for p, up in zip(els, poset._up_sets())]
+    # out[a][b]: the map from node a to node b above it, or None
+    out = [{b: maps.get((p, els[b])) for b in up}
+           for p, up in zip(els, poset._up_sets())]
     identities = set()
     for a, p in enumerate(els):
-        e = out[a].get(a)
-        if e is not None and np.array_equal(e[0].mapping, np.arange(lattices[p].n)):
+        f = out[a].get(a)
+        if f is not None and np.array_equal(f.mapping, np.arange(lattices[p].n)):
             identities.add(a)
         else:
             yield ("identity-edge", p)
-    laws = {}   # edge key -> (homomorphism?, bounded?)
     for a, p in enumerate(els):
-        for b, e in out[a].items():
-            if e is None:
+        for b, f in out[a].items():
+            if f is None:
                 yield ("missing-edge", p, els[b])
             elif not (a == b and a in identities):
-                f, m = e
-                key = (shape_id(f.source), shape_id(f.target), m)
-                ok = laws.get(key)
-                if ok is None:
-                    ok = (_hom_failure(f.source, f.target, f.mapping) is None,
-                          f.preserves_bounds)
-                    if None not in key:
-                        laws[key] = ok
-                if not ok[0]:
+                if _hom_failure(f.source, f.target, f.mapping) is not None:
                     yield ("edge-not-hom", p, els[b])
-                if not ok[1]:
+                if not f.preserves_bounds:
                     yield ("edge-not-bounded", p, els[b])
-    commutes = {}   # (f, g, h) mapping ids -> h == g . f
     for a, p in enumerate(els):
-        for b, e in out[a].items():
-            if b == a or e is None:
+        for b, f in out[a].items():
+            if b == a or f is None:
                 continue
             for c, g in out[b].items():
                 h = out[a].get(c)
-                if c == b or g is None or h is None:
-                    continue
-                key = (e[1], g[1], h[1])
-                if key not in commutes:
-                    commutes[key] = np.array_equal(h[0].mapping, g[0].mapping[e[0].mapping])
-                if not commutes[key]:
+                if c != b and g is not None and h is not None \
+                        and not np.array_equal(h.mapping, g.mapping[f.mapping]):
                     yield ("commutativity", p, els[b], els[c])
 
 
@@ -257,10 +227,12 @@ class LatticeDiagram:
     """A functor from a finite poset to lattices: one bounded homomorphism
     per ordered pair, commuting.
 
-    The constructor raises on a missing node lattice, an edge with the wrong
-    source or target, or the first failure of law_failures().  lattices and
-    maps are read-only views, so a diagram stays lawful once built, and its
-    memo (a ConcMemo) holds J(Con) and Conc of its shapes for its lifetime."""
+    The constructor, for diagrams from outside the library, raises on a
+    missing node lattice, an edge with the wrong source or target, or the
+    first failure of law_failures(); the library builds its own through
+    _trusted.  lattices and maps are read-only views, so a diagram stays
+    lawful once built, and its memo (a ConcMemo) holds J(Con) and Conc of
+    its shapes for its lifetime."""
 
     def __init__(self, poset: FinitePoset, lattices: dict, maps: dict):
         self.poset = poset
@@ -280,10 +252,21 @@ class LatticeDiagram:
             raise CritlatError(f"diagram fails {kind} at {', '.join(map(str, nodes))}")
 
     @classmethod
-    def _derived(cls, poset, lattices, maps) -> "LatticeDiagram":
-        """A diagram built from lawful ones by a construction that keeps the
-        laws (a restriction, the dual, a product over a lower subset); they
-        are not checked again."""
+    def _trusted(cls, poset, lattices, maps) -> "LatticeDiagram":
+        """A diagram the library built, lawful by construction; nothing is
+        checked.  Its maps are, with the reason each construction is lawful:
+        - inclusions of sublattices of L that all hold L's 0 and 1
+          (chain_diagram): bounded homomorphisms, and inclusions compose;
+        - monotone maps between chains that keep both ends (the entry of the
+          bounds in base_diagram and _extend_one, the collapse onto them, the
+          isotone surjections of c3 in directing_diagram): bounded
+          homomorphisms, and collapse after entry is the identity;
+        - label maps into the generator (directing_diagram): each edge sends
+          its source's labels to their images in a sublattice of the
+          generator that holds them, so edges compose as the label maps do;
+        - restriction, dual and product (restrict, dual_diagram,
+          product_over): a sub-functor, a bounded homomorphism L -> M is one
+          L^d -> M^d, and componentwise maps commute factor by factor."""
         D = cls.__new__(cls)
         D.poset = poset
         D.lattices, D.maps = MappingProxyType(dict(lattices)), MappingProxyType(dict(maps))
@@ -294,7 +277,7 @@ class LatticeDiagram:
         sub = self.poset.restrict(nodes)
         lat = {n: self.lattices[n] for n in sub.elements}
         mp = {(p, q): self.maps[(p, q)] for (p, q) in sub.pairs()}
-        return LatticeDiagram._derived(sub, lat, mp)
+        return LatticeDiagram._trusted(sub, lat, mp)
 
     def equal(self, other: "LatticeDiagram") -> bool:
         return (self.poset == other.poset
@@ -367,7 +350,7 @@ def base_diagram(chains, bounds=None) -> LatticeDiagram:
         lat = lattices[node]
         maps[(node, node)] = Homomorphism.identity(lat)
         maps[(EMPTY, node)] = Homomorphism._trusted(e_bot, lat, [0, lat.n - 1])
-    return LatticeDiagram(poset, lattices, maps)
+    return LatticeDiagram._trusted(poset, lattices, maps)
 
 
 # --- chain diagrams ---
@@ -401,7 +384,7 @@ def chain_diagram(L, chains) -> LatticeDiagram:
     for (p, q) in ip.pairs():
         src, tgt = lattices[p], lattices[q]
         maps[(p, q)] = Homomorphism._trusted(src, tgt, [tgt.index(x) for x in src.labels])
-    return LatticeDiagram(ip, lattices, maps)
+    return LatticeDiagram._trusted(ip, lattices, maps)
 
 
 def spanning_chains_of_subset(L, subset):
@@ -477,7 +460,7 @@ def product_over(j_nodes, diagrams: Sequence[LatticeDiagram]) -> LatticeDiagram:
                                           for d, c in zip(diagrams, coords(p))])
             maps[(p, q)] = Homomorphism._trusted(src, tgt, mp)
 
-    return LatticeDiagram._derived(poset, lattices, maps)
+    return LatticeDiagram._trusted(poset, lattices, maps)
 
 
 # --- diagram extension ---
@@ -507,7 +490,8 @@ def _extend_one(B: LatticeDiagram, new: Chain) -> LatticeDiagram:
     carried(n): {new} at the bottom node, a fresh pair {C, new} at {C}, any
     other node at itself.  {new} holds its chain; an edge out of it first
     collapses the chain onto the bounds b < t (everything below its top to
-    b), and the edge into it sends b, t to its bottom and top."""
+    b), and the edge into it sends b, t to its bottom and top.  carried is
+    monotone, so B read along it keeps B's laws."""
     ip = IndexPoset(list(B.poset.chains) + [new])
     e_bot = B.lattices[EMPTY]
     if (new[0], new[-1]) != tuple(e_bot.labels):
@@ -536,7 +520,7 @@ def _extend_one(B: LatticeDiagram, new: Chain) -> LatticeDiagram:
         elif q == new_single:
             f = entry.compose(f)
         maps[(p, q)] = f
-    return LatticeDiagram(ip, lattices, maps)
+    return LatticeDiagram._trusted(ip, lattices, maps)
 
 
 # --- directing diagrams ---
@@ -614,7 +598,7 @@ def directing_diagram(kgen, c1, c2, c3, with_t=False):
                 maps[(p, q)] = Homomorphism._trusted(src, tgt, [tgt.bottom_i, tgt.top_i])
             else:
                 maps[(p, q)] = Homomorphism._trusted(src, tgt, [tgt.index(v) for v in image[p]])
-        factors.append(LatticeDiagram(ip, lattices, maps))
+        factors.append(LatticeDiagram._trusted(ip, lattices, maps))
 
     glued = product_over(ip.jc, factors)
     return (glued, surjections) if with_t else glued

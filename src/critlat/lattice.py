@@ -5,9 +5,9 @@ one constructor, FiniteLattice(labels, leq, meet, join, ...), which trusts
 its tables; validate_lattice is the checked entry.  Elements are opaque
 string labels; the canonical element order is the input order.  Order, meet
 and join tables are derived eagerly at construction for ordinary ("dense")
-lattices, since every downstream search hits meet/join in inner loops.  Large
-direct products built internally by the diagram machinery use a lazy
-componentwise representation (ProductLattice) with the same read interface.
+lattices, since every downstream search hits meet/join in inner loops.  Any
+product of more than PRODUCT_CAP elements uses a lazy componentwise
+representation (ProductLattice) with the same read interface.
 """
 
 from __future__ import annotations
@@ -410,7 +410,7 @@ def _reach(succ, v):
 class ProductLattice(_Lattice):
     """Lazy direct product: componentwise order and operations, no dense tables.
 
-    Used by the diagram machinery when the product size passes PRODUCT_CAP.
+    What product() builds, for every caller, above PRODUCT_CAP elements.
     Element i has coordinates product_coords(sizes, i); labels, covers,
     heights and the label index are computed on first use.
     """
@@ -605,6 +605,14 @@ class Homomorphism:
 
     @classmethod
     def from_labels(cls, source, target, label_map: dict):
+        """The checked map x -> label_map[x], keyed by exactly the source's
+        elements; CritlatError names a label left out or a key too many."""
+        labels = set(source.labels)
+        for x in [*source.labels, *label_map]:
+            if x not in label_map:
+                raise CritlatError(f"the label map leaves out {x!r}, an element of the source")
+            if x not in labels:
+                raise CritlatError(f"the label map maps {x!r}, not an element of the source")
         mapping = [target.index(label_map[lab]) for lab in source.labels]
         return cls(source, target, mapping)
 

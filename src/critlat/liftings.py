@@ -2,12 +2,12 @@
 
 A lifting pairs a diagram of lattices with a natural family of isomorphisms
 from its nodewise congruence lattices onto a target semilattice diagram.
-Verification is exhaustive: a LatticeDiagram checks its homomorphism and
-functor laws when it is built, and verify_lifting then checks that every xi
-is an isomorphism and every naturality square; these imply the target's
-functor laws.  On top of valid liftings of chain diagrams we search for
-congruence chains, check directness, and extract the embedding of the
-generating partial lattice into the top node.
+Verification is exhaustive: a LatticeDiagram's laws are checked where it
+enters and hold by construction where the library builds it, and
+verify_lifting checks that every xi is an isomorphism and every naturality
+square; these imply the target's functor laws.  On top of valid liftings
+of chain diagrams we search for congruence chains, check directness, and
+extract the embedding of the generating partial lattice into the top node.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def dual_diagram(D: LatticeDiagram) -> LatticeDiagram:
     maps = {(p, q): Homomorphism._trusted(lattices[p], lattices[q], f.mapping)
             for (p, q), f in D.maps.items()}
     # a bounded homomorphism L -> M is one L^d -> M^d, so the dual is lawful
-    return LatticeDiagram._derived(D.poset, lattices, maps)
+    return LatticeDiagram._trusted(D.poset, lattices, maps)
 
 
 def dual_lifting(lift: Lifting) -> Lifting:
@@ -121,14 +121,14 @@ def dual_lifting(lift: Lifting) -> Lifting:
 def verify_lifting(lift: Lifting) -> LiftingReport:
     """Exhaustive verification; collects failures instead of raising.
 
-    The source diagram's functor and homomorphism laws were checked when it
-    was built.  Checks that every xi is present ("missing-xi"), has the
-    shape of its node's J(Con) ("xi-wrong-shape") and is an isomorphism
-    ("xi-not-iso"), and, once those hold and each xi's source has the
-    lattice of its node or its dual, every naturality square
-    xi_Q . Conc(g_PQ) = target_PQ . xi_P on every p <= q, p = q included
-    ("naturality"); a missing target edge fails its square.  The target's
-    functor laws are implied, not checked: with B lawful, every xi
+    The source diagram's laws were checked where it entered or hold by its
+    construction (see LatticeDiagram).  Checks that every xi is present
+    ("missing-xi"), has the shape of its node's J(Con) ("xi-wrong-shape")
+    and is an isomorphism ("xi-not-iso"), and, once those hold and each
+    xi's source has the lattice of its node or its dual, every naturality
+    square xi_Q . Conc(g_PQ) = target_PQ . xi_P on every p <= q, p = q
+    included ("naturality"); a missing target edge fails its square.  The
+    target's functor laws are implied, not checked: with B lawful, every xi
     invertible and every square commuting, target_PQ =
     xi_Q . Conc(g_PQ) . xi_P^-1, a composite of functors.  At most
     MAX_LIFTING_FAILURES failures are kept.

@@ -1,11 +1,13 @@
-"""Homomorphisms are checked where they enter the library, and the maps it
-computes are trusted.
+"""Homomorphisms and diagrams are checked where they enter the library, and
+the ones it computes are trusted.
 
 The public Homomorphism constructor (and from_labels) checks the mapping;
-Homomorphism._trusted checks nothing.  This test parses the package and
-fails on any call that passes a `check` keyword, and on any call of the
-constructor, Homomorphism(...) or cls(...) inside the class, outside the
-functions where a map enters or a certificate leaves.
+Homomorphism._trusted checks nothing.  The public LatticeDiagram
+constructor checks the functor laws; LatticeDiagram._trusted checks
+nothing.  This test parses the package and fails on any call that passes a
+`check` keyword, and on any call of either constructor, Name(...) or
+cls(...) inside the class, outside the functions where a map or a diagram
+enters or a certificate leaves.
 """
 
 import ast
@@ -22,23 +24,29 @@ CHECKED = {
 }
 
 
-def _calls(tree):
-    """(enclosing function, line, keyword names) of each constructor call:
-    Homomorphism(...), or cls(...) inside class Homomorphism."""
+# function -> what its checked diagram is
+CHECKED_DIAGRAMS = {
+    "diagram_from_json": "a diagram read from a file",
+}
+
+
+def _calls(tree, cls_name="Homomorphism"):
+    """(enclosing function, line) of each constructor call: cls_name(...),
+    or cls(...) inside class cls_name."""
     found = []
 
-    def visit(node, func, in_hom):
+    def visit(node, func, in_cls):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name, in_hom)
+                visit(child, child.name, in_cls)
                 continue
             if isinstance(child, ast.ClassDef):
-                visit(child, func, child.name == "Homomorphism")
+                visit(child, func, child.name == cls_name)
                 continue
             if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and (
-                    child.func.id == "Homomorphism" or (in_hom and child.func.id == "cls")):
+                    child.func.id == cls_name or (in_cls and child.func.id == "cls")):
                 found.append((func, child.lineno))
-            visit(child, func, in_hom)
+            visit(child, func, in_cls)
 
     visit(tree, None, False)
     return found
@@ -57,15 +65,27 @@ def test_no_call_passes_check():
     assert not found, f"calls with a check keyword: {found}"
 
 
-def test_constructor_only_where_maps_enter_or_leave():
+def _constructor_calls(cls_name):
     found = {}
     for name, tree in _trees().items():
-        for func, line in _calls(tree):
+        for func, line in _calls(tree, cls_name):
             found.setdefault(func, []).append(f"{name}:{line}")
+    return found
+
+
+def test_constructor_only_where_maps_enter_or_leave():
+    found = _constructor_calls("Homomorphism")
     unexpected = {k: v for k, v in found.items() if k not in CHECKED}
     assert not unexpected, f"checked maps built from library results: {unexpected}"
     # an entry whose function no longer builds a checked map goes too
     assert set(found) == set(CHECKED)
+
+
+def test_diagram_constructor_only_where_diagrams_enter():
+    found = _constructor_calls("LatticeDiagram")
+    unexpected = {k: v for k, v in found.items() if k not in CHECKED_DIAGRAMS}
+    assert not unexpected, f"checked diagrams built by the library: {unexpected}"
+    assert set(found) == set(CHECKED_DIAGRAMS)
 
 
 def test_guard_sees_cls_inside_the_class_only():
@@ -79,3 +99,4 @@ def test_guard_sees_cls_inside_the_class_only():
         "    def h(cls):\n"
         "        return cls(a)\n")
     assert [func for func, _ in _calls(tree)] == ["f", "g"]
+    assert [func for func, _ in _calls(tree, "Other")] == ["h"]

@@ -438,6 +438,20 @@ class TestHomomorphismCheck:
         with pytest.raises(CritlatError):
             Homomorphism(builtin("2"), builtin("chain:3"), mapping)
 
+    @pytest.mark.parametrize("label_map, message", [
+        ({"0": "00"}, "the label map leaves out '1', an element of the source"),
+        ({"0": "00", "1": "11", "x": "01"},
+         "the label map maps 'x', not an element of the source"),
+        ({"1": "11", "0": "00", 0: "01"},
+         "the label map maps 0, not an element of the source"),
+    ], ids=["missing", "extra", "non-string-key"])
+    def test_label_map_not_keyed_by_exactly_the_source_is_refused(self, label_map, message):
+        # the rule diagram_from_json applies to its maps
+        with pytest.raises(CritlatError, match=f"^{re.escape(message)}$"):
+            Homomorphism.from_labels(builtin("2"), builtin("bool:2"), label_map)
+        f = Homomorphism.from_labels(builtin("2"), builtin("bool:2"), {"1": "11", "0": "00"})
+        assert f.mapping.tolist() == [0, 3]
+
     def test_the_callers_array_is_copied(self):
         m = np.array([0, 3], dtype=np.int32)
         f = Homomorphism(builtin("2"), builtin("chain:3"), m)
