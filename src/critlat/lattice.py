@@ -859,18 +859,27 @@ def quotient(L, theta):
     Blocks are ordered by least element; each block is labelled by its least
     element's label.  theta is not checked again: a Congruence is checked
     where it is made, or comes from the library's trusted Congruence.from_rep.
+
+    The covers of L/theta are the pairs ([u], [v]) of covers u ⋖ v of L
+    whose ends lie in different blocks, handed to the trusted constructor.
+    Each is a cover: if [u] < [w] < [v], then (w ∨ u) ∧ v lies in [w], so
+    strictly between u and v.  And each cover [a] ⋖ [b] is one of them:
+    a ∧ b₀, b₀ the least element of [b], lies in [a], and a maximal chain of
+    L from it up to b₀ crosses from [a] to [b] at a cover of L, every
+    element on it lying in [a] or [b].
     """
     _require_dense(L, "quotient needs")
     if theta.host is not L and not _same_lattice(theta.host, L):
         raise HostMismatch("congruence belongs to a different lattice")
     reps = [b[0] for b in theta.blocks]
-    block_of = np.array(theta.block_of, dtype=np.int32)
-    grid = np.ix_(reps, reps)
-    meet, join = block_of[L._meet[grid]], block_of[L._join[grid]]
+    bo = theta.block_of
+    block_of = np.array(bo, dtype=np.int32)
+    meet, join = (block_of[table[reps][:, reps]] for table in (L._meet, L._join))
+    covers = tuple(sorted({(bo[u], bo[v]) for u, v in L.covers if bo[u] != bo[v]}))
     name = f"{L.name}/theta" if L.name else None
     # [a] <= [b] iff [a] v [b] = [b]
     Q = FiniteLattice([L.labels[r] for r in reps], join == np.arange(len(reps)),
-                      meet, join, name=name)
+                      meet, join, name=name, covers=covers)
     return Q, Homomorphism._trusted(L, Q, block_of)
 
 

@@ -68,33 +68,27 @@ class HSWitness:
         }
 
 
-def _si_congruences(K):
-    """(theta, K/theta, projection, monolith) for every congruence theta
-    with a subdirectly irreducible quotient, in canonical Con order.
+def si_quotients(K):
+    """All subdirectly irreducible quotients of K, deduplicated up to isomorphism.
 
     Con(K/theta) is the interval [theta, 1] of Con K, so K/theta is
     subdirectly irreducible exactly when theta is meet-irreducible, with
     monolith theta*/theta for the unique upper cover theta*.  Both are read
     off J(Con K); Con K itself is never built.
+
+    Deterministic: congruences are tried in the canonical Con order and the
+    first representative of each isomorphism class is kept.  A theta with
+    two blocks has the two-element lattice as quotient, so only the first
+    such theta is built.
     """
     out = []
     for theta, star in JoinIrreducibles(K).meet_irreducibles():
-        Q, proj = quotient(K, theta)
-        mono = Congruence.from_rep(Q, [star.block_of[b[0]] for b in theta.blocks])
-        out.append((theta, Q, proj, mono))
-    return out
-
-
-def si_quotients(K):
-    """All subdirectly irreducible quotients of K, deduplicated up to isomorphism.
-
-    Deterministic: congruences are tried in the canonical Con order and the
-    first representative of each isomorphism class is kept.
-    """
-    out = []
-    for theta, Q, _proj, mono in _si_congruences(K):
+        if len(theta.blocks) == 2 and any(s.lattice.n == 2 for s in out):
+            continue
+        Q, _ = quotient(K, theta)
         if any(is_isomorphic(prev.lattice, Q) is not None for prev in out):
             continue
+        mono = Congruence.from_rep(Q, [star.block_of[b[0]] for b in theta.blocks])
         out.append(SIQuotient(theta, Q, mono))
     return out
 
@@ -102,12 +96,10 @@ def si_quotients(K):
 def subdirect_decomposition(K):
     """Congruences with SI quotient meeting to zero, plus the (undeduplicated)
     embedding of K into the product of the corresponding quotients."""
-    found = _si_congruences(K)
-    thetas = [theta for theta, _, _, _ in found]
-    quotients = [Q for _, Q, _, _ in found]
-    projs = [proj for _, _, proj, _ in found]
-    if not quotients:
+    thetas = [theta for theta, _ in JoinIrreducibles(K).meet_irreducibles()]
+    if not thetas:
         return thetas, None, None
+    quotients, projs = zip(*(quotient(K, theta) for theta in thetas))
     P = product(*quotients)
     mapping = product_index([Q.n for Q in quotients], [p.mapping for p in projs])
     emb = Homomorphism(K, P, mapping)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from critlat import lattice
+from critlat.congruence import con_lattice
 from critlat.errors import (
     BudgetExceeded,
     CritlatError,
@@ -44,8 +45,10 @@ from critlat.lattice import (
     spanning_chains,
     subuniverse_closure,
     validate_lattice,
+    _covers_of_order,
     _dependency,
     _dependency_ends,
+    _heights_from_covers,
     _is_modular,
 )
 
@@ -568,6 +571,35 @@ class TestQuotient:
         P = ProductLattice([builtin("M:3"), builtin("2")])
         with pytest.raises(BudgetExceeded, match="^quotient needs a dense lattice"):
             quotient(P, Congruence.zero(P))
+
+    def test_inherited_covers_on_every_congruence_to_seven(self, lattices_to_7):
+        checked = 0
+        for L in lattices_to_7:
+            for theta in con_lattice(L).cons:
+                _check_inherited_covers(L, theta)
+                checked += 1
+        assert checked > 300
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_inherited_covers_on_products(self, corpus, data):
+        factors = data.draw(st.lists(st.sampled_from(corpus), min_size=2, max_size=3))
+        assume(np.prod([K.n for K in factors]) <= 64)
+        L = product(*factors)
+        cons = con_lattice(L).cons
+        for theta in data.draw(st.lists(st.sampled_from(cons), min_size=1, max_size=8)):
+            _check_inherited_covers(L, theta)
+
+
+def _check_inherited_covers(L, theta):
+    # the covers quotient hands over are those the order gives, and so are
+    # the heights and bounds derived from them
+    Q, _ = quotient(L, theta)
+    covers, ext = _covers_of_order(Q._leq)
+    assert Q.covers == covers, (L, theta)
+    heights = _heights_from_covers(Q.n, covers, ext)
+    assert Q.heights.tolist() == heights.tolist()
+    assert (Q.bottom_i, Q.top_i) == (int(heights.argmin()), int(heights.argmax()))
 
 
 class TestIsomorphism:

@@ -1,10 +1,12 @@
 import itertools
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from critlat import variety
 from critlat.congruence import Congruence, JoinIrreducibles, con_lattice
 from critlat.errors import BudgetExceeded, NotSubdirectlyIrreducible
 from critlat.lattice import (
@@ -124,17 +126,22 @@ class TestDifferential:
                 JQ = JoinIrreducibles(s.lattice)
                 assert s.monolith == JQ.cons[JQ.minimal()[0]]
 
-    def test_si_json_matches_oracle_on_corpus(self, corpus):
-        for K in corpus:
-            if K.n <= 6:
-                assert [s.to_json() for s in si_quotients(K)] \
-                    == oracle_si_quotients_json(K), K
+    def test_si_json_matches_oracle_on_corpus(self, corpus, lattices_to_7):
+        for K in [K for K in corpus if K.n <= 6] + lattices_to_7:
+            assert [s.to_json() for s in si_quotients(K)] \
+                == oracle_si_quotients_json(K), K
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_si_json_matches_oracle_on_products(self, small_lattices, data):
         pool = [L for L in small_lattices if L.n <= 4]
-        K = product(*data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2)))
+        factors = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=3))
+        # at most 4^3 = 64 elements; Con of a product is the product of the
+        # factors' Cons.  Any two factors are kept (chain:4 x chain:4 has 64
+        # congruences); three are kept when at most 32 congruences keep the
+        # oracle's pairwise joins in reach
+        assume(len(factors) == 2 or np.prod([con_lattice(L).n for L in factors]) <= 32)
+        K = product(*factors)
         assert [s.to_json() for s in si_quotients(K)] == oracle_si_quotients_json(K)
 
 
@@ -165,6 +172,15 @@ class TestSiQuotients:
         # no size budget of its own: bool:6 has one SI quotient, the 2-element one
         sis = si_quotients(builtin("bool:6"))
         assert len(sis) == 1 and sis[0].lattice.n == 2
+
+    @pytest.mark.parametrize("name", ["bool:5", "chain:40"])
+    def test_two_element_quotient_is_built_once(self, name):
+        # every congruence of a Boolean lattice or a chain with an SI
+        # quotient has two blocks; only the first is built
+        with mock.patch.object(variety, "quotient", side_effect=quotient) as spy:
+            sis = si_quotients(builtin(name))
+        assert spy.call_count == 1
+        assert [s.lattice.n for s in sis] == [2]
 
     @pytest.mark.parametrize("name", ["chain:31", "chain:33"])
     def test_long_chain_within_budget_is_fast(self, name):
