@@ -169,7 +169,8 @@ class JoinIrreducibles:
     Theta(j_*, j) over the j <= b with j not <= a (principal_masks).
     """
 
-    __slots__ = ("host", "cons", "pairs", "leq", "_below", "_gen", "_covers", "_cover_of")
+    __slots__ = ("host", "cons", "pairs", "leq", "_below", "_gen", "_covers", "_cover_of",
+                 "_zero", "_downs")
 
     def __init__(self, L):
         _require_dense(L, "congruence computations need")
@@ -201,15 +202,18 @@ class JoinIrreducibles:
         self._gen = star[first].T
         self.leq = self._gen[first].T
         self._cover_of = np.argsort(order)[self._cover_of]
+        # the identity ConcMap's masks: 0 and, row j, the down-set of member j
+        self._zero, self._downs = np.zeros(len(first), dtype=bool), self.leq.T
         # read-only: ConcMemo shares them between lattices of one shape
-        for table in (self.leq, self._gen, self._below, self._covers, self._cover_of):
+        for table in (self.leq, self._gen, self._below, self._covers, self._cover_of,
+                      self._zero, self._downs):
             table.flags.writeable = False
 
     def rehost(self, L) -> "JoinIrreducibles":
         """This J(Con) on L, a lattice with the host's size and covers: the
         same read-only arrays and pairs, the members rebuilt on L."""
         J = JoinIrreducibles.__new__(JoinIrreducibles)
-        for name in ("pairs", "leq", "_below", "_gen", "_covers", "_cover_of"):
+        for name in ("pairs", "leq", "_below", "_gen", "_covers", "_cover_of", "_zero", "_downs"):
             setattr(J, name, getattr(self, name))
         J.host = L
         J.cons = tuple(t.rehost(L) for t in self.cons)
@@ -369,8 +373,9 @@ class ConcMap:
 
     @classmethod
     def identity(cls, J: JoinIrreducibles):
-        # row j of J.leq.T is the down-set of the member j
-        return cls(J, J, np.zeros(len(J), dtype=bool), J.leq.T)
+        """The identity of Con L, over J's masks: the identities of every J
+        of one shape share their arrays."""
+        return cls(J, J, J._zero, J._downs)
 
     def on_masks(self, masks):
         """phi of down-set masks over J(Con source), one per row."""
@@ -447,41 +452,59 @@ def _shape(L: FiniteLattice):
 
 
 class ConcMemo:
-    """J(Con) and Conc for the lattices and maps of one diagram, each
-    computed once per shape.  A LatticeDiagram holds one for its lifetime
-    (it cannot change once built, and the keys are content, not identity):
-    apply_conc, the Conc of the source edges in verify_lifting and the
-    source J(Con) of a read lifting bundle share it.
+    """J(Con) and Conc for the lattices and maps of one diagram.  A
+    LatticeDiagram holds one for its lifetime: apply_conc, the Conc of the
+    source edges in verify_lifting and the source J(Con) of a read lifting
+    bundle share it.
 
-    J(Con L) reads only L's tables, which its size and covers fix: it is
-    built once per such shape and re-hosted on every other dense lattice of
-    that shape (JoinIrreducibles.rehost).  Conc f reads only J(Con) of its
-    source and target and f's mapping: it is computed once per (source
-    shape, target shape, mapping), and each map gets its own ConcMap over
-    the shared read-only arrays.
+    Each lattice object gets one J, and each (map, J source, J target) one
+    ConcMap.  The keys are the objects themselves, so the memo holds them
+    and no id is reused while it lives; a diagram's objects cannot change.
+    An object met for the first time falls back to content.  J(Con L) reads
+    only L's tables, which its size and covers fix: it is built once per
+    such shape and re-hosted on every other dense lattice of that shape
+    (JoinIrreducibles.rehost, the same read-only arrays).  Conc f reads only
+    the arrays of its two J and f's mapping: it is computed once per (source
+    J's arrays, target J's arrays, mapping), and each other map gets its own
+    ConcMap over the shared read-only arrays.
     """
 
     def __init__(self):
-        self._J, self._conc = {}, {}
+        self._J, self._conc = {}, {}            # by content
+        self._J_of, self._conc_of = {}, {}      # by object
 
     def J(self, L) -> JoinIrreducibles:
-        """J(Con L), built once per shape; a lazy product is refused."""
+        """J(Con L), one per lattice object and built once per shape; a lazy
+        product is refused."""
         _require_dense(L, "congruence computations need")
-        key = _shape(L)
-        J = self._J.get(key)
+        J = self._J_of.get(L)
         if J is None:
-            J = self._J[key] = JoinIrreducibles(L)
-        return J if J.host is L else J.rehost(L)
+            key = _shape(L)
+            J = self._J.get(key)
+            if J is None:
+                J = self._J[key] = JoinIrreducibles(L)
+            elif J.host is not L:
+                J = J.rehost(L)
+            self._J_of[L] = J
+        return J
 
     def conc(self, f: Homomorphism, j_source: JoinIrreducibles,
              j_target: JoinIrreducibles) -> ConcMap:
-        """conc_of_hom(f, j_source, j_target)."""
-        key = (_shape(j_source.host), _shape(j_target.host), f.mapping.tobytes())
-        cm = self._conc.get(key)
+        """conc_of_hom(f, j_source, j_target), the same ConcMap each time
+        for the same three objects."""
+        cm = self._conc_of.get((f, j_source, j_target))
         if cm is None:
-            cm = self._conc[key] = conc_of_hom(f, j_source, j_target)
-        _check_j_hosts(f, j_source, j_target)
-        return ConcMap(j_source, j_target, cm.zero, cm.images)
+            # a J and its re-hosted copies share leq; the entry holds the
+            # first J, and so its leq
+            key = (id(j_source.leq), id(j_target.leq), f.mapping.tobytes())
+            cm = self._conc.get(key)
+            if cm is None:
+                cm = self._conc[key] = conc_of_hom(f, j_source, j_target)
+            else:
+                _check_j_hosts(f, j_source, j_target)
+                cm = ConcMap(j_source, j_target, cm.zero, cm.images)
+            self._conc_of[(f, j_source, j_target)] = cm
+        return cm
 
 
 def is_boolean(con: ConLattice) -> bool:

@@ -36,6 +36,7 @@ from .lattice import (
     Homomorphism,
     _dot_string,
     _hom_failure,
+    _closed_indices,
     _require_dense,
     _same_lattice,
     _sublattice_from_indices,
@@ -45,7 +46,6 @@ from .lattice import (
     product_coords,
     product_index,
     spanning_chains,
-    subuniverse_closure,
 )
 
 Chain = tuple  # tuple of labels, bottom to top
@@ -232,7 +232,7 @@ class LatticeDiagram:
     first failure of law_failures(); the library builds its own through
     _trusted.  lattices and maps are read-only views, so a diagram stays
     lawful once built, and its memo (a ConcMemo) holds J(Con) and Conc of
-    its shapes for its lifetime."""
+    its lattices and maps for its lifetime."""
 
     def __init__(self, poset: FinitePoset, lattices: dict, maps: dict):
         self.poset = poset
@@ -368,22 +368,32 @@ def chain_diagram(L, chains) -> LatticeDiagram:
     """The chain diagram of L over a set of spanning chains: bounds, chains,
     sublattices generated by pairs of chains, then L itself, all inclusions.
     A pair node is a chain or is generated by two elements a, b, so it is
-    {0, a ^ b, a, b, a v b, 1} and distributive; that is not checked."""
+    {0, a ^ b, a, b, a v b, 1} and distributive; that is not checked.
+
+    Pair nodes whose chains generate the same element set hold one
+    sublattice object, and the edges between the same two lattice objects
+    one inclusion, so the diagram's memo and verify_lifting meet each of
+    them once."""
     ip = IndexPoset(chains)
     for c in ip.chains:
         _check_spanning_chain(L, c)
     lattices = _jc_lattices(ip.chains, L.bottom, L.top)
     lattices[TOP] = L
+    closures = {}
     for nd in ip.ic:
         if nd.is_top or nd in lattices:
             continue
-        gens = sorted({x for c in nd.chains for x in c})
-        sub, _ = subuniverse_closure(L, gens)
-        lattices[nd] = sub
-    maps = {}
+        members = tuple(_closed_indices(L, {x for c in nd.chains for x in c}))
+        if members not in closures:
+            closures[members] = _sublattice_from_indices(L, members)[0]
+        lattices[nd] = closures[members]
+    maps, inclusions = {}, {}
     for (p, q) in ip.pairs():
         src, tgt = lattices[p], lattices[q]
-        maps[(p, q)] = Homomorphism._trusted(src, tgt, [tgt.index(x) for x in src.labels])
+        if (src, tgt) not in inclusions:
+            inclusions[(src, tgt)] = Homomorphism._trusted(
+                src, tgt, [tgt.index(x) for x in src.labels])
+        maps[(p, q)] = inclusions[(src, tgt)]
     return LatticeDiagram._trusted(ip, lattices, maps)
 
 
@@ -660,7 +670,8 @@ def glued_diagram(L, subset, kgen) -> GluedDiagram:
 # --- Conc applied to a diagram ---
 
 def apply_conc(D: LatticeDiagram) -> SemilatticeDiagram:
-    """Nodewise J(Con), edgewise induced maps, each computed once per shape
+    """Nodewise J(Con), edgewise induced maps: one J per lattice object and
+    one ConcMap per edge object, each computed once per shape or content
     (the diagram's memo).  Conc is a functor and D is lawful, so the result
     obeys the functor laws; they are not checked."""
     memo = D.memo

@@ -749,6 +749,12 @@ def subuniverse_closure(L, subset, include_bounds=False):
     ambient element order.  With include_bounds, 0 and 1 are adjoined to the
     generating set first (bounded-sublattice closure).
     """
+    return _sublattice_from_indices(L, _closed_indices(L, subset, include_bounds))
+
+
+def _closed_indices(L, subset, include_bounds=False):
+    """The sorted element indices of the subuniverse subuniverse_closure
+    builds."""
     _require_dense(L, "subuniverse closure needs")
     idxs = {L.index(x) for x in subset}
     if not idxs:
@@ -757,8 +763,7 @@ def subuniverse_closure(L, subset, include_bounds=False):
         idxs |= {L.bottom_i, L.top_i}
     # the tables are read in place: converting them costs more than a
     # closure of a few elements in a long chain
-    members = _closure(L.n, idxs, (L._meet, L._join) * 2)
-    return _sublattice_from_indices(L, sorted(members))
+    return sorted(_closure(L.n, idxs, (L._meet, L._join) * 2))
 
 
 def _truncate(f, members, start):

@@ -97,16 +97,25 @@ class LiftingReport:
 
 
 def identity_lifting(D: LatticeDiagram) -> Lifting:
-    """The tautological lifting of Conc applied to D."""
+    """The tautological lifting of Conc applied to D: one identity xi per
+    J(Con), so nodes that share a lattice share their xi."""
     S = apply_conc(D)
-    return Lifting(D, S, {n: ConcMap.identity(S.J[n]) for n in D.poset.elements})
+    identities = {J: ConcMap.identity(J) for J in set(S.J.values())}
+    return Lifting(D, S, {n: identities[S.J[n]] for n in D.poset.elements})
 
 
 def dual_diagram(D: LatticeDiagram) -> LatticeDiagram:
-    """Dualize every lattice of the diagram, keeping the transition maps."""
-    lattices = {n: dual(D.lattices[n]) for n in D.poset.elements}
-    maps = {(p, q): Homomorphism._trusted(lattices[p], lattices[q], f.mapping)
-            for (p, q), f in D.maps.items()}
+    """Dualize every lattice of the diagram, keeping the transition maps.
+    Each lattice object is dualized once and each edge object mapped once,
+    so the dual shares what D shares."""
+    duals = {L: dual(L) for L in set(D.lattices.values())}
+    lattices = {n: duals[D.lattices[n]] for n in D.poset.elements}
+    maps, edges = {}, {}
+    for (p, q), f in D.maps.items():
+        key = (f, lattices[p], lattices[q])
+        if key not in edges:
+            edges[key] = Homomorphism._trusted(lattices[p], lattices[q], f.mapping)
+        maps[(p, q)] = edges[key]
     # a bounded homomorphism L -> M is one L^d -> M^d, so the dual is lawful
     return LatticeDiagram._trusted(D.poset, lattices, maps)
 
@@ -116,6 +125,16 @@ def dual_lifting(lift: Lifting) -> Lifting:
     congruences, and J(Con dual L) lists them in the same canonical order as
     J(Con L), so each xi passes across unchanged."""
     return Lifting(dual_diagram(lift.source), lift.target, dict(lift.xi))
+
+
+def _checked_once(cache, arrays, check, *flags):
+    """check() for these read-only arrays (and flags), run once per call of
+    verify_lifting: the key is the arrays' identities, and the cache holds
+    the arrays, so no identity is reused while it lives."""
+    key = (*flags, *map(id, arrays))
+    if key not in cache:
+        cache[key] = check(), arrays
+    return cache[key][0]
 
 
 def verify_lifting(lift: Lifting) -> LiftingReport:
@@ -131,20 +150,29 @@ def verify_lifting(lift: Lifting) -> LiftingReport:
     target's functor laws are implied, not checked: with B lawful, every xi
     invertible and every square commuting, target_PQ =
     xi_Q . Conc(g_PQ) . xi_P^-1, a composite of functors.  At most
-    MAX_LIFTING_FAILURES failures are kept.
+    MAX_LIFTING_FAILURES failures are kept, in poset order.
+
+    Every node and pair gets its own verdict, but each distinct check runs
+    once per call: an isomorphism test once per xi arrays (and
+    join_preserving), a square once per the eight arrays it reads (0 and
+    the images of its four maps).  That is exact: a ConcMap's arrays are
+    read-only, and the lifting and the source's memo keep them alive for
+    the call.  Nodes and edges that share objects (chain_diagram, the
+    memo, identity_lifting) share their arrays.
     """
     B, S = lift.source, lift.target
     if B.poset != S.poset:
         raise PosetMismatch("source and target live on different posets")
     poset = B.poset
-    failures = []
+    failures, checked = [], {}
     for p in poset.elements:
         x = lift.xi.get(p)
         if x is None:
             failures.append(("missing-xi", p))
         elif len(x.target) != len(S.J[p]):
             failures.append(("xi-wrong-shape", p))
-        elif not x.isomorphism:
+        elif not _checked_once(checked, (x.zero, x.images, x.source.leq, x.target.leq),
+                               lambda: x.isomorphism, x.join_preserving):
             failures.append(("xi-not-iso", p))
     if not failures:
         # each xi must start at J(Con) of its node's lattice or of its dual
@@ -155,7 +183,10 @@ def verify_lifting(lift: Lifting) -> LiftingReport:
             xp, xq = lift.xi[p], lift.xi[q]
             cf = B.memo.conc(B.maps[(p, q)], xp.source, xq.source)
             s = S.maps.get((p, q))
-            if s is None or not xq.commutes(cf, s, xp):
+            if s is None or not _checked_once(
+                    checked, (xq.zero, xq.images, cf.zero, cf.images,
+                              s.zero, s.images, xp.zero, xp.images),
+                    lambda: xq.commutes(cf, s, xp)):
                 failures.append(("naturality", p, q))
     return LiftingReport(failures[:MAX_LIFTING_FAILURES])
 

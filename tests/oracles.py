@@ -10,12 +10,15 @@ one closure per cover, a join loop that re-closes unions, and Conc of a
 homomorphism by one closure per congruence.  The table oracle keeps the
 pair loop and the closure by squaring the order matrix that validate_lattice
 used before it searched its tables in numpy; distributivity is checked on
-every triple of those tables.
+every triple of those tables.  The lifting oracle checks every xi and every
+naturality square on its own, with nothing shared or remembered between
+nodes and pairs.
 """
 
 import itertools
 from types import SimpleNamespace
 
+from critlat.congruence import conc_of_hom
 from critlat.errors import CycleDetected, NotALattice
 from critlat.lattice import FiniteLattice
 
@@ -466,3 +469,76 @@ def oracle_congruence_chains(B):
                 labels = tuple(B.labels[i] for i in path)
                 out.setdefault((labels[0], labels[-1]), []).append((labels, sigma))
     return out
+
+
+# --- liftings, every check on its own ---
+
+def _downset_rows(leq):
+    """Every down-set of the poset with bool order matrix leq (leq[a, b]
+    when a <= b), as the bool rows of one array, from all subsets."""
+    rows = np.array(list(itertools.product((False, True), repeat=len(leq))),
+                    dtype=bool).reshape(-1, len(leq))
+    # a row is a down-set iff no member lies below one of its elements but
+    # outside it
+    return rows[~((rows.astype(int) @ leq.T.astype(int) > 0) & ~rows).any(axis=1)]
+
+
+def oracle_xi_isomorphism(x):
+    """Whether the ConcMap x is an isomorphism Con S -> Con T, over all
+    down-sets of J(Con S) and J(Con T): x preserves joins, sends a down-set
+    m to x.zero joined with the images of m's members, gives each down j its
+    listed image, and so maps the down-sets of J(Con S) one-to-one onto
+    those of J(Con T), keeping inclusion both ways."""
+    if not x.join_preserving:
+        return False
+    src, tgt = _downset_rows(x.source.leq), _downset_rows(x.target.leq)
+
+    def phi(m):
+        out = x.zero.copy()
+        for j in np.nonzero(m)[0]:
+            out |= x.images[j]
+        return out
+
+    image = np.array([phi(m) for m in src], dtype=bool).reshape(len(src), len(x.zero))
+    if any(not np.array_equal(phi(down), x.images[j]) for j, down in enumerate(x.source.leq.T)):
+        return False
+    found = {m.tobytes() for m in image}
+    if len(found) != len(src) or found != {m.tobytes() for m in tgt}:
+        return False
+
+    def inclusions(rows):
+        return (rows.astype(int) @ (~rows).T.astype(int)) == 0
+    return bool((inclusions(src) == inclusions(image)).all())
+
+
+def _same_or_dual_oracle(A, B):
+    covers = {tuple(c) for c in A.covers}
+    return A.labels == B.labels and {tuple(c) for c in B.covers} in (
+        covers, {(j, i) for i, j in covers})
+
+
+def oracle_verify_lifting(lift):
+    """The failures verify_lifting reports, in its order but uncapped, with
+    nothing shared: each xi checked by oracle_xi_isomorphism, and each
+    square by building both composites, Conc of its edge computed afresh
+    (conc_of_hom, no memo)."""
+    B, S, xi = lift.source, lift.target, lift.xi
+    failures = []
+    for p in B.poset.elements:
+        x = xi.get(p)
+        if x is None:
+            failures.append(("missing-xi", p))
+        elif len(x.target.leq) != len(S.J[p].leq):
+            failures.append(("xi-wrong-shape", p))
+        elif not oracle_xi_isomorphism(x):
+            failures.append(("xi-not-iso", p))
+    if not failures:
+        failures = [("xi-wrong-shape", p) for p in B.poset.elements
+                    if not _same_or_dual_oracle(xi[p].source.host, B.lattices[p])]
+    if not failures:
+        for (p, q) in B.poset.pairs():
+            s = S.maps.get((p, q))
+            cf = conc_of_hom(B.maps[(p, q)], xi[p].source, xi[q].source)
+            if s is None or not xi[q].compose(cf).equal_map(s.compose(xi[p])):
+                failures.append(("naturality", p, q))
+    return failures

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from critlat.congruence import (
     ConcMap,
+    ConcMemo,
     Congruence,
     JoinIrreducibles,
     con_lattice,
@@ -25,6 +26,7 @@ from critlat.errors import (BudgetExceeded, ConNotBoolean, HostMismatch, NotACon
 from critlat.lattice import (
     FiniteLattice,
     Homomorphism,
+    ProductLattice,
     builtin,
     dual,
     is_distributive,
@@ -829,3 +831,50 @@ class TestPrincipalMasks:
             conc_of_hom(f, other, J)
         with pytest.raises(HostMismatch):
             conc_of_hom(f, J, other)
+
+
+class TestConcMemo:
+    """One J per lattice object and one ConcMap per (map, J source, J
+    target); objects of one shape, or maps of one content, share the
+    read-only arrays."""
+
+    def test_one_j_per_object(self, spy_on_j):
+        memo = ConcMemo()
+        A, B = builtin("chain:3"), builtin("chain:3")    # one shape, two objects
+        with spy_on_j() as spy:
+            JA, JB = memo.J(A), memo.J(B)
+            assert memo.J(A) is JA and memo.J(B) is JB
+        assert spy.call_count == 1
+        assert JA.host is A and JB.host is B and JB.leq is JA.leq
+        # the identities of one shape share their arrays
+        ia, ib = ConcMap.identity(JA), ConcMap.identity(JB)
+        assert ia.zero is ib.zero and ia.images is ib.images
+        assert ia.equal_map(ConcMap(JA, JA, np.zeros(len(JA), dtype=bool), JA.leq.T))
+
+    def test_one_conc_per_map_and_js(self):
+        memo = ConcMemo()
+        A, B = builtin("chain:3"), builtin("chain:3")
+        JA, JB = memo.J(A), memo.J(B)
+        f = Homomorphism._trusted(A, A, [0, 0, 2, 3])
+        cm = memo.conc(f, JA, JA)
+        assert memo.conc(f, JA, JA) is cm and cm.equal_map(conc_of_hom(f))
+        # another map object of the same content gets its own ConcMap, over
+        # the same arrays and on its own J
+        g = Homomorphism._trusted(B, B, [0, 0, 2, 3])
+        other = memo.conc(g, JB, JB)
+        assert other is not cm and (other.source, other.target) == (JB, JB)
+        assert other.zero is cm.zero and other.images is cm.images
+        # J of a lattice of the same shape but other labels is no J of g's
+        # source, although the map's content is known
+        C = validate_lattice(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+        JC = memo.J(C)
+        assert JC.leq is JA.leq
+        with pytest.raises(HostMismatch):
+            memo.conc(g, JC, JB)
+
+    def test_lazy_product_never_enters(self):
+        memo = ConcMemo()
+        P = ProductLattice([builtin("M:3"), builtin("2")])
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded, match="^congruence computations need a dense"):
+                memo.J(P)

@@ -267,6 +267,45 @@ class TestChainDiagram:
         with pytest.raises(BudgetExceeded, match="^chain diagrams need a dense lattice"):
             chain_diagram_of_partial(P, P.labels)
 
+    @staticmethod
+    def _assert_shared_by_closure(L, D):
+        # each pair node holds the sublattice its chains generate, nodes
+        # whose chains generate one element set hold one object, and the
+        # edges between the same two lattice objects are one inclusion
+        pairs = [nd for nd in D.poset.kc if len(nd.chains) == 2]
+        closure = {}
+        for nd in pairs:
+            sub, _ = subuniverse_closure(L, {x for c in nd.chains for x in c})
+            assert (D.lattices[nd].labels, D.lattices[nd].covers) == (sub.labels, sub.covers)
+            closure[nd] = sub.labels
+        assert all((D.lattices[a] is D.lattices[b]) == (closure[a] == closure[b])
+                   for a in pairs for b in pairs)
+        ends = {pq: (D.lattices[pq[0]], D.lattices[pq[1]]) for pq in D.maps}
+        for pq, f in D.maps.items():
+            src, tgt = ends[pq]
+            assert f.source is src and f.target is tgt
+            assert f.mapping.tolist() == [tgt.index(x) for x in src.labels]
+        assert all((D.maps[e] is D.maps[g]) == (ends[e][0] is ends[g][0] and ends[e][1] is ends[g][1])
+                   for e in D.maps for g in D.maps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_pair_nodes_of_one_closure_are_one_object(self, lattices_to_7, data):
+        L = data.draw(st.sampled_from([K for K in lattices_to_7 if K.n >= 2]))
+        subset = {L.bottom, L.top} | data.draw(st.sets(st.sampled_from(L.labels)))
+        D, _ = chain_diagram_of_partial(L, subset)
+        self._assert_shared_by_closure(L, D)
+
+    def test_bool3_pair_nodes_share(self):
+        # 41 nodes: the bottom, 12 chains, 27 pairs and the top; the 27 pair
+        # nodes generate 15 element sets
+        L = builtin("bool:3")
+        D, _ = chain_diagram_of_partial(L, L.labels)
+        self._assert_shared_by_closure(L, D)
+        assert len(D.poset.elements) == 41
+        assert len({id(D.lattices[nd]) for nd in D.poset.elements}) == 29
+        assert (len(D.maps), len({id(f) for f in D.maps.values()})) == (174, 120)
+
 
 
 class TestGuaranteedByConstruction:

@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from critlat import liftings
 from critlat.congruence import (
@@ -32,11 +33,14 @@ from critlat.errors import (
     HypothesisUnmet,
     MissingDirectChain,
 )
-from critlat.lattice import Homomorphism, builtin, is_distributive, product, product_projections
+from critlat.lattice import (Homomorphism, builtin, dual, is_distributive, product,
+                             product_projections)
 from critlat.liftings import (
+    MAX_LIFTING_FAILURES,
     Lifting,
     check_directing_property,
     direct_chains_at,
+    dual_diagram,
     dual_lifting,
     extract_embedding,
     extract_embedding_auto,
@@ -48,7 +52,7 @@ from critlat.liftings import (
     verify_lifting,
 )
 
-from oracles import oracle_congruence_chains
+from oracles import oracle_congruence_chains, oracle_verify_lifting
 
 C1, C2, C3 = ("0", "x1", "1"), ("0", "x2", "1"), ("0", "x3", "1")
 
@@ -61,15 +65,6 @@ def swap_two_atoms(lift, node):
     images = x.images.copy()
     images[[a, b]] = images[[b, a]]
     lift.xi[node] = ConcMap(x.source, x.target, x.zero, images)
-
-
-def unshared_naturality_failures(lift):
-    """The naturality squares of verify_lifting with nothing shared:
-    conc_of_hom per edge and both composites built."""
-    B, S, xi = lift.source, lift.target, lift.xi
-    return [("naturality", p, q) for (p, q) in B.poset.pairs()
-            if not xi[q].compose(conc_of_hom(B.maps[(p, q)], xi[p].source, xi[q].source))
-            .equal_map(S.maps[(p, q)].compose(xi[p]))]
 
 
 def m3_identity_lifting(named):
@@ -148,7 +143,7 @@ class TestVerify:
         images[0, 1] = False    # Theta(0, 1) of the bottom now misses the top step
         lift.target.maps[pq] = ConcMap(s.source, s.target, s.zero, images)
         assert verify_lifting(lift).failures == [("naturality", *pq)]
-        assert unshared_naturality_failures(lift) == [("naturality", *pq)]
+        assert oracle_verify_lifting(lift) == [("naturality", *pq)]
 
     def test_shared_conc_hides_no_xi(self, named):
         # xi at one of the three 3-element chain nodes swaps its two atoms:
@@ -160,7 +155,7 @@ class TestVerify:
         failures = verify_lifting(lift).failures
         assert failures == [("naturality", node, node_of(C1, C2)),
                             ("naturality", node, node_of(C2, C3))]
-        assert failures == unshared_naturality_failures(lift)
+        assert failures == oracle_verify_lifting(lift)
 
     def test_target_edge_deleted_fails_naturality(self, named):
         lift = m3_identity_lifting(named)
@@ -255,7 +250,7 @@ class TestDiagramMemo:
             images[0] = ~images[0]
             lift.target.maps[pq] = ConcMap(s.source, s.target, s.zero, images)
             assert verify_lifting(lift).failures == [("naturality", *pq)]
-            assert unshared_naturality_failures(lift) == [("naturality", *pq)]
+            assert oracle_verify_lifting(lift) == [("naturality", *pq)]
             lift.target.maps[pq] = s
         assert verify_lifting(lift).ok
         # the memo gave the tampered copies nothing of theirs
@@ -293,6 +288,110 @@ class TestDiagramMemo:
             assert verify_lifting(identity_lifting(back.source)).ok
         assert spy.call_count == 0
         assert verify_lifting(back).ok
+
+
+def spanning_chain_diagram(data, lattices):
+    """The chain diagram of a random spanning subset of a random lattice
+    with two or more elements."""
+    L = data.draw(st.sampled_from([K for K in lattices if K.n >= 2]))
+    inner = [x for x in L.labels if x not in (L.bottom, L.top)]
+    picked = data.draw(st.lists(st.sampled_from(inner), unique=True)) if inner else []
+    return chain_diagram_of_partial(L, [L.bottom, L.top, *picked])[0]
+
+
+def shared(objects):
+    """The keys whose object is also the object of another key, or all of
+    them when no object is shared."""
+    count = {}
+    for x in objects.values():
+        count[id(x)] = count.get(id(x), 0) + 1
+    return [k for k, x in objects.items() if count[id(x)] > 1] or list(objects)
+
+
+class TestSharedChecks:
+    """verify_lifting checks each distinct xi and square once per call; every
+    node and pair keeps its own verdict, equal to the oracle's, also when
+    one object that other nodes or pairs share is made wrong."""
+
+    def test_m3_checks_each_distinct_square_once(self, named):
+        # M:3's chain diagram: 8 nodes and 27 pairs p <= q, over 4 shapes
+        # (the 2- and 3-element chains, the square, M3).  Its 4 identity xi
+        # shapes are each tested once.  Its squares are the 4 identity edges
+        # of the shapes, one entry of each chain shape into the next (bottom
+        # into a chain, a square, M3), the two inclusions of a chain into a
+        # square, and the three of a chain, and of a square, into M3: 15.
+        lift = m3_identity_lifting(named)
+        assert (len(lift.source.poset.elements), len(lift.source.poset.pairs())) == (8, 27)
+        calls = {"commutes": 0, "isomorphism": 0}
+        real_iso, real_commutes = ConcMap.isomorphism.fget, ConcMap.commutes
+
+        def isomorphism(self):
+            calls["isomorphism"] += 1
+            return real_iso(self)
+
+        def commutes(self, *maps):
+            calls["commutes"] += 1
+            return real_commutes(self, *maps)
+
+        with mock.patch.object(ConcMap, "isomorphism", property(isomorphism)), \
+                mock.patch.object(ConcMap, "commutes", commutes):
+            assert verify_lifting(lift).ok
+        assert calls == {"commutes": 15, "isomorphism": 4}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_corrupted_shared_object_matches_oracle(self, lawful_diagrams, lattices_to_7, data):
+        if data.draw(st.booleans()):
+            D = data.draw(st.sampled_from(lawful_diagrams))
+        else:
+            D = spanning_chain_diagram(data, lattices_to_7)
+        lift = identity_lifting(D)
+        if data.draw(st.booleans()):
+            lift = dual_lifting(lift)
+        kind = data.draw(st.sampled_from(["not-iso", "not-join-preserving", "target-edge"]))
+        if kind == "target-edge":
+            # one target map that several pairs share, one entry of its 0
+            # or of the image of an atom flipped, so the map changes
+            pq = data.draw(st.sampled_from(shared(lift.target.maps)))
+            s = lift.target.maps[pq]
+            zero, images = s.zero.copy(), s.images.copy()
+            row = data.draw(st.sampled_from([-1, *s.source.minimal().tolist()]))
+            flip = zero if row < 0 else images[row]
+            flip[data.draw(st.integers(0, len(zero) - 1))] ^= True
+            lift.target.maps[pq] = ConcMap(s.source, s.target, zero, images)
+        else:
+            # xi at a node whose xi, and so its arrays, other nodes share
+            p = data.draw(st.sampled_from(shared(lift.xi)))
+            x = lift.xi[p]
+            if kind == "not-iso":
+                zero, images = x.zero, np.zeros_like(x.images)
+                if data.draw(st.booleans()):
+                    zero, images = np.ones_like(x.zero), x.images
+                lift.xi[p] = ConcMap(x.source, x.target, zero, images)
+            elif data.draw(st.booleans()):
+                x.join_preserving = False    # at every node that shares x
+            else:
+                # the same arrays as its neighbours, at this node alone
+                lift.xi[p] = ConcMap(x.source, x.target, x.zero, x.images)
+                lift.xi[p].join_preserving = False
+        expected = oracle_verify_lifting(lift)
+        assert verify_lifting(lift).failures == expected[:MAX_LIFTING_FAILURES]
+        assert expected
+
+    def test_dual_diagram_shares_what_the_diagram_shares(self, lawful_diagrams):
+        for D in lawful_diagrams:
+            E = dual_diagram(D)
+            nodes, pairs = D.poset.elements, D.poset.pairs()
+            for n in nodes:
+                d = dual(D.lattices[n])
+                assert (E.lattices[n].labels, E.lattices[n].covers) == (d.labels, d.covers)
+            for a in nodes:
+                assert all((E.lattices[a] is E.lattices[b]) == (D.lattices[a] is D.lattices[b])
+                           for b in nodes)
+            for pq in pairs:
+                assert np.array_equal(E.maps[pq].mapping, D.maps[pq].mapping)
+                assert all((E.maps[pq] is E.maps[rs]) == (D.maps[pq] is D.maps[rs])
+                           for rs in pairs)
 
 
 class TestFindChains:
