@@ -23,6 +23,7 @@ from .congruence import (
     Congruence,
     JoinIrreducibles,
     _sends_chain,
+    _shape,
     atom_steps,
     boolean_J,
     con_lattice,
@@ -50,6 +51,7 @@ from .lattice import (
     Homomorphism,
     PartialLattice,
     _assignments,
+    _same_lattice,
     _same_or_dual,
     chain_order,
     dual,
@@ -128,9 +130,10 @@ def dual_lifting(lift: Lifting) -> Lifting:
 
 
 def _checked_once(cache, arrays, check, *flags):
-    """check() for these read-only arrays (and flags), run once per call of
-    verify_lifting: the key is the arrays' identities, and the cache holds
-    the arrays, so no identity is reused while it lives."""
+    """check() for these read-only arrays (and flags), run once per cache, a
+    dict that lives for one call of verify_lifting or of a chain search's
+    caller: the key is the arrays' identities, and the cache holds the
+    arrays, so no identity is reused while it lives."""
     key = (*flags, *map(id, arrays))
     if key not in cache:
         cache[key] = check(), arrays
@@ -193,22 +196,19 @@ def verify_lifting(lift: Lifting) -> LiftingReport:
 
 # --- congruence chains inside a lifting ---
 
-def find_congruence_chains(B, u, v, J: Optional[JoinIrreducibles] = None):
-    """All congruence chains of B with extremities u and v.
+def _chain_paths(B, ui, vi, J: JoinIrreducibles):
+    """The congruence chains of B from element index ui to vi, as lists of
+    element indices, with no step congruence built; J = J(Con B) is Boolean.
 
-    Requires Con B Boolean.  A qualifying chain steps through distinct atoms
-    of Con B, one per step, exhausting them; steps need not be covers of B.
-    Deterministic order (next element by canonical index).  Each element
-    tried as a next step counts one step against CHAIN_SEARCH_BUDGET; the
-    elements the path has already stepped to are skipped without counting.
+    A qualifying chain steps through distinct atoms of Con B, one per step,
+    exhausting them; steps need not be covers of B.  Deterministic order
+    (next element by canonical index).  Each element tried as a next step
+    counts one step against CHAIN_SEARCH_BUDGET; the elements the path has
+    already stepped to are skipped without counting.
     """
-    J = boolean_J(B, J)
-    ui, vi = B.index(u), B.index(v)
     n_atoms = len(J)
     if ui == vi:
-        if n_atoms == 0:
-            return [ChainWitness(None, (u,), ())]
-        return []
+        return [[ui]] if n_atoms == 0 else []
     theta = atom_steps(J)
 
     def fits(a):
@@ -224,27 +224,68 @@ def find_congruence_chains(B, u, v, J: Optional[JoinIrreducibles] = None):
 
     found = _assignments(n_atoms, lambda k, a: range(B.n), fits,
                          CHAIN_SEARCH_BUDGET, "congruence chain", find_all=True)
-    witnesses = []
-    for steps in found:
-        path = [ui, *steps]
-        labels = tuple(B.labels[i] for i in path)
-        sigma = tuple(Congruence.from_rep(B, J.cons[theta(a, b)].block_of)
-                      for a, b in zip(path, path[1:]))
-        witnesses.append(ChainWitness(None, labels, sigma))
-    return witnesses
+    return [[ui, *steps] for steps in found]
+
+
+def _witness(node, B, J: JoinIrreducibles, path, direct=None) -> ChainWitness:
+    """The ChainWitness of an index path of B that _chain_paths found: its
+    labels, and each step's atom of Con B, read off J."""
+    theta = atom_steps(J)
+    return ChainWitness(node, tuple(B.labels[i] for i in path),
+                        tuple(Congruence.from_rep(B, J.cons[theta(a, b)].block_of)
+                              for a, b in zip(path, path[1:])), direct)
+
+
+def find_congruence_chains(B, u, v, J: Optional[JoinIrreducibles] = None):
+    """All congruence chains of B with extremities u and v, in the order and
+    under the budget of _chain_paths.  Requires Con B Boolean."""
+    J = boolean_J(B, J)
+    return [_witness(None, B, J, path)
+            for path in _chain_paths(B, B.index(u), B.index(v), J)]
+
+
+def _direct_paths(L, xi: ConcMap, C, memo):
+    """(index path, direct?) for each congruence chain of L between its
+    bounds, directness for (xi, the chain lattice C), in _chain_paths order.
+
+    The answer is searched once per distinct input in memo, a dict that
+    lives for one call of a caller.  The key is everything the search and
+    _sends_chain read: L's and C's shapes (size and covers fix their order
+    and bounds), whether xi's target is hosted on C, and the identities of
+    xi's zero and images and of the leq, _gen and _below of both its J (a J
+    and its re-hosts share these and have one shape; a host and its dual
+    give the same Theta).  The arrays are read-only, and memo holds them, so
+    no identity is reused while it lives.
+    """
+    def search():
+        c_elems = [C.index(c) for c in chain_order(C)]
+        J = boolean_J(L, xi.source)
+        return [(path, _sends_chain(xi, path, C, c_elems))
+                for path in _chain_paths(L, L.index(L.bottom), L.index(L.top), J)]
+
+    arrays = (xi.zero, xi.images, *(getattr(J, name) for J in (xi.source, xi.target)
+                                    for name in ("leq", "_gen", "_below")))
+    return _checked_once(memo, arrays, search,
+                         _shape(L), _shape(C), _same_lattice(xi.target.host, C))
+
+
+def _paths_at(lift: Lifting, node, memo, chain):
+    """The node's lattice and its _direct_paths; CritlatError when the node
+    of `chain` is not in the diagram."""
+    L = lift.source.lattices.get(node)
+    if L is None:
+        raise CritlatError(f"chain {chain} missing from the diagram")
+    return L, _direct_paths(L, lift.xi[node], lift.target.J[node].host, memo)
 
 
 def direct_chains_at(lift: Lifting, node):
     """Congruence chains of the lattice at `node` between its bounds, each
     tagged with its directness for (xi_node, target chain).  Every diagram
-    edge keeps bounds, so these are the images of the bottom node's bounds."""
-    xi = lift.xi[node]
-    C = lift.target.J[node].host
-    c_elems = [C.index(c) for c in chain_order(C)]
-    L = lift.source.lattices[node]
-    return [ChainWitness(node, w.elements, w.sigma,
-                         _sends_chain(xi, [L.index(x) for x in w.elements], C, c_elems))
-            for w in find_congruence_chains(L, L.bottom, L.top, J=xi.source)]
+    edge keeps bounds, so these are the images of the bottom node's bounds.
+    The search is _direct_paths' with a memo of its own; CritlatError when
+    the node is not in the diagram."""
+    L, paths = _paths_at(lift, node, {}, node)
+    return [_witness(node, L, lift.xi[node].source, path, direct) for path, direct in paths]
 
 
 # --- the embedding extracted from a good lifting ---
@@ -285,7 +326,9 @@ def extract_embedding(lift: Lifting, subset):
     Verified: injectivity, preservation of all meets/joins defined in the
     subset, coherence of the length-3 chain choices, and the congruence
     condition xi_top(Theta(h x, h y)) = Theta_L(x, y).  A failed check
-    raises VerificationFailed.
+    raises VerificationFailed.  Nodes with the same search input share one
+    chain search per call (_direct_paths); each node still gets its own
+    chain, read on its own labels.
     """
     B = lift.source
     poset = B.poset
@@ -296,19 +339,24 @@ def extract_embedding(lift: Lifting, subset):
     B_top = B.lattices[TOP]
     bot, top = L.bottom, L.top
 
+    memo = {}
+
+    def first_direct(chain):
+        # the labels of the first direct chain at the node of `chain`
+        node = node_of(chain)
+        M, paths = _paths_at(lift, node, memo, chain)
+        path = next((p for p, direct in paths if direct), None)
+        if path is None:
+            raise MissingDirectChain(node)
+        return [M.labels[i] for i in path]
+
     interior = [x for x in K.labels if x not in (bot, top)]
     h = {bot: B_top.bottom, top: B_top.top}
     t_mid = {}
     for x in interior:
         cx = (bot, x, top)
-        node = node_of(cx)
-        if node not in B.lattices:
-            raise CritlatError(f"chain {cx} missing from the diagram")
-        found = [w for w in direct_chains_at(lift, node) if w.direct]
-        if not found:
-            raise MissingDirectChain(node)
-        t_mid[x] = found[0].elements[1]
-        h[x] = B.maps[(node, TOP)].apply(t_mid[x])
+        t_mid[x] = first_direct(cx)[1]
+        h[x] = B.maps[(node_of(cx), TOP)].apply(t_mid[x])
 
     op_checks = []
     for i, x in enumerate(K.labels):
@@ -331,16 +379,13 @@ def extract_embedding(lift: Lifting, subset):
         if len(c) != 4 or not set(c) <= set(K.labels):
             continue
         node_d = node_of(c)
-        dws = [w for w in direct_chains_at(lift, node_d) if w.direct]
-        if not dws:
-            raise MissingDirectChain(node_d)
-        dw = dws[0]
+        dw = first_direct(c)
         okc = True
         for k, x in enumerate(c[1:-1]):
             cx = (bot, x, top)
             pair = node_of(cx, c)
             a = B.maps[(node_of(cx), pair)].apply(t_mid[x])
-            b = B.maps[(node_d, pair)].apply(dw.elements[k + 1])
+            b = B.maps[(node_d, pair)].apply(dw[k + 1])
             okc = okc and (a == b)
         coherence.append((c, okc))
 
@@ -361,7 +406,8 @@ def extract_embedding(lift: Lifting, subset):
 
 
 def extract_embedding_auto(lift: Lifting, subset):
-    """Try the lifting as given, then its dual."""
+    """Try the lifting as given, then its dual.  Each attempt searches with a
+    memo of its own: dualizing changes every node's shape."""
     try:
         return extract_embedding(lift, subset)
     except MissingDirectChain:
@@ -375,13 +421,22 @@ def extract_embedding_auto(lift: Lifting, subset):
 def check_directing_property(lift: Lifting, c1, c2, c3):
     """Verify that every congruence chain at the c3 node is direct, given
     direct chains at the c1 and c2 nodes (raises HypothesisUnmet without
-    them).  Returns (True, None) or (False, counterexample ChainWitness)."""
+    them).  Returns (True, None) or (False, counterexample ChainWitness).
+    Nodes with the same search input share one chain search per call
+    (_direct_paths); each node still gets its own verdict, and only the
+    counterexample is built with its step congruences.  CritlatError when
+    a chain's node is not in the diagram."""
+    memo = {}
     for c in (c1, c2):
-        if not any(w.direct for w in direct_chains_at(lift, node_of(tuple(c)))):
-            raise HypothesisUnmet(f"no direct congruence chain at {node_of(tuple(c))}")
-    bad = next((w for w in direct_chains_at(lift, node_of(tuple(c3)))
-                if not w.direct), None)
-    return bad is None, bad
+        node = node_of(tuple(c))
+        if not any(direct for _, direct in _paths_at(lift, node, memo, tuple(c))[1]):
+            raise HypothesisUnmet(f"no direct congruence chain at {node}")
+    node = node_of(tuple(c3))
+    L, paths = _paths_at(lift, node, memo, tuple(c3))
+    bad = next((p for p, direct in paths if not direct), None)
+    if bad is None:
+        return True, None
+    return False, _witness(node, L, lift.xi[node].source, bad, False)
 
 
 # --- congruence chains from retractions ---

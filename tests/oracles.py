@@ -12,7 +12,7 @@ pair loop and the closure by squaring the order matrix that validate_lattice
 used before it searched its tables in numpy; distributivity is checked on
 every triple of those tables.  The lifting oracle checks every xi and every
 naturality square on its own, with nothing shared or remembered between
-nodes and pairs.
+nodes and pairs, and the direct-chain oracle tests each chain the same way.
 """
 
 import itertools
@@ -469,6 +469,37 @@ def oracle_congruence_chains(B):
                 labels = tuple(B.labels[i] for i in path)
                 out.setdefault((labels[0], labels[-1]), []).append((labels, sigma))
     return out
+
+
+def oracle_direct_chains(L, xi, C):
+    """The congruence chains of L between its bounds, from
+    oracle_congruence_chains, each as (labels, step block_ofs, direct), in
+    its order.  A chain is direct for (xi, the chain lattice C) when it has
+    C's length and, for every step k, xi's target is hosted on C (the same
+    labels and covers) and xi applied to the step's down-set (the members
+    of J(Con) of xi's source whose pair the step's partition identifies)
+    marks the members whose pair the oracle_closure partition of C's k-th
+    step identifies.  Each chain is tested on its own, with nothing
+    remembered."""
+    order = sorted(range(C.n), key=lambda i: sum(C.leq_i(j, i) for j in range(C.n)))
+    T = xi.target.host
+    same = T is C or (T.labels == C.labels
+                      and {tuple(c) for c in T.covers} == {tuple(c) for c in C.covers})
+
+    def marked(J, block_of):
+        return np.array([block_of[a] == block_of[b] for a, b in J.pairs], dtype=bool)
+
+    def sends(k, step):
+        if not same:
+            return False
+        image = xi.zero.copy()
+        for j in np.nonzero(marked(xi.source, step))[0]:
+            image |= xi.images[j]
+        want = marked(xi.target, oracle_closure(C, [(order[k], order[k + 1])]))
+        return np.array_equal(image, want)
+
+    return [(labels, sigma, len(labels) == C.n and all(sends(k, s) for k, s in enumerate(sigma)))
+            for labels, sigma in oracle_congruence_chains(L).get((L.bottom, L.top), [])]
 
 
 # --- liftings, every check on its own ---

@@ -52,7 +52,7 @@ from critlat.liftings import (
     verify_lifting,
 )
 
-from oracles import oracle_congruence_chains, oracle_verify_lifting
+from oracles import oracle_congruence_chains, oracle_direct_chains, oracle_verify_lifting
 
 C1, C2, C3 = ("0", "x1", "1"), ("0", "x2", "1"), ("0", "x3", "1")
 
@@ -392,6 +392,136 @@ class TestSharedChecks:
                 assert np.array_equal(E.maps[pq].mapping, D.maps[pq].mapping)
                 assert all((E.maps[pq] is E.maps[rs]) == (D.maps[pq] is D.maps[rs])
                            for rs in pairs)
+
+
+def outcome(run):
+    """run()'s value, or the type and message of the CritlatError it raised."""
+    try:
+        return run()
+    except CritlatError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def oracle_paths(L, xi, C, memo):
+    """_direct_paths answered by oracle_direct_chains, nothing remembered."""
+    return [([L.index(x) for x in labels], direct)
+            for labels, _, direct in oracle_direct_chains(L, xi, C)]
+
+
+def chain_rows(ws):
+    return [(w.node, w.elements, tuple(t.block_of for t in w.sigma), w.direct) for w in ws]
+
+
+def swapped(x):
+    """x with the images of the two atoms of its 3-element chain's Con
+    traded: an automorphism of Con, and no identity."""
+    a, b = x.source.minimal()
+    images = x.images.copy()
+    images[[a, b]] = images[[b, a]]
+    return ConcMap(x.source, x.target, x.zero, images)
+
+
+class TestSharedChainSearch:
+    """extract_embedding and check_directing_property search the congruence
+    chains once per distinct input per call (liftings._direct_paths), and
+    each node keeps its own chains and verdict, equal to the oracle's."""
+
+    @staticmethod
+    def searches(run):
+        with mock.patch.object(liftings, "_chain_paths", wraps=liftings._chain_paths) as spy:
+            run()
+        return spy.call_count
+
+    def test_search_counts(self, named):
+        def lifting(name):
+            L = named[name]
+            return identity_lifting(chain_diagram_of_partial(L, L.labels)[0]), L.labels
+
+        # bool:3's chain diagram searches at six 3-element chain nodes and
+        # six 4-element ones (the coherence checks), two shapes: 12 before
+        lift, labels = lifting("bool:3")
+        assert self.searches(lambda: extract_embedding(lift, labels)) == 2
+        # on the dual, the first 3-element chain node has no direct chain,
+        # so the dual of the dual takes the two searches above: 13 before
+        dl = dual_lifting(lift)
+        assert self.searches(lambda: extract_embedding_auto(dl, labels)) == 3
+        # M:3's three 3-element chain nodes share one shape: 3 before
+        lift, labels = lifting("M:3")
+        assert self.searches(lambda: extract_embedding(lift, labels)) == 1
+        # the c1, c2 and c3 nodes of a directing diagram are 3-element
+        # chains of one shape: 3 before
+        for gen in ("M:3", "N5"):
+            lift = identity_lifting(directing_diagram(builtin(gen), C1, C2, C3))
+            assert self.searches(lambda: check_directing_property(lift, C1, C2, C3)) == 1
+
+    def test_missing_chain_in_directing_property(self):
+        lift = identity_lifting(directing_diagram(builtin("M:3"), C1, C2, C3))
+        with pytest.raises(CritlatError, match=r"^chain \('0', 'zz', '1'\) missing "
+                                                r"from the diagram$") as exc:
+            check_directing_property(lift, C1, C2, ("0", "zz", "1"))
+        assert not isinstance(exc.value, KeyError)
+
+    def test_missing_node_in_direct_chains_at(self, named):
+        lift = m3_identity_lifting(named)
+        with pytest.raises(CritlatError, match=r"^chain \{0<a<1\} missing from the diagram$") as exc:
+            direct_chains_at(lift, node_of(("0", "a", "1")))
+        assert not isinstance(exc.value, KeyError)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_oracle(self, lawful_diagrams, lattices_to_7, data):
+        directing = data.draw(st.booleans())
+        if directing:
+            D = data.draw(st.sampled_from(lawful_diagrams[-2:]))
+        else:
+            D = spanning_chain_diagram(data, lattices_to_7)
+        lift = identity_lifting(D)
+        if data.draw(st.booleans()):
+            lift = dual_lifting(lift)
+        # a 3-element chain node p, and the nodes whose xi is p's object
+        threes = [n for n in D.poset.elements if n.chains and len(n.chains) == 1
+                  and len(n.chains[0]) == 3]
+        if threes:
+            p = data.draw(st.sampled_from(threes))
+            x = lift.xi[p]
+            kind = data.draw(st.sampled_from(["as built", "swap shared", "swap at p",
+                                              "moved to p"]))
+            if kind == "swap shared":
+                y = swapped(x)
+                lift.xi.update({n: y for n, z in lift.xi.items() if z is x})
+            elif kind == "swap at p":
+                lift.xi[p] = swapped(x)
+            elif kind == "moved to p":
+                # the xi of another node of p's shape: the same arrays, its
+                # target on another chain than p's (q = p leaves it as built)
+                q = data.draw(st.sampled_from(threes))
+                lift.xi[p] = lift.xi[q]
+        for n in D.poset.elements:
+            if n.chains and len(n.chains) == 1:
+                L = lift.source.lattices[n]
+                want = [(n, *row) for row in oracle_direct_chains(
+                    L, lift.xi[n], lift.target.J[n].host)]
+                assert chain_rows(direct_chains_at(lift, n)) == want
+
+        def directing_result():
+            ok, bad = check_directing_property(lift, C1, C2, C3)
+            return ok, bad and chain_rows([bad])
+
+        def embedding(extract):
+            K = D.lattices[TOP]
+            inside = {x for c in D.poset.chains for x in c}
+            h, report = extract(lift, [x for x in K.labels if x in inside])
+            return h, report.to_json()
+
+        def results():
+            if directing:
+                return [outcome(directing_result)]
+            return [outcome(lambda: embedding(f)) for f in (extract_embedding,
+                                                            extract_embedding_auto)]
+
+        got = results()
+        with mock.patch.object(liftings, "_direct_paths", oracle_paths):
+            assert got == results()
 
 
 class TestFindChains:
