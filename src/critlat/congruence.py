@@ -452,10 +452,11 @@ def _shape(L: FiniteLattice):
 
 
 class ConcMemo:
-    """J(Con) and Conc for the lattices and maps of one diagram.  A
-    LatticeDiagram holds one for its lifetime: apply_conc, the Conc of the
-    source edges in verify_lifting and the source J(Con) of a read lifting
-    bundle share it.
+    """J(Con), Conc, and the checks and searches over them, for one diagram.
+    A LatticeDiagram holds one for its lifetime: apply_conc, verify_lifting
+    (the Conc of the source edges, the xi verdicts and the naturality
+    squares), the chain searches of extraction and the directing check, and
+    the source J(Con) of a read lifting bundle share it.
 
     Each lattice object gets one J, and each (map, J source, J target) one
     ConcMap.  The keys are the objects themselves, so the memo holds them
@@ -467,11 +468,25 @@ class ConcMemo:
     the arrays of its two J and f's mapping: it is computed once per (source
     J's arrays, target J's arrays, mapping), and each other map gets its own
     ConcMap over the shared read-only arrays.
+
+    once() keeps any other answer for the memo's lifetime.  Its key is a
+    tag, plain values and the identities of the read-only objects (the
+    arrays of J(Con) and of ConcMaps) that the computation reads, and the
+    memo holds those objects: no identity is reused while it lives, so a
+    kept answer is the one the computation would give again.  A ConcMap put
+    in place of another, or a flag changed on one, reads under another key.
     """
 
     def __init__(self):
         self._J, self._conc = {}, {}            # by content
-        self._J_of, self._conc_of = {}, {}      # by object
+        self._J_of, self._conc_of, self._once = {}, {}, {}  # by object
+
+    def once(self, tag, objects, compute, *values):
+        """compute(), run once per key while the memo lives (see above)."""
+        key = (tag, *values, *map(id, objects))
+        if key not in self._once:
+            self._once[key] = compute(), objects
+        return self._once[key][0]
 
     def J(self, L) -> JoinIrreducibles:
         """J(Con L), one per lattice object and built once per shape; a lazy

@@ -697,38 +697,42 @@ def diagram_to_json(D: LatticeDiagram) -> dict:
 
 
 def diagram_from_json(obj) -> LatticeDiagram:
-    """The diagram written by diagram_to_json; FormatError unless the nodes
-    are distinct, the order pairs, closed under reflexivity, form a partial
-    order on them, "lattices" is keyed by the nodes, and "maps" by "p<=q"
-    for order pairs p < q, each map keyed by the elements of p's lattice."""
-    nodes = list(obj["poset"]["nodes"])
-    le = [(a, b) for a, b in obj["poset"]["leq"]]
-    if len(set(nodes)) != len(nodes):
-        raise FormatError("the poset lists a node twice")
-    if not {x for pair in le for x in pair} <= set(nodes):
-        raise FormatError("an order pair names a node the poset does not list")
-    poset = FinitePoset(nodes, le)
-    ups = [set(up) for up in poset._up_sets()]
-    for a, up in enumerate(ups):
-        for b in up - {a}:
-            if a in ups[b] or not ups[b] <= up:
-                c = a if a in ups[b] else min(ups[b] - up)
-                raise FormatError("the order is not a partial order: "
-                                  f"{nodes[a]} <= {nodes[b]} <= {nodes[c]}")
-    if set(obj["lattices"]) != set(nodes):
-        raise FormatError("the lattices are not keyed by exactly the poset's nodes")
-    lattices = {n: lattice_from_json(obj["lattices"][n]) for n in nodes}
-    maps = {(n, n): Homomorphism.identity(lattices[n]) for n in nodes}
-    edges = {f"{p}<={q}": (p, q) for (p, q) in poset.pairs() if p != q}
-    for key, mp in obj["maps"].items():
-        if key not in edges:
-            raise FormatError(f"the map key {key!r} names no order pair p < q")
-        a, b = edges[key]
-        src, tgt = lattices[a], lattices[b]
-        if set(mp) != set(src.labels):
-            raise FormatError(f"the map {key!r} does not map exactly the elements of {a}")
-        # the constructor below checks the laws of these maps
-        maps[(a, b)] = Homomorphism._trusted(src, tgt, [tgt.index(mp[x]) for x in src.labels])
+    """The diagram written by diagram_to_json; FormatError for any other
+    shape, or unless the nodes are distinct, the order pairs, closed under
+    reflexivity, form a partial order on them, "lattices" is keyed by the
+    nodes, and "maps" by "p<=q" for order pairs p < q, each map keyed by the
+    elements of p's lattice."""
+    try:
+        nodes = list(obj["poset"]["nodes"])
+        le = [(a, b) for a, b in obj["poset"]["leq"]]
+        if len(set(nodes)) != len(nodes):
+            raise FormatError("the poset lists a node twice")
+        if not {x for pair in le for x in pair} <= set(nodes):
+            raise FormatError("an order pair names a node the poset does not list")
+        poset = FinitePoset(nodes, le)
+        ups = [set(up) for up in poset._up_sets()]
+        for a, up in enumerate(ups):
+            for b in up - {a}:
+                if a in ups[b] or not ups[b] <= up:
+                    c = a if a in ups[b] else min(ups[b] - up)
+                    raise FormatError("the order is not a partial order: "
+                                      f"{nodes[a]} <= {nodes[b]} <= {nodes[c]}")
+        if set(obj["lattices"]) != set(nodes):
+            raise FormatError("the lattices are not keyed by exactly the poset's nodes")
+        lattices = {n: lattice_from_json(obj["lattices"][n]) for n in nodes}
+        maps = {(n, n): Homomorphism.identity(lattices[n]) for n in nodes}
+        edges = {f"{p}<={q}": (p, q) for (p, q) in poset.pairs() if p != q}
+        for key, mp in obj["maps"].items():
+            if key not in edges:
+                raise FormatError(f"the map key {key!r} names no order pair p < q")
+            a, b = edges[key]
+            src, tgt = lattices[a], lattices[b]
+            if set(mp) != set(src.labels):
+                raise FormatError(f"the map {key!r} does not map exactly the elements of {a}")
+            # the constructor below checks the laws of these maps
+            maps[(a, b)] = Homomorphism._trusted(src, tgt, [tgt.index(mp[x]) for x in src.labels])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(f"bad diagram: {exc!r}") from None
     return LatticeDiagram(poset, lattices, maps)
 
 

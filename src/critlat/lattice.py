@@ -477,13 +477,14 @@ class ProductLattice(_Lattice):
 
 
 def dual(L):
-    """Same universe, reverse ordering; meet and join tables swap."""
-    if isinstance(L, ProductLattice):
-        return ProductLattice([dual(f) for f in L.factors],
-                              name=f"dual({L.name})" if L.name else None)
+    """Same universe, reverse ordering; meet and join tables swap.  A
+    product's factors are dualized, its coordinates kept."""
     name = f"dual({L.name})" if L.name else None
-    return FiniteLattice(L.labels, np.ascontiguousarray(L._leq.T), L._join, L._meet,
-                         name=name, covers=tuple(sorted((j, i) for i, j in L.covers)))
+    factors = L.factors and tuple(dual(f) for f in L.factors)
+    if isinstance(L, ProductLattice):
+        return ProductLattice(factors, name=name)
+    return FiniteLattice(L.labels, np.ascontiguousarray(L._leq.T), L._join, L._meet, name=name,
+                         covers=tuple(sorted((j, i) for i, j in L.covers)), factors=factors)
 
 
 def _product_covers(factors):

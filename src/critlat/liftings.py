@@ -129,17 +129,6 @@ def dual_lifting(lift: Lifting) -> Lifting:
     return Lifting(dual_diagram(lift.source), lift.target, dict(lift.xi))
 
 
-def _checked_once(cache, arrays, check, *flags):
-    """check() for these read-only arrays (and flags), run once per cache, a
-    dict that lives for one call of verify_lifting or of a chain search's
-    caller: the key is the arrays' identities, and the cache holds the
-    arrays, so no identity is reused while it lives."""
-    key = (*flags, *map(id, arrays))
-    if key not in cache:
-        cache[key] = check(), arrays
-    return cache[key][0]
-
-
 def verify_lifting(lift: Lifting) -> LiftingReport:
     """Exhaustive verification; collects failures instead of raising.
 
@@ -156,26 +145,23 @@ def verify_lifting(lift: Lifting) -> LiftingReport:
     MAX_LIFTING_FAILURES failures are kept, in poset order.
 
     Every node and pair gets its own verdict, but each distinct check runs
-    once per call: an isomorphism test once per xi arrays (and
-    join_preserving), a square once per the eight arrays it reads (0 and
-    the images of its four maps).  That is exact: a ConcMap's arrays are
-    read-only, and the lifting and the source's memo keep them alive for
-    the call.  Nodes and edges that share objects (chain_diagram, the
-    memo, identity_lifting) share their arrays.
+    once in the source's memo (ConcMemo.once), across calls: an isomorphism
+    test once per xi arrays (and join_preserving), a square once per the
+    eight arrays it reads (0 and the images of its four maps).
     """
     B, S = lift.source, lift.target
     if B.poset != S.poset:
         raise PosetMismatch("source and target live on different posets")
     poset = B.poset
-    failures, checked = [], {}
+    failures = []
     for p in poset.elements:
         x = lift.xi.get(p)
         if x is None:
             failures.append(("missing-xi", p))
         elif len(x.target) != len(S.J[p]):
             failures.append(("xi-wrong-shape", p))
-        elif not _checked_once(checked, (x.zero, x.images, x.source.leq, x.target.leq),
-                               lambda: x.isomorphism, x.join_preserving):
+        elif not B.memo.once("xi-iso", (x.zero, x.images, x.source.leq, x.target.leq),
+                             lambda: x.isomorphism, x.join_preserving):
             failures.append(("xi-not-iso", p))
     if not failures:
         # each xi must start at J(Con) of its node's lattice or of its dual
@@ -186,9 +172,9 @@ def verify_lifting(lift: Lifting) -> LiftingReport:
             xp, xq = lift.xi[p], lift.xi[q]
             cf = B.memo.conc(B.maps[(p, q)], xp.source, xq.source)
             s = S.maps.get((p, q))
-            if s is None or not _checked_once(
-                    checked, (xq.zero, xq.images, cf.zero, cf.images,
-                              s.zero, s.images, xp.zero, xp.images),
+            if s is None or not B.memo.once(
+                    "square", (xq.zero, xq.images, cf.zero, cf.images,
+                               s.zero, s.images, xp.zero, xp.images),
                     lambda: xq.commutes(cf, s, xp)):
                 failures.append(("naturality", p, q))
     return LiftingReport(failures[:MAX_LIFTING_FAILURES])
@@ -244,19 +230,24 @@ def find_congruence_chains(B, u, v, J: Optional[JoinIrreducibles] = None):
             for path in _chain_paths(B, B.index(u), B.index(v), J)]
 
 
-def _direct_paths(L, xi: ConcMap, C, memo):
-    """(index path, direct?) for each congruence chain of L between its
-    bounds, directness for (xi, the chain lattice C), in _chain_paths order.
+def _direct_paths(lift: Lifting, node, chain):
+    """The node's lattice L and, in _chain_paths order, (index path,
+    direct?) for each congruence chain of L between its bounds, directness
+    for (xi_node, the target's chain lattice C); CritlatError when the node
+    of `chain` is not in the diagram.
 
-    The answer is searched once per distinct input in memo, a dict that
-    lives for one call of a caller.  The key is everything the search and
-    _sends_chain read: L's and C's shapes (size and covers fix their order
-    and bounds), whether xi's target is hosted on C, and the identities of
-    xi's zero and images and of the leq, _gen and _below of both its J (a J
-    and its re-hosts share these and have one shape; a host and its dual
-    give the same Theta).  The arrays are read-only, and memo holds them, so
-    no identity is reused while it lives.
+    Searched once in the source's memo (ConcMemo.once), keyed by everything
+    the search and _sends_chain read: L's and C's shapes (size and covers
+    fix their order and bounds), whether xi's target is hosted on C, and
+    xi's zero and images and the leq, _gen and _below of both its J (a J and
+    its re-hosts share these and have one shape; a host and its dual give
+    the same Theta).
     """
+    L = lift.source.lattices.get(node)
+    if L is None:
+        raise CritlatError(f"chain {chain} missing from the diagram")
+    xi, C = lift.xi[node], lift.target.J[node].host
+
     def search():
         c_elems = [C.index(c) for c in chain_order(C)]
         J = boolean_J(L, xi.source)
@@ -265,26 +256,17 @@ def _direct_paths(L, xi: ConcMap, C, memo):
 
     arrays = (xi.zero, xi.images, *(getattr(J, name) for J in (xi.source, xi.target)
                                     for name in ("leq", "_gen", "_below")))
-    return _checked_once(memo, arrays, search,
-                         _shape(L), _shape(C), _same_lattice(xi.target.host, C))
-
-
-def _paths_at(lift: Lifting, node, memo, chain):
-    """The node's lattice and its _direct_paths; CritlatError when the node
-    of `chain` is not in the diagram."""
-    L = lift.source.lattices.get(node)
-    if L is None:
-        raise CritlatError(f"chain {chain} missing from the diagram")
-    return L, _direct_paths(L, lift.xi[node], lift.target.J[node].host, memo)
+    return L, lift.source.memo.once("chains", arrays, search, _shape(L), _shape(C),
+                                    _same_lattice(xi.target.host, C))
 
 
 def direct_chains_at(lift: Lifting, node):
     """Congruence chains of the lattice at `node` between its bounds, each
     tagged with its directness for (xi_node, target chain).  Every diagram
     edge keeps bounds, so these are the images of the bottom node's bounds.
-    The search is _direct_paths' with a memo of its own; CritlatError when
-    the node is not in the diagram."""
-    L, paths = _paths_at(lift, node, {}, node)
+    The search is _direct_paths'; CritlatError when the node is not in the
+    diagram."""
+    L, paths = _direct_paths(lift, node, node)
     return [_witness(node, L, lift.xi[node].source, path, direct) for path, direct in paths]
 
 
@@ -327,8 +309,8 @@ def extract_embedding(lift: Lifting, subset):
     subset, coherence of the length-3 chain choices, and the congruence
     condition xi_top(Theta(h x, h y)) = Theta_L(x, y).  A failed check
     raises VerificationFailed.  Nodes with the same search input share one
-    chain search per call (_direct_paths); each node still gets its own
-    chain, read on its own labels.
+    chain search (_direct_paths); each node still gets its own chain, read
+    on its own labels.
     """
     B = lift.source
     poset = B.poset
@@ -339,12 +321,10 @@ def extract_embedding(lift: Lifting, subset):
     B_top = B.lattices[TOP]
     bot, top = L.bottom, L.top
 
-    memo = {}
-
     def first_direct(chain):
         # the labels of the first direct chain at the node of `chain`
         node = node_of(chain)
-        M, paths = _paths_at(lift, node, memo, chain)
+        M, paths = _direct_paths(lift, node, chain)
         path = next((p for p, direct in paths if direct), None)
         if path is None:
             raise MissingDirectChain(node)
@@ -406,8 +386,7 @@ def extract_embedding(lift: Lifting, subset):
 
 
 def extract_embedding_auto(lift: Lifting, subset):
-    """Try the lifting as given, then its dual.  Each attempt searches with a
-    memo of its own: dualizing changes every node's shape."""
+    """Try the lifting as given, then its dual."""
     try:
         return extract_embedding(lift, subset)
     except MissingDirectChain:
@@ -422,17 +401,16 @@ def check_directing_property(lift: Lifting, c1, c2, c3):
     """Verify that every congruence chain at the c3 node is direct, given
     direct chains at the c1 and c2 nodes (raises HypothesisUnmet without
     them).  Returns (True, None) or (False, counterexample ChainWitness).
-    Nodes with the same search input share one chain search per call
+    Nodes with the same search input share one chain search
     (_direct_paths); each node still gets its own verdict, and only the
     counterexample is built with its step congruences.  CritlatError when
     a chain's node is not in the diagram."""
-    memo = {}
     for c in (c1, c2):
         node = node_of(tuple(c))
-        if not any(direct for _, direct in _paths_at(lift, node, memo, tuple(c))[1]):
+        if not any(direct for _, direct in _direct_paths(lift, node, tuple(c))[1]):
             raise HypothesisUnmet(f"no direct congruence chain at {node}")
     node = node_of(tuple(c3))
-    L, paths = _paths_at(lift, node, memo, tuple(c3))
+    L, paths = _direct_paths(lift, node, tuple(c3))
     bad = next((p for p, direct in paths if not direct), None)
     if bad is None:
         return True, None

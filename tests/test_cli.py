@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from critlat.cli import build_parser, run
-from critlat.diagrams import chain_diagram_of_partial
+from critlat.diagrams import chain_diagram_of_partial, diagram_from_json
+from critlat.errors import FormatError
 from critlat.lattice import builtin, lattice_to_json, save_lattice, validate_lattice
 from critlat.liftings import identity_lifting, lifting_to_json
 
@@ -581,6 +582,38 @@ class TestInputContract:
         code, _, err = invoke(capsys, "lift-check", str(p))
         assert code == 2
         assert err == f"error: FormatError: bad lifting bundle: {error}\n"
+
+    @pytest.mark.parametrize("kind, error", [
+        ("empty", "KeyError('poset')"),
+        ("poset-5", "TypeError("),
+        ("three-element-pair", "ValueError("),
+        ("maps-list", "AttributeError("),
+        ("map-not-object", "TypeError("),
+    ])
+    def test_bundle_with_malformed_source_is_two(self, tmp_path, capsys, kind, error):
+        # N5's identity bundle with its source diagram cut down or given a
+        # value of the wrong type: diagram_from_json raises FormatError, and
+        # lift-check exits 2 with that message, not a traceback
+        bundle = identity_bundle("N5")
+        source = bundle["source"]
+        if kind == "empty":
+            source = bundle["source"] = {}
+        elif kind == "poset-5":
+            source["poset"] = 5
+        elif kind == "three-element-pair":
+            source["poset"]["leq"][0].append(source["poset"]["nodes"][0])
+        elif kind == "maps-list":
+            source["maps"] = []
+        else:
+            source["maps"][next(iter(source["maps"]))] = 5
+        with pytest.raises(FormatError, match=r"^bad diagram: ") as exc:
+            diagram_from_json(source)
+        assert error in str(exc.value)
+        p = tmp_path / "bundle.json"
+        p.write_text(json.dumps(bundle))
+        code, out, err = invoke(capsys, "lift-check", str(p))
+        assert (code, out) == (2, "")
+        assert err == f"error: FormatError: {exc.value}\n"
 
     def test_lift_check_without_input_is_two(self, capsys):
         code, _, err = invoke(capsys, "lift-check")

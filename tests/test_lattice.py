@@ -318,6 +318,23 @@ class TestDual:
         assert d.meet("x1", "x3") == N5.join("x1", "x3")
         assert d.bottom == N5.top
 
+    def test_dual_of_a_product_keeps_its_factors(self, corpus, named):
+        # the dual of a product is the product of the factors' duals: its
+        # projections are P's index maps, homomorphisms onto those duals
+        products = [L for L in corpus if L.factors] + [
+            product(named["M:3"], named["2"]),
+            product(named["N5"], named["chain:2"], named["M:3"]),
+            product(product(named["2"], named["N5"]), named["M:4"])]
+        assert len(products) > 3
+        for P in products:
+            D = dual(P)
+            assert [f.covers for f in D.factors] == [dual(f).covers for f in P.factors]
+            projections = product_projections(P)
+            assert len(product_projections(D)) == len(projections)
+            for hd, hp in zip(product_projections(D), projections):
+                Homomorphism(D, hd.target, hd.mapping)
+                assert np.array_equal(hd.mapping, hp.mapping)
+
 
 class TestProduct:
     def test_two_squared_is_boolean(self):

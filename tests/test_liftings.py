@@ -308,8 +308,27 @@ def shared(objects):
     return [k for k, x in objects.items() if count[id(x)] > 1] or list(objects)
 
 
+def checks(run):
+    """run()'s value, and how many isomorphism tests and commuting squares
+    of ConcMaps it ran."""
+    calls = {"commutes": 0, "isomorphism": 0}
+    real_iso, real_commutes = ConcMap.isomorphism.fget, ConcMap.commutes
+
+    def isomorphism(self):
+        calls["isomorphism"] += 1
+        return real_iso(self)
+
+    def commutes(self, *maps):
+        calls["commutes"] += 1
+        return real_commutes(self, *maps)
+
+    with mock.patch.object(ConcMap, "isomorphism", property(isomorphism)), \
+            mock.patch.object(ConcMap, "commutes", commutes):
+        return run(), calls
+
+
 class TestSharedChecks:
-    """verify_lifting checks each distinct xi and square once per call; every
+    """verify_lifting checks each distinct xi and square once; every
     node and pair keeps its own verdict, equal to the oracle's, also when
     one object that other nodes or pairs share is made wrong."""
 
@@ -322,20 +341,8 @@ class TestSharedChecks:
         # square, and the three of a chain, and of a square, into M3: 15.
         lift = m3_identity_lifting(named)
         assert (len(lift.source.poset.elements), len(lift.source.poset.pairs())) == (8, 27)
-        calls = {"commutes": 0, "isomorphism": 0}
-        real_iso, real_commutes = ConcMap.isomorphism.fget, ConcMap.commutes
-
-        def isomorphism(self):
-            calls["isomorphism"] += 1
-            return real_iso(self)
-
-        def commutes(self, *maps):
-            calls["commutes"] += 1
-            return real_commutes(self, *maps)
-
-        with mock.patch.object(ConcMap, "isomorphism", property(isomorphism)), \
-                mock.patch.object(ConcMap, "commutes", commutes):
-            assert verify_lifting(lift).ok
+        report, calls = checks(lambda: verify_lifting(lift))
+        assert report.ok
         assert calls == {"commutes": 15, "isomorphism": 4}
 
     @settings(max_examples=80, deadline=None)
@@ -402,10 +409,12 @@ def outcome(run):
         return type(exc).__name__, str(exc)
 
 
-def oracle_paths(L, xi, C, memo):
+def oracle_paths(lift, node, chain):
     """_direct_paths answered by oracle_direct_chains, nothing remembered."""
-    return [([L.index(x) for x in labels], direct)
-            for labels, _, direct in oracle_direct_chains(L, xi, C)]
+    L = lift.source.lattices[node]
+    return L, [([L.index(x) for x in labels], direct)
+               for labels, _, direct in oracle_direct_chains(L, lift.xi[node],
+                                                             lift.target.J[node].host)]
 
 
 def chain_rows(ws):
@@ -413,24 +422,67 @@ def chain_rows(ws):
 
 
 def swapped(x):
-    """x with the images of the two atoms of its 3-element chain's Con
-    traded: an automorphism of Con, and no identity."""
+    """x with the images of the two atoms of its Con traded: for a 3-element
+    chain, an automorphism of Con, and no identity."""
     a, b = x.source.minimal()
     images = x.images.copy()
     images[[a, b]] = images[[b, a]]
     return ConcMap(x.source, x.target, x.zero, images)
 
 
+def searches(run):
+    """How many congruence chain searches run() ran."""
+    with mock.patch.object(liftings, "_chain_paths", wraps=liftings._chain_paths) as spy:
+        run()
+    return spy.call_count
+
+
+def drawn_lifting(data, lawful_diagrams, lattices_to_7):
+    """(the identity lifting, plain or dualized, of the M:3 or N5 directing
+    diagram or of a random spanning chain diagram, whether it is directing)."""
+    directing = data.draw(st.booleans())
+    if directing:
+        D = data.draw(st.sampled_from(lawful_diagrams[-2:]))
+    else:
+        D = spanning_chain_diagram(data, lattices_to_7)
+    lift = identity_lifting(D)
+    return (dual_lifting(lift) if data.draw(st.booleans()) else lift), directing
+
+
+def assert_chains_match_oracle(lift, directing):
+    """direct_chains_at at every single-chain node, and the directing check
+    or both extractions, against the oracle's answers (oracle_paths)."""
+    for n in lift.source.poset.elements:
+        if n.chains and len(n.chains) == 1:
+            want = [(n, *row) for row in oracle_direct_chains(
+                lift.source.lattices[n], lift.xi[n], lift.target.J[n].host)]
+            assert chain_rows(direct_chains_at(lift, n)) == want
+
+    def directing_result():
+        ok, bad = check_directing_property(lift, C1, C2, C3)
+        return ok, bad and chain_rows([bad])
+
+    def embedding(extract):
+        B = lift.source
+        inside = {x for c in B.poset.chains for x in c}
+        h, report = extract(lift, [x for x in B.lattices[TOP].labels if x in inside])
+        return h, report.to_json()
+
+    def results():
+        if directing:
+            return [outcome(directing_result)]
+        return [outcome(lambda: embedding(f)) for f in (extract_embedding,
+                                                        extract_embedding_auto)]
+
+    got = results()
+    with mock.patch.object(liftings, "_direct_paths", oracle_paths):
+        assert got == results()
+
+
 class TestSharedChainSearch:
     """extract_embedding and check_directing_property search the congruence
-    chains once per distinct input per call (liftings._direct_paths), and
-    each node keeps its own chains and verdict, equal to the oracle's."""
-
-    @staticmethod
-    def searches(run):
-        with mock.patch.object(liftings, "_chain_paths", wraps=liftings._chain_paths) as spy:
-            run()
-        return spy.call_count
+    chains once per distinct input (liftings._direct_paths), and each node
+    keeps its own chains and verdict, equal to the oracle's."""
 
     def test_search_counts(self, named):
         def lifting(name):
@@ -440,19 +492,19 @@ class TestSharedChainSearch:
         # bool:3's chain diagram searches at six 3-element chain nodes and
         # six 4-element ones (the coherence checks), two shapes: 12 before
         lift, labels = lifting("bool:3")
-        assert self.searches(lambda: extract_embedding(lift, labels)) == 2
+        assert searches(lambda: extract_embedding(lift, labels)) == 2
         # on the dual, the first 3-element chain node has no direct chain,
         # so the dual of the dual takes the two searches above: 13 before
         dl = dual_lifting(lift)
-        assert self.searches(lambda: extract_embedding_auto(dl, labels)) == 3
+        assert searches(lambda: extract_embedding_auto(dl, labels)) == 3
         # M:3's three 3-element chain nodes share one shape: 3 before
         lift, labels = lifting("M:3")
-        assert self.searches(lambda: extract_embedding(lift, labels)) == 1
+        assert searches(lambda: extract_embedding(lift, labels)) == 1
         # the c1, c2 and c3 nodes of a directing diagram are 3-element
         # chains of one shape: 3 before
         for gen in ("M:3", "N5"):
             lift = identity_lifting(directing_diagram(builtin(gen), C1, C2, C3))
-            assert self.searches(lambda: check_directing_property(lift, C1, C2, C3)) == 1
+            assert searches(lambda: check_directing_property(lift, C1, C2, C3)) == 1
 
     def test_missing_chain_in_directing_property(self):
         lift = identity_lifting(directing_diagram(builtin("M:3"), C1, C2, C3))
@@ -470,16 +522,9 @@ class TestSharedChainSearch:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_matches_oracle(self, lawful_diagrams, lattices_to_7, data):
-        directing = data.draw(st.booleans())
-        if directing:
-            D = data.draw(st.sampled_from(lawful_diagrams[-2:]))
-        else:
-            D = spanning_chain_diagram(data, lattices_to_7)
-        lift = identity_lifting(D)
-        if data.draw(st.booleans()):
-            lift = dual_lifting(lift)
+        lift, directing = drawn_lifting(data, lawful_diagrams, lattices_to_7)
         # a 3-element chain node p, and the nodes whose xi is p's object
-        threes = [n for n in D.poset.elements if n.chains and len(n.chains) == 1
+        threes = [n for n in lift.source.poset.elements if n.chains and len(n.chains) == 1
                   and len(n.chains[0]) == 3]
         if threes:
             p = data.draw(st.sampled_from(threes))
@@ -496,32 +541,75 @@ class TestSharedChainSearch:
                 # target on another chain than p's (q = p leaves it as built)
                 q = data.draw(st.sampled_from(threes))
                 lift.xi[p] = lift.xi[q]
-        for n in D.poset.elements:
-            if n.chains and len(n.chains) == 1:
-                L = lift.source.lattices[n]
-                want = [(n, *row) for row in oracle_direct_chains(
-                    L, lift.xi[n], lift.target.J[n].host)]
-                assert chain_rows(direct_chains_at(lift, n)) == want
+        assert_chains_match_oracle(lift, directing)
 
-        def directing_result():
-            ok, bad = check_directing_property(lift, C1, C2, C3)
-            return ok, bad and chain_rows([bad])
 
-        def embedding(extract):
-            K = D.lattices[TOP]
-            inside = {x for c in D.poset.chains for x in c}
-            h, report = extract(lift, [x for x in K.labels if x in inside])
-            return h, report.to_json()
+class TestMemoAcrossCalls:
+    """The xi verdicts, naturality squares and chain searches are kept in
+    the source diagram's memo (ConcMemo.once): a second call on the same
+    lifting runs none of them again, and a call after the lifting changed
+    gives the oracle's answers."""
 
-        def results():
-            if directing:
-                return [outcome(directing_result)]
-            return [outcome(lambda: embedding(f)) for f in (extract_embedding,
-                                                            extract_embedding_auto)]
+    def test_second_verify_checks_nothing(self, named):
+        for swap in (False, True):
+            lift = m3_identity_lifting(named)
+            if swap:
+                swap_two_atoms(lift, node_of(C2))
+            first = verify_lifting(lift)
+            again, calls = checks(lambda: verify_lifting(lift))
+            assert calls == {"commutes": 0, "isomorphism": 0}
+            assert again.failures == first.failures == oracle_verify_lifting(lift)
+            assert again.ok is not swap
 
-        got = results()
-        with mock.patch.object(liftings, "_direct_paths", oracle_paths):
-            assert got == results()
+    def test_chains_after_extraction_search_nothing(self, named):
+        L = named["bool:3"]
+        lift = identity_lifting(chain_diagram_of_partial(L, L.labels)[0])
+        extract_embedding(lift, L.labels)
+        nodes = [n for n in lift.source.poset.elements if n.chains and len(n.chains) == 1]
+        assert len(nodes) == 12
+        assert searches(lambda: [direct_chains_at(lift, n) for n in nodes]) == 0
+        assert searches(lambda: extract_embedding(lift, L.labels)) == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_changed_lifting_matches_oracle(self, lawful_diagrams, lattices_to_7, data):
+        lift, directing = drawn_lifting(data, lawful_diagrams, lattices_to_7)
+        # the first calls fill the memo
+        verify_lifting(lift)
+        assert_chains_match_oracle(lift, directing)
+        kind = data.draw(st.sampled_from(["xi", "target-edge", "join-preserving"]))
+        if kind == "target-edge":
+            # one entry of 0 or of the image of an atom flipped, in a new map
+            # that keeps the other array
+            pq = data.draw(st.sampled_from(shared(lift.target.maps)))
+            s = lift.target.maps[pq]
+            row = data.draw(st.sampled_from([-1, *s.source.minimal().tolist()]))
+            zero, images = (s.zero.copy(), s.images) if row < 0 else (s.zero, s.images.copy())
+            flip = zero if row < 0 else images[row]
+            flip[data.draw(st.integers(0, len(zero) - 1))] ^= True
+            lift.target.maps[pq] = ConcMap(s.source, s.target, zero, images)
+        else:
+            p = data.draw(st.sampled_from(shared(lift.xi)))
+            x = lift.xi[p]
+            if kind == "join-preserving":
+                x.join_preserving = False    # at every node that shares x
+            else:
+                # a new ConcMap at p, or at every node that shares p's xi:
+                # its atoms traded, every image 0, 0 sent to 1, or the same
+                # arrays
+                new = data.draw(st.sampled_from(["no images", "zero to one", "copy"]
+                                                + ["swap"] * (len(x.source.minimal()) == 2)))
+                if new == "swap":
+                    y = swapped(x)
+                else:
+                    zero, images = {"no images": (x.zero, np.zeros_like(x.images)),
+                                    "zero to one": (np.ones_like(x.zero), x.images),
+                                    "copy": (x.zero, x.images)}[new]
+                    y = ConcMap(x.source, x.target, zero, images)
+                at = [n for n, z in lift.xi.items() if z is x] if data.draw(st.booleans()) else [p]
+                lift.xi.update({n: y for n in at})
+        assert verify_lifting(lift).failures == oracle_verify_lifting(lift)[:MAX_LIFTING_FAILURES]
+        assert_chains_match_oracle(lift, directing)
 
 
 class TestFindChains:

@@ -14,7 +14,8 @@ import critlat
 
 # (module, function) -> why its depth is bounded
 ALLOWED = {
-    ("lattice", "dual"): "one level per lazy product nested in a lazy product",
+    ("lattice", "dual"): "one level per product nested in a product: a product, lazy or "
+                         "dense, dualizes its factors",
     ("lattice", "_product_tables"): "halves the factor list at each level (log2 of the "
                                     "factor count), plus one level per nested lazy factor",
     ("lattice", "_hom_failure"): "one level per lazy product nested on either side",
