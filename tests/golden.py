@@ -1,8 +1,9 @@
 """CLI outputs pinned byte for byte on a fixed corpus.
 
-`con --json`, `si --json` and `simple` on each lattice of the corpus, and
-`hs-member`, `var-leq`, `crit-gate` and `conc-report`, with and without
-`--json`, on each ordered pair, with their exit codes and error lines.  The
+`con --json`, `si --json`, `simple`, `dual`, `export-dot` and `validate`
+(with and without `--json`) on each lattice of the corpus, and `hs-member`,
+`var-leq`, `crit-gate`, `conc-report` and `iso`, with and without `--json`,
+on each ordered pair, with their exit codes and error lines.  The
 corpus is the named builtins of the test fixtures plus the products N5x2 and
 M3^2 and the lattice L6 with its dual L6d, written as lattice files.  Var L6
 is not self-dual, so its pairs pin crit-gate's dual branch.
@@ -56,10 +57,11 @@ def cases():
     names = list(BUILTINS) + list(PRODUCTS) + ["L6", "L6d"]
     argvs = []
     for L in names:
-        argvs += [["con", "--json", L], ["si", "--json", L], ["simple", L]]
+        argvs += [["con", "--json", L], ["si", "--json", L], ["simple", L], ["dual", L],
+                  ["export-dot", L], ["validate", L], ["validate", "--json", L]]
     for K in names:
         for L in names:
-            for command in ("hs-member", "var-leq", "crit-gate", "conc-report"):
+            for command in ("hs-member", "var-leq", "crit-gate", "conc-report", "iso"):
                 argvs += [[command, "--json", K, L], [command, K, L]]
     for L in LIFTING_BUILTINS:
         for flags in ([], ["--json"], ["--dual"], ["--dual", "--json"]):

@@ -405,6 +405,41 @@ FLAGS = {
     "lift-check": {"--identity", "--dual-of", "--json"},
     "extract-embedding": {"--subset", "--dual", "--json"}, "find-chains": {"--json"},
     "export-dot": set()}
+# the help= text of each subcommand, and of each of its arguments by its name
+# or first option string (None where it has none)
+HS_HELP = {"--json": None, "--max-subuniverses": "refuse an HS search after it closes this "
+           "many generator tuples (default: %(default)s)"}
+HELP = {
+    "validate": ("validate a lattice file or builtin", {"lattice": None, "--json": None}),
+    "con": ("congruence lattice summary", {"lattice": None, "--json": None}),
+    "simple": ("is the lattice simple", {"lattice": None}),
+    "si": ("subdirectly irreducible quotients", {"lattice": None, "--json": None}),
+    "hs-member": ("is M a quotient of a sublattice of L",
+                  {"member": None, "lattice": None, **HS_HELP}),
+    "var-leq": ("decide Var K <= Var L", {"k": None, "l": None, **HS_HELP}),
+    "crit-gate": ("crit(Var K, Var L): infinite or at most aleph-2",
+                  {"k": None, "l": None, **HS_HELP}),
+    "conc-report": ("all four variety containments", {"k": None, "l": None, **HS_HELP}),
+    "iso": ("order isomorphism witness", {"k": None, "l": None, "--json": None}),
+    "dual": ("emit the dual lattice as JSON", {"lattice": None}),
+    "chain-diagram": ("chain diagram of a lattice", {
+        "lattice": None, "--subset": "comma-separated spanning subset (default: all)",
+        "--dot": None, "--json": None}),
+    "directing-diagram": ("directing diagram over three chains", {
+        "generator": "M:3 or N5", "c1": "comma-separated chain, e.g. 0,x1,1", "c2": None,
+        "c3": None, "--dot": None, "--json": None}),
+    "glued-diagram": ("chain diagram glued with directing diagrams",
+                      {"lattice": None, "generator": "M:3 or N5", "--subset": None}),
+    "lift-check": ("verify a lifting bundle", {
+        "bundle": None, "--identity": "build and check the identity lifting of this lattice",
+        "--dual-of": "build and check the dual lifting of this lattice", "--json": None}),
+    "extract-embedding": ("extract the embedding from a chain-diagram lifting", {
+        "lattice": None, "--subset": None, "--dual": "start from the dual lifting",
+        "--json": None}),
+    "find-chains": ("congruence chains between two elements",
+                    {"lattice": None, "u": None, "v": None, "--json": None}),
+    "export-dot": ("Hasse diagram in DOT", {"lattice": None}),
+}
 
 
 class ReadRecorder(argparse.Namespace):
@@ -433,6 +468,13 @@ class TestFlagTable:
         assert {c.split()[0] for c in BUILTIN_COMMANDS} == set(subs)
         assert {name: {o for a in self.options(p) for o in a.option_strings}
                 for name, p in subs.items()} == FLAGS
+
+    def test_each_help_text_is_pinned(self):
+        ap, subs = self.subparsers()
+        action = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+        assert {a.dest: (a.help, {(x.option_strings or [x.dest])[0]: x.help
+                                  for x in subs[a.dest]._actions if x.dest != "help"})
+                for a in action._choices_actions} == HELP
 
     @pytest.mark.parametrize("command", BUILTIN_COMMANDS)
     def test_each_flag_is_read(self, capsys, command):
