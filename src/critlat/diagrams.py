@@ -579,7 +579,7 @@ def directing_diagram(kgen, c1, c2, c3, with_t=False):
     if len(c3) != 3 and not (set(c1) <= set(c3) and set(c2) <= set(c3)):
         raise BadChainShapes("c3 must have length 2 or contain c1 and c2")
     ip = IndexPoset([c1, c2, c3])
-    lattices = dict(base_diagram(ip.chains).lattices)
+    lattices = _jc_lattices(ip.chains, *_bounds_of(ip.chains, ("0", "1")))
     lattices[TOP] = kgen
     role = {c1: "x1", c2: "x2", c3: "x3"}
     # the labels of kgen each node other than the bottom goes to: c1 and c2
@@ -698,13 +698,21 @@ def diagram_to_json(D: LatticeDiagram) -> dict:
 
 def diagram_from_json(obj) -> LatticeDiagram:
     """The diagram written by diagram_to_json; FormatError for any other
-    shape, or unless the nodes are distinct, the order pairs, closed under
-    reflexivity, form a partial order on them, "lattices" is keyed by the
-    nodes, and "maps" by "p<=q" for order pairs p < q, each map keyed by the
-    elements of p's lattice."""
+    shape (the poset's "nodes" must be an array of strings and its "leq" an
+    array of [p, q] string pairs), or unless the nodes are distinct, the
+    order pairs, closed under reflexivity, form a partial order on them,
+    "lattices" is keyed by the nodes, and "maps" by "p<=q" for order pairs
+    p < q, each map keyed by the elements of p's lattice."""
     try:
-        nodes = list(obj["poset"]["nodes"])
-        le = [(a, b) for a, b in obj["poset"]["leq"]]
+        nodes, leq = obj["poset"]["nodes"], obj["poset"]["leq"]
+        # a string or an object would iterate as its characters or keys
+        if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
+            raise FormatError('bad diagram: "nodes" is not an array of strings')
+        if not isinstance(leq, list) or not all(
+                isinstance(pair, list) and all(isinstance(x, str) for x in pair) for pair in leq):
+            raise FormatError('bad diagram: "leq" is not an array of string pairs')
+        # a pair of another length fails to unpack
+        le = [(a, b) for a, b in leq]
         if len(set(nodes)) != len(nodes):
             raise FormatError("the poset lists a node twice")
         if not {x for pair in le for x in pair} <= set(nodes):

@@ -1,6 +1,8 @@
 import argparse
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -106,6 +108,19 @@ class TestModuleEntry:
         done = self._module("critlat.cli", "crit-gate", "M:3", "M:4")
         code, out, _ = invoke(capsys, "crit-gate", "M:3", "M:4")
         assert done.returncode == code == 0 and done.stdout == out != ""
+
+    def test_installed_script_exit_code_is_the_verdict(self, monkeypatch, capsys):
+        # pip install makes [project.scripts] a `critlat` script that calls
+        # its target with sys.argv; the line is read with a regex, since
+        # Python 3.10 has no tomllib
+        text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+        module, name = re.search(r'^critlat = "([\w.]+):(\w+)"$', text, re.M).groups()
+        target = getattr(importlib.import_module(module), name)
+        monkeypatch.setattr(sys, "argv", ["critlat", "crit-gate", "M:4", "M:3"])
+        with pytest.raises(SystemExit) as exc:
+            target()
+        assert exc.value.code == 3
+        assert "at most aleph-2" in capsys.readouterr().out
 
     def test_package_refuses_bad_input_with_two(self):
         done = self._module("critlat", "validate", "chain:0")
@@ -656,6 +671,32 @@ class TestInputContract:
         code, out, err = invoke(capsys, "lift-check", str(p))
         assert (code, out) == (2, "")
         assert err == f"error: FormatError: {exc.value}\n"
+
+    @pytest.mark.parametrize("poset", [
+        {"nodes": "ab", "leq": {"ab": 0}},
+        {"nodes": "ab", "leq": [["a", "b"]]},
+        {"nodes": {"a": 1, "b": 2}, "leq": [["a", "b"]]},
+        {"nodes": ["a", "b"], "leq": {"ab": 0}},
+        {"nodes": ["a", "b"], "leq": ["ab"]},
+        {"nodes": ["a", 1], "leq": []},
+        {"nodes": ["a", "b"], "leq": [[0, 1]]},
+    ], ids=["both-strings", "nodes-a-string", "nodes-an-object", "leq-an-object",
+            "pair-a-string", "node-not-a-string", "pair-not-strings"])
+    def test_bundle_whose_poset_is_not_string_arrays_is_two(self, tmp_path, capsys, poset):
+        # a string read as its characters and an object as its keys once
+        # made the first three sources, and the next two, the diagram a <= b
+        two = lattice_to_json(builtin("2"))
+        source = {"poset": poset, "lattices": {"a": two, "b": two},
+                  "maps": {"a<=b": {"0": "0", "1": "1"}}}
+        with pytest.raises(FormatError, match=r'^bad diagram: "(nodes|leq)" is not an array'):
+            diagram_from_json(source)
+        bundle = identity_bundle("N5")
+        bundle["source"] = source
+        p = tmp_path / "bundle.json"
+        p.write_text(json.dumps(bundle))
+        code, out, err = invoke(capsys, "lift-check", str(p))
+        assert (code, out) == (2, "")
+        assert err.startswith('error: FormatError: bad diagram: "') and "Traceback" not in err
 
     def test_lift_check_without_input_is_two(self, capsys):
         code, _, err = invoke(capsys, "lift-check")

@@ -21,8 +21,8 @@ from critlat.congruence import (
     kernel,
     principal_congruence,
 )
-from critlat.errors import (BudgetExceeded, ConNotBoolean, HostMismatch, NotACongruence,
-                            NotASublattice)
+from critlat.errors import (ArityMismatch, BudgetExceeded, ConNotBoolean, HostMismatch,
+                            NotACongruence, NotASublattice)
 from critlat.lattice import (
     FiniteLattice,
     Homomorphism,
@@ -291,6 +291,16 @@ class TestCongruenceChains:
         c2 = named["chain:2"]
         xi = ConcMap.identity(JoinIrreducibles(c2))
         assert is_direct_congruence_chain(c2, ["0", "c1", "1"], xi, c2)
+
+    def test_chain_of_another_length_is_refused(self):
+        # Con bool:2 and Con chain:2 are both 2^2, so xi is an isomorphism;
+        # the chain 00 < 11 has one step and chain:2 two
+        sq, C = builtin("bool:2"), builtin("chain:2")
+        JC = JoinIrreducibles(C)
+        xi = ConcMap(JoinIrreducibles(sq), JC, np.zeros(2, dtype=bool), JC.leq.T)
+        assert xi.isomorphism
+        with pytest.raises(ArityMismatch, match="^chain has 1 steps, target chain has 2$"):
+            is_direct_congruence_chain(sq, ["00", "11"], xi, C)
 
     def test_swapped_xi_not_direct(self, named):
         # J(Con chain:2) is its two atoms: the swap permutes the rows of images

@@ -32,6 +32,7 @@ from critlat.errors import (
     CritlatError,
     HypothesisUnmet,
     MissingDirectChain,
+    PosetMismatch,
 )
 from critlat.lattice import (Homomorphism, builtin, dual, is_distributive, product,
                              product_projections)
@@ -209,6 +210,14 @@ class TestVerify:
         # the xi of a lifting pass to its dual unchanged
         lift = identity_lifting(diagram(builtin("N5")))
         assert verify_lifting(dual_lifting(lift)).ok
+
+    def test_target_on_another_poset_is_refused(self, named):
+        # the chain diagrams of M3 (8 nodes) and N5 live on different posets
+        D_M3 = chain_diagram_of_partial(named["M:3"], named["M:3"].labels)[0]
+        D_N5 = chain_diagram_of_partial(named["N5"], named["N5"].labels)[0]
+        xi = identity_lifting(D_M3).xi
+        with pytest.raises(PosetMismatch, match="^source and target live on different posets$"):
+            verify_lifting(Lifting(D_M3, apply_conc(D_N5), xi))
 
 
 class TestDiagramMemo:
