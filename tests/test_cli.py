@@ -683,8 +683,8 @@ class TestInputContract:
     ], ids=["both-strings", "nodes-a-string", "nodes-an-object", "leq-an-object",
             "pair-a-string", "node-not-a-string", "pair-not-strings"])
     def test_bundle_whose_poset_is_not_string_arrays_is_two(self, tmp_path, capsys, poset):
-        # a string read as its characters and an object as its keys once
-        # made the first three sources, and the next two, the diagram a <= b
+        # the first five once loaded as the diagram a <= b: a string was
+        # read as its characters and an object as its keys
         two = lattice_to_json(builtin("2"))
         source = {"poset": poset, "lattices": {"a": two, "b": two},
                   "maps": {"a<=b": {"0": "0", "1": "1"}}}
